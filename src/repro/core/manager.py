@@ -179,8 +179,9 @@ class RuleManager:
         return FrozenMatches(rule.name, rule.variables, matches)
 
     def end_of_rule_processing(self) -> None:
-        """Flush dynamic memories once a transition's recognize-act
-        processing completes."""
+        """Once a transition's recognize-act processing completes,
+        flush the dynamic memories and P-nodes of the rules it touched
+        (nothing to do for a transition that reached no dynamic rule)."""
         self.network.flush_dynamic()
         self.halted = False
 

@@ -21,7 +21,8 @@ The shared machinery of the TREAT/A-TREAT and Rete networks:
   running a query equivalent to the entire rule condition to load the
   P-node" (paper section 6), both through the ordinary query optimizer;
 * flushing dynamic memories (and the P-nodes fed by them) after each
-  transition's rule processing.
+  transition's rule processing — only for the rules the transition
+  touched, which the single accept point of token routing registers.
 """
 
 from __future__ import annotations
@@ -93,6 +94,9 @@ class DiscriminationNetwork:
         self._memories: dict[tuple[str, str],
                              AlphaMemory | VirtualAlphaMemory] = {}
         self._pnodes: dict[str, PNode] = {}
+        #: rules with a dynamic variable that accepted a token since the
+        #: last :meth:`flush_dynamic` (name -> rule, in accept order)
+        self._dirty: dict[str, CompiledRule] = {}
         self._stamp = 0
         #: the in-flight batch, or None on the per-token path
         self._batch: _BatchState | None = None
@@ -173,6 +177,7 @@ class DiscriminationNetwork:
                 self._virtual_count -= 1
             self.selection_index.remove(memory)
         del self._pnodes[name]
+        self._dirty.pop(name, None)
         self.join_planner.forget(name)
 
     def _make_memory(self, rule: CompiledRule, spec: VariableSpec):
@@ -579,6 +584,10 @@ class DiscriminationNetwork:
                                                   entry.old_values)
                 if not accepted:
                     continue
+            if rule.has_dynamic_variable:
+                # registered before the memory / P-node is touched, so
+                # a failure further down is still flushed
+                self._dirty[rule.name] = rule
             if spec.is_simple:
                 # Simple memories pass matching data straight to the
                 # P-node (paper section 4.3.3).
@@ -752,19 +761,28 @@ class DiscriminationNetwork:
     # ------------------------------------------------------------------
 
     def flush_dynamic(self) -> None:
-        """Empty every dynamic memory and the P-nodes they feed.
+        """Empty the dynamic memories, and the P-nodes they feed, of
+        every rule this transition touched.
 
         Called after the recognize-act processing of each transition:
         "the binding between the matching data and the condition should be
-        broken" (paper section 4.3.2).
+        broken" (paper section 4.3.2).  Only rules registered by
+        :meth:`_process_one` can hold such a binding, so the cost is
+        proportional to the transition, not to the rule base.
         """
-        for rule in self.rules.values():
-            if not rule.has_dynamic_variable:
-                continue
+        dirty = self._dirty
+        if not dirty:
+            return
+        if self.stats.enabled:
+            self.stats.bump("network.dynamic_rules_flushed", len(dirty))
+        for name, rule in dirty.items():
+            if self.rules.get(name) is not rule:
+                continue        # removed or rebuilt since it registered
             for var in rule.dynamic_variables:
-                self._memories[(rule.name, var)].flush()
-            self._pnodes[rule.name].clear()
+                self._memories[(name, var)].flush()
+            self._pnodes[name].clear()
             self._after_flush(rule)
+        dirty.clear()
 
     def _after_flush(self, rule: CompiledRule) -> None:
         """Subclass hook (Rete rebuilds its β chain here)."""
@@ -782,6 +800,10 @@ class DiscriminationNetwork:
     def next_stamp(self) -> int:
         self._stamp += 1
         return self._stamp
+
+    def beta_partials(self, rule_name: str) -> Iterable[dict]:
+        """The rule's materialised β partials (none outside Rete)."""
+        return ()
 
     def memory_entry_count(self, rule_name: str | None = None) -> int:
         """Materialised α-memory entries (virtual nodes count zero) —

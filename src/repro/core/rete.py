@@ -16,8 +16,8 @@ from TREAT, and what the ``ablate-net`` benchmark measures.
 
 α-memory handling, selection-index routing, event and transition gating
 are all inherited from the shared base; this class only adds the β
-chain.  Dynamic rules rebuild their β chain after the flush at the end
-of each transition's rule processing.
+chain.  A dynamic rule rebuilds its β chain after the flush at the end
+of the rule processing of each transition that touched it.
 """
 
 from __future__ import annotations
@@ -221,6 +221,10 @@ class ReteNetwork(DiscriminationNetwork):
         if rule_name is not None:
             return self._states[rule_name].entry_count()
         return sum(s.entry_count() for s in self._states.values())
+
+    def beta_partials(self, rule_name: str):
+        for level in self._states[rule_name].betas:
+            yield from level.values()
 
     @staticmethod
     def _bind_entry(bindings: Bindings, var: str,

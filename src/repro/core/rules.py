@@ -187,6 +187,12 @@ class CompiledRule:
                                 if full is not None else None),
             )
             self.specs[var] = spec
+        #: variables whose α-memory is dynamic (event-, transition- or
+        #: new()-gated); a rule that has one gets its dynamic memories
+        #: and P-node flushed after each transition that touched it
+        self.dynamic_variables: list[str] = [
+            v for v in self.variables if self.specs[v].is_dynamic]
+        self.has_dynamic_variable: bool = bool(self.dynamic_variables)
 
         self.joins: list[JoinConjunct] = [
             JoinConjunct(expr=j, variables=frozenset(variables_of(j)),
@@ -210,16 +216,6 @@ class CompiledRule:
         self._validate_previous_in_actions()
 
     # ------------------------------------------------------------------
-
-    @property
-    def has_dynamic_variable(self) -> bool:
-        """True when any variable is event- or transition-gated; such a
-        rule's P-node is flushed after each transition's processing."""
-        return any(s.is_dynamic for s in self.specs.values())
-
-    @property
-    def dynamic_variables(self) -> list[str]:
-        return [v for v in self.variables if self.specs[v].is_dynamic]
 
     def shared_vars_of(self, command: ast.Command) -> frozenset[str]:
         """Condition variables referenced by an action command."""

@@ -11,7 +11,9 @@ base relations alone, what every *persistent* structure should contain —
 
 and reports every divergence.  Dynamic (event/transition/new) memories
 are transient by design and are only checked for emptiness *between*
-transitions.  Used by the test suite after stress workloads and available
+transitions — as is everything they feed: the P-node of a rule with a
+dynamic variable, and (Rete) any β partial binding one.  Used by the
+test suite after stress workloads and available
 to applications as ``check_network(db)``.
 """
 
@@ -29,6 +31,8 @@ class Inconsistency:
     rule_name: str
     kind: str          # 'alpha-extra' | 'alpha-missing' | 'pnode-extra'
                        # | 'pnode-missing' | 'index' | 'dynamic-not-empty'
+                       # | 'dynamic-pnode-not-empty'
+                       # | 'dynamic-beta-not-empty'
     detail: str
 
     def __str__(self) -> str:
@@ -78,6 +82,8 @@ def check_network(db, between_transitions: bool = True
                         f"{var}: {tid} stale values"))
         if not rule.has_dynamic_variable:
             out.extend(_check_pnode(db, rule, conceptual))
+        elif between_transitions:
+            out.extend(_check_flushed(network, rule))
     out.extend(_check_selection_index(db))
     return out
 
@@ -128,6 +134,26 @@ def _check_pnode(db, rule, conceptual) -> list[Inconsistency]:
         for missing in expected - actual:
             out.append(Inconsistency(rule.name, "pnode-missing",
                                      str(missing)))
+    return out
+
+
+def _check_flushed(network, rule) -> list[Inconsistency]:
+    """Between transitions nothing may still bind a dynamic variable:
+    a single-variable event rule is simple-α (no memory contents to
+    check), so a missed flush only shows in its P-node."""
+    out: list[Inconsistency] = []
+    matches = len(network.pnode(rule.name))
+    if matches:
+        out.append(Inconsistency(
+            rule.name, "dynamic-pnode-not-empty",
+            f"{matches} match(es) after flush"))
+    dynamic = rule.dynamic_variables
+    stale = sum(1 for partial in network.beta_partials(rule.name)
+                if any(var in partial for var in dynamic))
+    if stale:
+        out.append(Inconsistency(
+            rule.name, "dynamic-beta-not-empty",
+            f"{stale} β partial(s) bind {dynamic} after flush"))
     return out
 
 

@@ -77,6 +77,12 @@ def _read_only_command(command: ast.Command) -> bool:
     return False
 
 
+#: ``Database.firing_log`` keeps the most recent firings only: when it
+#: reaches twice this many records the oldest are dropped, so trimming
+#: is amortised O(1) and the log stays a plain list
+FIRING_LOG_KEEP = 1024
+
+
 @dataclass(frozen=True)
 class FiringRecord:
     """One entry of the rule-firing trace (``Database.firing_log``)."""
@@ -218,7 +224,8 @@ class Database:
                                             cache_action_plans)
         #: rule firings since construction (diagnostics)
         self.firings = 0
-        #: trace of every firing, newest last (clear with
+        #: trace of the most recent firings (at least the last
+        #: :data:`FIRING_LOG_KEEP`), newest last (clear with
         #: ``firing_log.clear()``); disable with ``trace_firings=False``
         self.firing_log: list[FiringRecord] = []
         self.trace_firings = True
@@ -975,8 +982,11 @@ class Database:
         self.faults.hit("rule.fire")
         self.firings += 1
         if self.trace_firings:
-            self.firing_log.append(FiringRecord(
+            log = self.firing_log
+            log.append(FiringRecord(
                 self.firings, rule.name, rule.priority, len(matches)))
+            if len(log) >= 2 * FIRING_LOG_KEEP:
+                del log[:-FIRING_LOG_KEEP]
         if self.trace.wants("rule_fired"):
             self.trace.emit("rule_fired", {
                 "sequence": self.firings,

@@ -27,6 +27,8 @@ docs/ARCHITECTURE.md, "Observing the engine"):
 ``agenda.*``           conflict-resolution selections and stale pruning
 ``rules.*``            firings, matches consumed, cascade depth
 ``tokens.*``           tokens routed, batches propagated
+``network.*``          end-of-transition flush (dynamic rules a
+                       transition touched, hence flushed)
 ``shard.*``            sharded propagation (batches sharded, live
                        shards dispatched, residual offload calls)
 ``joins.*``            seek planning (orders planned / cache hits,
