@@ -43,6 +43,31 @@ def test_activation(benchmark, count):
     benchmark.pedantic(run, setup=setup, rounds=3)
 
 
+def test_activation_5000_rows(benchmark):
+    """The figures' 25-row ``emp`` is too small for priming to show in
+    the activation column; this point activates 25 rules over 5,000
+    rows, where it is one selection pass over ``emp`` per rule."""
+    count, rows = 25, 5000
+
+    def setup():
+        db = make_database()
+        db.bulk_append("emp", [
+            (f"big{i:04d}", 30, 1000.0 * (i % count) + 400.0, i % 7, i % 5)
+            for i in range(rows - 25)])
+        db._rules_suspended = True
+        install_rules(db, count, TYPE)
+        return (db,), {}
+
+    def run(db):
+        activate_rules(db, count, TYPE)
+        assert db.stats.get("network.prime_tuples_examined") \
+            == count * rows
+        assert len(db.network.pnode(f"bench_rule_{TYPE}_0")) \
+            == rows // count
+
+    benchmark.pedantic(run, setup=setup, rounds=3)
+
+
 @pytest.mark.parametrize("count", RULE_COUNTS)
 def test_token_test(benchmark, count):
     bench_token_test(benchmark, count, TYPE)

@@ -110,13 +110,23 @@ class ActionPlanner:
         """Drop cached plans explicitly.
 
         Version tracking already invalidates stale plans lazily; this
-        remains for callers that drop a rule and want its entries gone.
+        is for a rule that left the network (removed or deactivated),
+        whose plans and match holder would otherwise stay for good.
         """
         if rule_name is None:
             self._cache.clear()
+            self._holders.clear()
             return
+        self._holders.pop(rule_name, None)
         for key in [k for k in self._cache if k[0] == rule_name]:
             del self._cache[key]
+
+    def end_firing(self, rule_name: str) -> None:
+        """Let go of the matches a finished firing consumed (a cached
+        plan keeps its holder, which would otherwise keep them)."""
+        holder = self._holders.get(rule_name)
+        if holder is not None:
+            holder.set([])
 
     # ------------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.core.rules import VariableSpec
 from repro.core.tokens import Token, TokenKind
@@ -281,6 +281,12 @@ class AlphaMemory:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def reset_feedback(self) -> None:
+        """Open a fresh probe-feedback window (after an adaptation
+        step; after priming, whose probes are not token traffic)."""
+        self.probe_count = 0
+        self.unindexed_probe_count = 0
+
     # ------------------------------------------------------------------
     # join indexes
     # ------------------------------------------------------------------
@@ -428,15 +434,13 @@ class VirtualAlphaMemory:
         return "virtual-α"
 
     def candidates(self, catalog, equality: tuple[int, object] | None = None
-                   ) -> Iterable[MemoryEntry]:
+                   ) -> list[MemoryEntry]:
         """The memory's conceptual contents, derived from the relation.
 
         ``equality`` is an optional ``(position, value)`` constraint from
-        the join conjunct being evaluated; with an index on that attribute
-        the scan becomes an index probe.  Without one, a stored secondary
-        index matching the predicate's anchor attribute narrows the scan
-        to the anchor interval before falling back to the filtered heap
-        scan.
+        the join conjunct being evaluated; the access path (index probe
+        on that attribute, index on the predicate's anchor attribute,
+        or one filtered heap pass) is :meth:`VariableSpec.select`'s.
         """
         self.scan_count += 1
         self.probe_count += 1
@@ -446,48 +450,14 @@ class VirtualAlphaMemory:
             counters["virtual.scans"] = \
                 counters.get("virtual.scans", 0) + 1
         relation = catalog.relation(self.spec.relation)
-        matches = self.spec.selection_matches
-        if equality is not None:
-            position, value = equality
-            if value is None or value != value:
-                # Null — and NaN, which compares unequal even to
-                # itself — never satisfies an equi-join conjunct.
-                return
-            attr = relation.schema.attributes[position].name
-            index = (relation.index_on(attr, "hash")
-                     or relation.index_on(attr, "btree"))
-            if index is not None:
-                for stored in relation.fetch(index.search(value)):
-                    if matches(stored.values, None):
-                        yield MemoryEntry(stored.tid, stored.values)
-                return
-            for stored in relation.scan():
-                if stored.values[position] == value \
-                        and matches(stored.values, None):
-                    yield MemoryEntry(stored.tid, stored.values)
-            return
-        anchor = self.spec.analysis.anchor if self.spec.analysis else None
-        if anchor is not None:
-            index = relation.index_on(anchor.attr, "btree")
-            if index is not None:
-                from repro.intervals.interval import NEG_INF, POS_INF
-                interval = anchor.interval
-                low = None if interval.low is NEG_INF else interval.low
-                high = None if interval.high is POS_INF else interval.high
-                tids = index.range_search(
-                    low, high,
-                    low_inclusive=interval.low_closed,
-                    high_inclusive=interval.high_closed)
-                for stored in relation.fetch(tids):
-                    if matches(stored.values, None):
-                        yield MemoryEntry(stored.tid, stored.values)
-                return
-        for stored in relation.scan():
-            if matches(stored.values, None):
-                yield MemoryEntry(stored.tid, stored.values)
+        return [MemoryEntry(tid, values) for tid, values
+                in self.spec.select(relation, equality)]
 
     def __len__(self) -> int:
         return 0        # stores nothing: that is the point
+
+    def reset_feedback(self) -> None:
+        self.probe_count = 0
 
     def flush(self) -> None:
         return None

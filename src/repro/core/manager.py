@@ -6,9 +6,9 @@ manager keeps them separate operations:
 * **installation** — "storing a persistent copy of the rule syntax tree
   in the rule catalog" (:meth:`RuleManager.install`);
 * **activation** — compiling the rule, building its discrimination
-  network structures, and priming: "running one one-variable query for
-  each tuple variable … plus running a query equivalent to the entire
-  rule condition to load the P-node" (:meth:`RuleManager.activate`);
+  network structures, and priming them from current data (the paper
+  runs queries for that; :meth:`DiscriminationNetwork.prime_rule` goes
+  through the network) (:meth:`RuleManager.activate`);
 * **token testing** — routing an update's tokens through the network
   (:meth:`RuleManager.process_token`).
 

@@ -233,10 +233,7 @@ def adapt_memories(db, budget_entries: float,
     network = db.manager.network
     for rule in network.rules.values():
         for var in rule.variables:
-            memory = network.memory(rule.name, var)
-            memory.probe_count = 0
-            if not memory.is_virtual:
-                memory.unindexed_probe_count = 0
+            network.memory(rule.name, var).reset_feedback()
     return plan, flipped
 
 
@@ -249,9 +246,7 @@ _EXACT_COUNT_CAP = 10000
 def _entry_estimate(db, stats, spec) -> float:
     relation = db.catalog.relation(spec.relation)
     if len(relation) <= _EXACT_COUNT_CAP:
-        return float(sum(
-            1 for stored in relation.scan()
-            if spec.selection_matches(stored.values, None)))
+        return float(sum(1 for _ in spec.select(relation)))
     return stats.scan_cardinality(spec.relation, spec.var,
                                   spec.selection_conjuncts)
 

@@ -16,10 +16,10 @@ The shared machinery of the TREAT/A-TREAT and Rete networks:
   residual verification, and — so that virtual α-memories answer joins
   exactly as the per-token path would — a batch overlay that masks
   not-yet-propagated heap mutations from base-relation scans;
-* priming at rule activation — "running one one-variable query for each
-  tuple variable in the rule condition to prime the α-memory nodes, plus
-  running a query equivalent to the entire rule condition to load the
-  P-node" (paper section 6), both through the ordinary query optimizer;
+* priming at rule activation — where the paper runs one one-variable
+  query per tuple variable "plus … a query equivalent to the entire rule
+  condition to load the P-node" (section 6), one selection pass loads
+  each stored α-memory and the network's own join step the P-node;
 * flushing dynamic memories (and the P-nodes fed by them) after each
   transition's rule processing — only for the rules the transition
   touched, which the single accept point of token routing registers.
@@ -41,7 +41,6 @@ from repro.core.selection_index import SelectionIndex
 from repro.core.shard import merge_results, partition
 from repro.core.tokens import Token, TokenKind
 from repro.errors import RuleError
-from repro.lang.expr import Bindings
 from repro.observe import EngineStats, NULL_STATS
 from repro.planner.optimizer import Optimizer
 
@@ -216,40 +215,43 @@ class DiscriminationNetwork:
     # ------------------------------------------------------------------
 
     def prime_rule(self, rule: CompiledRule) -> None:
-        """Load stored memories and the P-node from current data."""
-        for var in rule.variables:
-            spec = rule.specs[var]
-            memory = self._memories[(rule.name, var)]
+        """Load the rule's stored memories and its (fresh) P-node from
+        current data: one :meth:`VariableSpec.select` pass per stored
+        variable, then the P-node through the join step that token
+        propagation uses."""
+        tally = [0]
+        memories = [self._memories[(rule.name, var)]
+                    for var in rule.variables]
+        for memory in memories:
+            spec = memory.spec
             if memory.is_virtual or spec.is_dynamic or spec.is_simple:
                 continue
             relation = self.catalog.relation(spec.relation)
-            for stored in relation.scan():
-                if spec.selection_matches(stored.values, None):
-                    memory.insert(MemoryEntry(stored.tid, stored.values))
-        if rule.has_dynamic_variable:
-            # Event/transition/new-gated rules can only match data bound
-            # during a transition; nothing to load now.
-            self._after_prime(rule)
-            return
-        plan = self.optimizer.plan_variables(
-            rule.variables, rule.condition, rule.var_relations)
-        pnode = self._pnodes[rule.name]
-        ctx = _PrimeContext(self.catalog)
-        inserted = 0
-        for bound in plan.rows(ctx, Bindings()):
-            parts = {var: MemoryEntry(bound.tids[var], bound.current[var])
-                     for var in rule.variables}
-            self._stamp += 1
-            if pnode.insert(Match.of(parts), self._stamp):
-                inserted += 1
-        self._after_prime(rule)
-        if inserted:
-            if self.stats.enabled:
-                self.stats.bump("pnode.inserts", inserted)
-            self.on_match(rule)
+            for tid, values in spec.select(relation, tally=tally):
+                memory.insert(MemoryEntry(tid, values))
+        if len(memories) > 1:
+            self._join_memories(rule, tally)
+        elif not rule.has_dynamic_variable:
+            spec = memories[0].spec
+            pnode = self._pnodes[rule.name]
+            relation = self.catalog.relation(spec.relation)
+            for tid, values in spec.select(relation, tally=tally):
+                self._stamp += 1
+                pnode.insert(Match(((spec.var, MemoryEntry(tid, values)),)),
+                             self._stamp)
+            if pnode:
+                self.stats.bump("pnode.inserts", len(pnode))
+                self.on_match(rule)
+        self.stats.bump("network.rules_primed")
+        self.stats.bump("network.prime_tuples_examined", tally[0])
 
-    def _after_prime(self, rule: CompiledRule) -> None:
-        """Subclass hook (Rete rebuilds its β chain here)."""
+    def _join_memories(self, rule: CompiledRule,
+                       tally: list | None = None) -> None:
+        """Subclass hook: derive a rule's join state and P-node from
+        its α-memories, just loaded (priming) or just flushed (TREAT
+        seeks from one memory, Rete rebuilds its β chain); ``tally[0]``
+        grows by the tuples any extra relation pass examines."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # token routing
@@ -721,40 +723,24 @@ class DiscriminationNetwork:
             value = equality[1]
             if value is None or value != value:
                 # null/NaN never satisfies an equi-join conjunct
-                return
+                return ()
         exclude = (token.tid if token is not None and var in pending_vars
                    and token.relation == memory.spec.relation else None)
+        entries = memory.candidates(self.catalog, equality)
         batch = self._batch
         overlay = (batch.overlay_for(memory.spec.relation)
                    if batch is not None else None)
         if not overlay:
             if exclude is None:
-                yield from memory.candidates(self.catalog, equality)
-                return
-            for entry in memory.candidates(self.catalog, equality):
-                if entry.tid != exclude:
-                    yield entry
-            return
-        for entry in memory.candidates(self.catalog, equality):
-            if entry.tid in overlay:
-                continue
-            if exclude is not None and entry.tid == exclude:
-                continue
-            yield entry
-        matches = memory.spec.selection_matches
-        position, value = equality if equality is not None else (None,
-                                                                 None)
-        if equality is not None and value is None:
-            return
-        for tid, values in overlay.items():
-            if values is _ABSENT:
-                continue
-            if exclude is not None and tid == exclude:
-                continue
-            if position is not None and values[position] != value:
-                continue
-            if matches(values, None):
-                yield MemoryEntry(tid, values)
+                return entries
+            return [entry for entry in entries if entry.tid != exclude]
+        entries = [entry for entry in entries
+                   if entry.tid not in overlay and entry.tid != exclude]
+        live = [(tid, values) for tid, values in overlay.items()
+                if values is not _ABSENT and tid != exclude]
+        entries.extend(MemoryEntry(tid, values) for tid, values
+                       in memory.spec.matching(live, equality))
+        return entries
 
     # ------------------------------------------------------------------
     # transition lifecycle
@@ -781,11 +767,8 @@ class DiscriminationNetwork:
             for var in rule.dynamic_variables:
                 self._memories[(name, var)].flush()
             self._pnodes[name].clear()
-            self._after_flush(rule)
+            self._join_memories(rule)
         dirty.clear()
-
-    def _after_flush(self, rule: CompiledRule) -> None:
-        """Subclass hook (Rete rebuilds its β chain here)."""
 
     # ------------------------------------------------------------------
     # access / diagnostics
@@ -796,10 +779,6 @@ class DiscriminationNetwork:
 
     def memory(self, rule_name: str, var: str):
         return self._memories[(rule_name, var)]
-
-    def next_stamp(self) -> int:
-        self._stamp += 1
-        return self._stamp
 
     def beta_partials(self, rule_name: str) -> Iterable[dict]:
         """The rule's materialised β partials (none outside Rete)."""
@@ -924,13 +903,6 @@ def _pre_batch_state(token: Token):
     return token.values
 
 
-class _PrimeContext:
-    """Minimal execution context for priming queries (no hooks)."""
-
-    def __init__(self, catalog: Catalog):
-        self.catalog = catalog
-
-
 def equality_probe(var: str, partial: dict,
                    conjuncts) -> tuple[int, object, object] | None:
     """Constant substitution into one join step (paper §4.2): find an
@@ -952,12 +924,3 @@ def equality_probe(var: str, partial: dict,
             return (equi.right_position, other.values[equi.left_position],
                     conjunct)
     return None
-
-
-def equality_constraint(var: str, partial: dict,
-                        conjuncts) -> tuple[int, object] | None:
-    """The (position, value) form of :func:`equality_probe` — the
-    original virtual-node sharpening interface, kept for callers that
-    do not care which conjunct the probe enforces."""
-    probe = equality_probe(var, partial, conjuncts)
-    return None if probe is None else (probe[0], probe[1])

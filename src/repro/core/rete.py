@@ -35,7 +35,7 @@ class _ReteState:
     """The β chain of one rule."""
 
     def __init__(self, rule: CompiledRule):
-        #: pinned at :meth:`ReteNetwork._rebuild`: when set, the rule
+        #: pinned at :meth:`ReteNetwork._join_memories`: when set, the rule
         #: runs the leapfrog multiway step and keeps no β state at all
         #: (the only safe place to flip algorithms — β keys are tid
         #: tuples over order prefixes, meaningless across a switch)
@@ -91,17 +91,13 @@ class ReteNetwork(DiscriminationNetwork):
         super().remove_rule(name)
         del self._states[name]
 
-    def _after_prime(self, rule: CompiledRule) -> None:
-        self._rebuild(rule)
-
-    def _after_flush(self, rule: CompiledRule) -> None:
-        self._rebuild(rule)
-
-    def _rebuild(self, rule: CompiledRule) -> None:
-        """Recompute the β chain from current α contents — adopting the
-        planner's cost-driven chain order while the chain is empty (the
-        only safe reorder point: β keys are tid tuples over order
-        prefixes)."""
+    def _join_memories(self, rule: CompiledRule,
+                       tally: list | None = None) -> None:
+        """Recompute the β chain — and with it the P-node — from
+        current α contents, adopting the planner's cost-driven chain
+        order while the chain is empty (the only safe reorder point: β
+        keys are tid tuples over order prefixes).  This is how a rule
+        is primed; after a dynamic flush no combination is complete."""
         state = self._states[rule.name]
         state.clear()
         if len(rule.variables) == 1:
@@ -112,7 +108,8 @@ class ReteNetwork(DiscriminationNetwork):
             # walk — stamp-count identical to the pairwise re-cascade,
             # since both advance once per complete combination.
             state.multiway_plan = payload
-            self._run_multiway(rule, payload, None, frozenset(), None)
+            if self._run_multiway(rule, payload, None, frozenset(), None):
+                self.on_match(rule)
             return
         state.multiway_plan = None
         order = payload
@@ -123,8 +120,7 @@ class ReteNetwork(DiscriminationNetwork):
                                            frozenset(), None)
         for entry in entries:
             self._cascade(rule, state, 0, {state.order[0]: entry},
-                          pending_vars=frozenset(), token=None,
-                          emit=False)
+                          pending_vars=frozenset(), token=None)
 
     # ------------------------------------------------------------------
     # token handling
@@ -167,8 +163,8 @@ class ReteNetwork(DiscriminationNetwork):
 
     def _cascade(self, rule: CompiledRule, state: _ReteState, level: int,
                  partial: dict[str, MemoryEntry],
-                 pending_vars: frozenset[str], token: Token | None,
-                 emit: bool = True) -> None:
+                 pending_vars: frozenset[str],
+                 token: Token | None) -> None:
         """Store a surviving partial at ``level`` and extend rightward."""
         key = tuple(partial[v].tid for v in state.order[:level + 1])
         state.betas[level][key] = partial
@@ -177,8 +173,7 @@ class ReteNetwork(DiscriminationNetwork):
             if self._pnodes[rule.name].insert(Match.of(dict(partial)),
                                               self._stamp):
                 self._note_pnode_insert()
-                if emit:
-                    self.on_match(rule)
+                self.on_match(rule)
             return
         next_var = state.order[level + 1]
         conjuncts = state.level_conjuncts[level + 1]
@@ -198,7 +193,7 @@ class ReteNetwork(DiscriminationNetwork):
                 extended = dict(partial)
                 extended[next_var] = entry
                 self._cascade(rule, state, level + 1, extended,
-                              pending_vars, token, emit)
+                              pending_vars, token)
             bindings.current.pop(next_var, None)
             bindings.previous.pop(next_var, None)
 

@@ -13,10 +13,12 @@ the rule catalog for display, exactly as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from operator import le, lt
+from typing import Callable, Iterable, Iterator
 
 from repro.catalog.catalog import Catalog
 from repro.errors import RuleError
+from repro.intervals.interval import NEG_INF, POS_INF, key_eq
 from repro.lang import ast_nodes as ast
 from repro.lang.expr import (
     Bindings, attr_positions_of, compile_expr, previous_variables_of,
@@ -24,6 +26,7 @@ from repro.lang.expr import (
 from repro.lang.predicates import (
     SelectionAnalysis, analyze_selection, build_condition_graph, conjoin,
     equijoin_of_conjunct)
+from repro.storage.tuples import TupleId
 
 
 @dataclass
@@ -88,6 +91,80 @@ class VariableSpec:
         except KeyError:
             # previous reference with no transition pair available
             return False
+
+    def matching(self, pairs: Iterable[tuple], equality=None
+                 ) -> Iterator[tuple]:
+        """The compiled selection kernel: the ``(key, values)`` pairs
+        whose values satisfy this (never a dynamic) variable's selection
+        and carry ``equality = (position, value)``.  The anchor interval
+        is tested natively — null and NaN lie in none — and the residual
+        over one Bindings reused for the whole pass."""
+        eq_pos, eq_value = equality or (None, None)
+        anchor = self.analysis.anchor if self.analysis else None
+        if anchor is not None:
+            position, interval = anchor.position, anchor.interval
+            low, high = interval.low, interval.high
+            above = None if low is NEG_INF else (
+                le if interval.low_closed else lt)
+            below = None if high is POS_INF else (
+                le if interval.high_closed else lt)
+        residual = self.residual
+        bindings = Bindings()
+        current, var = bindings.current, self.var
+        for pair in pairs:
+            values = pair[1]
+            if eq_pos is not None and values[eq_pos] != eq_value:
+                continue
+            if anchor is not None:
+                value = values[position]
+                if value is None \
+                        or (above is not None and not above(low, value)) \
+                        or (below is not None and not below(value, high)):
+                    continue
+            if residual is not None:
+                current[var] = values
+                if residual(bindings) is not True:
+                    continue
+            yield pair
+
+    def select(self, relation, equality=None, tally: list | None = None
+               ) -> Iterator[tuple]:
+        """The one access path to "tuples of ``relation`` satisfying
+        this selection", as ``(tid, values)``: a secondary index on the
+        ``equality`` attribute, else on the anchor attribute, narrows
+        the candidates; otherwise one pass over the heap.  All of them
+        go through :meth:`matching`; ``tally[0]`` grows by their number.
+        """
+        anchor = self.analysis.anchor if self.analysis else None
+        tids = None
+        if equality is not None:
+            value = equality[1]
+            if value is None or value != value:
+                # Null — and NaN, which compares unequal even to
+                # itself — never satisfies an equi-join conjunct.
+                return iter(())
+            index = relation.index_on(
+                relation.schema.attributes[equality[0]].name)
+            if index is not None:
+                tids = index.search(value)
+        if tids is None and anchor is not None:
+            low, high = anchor.interval.low, anchor.interval.high
+            point = key_eq(low, high)
+            index = relation.index_on(anchor.attr, None if point else "btree")
+            if index is not None:
+                tids = index.search(low) if point else index.range_search(
+                    None if low is NEG_INF else low,
+                    None if high is POS_INF else high,
+                    low_inclusive=anchor.interval.low_closed,
+                    high_inclusive=anchor.interval.high_closed)
+        pairs = relation.items() if tids is None else relation.lookup(tids)
+        if tally is not None:
+            tally[0] += len(pairs)
+        found = self.matching(pairs, equality)
+        if tids is not None:
+            return found
+        name = relation.name
+        return ((TupleId(name, slot), values) for slot, values in found)
 
     def residual_matches(self, values: tuple,
                          old_values: tuple | None) -> bool:

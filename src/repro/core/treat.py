@@ -50,13 +50,50 @@ class TreatNetwork(DiscriminationNetwork):
             return            # single-variable rules are simple-α routed
         self._seek(rule, spec.var, entry, pending_vars, token)
 
+    def _join_memories(self, rule: CompiledRule,
+                       tally: list | None = None) -> None:
+        """Seek from every entry of the smallest loaded memory (of the
+        smallest virtual one when nothing is stored): each complete
+        combination holds exactly one of them, so none is found twice."""
+        if rule.has_dynamic_variable:
+            return        # only data bound during a transition matches
+        memories = self._memories
+        rows = self.join_planner._rows
+        seed_var = min(rule.variables, key=lambda var: (
+            memories[(rule.name, var)].is_virtual, rows(rule, var), var))
+        memory = memories[(rule.name, seed_var)]
+        if memory.is_virtual:
+            relation = self.catalog.relation(memory.spec.relation)
+            entries = [MemoryEntry(tid, values) for tid, values
+                       in memory.spec.select(relation, tally=tally)]
+        else:
+            entries = memory.entries()
+        stats = self.stats
+        counting = stats.enabled
+        # Priming is not token propagation: the joins.* / alpha.* /
+        # virtual.* counters and the memories' probe feedback (which
+        # drives adaptive materialization) measure token traffic only.
+        stats.enabled = False
+        try:
+            # no memory changes size while priming: plan the seek once
+            plan = self.join_planner.seek_plan(rule, seed_var)
+            for entry in entries:
+                self._seek(rule, seed_var, entry, (), None, plan)
+        finally:
+            stats.enabled = counting
+        for var in rule.variables:
+            memories[(rule.name, var)].reset_feedback()
+        primed = len(self._pnodes[rule.name])
+        if primed:
+            stats.bump("pnode.inserts", primed)
+
     # ------------------------------------------------------------------
     # the TREAT join step
     # ------------------------------------------------------------------
 
     def _seek(self, rule: CompiledRule, seed_var: str,
               seed_entry: MemoryEntry, pending_vars: set[str],
-              token: Token) -> None:
+              token: Token | None, plan: tuple | None = None) -> None:
         """Find every new complete combination seeded by one entry.
 
         The planner picks the algorithm per (rule, seed): the pairwise
@@ -69,7 +106,7 @@ class TreatNetwork(DiscriminationNetwork):
         if stats.enabled:
             counters = stats.counters
             counters["joins.seeks"] = counters.get("joins.seeks", 0) + 1
-        mode, payload = self.join_planner.seek_plan(rule, seed_var)
+        mode, payload = plan or self.join_planner.seek_plan(rule, seed_var)
         if mode == "multiway":
             if self._run_multiway(rule, payload, seed_entry,
                                   pending_vars, token):

@@ -842,6 +842,7 @@ class Database:
             return None
         if isinstance(command, ast.DeactivateRule):
             self.manager.deactivate(command.name)
+            self.action_planner.invalidate(command.name)
             self._journal_statement(command)
             return None
         if isinstance(command, ast.Explain):
@@ -1021,6 +1022,8 @@ class Database:
         else:
             if undo_scope:
                 self.undo.commit()
+        finally:
+            self.action_planner.end_firing(rule.name)
 
     def _recover_firing(self) -> None:
         """Roll back a failed rule action (see :meth:`_fire`): route the

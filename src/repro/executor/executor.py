@@ -273,8 +273,11 @@ class Executor:
         relation = self.context.catalog.relation(command.relation)
         schema = relation.schema
         named = command.targets and command.targets[0].name is not None
-        evaluators = [(col.name, compile_expr(col.expr))
-                      for col in command.targets]
+        evaluators = planned.evaluators
+        if evaluators is None:        # compiled once per plan, not per run
+            evaluators = planned.evaluators = [
+                (col.name, compile_expr(col.expr))
+                for col in command.targets]
         new_tuples = []
         for bound in planned.plan.rows(self.context, self._root(params),
                                        reuse=True):
@@ -315,8 +318,11 @@ class Executor:
         relation_name = self._target_relation(planned)
         relation = self.context.catalog.relation(relation_name)
         schema = relation.schema
-        evaluators = [(schema.position(col.name), compile_expr(col.expr))
-                      for col in command.assignments]
+        evaluators = planned.evaluators
+        if evaluators is None:        # compiled once per plan, not per run
+            evaluators = planned.evaluators = [
+                (schema.position(col.name), compile_expr(col.expr))
+                for col in command.assignments]
         updates: list[tuple[TupleId, list[tuple[int, object]]]] = []
         seen: set[TupleId] = set()
         for bound in planned.plan.rows(self.context, self._root(params),

@@ -28,7 +28,9 @@ docs/ARCHITECTURE.md, "Observing the engine"):
 ``rules.*``            firings, matches consumed, cascade depth
 ``tokens.*``           tokens routed, batches propagated
 ``network.*``          end-of-transition flush (dynamic rules a
-                       transition touched, hence flushed)
+                       transition touched, hence flushed) and rule
+                       activation (rules primed, tuples the priming
+                       passes examined — one bump per activation)
 ``shard.*``            sharded propagation (batches sharded, live
                        shards dispatched, residual offload calls)
 ``joins.*``            seek planning (orders planned / cache hits,

@@ -45,6 +45,8 @@ class PlannedCommand:
     command: ast.Command
     plan: Plan
     scope: dict[str, str]
+    #: the executor's compiled target list, built on the first run
+    evaluators: list | None = None
 
 
 @dataclass

@@ -29,6 +29,9 @@ class HeapRelation:
         self.schema = schema
         self._slots: dict[int, tuple] = {}
         self._next_slot = 0
+        #: slots are handed out monotonically and dicts keep insertion
+        #: order, so only :meth:`restore` can leave ``_slots`` unsorted
+        self._unordered = False
         self._indexes: dict[str, Index] = {}
 
     # ------------------------------------------------------------------
@@ -106,6 +109,8 @@ class HeapRelation:
             raise StorageError(f"restore over live slot {tid}")
         values = self.schema.coerce_values(tuple(values))
         self._slots[tid.slot] = values
+        if tid.slot + 1 < self._next_slot:
+            self._unordered = True
         self._next_slot = max(self._next_slot, tid.slot + 1)
         for index in self._indexes.values():
             index.insert(index.key_of(values), tid)
@@ -122,10 +127,21 @@ class HeapRelation:
         """True if ``tid`` names a live tuple of this relation."""
         return tid.relation == self.name and tid.slot in self._slots
 
+    def items(self):
+        """``(slot, values)`` of every live tuple in slot order: the
+        scan with no per-row object.  A live view — the relation must
+        not be mutated while it is iterated."""
+        if self._unordered:
+            self._slots = dict(sorted(self._slots.items()))
+            self._unordered = False
+        return self._slots.items()
+
     def scan(self) -> Iterator[StoredTuple]:
         """Yield every live tuple in slot order."""
-        for slot in sorted(self._slots):
-            yield StoredTuple(TupleId(self.name, slot), self._slots[slot])
+        self.items()                      # restores slot order if lost
+        name, slots = self.name, self._slots
+        for slot in list(slots):
+            yield StoredTuple(TupleId(name, slot), slots[slot])
 
     def scan_where(self, predicate: Callable[[tuple], bool]
                    ) -> Iterator[StoredTuple]:
@@ -140,6 +156,13 @@ class HeapRelation:
             values = self._slots.get(tid.slot)
             if values is not None:
                 yield StoredTuple(tid, values)
+
+    def lookup(self, tids) -> list[tuple[TupleId, tuple]]:
+        """``(tid, values)`` for the live ones among ``tids`` (what an
+        index probe returned), with no per-row StoredTuple."""
+        slots = self._slots
+        return [(tid, values) for tid in tids
+                if (values := slots.get(tid.slot)) is not None]
 
     def __len__(self) -> int:
         return len(self._slots)

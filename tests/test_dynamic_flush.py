@@ -40,7 +40,7 @@ def _full_walk_flush(network):
         for var in rule.dynamic_variables:
             network._memories[(rule.name, var)].flush()
         network._pnodes[rule.name].clear()
-        network._after_flush(rule)
+        network._join_memories(rule)
     network._dirty.clear()
 
 

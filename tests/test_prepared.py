@@ -399,3 +399,56 @@ class TestShellMetaCommands:
         sh, out = shell
         sh.feed("\\prepare bad create t (a = int4)")
         assert "error: cannot prepare" in out.getvalue()
+
+
+class TestTargetListCompiledOnce:
+    """The executor compiles an append / replace target list once per
+    planned command, not once per execution."""
+
+    @staticmethod
+    def _count_compiles(monkeypatch):
+        from repro.executor import executor
+        calls = []
+        real = executor.compile_expr
+
+        def counting(expr):
+            calls.append(expr)
+            return real(expr)
+
+        monkeypatch.setattr(executor, "compile_expr", counting)
+        return calls
+
+    def test_prepared_append_and_replace(self, monkeypatch):
+        db = small_db()
+        app = db.prepare("append emp(id = $id, name = $name, sal = $sal)")
+        rep = db.prepare("replace emp (sal = emp.sal + $d) "
+                         "where emp.id = $id")
+        calls = self._count_compiles(monkeypatch)
+        for i in range(20, 25):
+            app.execute(id=i, name=f"e{i}", sal=1.0)
+            rep.execute(id=i, d=float(i))
+        assert len(calls) == 3 + 1
+        assert sorted(db.execute("retrieve (emp.sal) "
+                                 "where emp.id >= 20").column("sal")) \
+            == [21.0, 22.0, 23.0, 24.0, 25.0]
+        # a replan (DDL moved the catalog version) compiles afresh
+        db.execute("define index emp_id on emp (id) using hash")
+        del calls[:]
+        app.execute(id=30, name="e30", sal=2.0)
+        app.execute(id=31, name="e31", sal=2.0)
+        assert len(calls) == 3
+
+    def test_cached_action_plan(self, monkeypatch):
+        db = Database(cache_action_plans=True)
+        db.execute("create emp (id = int4, sal = float8)")
+        db.execute("create log (id = int4, sal = float8)")
+        db.execute("define rule r if emp.sal > 10 "
+                   "then append to log(id = emp.id, sal = emp.sal * 2)")
+        db.execute("append emp(id = 0, sal = 11.0)")
+        calls = self._count_compiles(monkeypatch)
+        for i in range(1, 6):
+            db.execute(f"append emp(id = {i}, sal = {10.0 + i})")
+        # the five ad-hoc appends compile their own two columns each;
+        # the rule's cached action plan compiles nothing more
+        assert len(calls) == 5 * 2
+        assert sorted(db.relation_rows("log"))[-1] == (5, 30.0)

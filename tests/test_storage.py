@@ -97,6 +97,34 @@ class TestHeapBasics:
             emp.insert((name, i, 0.0, 0))
         assert [s.values[0] for s in emp.scan()] == names
 
+    def test_scan_order_is_slot_order_after_undo(self):
+        """Only ``restore`` (undo of a delete) can put a low slot after
+        higher ones; scans and the row view must still be sorted."""
+        emp = make_emp()
+        tids = [emp.insert((f"e{i}", i, 0.0, 0)) for i in range(6)]
+        doomed = emp.delete(tids[1]), emp.delete(tids[4])
+        emp.insert(("late", 6, 0.0, 0))
+        emp.restore(tids[4], doomed[1])         # abort, newest first
+        emp.restore(tids[1], doomed[0])
+        emp.insert(("later", 7, 0.0, 0))
+        assert [s.tid.slot for s in emp.scan()] == list(range(8))
+        assert [slot for slot, _ in emp.items()] == list(range(8))
+        assert [s.values[1] for s in emp.scan()] == list(range(8))
+        # a restore of the newest slot leaves the order alone
+        last = TupleId("emp", 7)
+        values = emp.delete(last)
+        emp.restore(last, values)
+        assert not emp._unordered
+        assert [slot for slot, _ in emp.items()] == list(range(8))
+
+    def test_lookup_pairs_live_tids_with_values(self):
+        emp = make_emp()
+        tids = [emp.insert((f"e{i}", i, 0.0, 0)) for i in range(4)]
+        emp.delete(tids[2])
+        assert emp.lookup(reversed(tids)) == [
+            (tids[3], ("e3", 3, 0.0, 0)), (tids[1], ("e1", 1, 0.0, 0)),
+            (tids[0], ("e0", 0, 0.0, 0))]
+
     def test_scan_where(self):
         emp = make_emp()
         for i in range(10):
