@@ -22,7 +22,8 @@ FIRINGS = 60
 
 
 def build(cache: bool) -> Database:
-    db = Database(cache_action_plans=cache)
+    db = Database()
+    db.action_planner.cache_plans = cache
     db.execute_script("""
         create ticket (tno = int4, dno = int4)
         create dept (dno = int4, name = text)

@@ -13,10 +13,13 @@ At rule *fire* time, :class:`ActionPlanner` builds an execution plan for
 each action command: commands referencing shared variables are planned
 with a :class:`~repro.planner.plans.PnodeScan` seed binding all of them
 at once, and "the rest of the query plan is constructed as usual by the
-query optimizer" (section 5.2 / Figure 8).  The default strategy is the
-paper's **always reoptimize** — plans are rebuilt at every firing;
-``cache_plans=True`` gives the pre-planning alternative of section 5.3
-for the ablation benchmark.
+query optimizer" (section 5.2 / Figure 8).  The paper's Ariel **always
+reoptimizes** — plans are rebuilt at every firing — because a
+pre-planned action (section 5.3) can go stale.  Here a plan is kept per
+(rule, command) together with the catalog version it was built at and
+rebuilt when the catalog has moved, which removes that hazard;
+:attr:`ActionPlanner.cache_plans` switches the reuse off so the
+ablation benchmark can still measure always-reoptimize.
 """
 
 from __future__ import annotations
@@ -65,11 +68,12 @@ class _MatchesHolder:
 class ActionPlanner:
     """Builds execution plans for rule actions at fire time."""
 
-    def __init__(self, catalog: Catalog, optimizer: Optimizer,
-                 cache_plans: bool = False):
+    def __init__(self, catalog: Catalog, optimizer: Optimizer):
         self.catalog = catalog
         self.optimizer = optimizer
-        self.cache_plans = cache_plans
+        #: reuse a plan until the catalog version moves; False is the
+        #: paper's always-reoptimize (kept for the §5.3 ablation)
+        self.cache_plans = True
         self._holders: dict[str, _MatchesHolder] = {}
         #: (rule, command index) -> (plan, catalog version it was built at)
         self._cache: dict[tuple[str, int], tuple[PlannedAction, int]] = {}

@@ -113,9 +113,6 @@ class Database:
     max_firings:
         Bound on rule firings per triggering transition; exceeding it
         raises :class:`~repro.errors.RuleLoopError`.
-    cache_action_plans:
-        Use the pre-planning strategy of paper §5.3 instead of the
-        default *always reoptimize*.
     selection_index:
         Override the top-level predicate index (for ablations).
     batch_tokens:
@@ -173,7 +170,6 @@ class Database:
     def __init__(self, network: str = "a-treat",
                  virtual_policy=None,
                  max_firings: int = 1000,
-                 cache_action_plans: bool = False,
                  selection_index: SelectionIndex | None = None,
                  batch_tokens: bool = False,
                  statement_cache_size: int = 128,
@@ -220,8 +216,7 @@ class Database:
         self.hooks.trace = self.trace
         self.context = ExecutionContext(self.catalog, self.hooks)
         self.executor = Executor(self.context, self.optimizer)
-        self.action_planner = ActionPlanner(self.catalog, self.optimizer,
-                                            cache_action_plans)
+        self.action_planner = ActionPlanner(self.catalog, self.optimizer)
         #: rule firings since construction (diagnostics)
         self.firings = 0
         #: trace of the most recent firings (at least the last

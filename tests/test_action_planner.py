@@ -125,7 +125,8 @@ class TestActionPlans:
 
 class TestPlanCaching:
     def make(self, cache):
-        db = Database(cache_action_plans=cache)
+        db = Database()
+        db.action_planner.cache_plans = cache
         db.execute("create t (a = int4)")
         db.execute("create log (a = int4)")
         db.execute("define rule r on append t "

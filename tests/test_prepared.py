@@ -439,7 +439,7 @@ class TestTargetListCompiledOnce:
         assert len(calls) == 3
 
     def test_cached_action_plan(self, monkeypatch):
-        db = Database(cache_action_plans=True)
+        db = Database()
         db.execute("create emp (id = int4, sal = float8)")
         db.execute("create log (id = int4, sal = float8)")
         db.execute("define rule r if emp.sal > 10 "
