@@ -18,8 +18,8 @@ from repro.db import Database
 from repro.errors import (
     ArielError, CatalogError, DatabaseClosedError, DegradedError,
     DurabilityError, ExecutionError, ParseError, PlanError, RuleError,
-    RuleLoopError, SemanticError, ServiceError, SessionError,
-    StorageError, TransactionError, WalCorruptError)
+    RuleLoopError, SemanticError, ServiceError, ServiceOverloaded,
+    SessionError, StorageError, TransactionError, WalCorruptError)
 from repro.faults import FaultRegistry, SimulatedCrash
 from repro.observe import EngineStats, TraceHub
 
@@ -31,7 +31,7 @@ __all__ = [
     "ArielError", "CatalogError", "DatabaseClosedError",
     "DegradedError", "DurabilityError", "ExecutionError", "ParseError",
     "PlanError", "RuleError", "RuleLoopError", "SemanticError",
-    "ServiceError", "SessionError", "StorageError",
-    "TransactionError", "WalCorruptError",
+    "ServiceError", "ServiceOverloaded", "SessionError",
+    "StorageError", "TransactionError", "WalCorruptError",
     "__version__",
 ]

@@ -315,9 +315,9 @@ class Shell:
         session database to concurrent clients over TCP.
 
         While serving, shell commands and remote clients share one
-        database: the shell's own mutations bypass the service's write
-        queue, so quiesce the shell (or use only ``\\serve status``)
-        when clients depend on the serialized ordering guarantee.
+        database: the shell's own commands bypass the service's engine
+        lock, so quiesce the shell (or use only ``\\serve status``)
+        while clients are connected.
         """
         from repro.serve import RuleServer, RuleService
         if argument == "stop":
@@ -332,13 +332,13 @@ class Shell:
                 self._print("no rule server is running")
             else:
                 host, port = self._server.address
-                status = self._server.service.status()
+                status = self._server.status()
                 self._print(f"serving on {host}:{port}")
                 self._print(f"sessions            {status['sessions']}")
                 self._print(f"transaction owner   "
                             f"{status['transaction_owner']}")
-                self._print(f"write queue depth   "
-                            f"{status['queue_depth']}")
+                self._print(f"parked requests     "
+                            f"{status['parked']}")
                 self._print(f"serialized commands "
                             f"{status['serial_log_entries']}")
             return

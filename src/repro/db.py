@@ -558,14 +558,10 @@ class Database:
         machinery (no recovery scope, no token flush, no recognize-act
         cycle — none of which a retrieve needs).
 
-        This is the serving layer's read path: because it never touches
-        the per-transition state (Δ-sets, agenda, cascade guard), many
-        reader threads may run it concurrently against a settled
-        database — the service's snapshot gate guarantees no transition
-        is in flight meanwhile.  Plans come from (and land in) the same
-        statement cache as :meth:`execute`.  Anything but a plain
-        retrieve is rejected: mutations must go through the serialized
-        write path.
+        This is the serving layer's read path; the service's engine
+        lock guarantees it runs between transitions.  Plans come from
+        (and land in) the same statement cache as :meth:`execute`.
+        Anything but a plain retrieve is rejected.
         """
         self._require_open()
         cached = self.statement_cache.lookup(text)

@@ -119,6 +119,12 @@ class SessionError(ServiceError):
     name) that does not exist."""
 
 
+class ServiceOverloaded(ServiceError):
+    """Raised (and answered on the wire) when a request would have to
+    wait for another session's transaction but the serving front end
+    already holds its maximum of waiting requests."""
+
+
 class DurabilityError(ArielError):
     """Base class for durability-layer failures (write-ahead logging,
     checkpointing, recovery).

@@ -47,16 +47,15 @@ docs/ARCHITECTURE.md, "Observing the engine"):
                        checkpoints
 ``recovery.*``         WAL records replayed by ``Database.recover``
 ``faults.*``           injected faults (see :mod:`repro.faults`)
-``serve.*``            the concurrent serving layer (sessions opened /
-                       closed, snapshot reads, serialized writes,
-                       deferred ops, transaction denials)
+``serve.*``            the serving layer (sessions opened / closed,
+                       reads, writes, deferred ops, transaction
+                       denials)
 =====================  ==================================================
 
 Counter bumps are read-modify-write and therefore not atomic across
-threads.  Every engine-internal bump happens on the thread driving the
-transition (serialized by the serving layer's write queue); the
-serving layer's own concurrent reader threads bump only ``serve.*``
-keys, under the service's read lock.
+threads.  Every bump — the engine's and the serving layer's own
+``serve.*`` keys — happens on the thread driving the call, under the
+serving layer's one engine lock.
 """
 
 from __future__ import annotations

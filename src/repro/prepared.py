@@ -23,7 +23,6 @@ the same machinery transparent for repeated ad-hoc text.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 
 from repro.errors import ExecutionError
@@ -65,10 +64,6 @@ class Prepared:
         self._command = command
         self._planned = db.optimizer.plan_command(command)
         self._version = db.catalog.version
-        # One statement may be executed by many serving-layer reader
-        # threads at once; the replan-on-version-mismatch must not
-        # interleave (a half-swapped command/plan pair would execute).
-        self._replan_lock = threading.Lock()
         #: diagnostics: executions served and plans built
         self.executions = 0
         self.replans = 1
@@ -83,24 +78,22 @@ class Prepared:
         catalog change may alter name resolution, not just access paths.
         """
         if self._version != self.db.catalog.version:
-            with self._replan_lock:
-                if self._version != self.db.catalog.version:
-                    command = self.db.analyzer.analyze(
-                        parse_command(self.text))
-                    self._command = command
-                    self._planned = self.db.optimizer.plan_command(
-                        command)
-                    self._version = self.db.catalog.version
-                    self.replans += 1
-                    getattr(self.db, "stats", NULL_STATS).bump(
-                        "plan_cache.replans")
+            command = self.db.analyzer.analyze(parse_command(self.text))
+            self._command = command
+            self._planned = self.db.optimizer.plan_command(command)
+            self._version = self.db.catalog.version
+            self.replans += 1
+            getattr(self.db, "stats", NULL_STATS).bump(
+                "plan_cache.replans")
         return self._planned
 
     def execute(self, **params):
         """Run the cached plan with the given parameter values."""
         return self.execute_with(params)
 
-    def _check_params(self, params: dict[str, object] | None) -> dict:
+    def check_params(self, params: dict[str, object] | None) -> dict:
+        """``params`` (None = none) if it names exactly the statement's
+        parameters; :class:`~repro.errors.ExecutionError` otherwise."""
         params = params or {}
         missing = [name for name in self.signature if name not in params]
         if missing:
@@ -120,7 +113,7 @@ class Prepared:
     def execute_with(self, params: dict[str, object] | None):
         """Run the cached plan; ``params`` maps placeholder names to
         values (``$1``-style placeholders use the key ``"1"``)."""
-        params = self._check_params(params)
+        params = self.check_params(params)
         planned = self.current_plan()
         self.executions += 1
         getattr(self.db, "stats", NULL_STATS).bump(
@@ -137,18 +130,17 @@ class Prepared:
         """Run the cached plan *outside* the transition machinery.
 
         The serving layer's read path: a plain retrieve needs no
-        recovery scope, token flush or recognize-act cycle, so many
-        reader threads may run it concurrently against a settled
-        database (the service's snapshot gate keeps transitions out).
-        Raises :class:`~repro.errors.ExecutionError` for any statement
-        that could mutate.
+        recovery scope, token flush or recognize-act cycle — it only
+        has to run between transitions, which the service's engine
+        lock guarantees.  Raises :class:`~repro.errors.ExecutionError`
+        for any statement that could mutate.
         """
         if not self.read_only:
             raise ExecutionError(
                 f"cannot execute a {type(self._command).__name__} "
                 f"statement on the read-only path; route it through "
                 f"the serialized write path")
-        params = self._check_params(params)
+        params = self.check_params(params)
         planned = self.current_plan()
         self.executions += 1
         stats = getattr(self.db, "stats", NULL_STATS)
@@ -176,53 +168,42 @@ class StatementCache:
     themselves on catalog-version mismatch, so eviction is purely a
     memory bound, never a correctness mechanism.
 
-    Thread-safe: the serving layer's reader threads hit ``lookup`` /
-    ``store`` concurrently, and ``OrderedDict`` is not — an unlocked
-    ``move_to_end`` racing an eviction can leave the recency list
-    corrupt (a KeyError out of ``lookup``, or an entry evicted while
-    being returned).  One lock serializes the short critical sections;
-    plan execution itself happens outside it.
+    Not thread-safe, like the rest of the engine: the serving layer
+    runs every call under its one engine lock.
     """
 
     def __init__(self, capacity: int = 128, stats=None):
         self.capacity = capacity
         self._entries: "OrderedDict[str, Prepared]" = OrderedDict()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         #: engine counter registry (``stmt_cache.*``)
         self.stats = stats or NULL_STATS
 
     def lookup(self, text: str) -> Prepared | None:
-        with self._lock:
-            entry = self._entries.get(text)
-            if entry is not None:
-                self._entries.move_to_end(text)
-                self.hits += 1
+        entry = self._entries.get(text)
         if entry is None:
             self.misses += 1
             self.stats.bump("stmt_cache.misses")
             return None
+        self._entries.move_to_end(text)
+        self.hits += 1
         self.stats.bump("stmt_cache.hits")
         return entry
 
     def store(self, text: str, prepared: Prepared) -> None:
         if self.capacity <= 0:
             return
-        with self._lock:
-            self._entries[text] = prepared
-            self._entries.move_to_end(text)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        self._entries[text] = prepared
+        self._entries.move_to_end(text)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, text: str) -> bool:
-        with self._lock:
-            return text in self._entries
+        return text in self._entries

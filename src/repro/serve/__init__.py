@@ -1,31 +1,30 @@
-"""repro.serve — the concurrent rule-evaluation service.
+"""repro.serve — the rule-evaluation service.
 
-Turns a single-threaded :class:`~repro.db.Database` into a served
-system (ROADMAP item 1, the ezrules evaluator-service shape):
+Serves one single-threaded :class:`~repro.db.Database` to many clients
+(the ezrules evaluator-service shape) without adding a thread around
+the engine:
 
-* :class:`~repro.serve.session.Session` — one client's handle, with
-  snapshot-isolated reads: a read runs only between fully-settled
-  transitions (the per-transition Δ-sets and undo scopes are the
-  consistency boundary), enforced by the service's
-  :class:`~repro.serve.session.SnapshotGate`.
-* :class:`~repro.serve.service.RuleService` — a single-consumer write
-  queue that serializes every mutation through the existing
+* :class:`~repro.serve.service.RuleService` — a serializer: one engine
+  lock, every call runs on its caller's thread through the ordinary
   recognize-act cycle and WAL, so journal bytes and firing order are
-  identical to serial execution, with per-session transaction gating.
+  those of the calls executed serially in lock order
+  (:attr:`~repro.serve.service.RuleService.serial_log`), with
+  per-session transaction gating.
+* :class:`~repro.serve.service.Session` — one client's handle: its
+  prepared statements and its transaction state.
 * :class:`~repro.serve.server.RuleServer` /
   :class:`~repro.serve.client.ServiceClient` — a JSON-lines TCP front
-  end dispatching prepared-statement executions from many concurrent
-  clients.
+  end: one event-loop thread reads, dispatches and answers every
+  connection.
 * :mod:`~repro.serve.loadgen` — the load generator behind the
   sustained evaluations/sec benchmark (``BENCH_serving.json``).
 """
 
 from repro.serve.client import RemoteError, ServiceClient
 from repro.serve.server import RuleServer
-from repro.serve.service import RuleService
-from repro.serve.session import Session, SnapshotGate
+from repro.serve.service import RuleService, Session
 
 __all__ = [
     "RemoteError", "RuleServer", "RuleService", "ServiceClient",
-    "Session", "SnapshotGate",
+    "Session",
 ]

@@ -43,6 +43,8 @@ class ServiceClient:
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self._socket = socket.create_connection((host, port),
                                                 timeout=timeout)
+        self._socket.setsockopt(socket.IPPROTO_TCP,
+                                socket.TCP_NODELAY, 1)
         self._reader = self._socket.makefile("rb")
         self._writer = self._socket.makefile("wb")
         self._request_ids = itertools.count(1)

@@ -11,10 +11,9 @@ Run standalone (boots its own server over a demo rule base)::
     python -m repro.serve.loadgen --standalone --clients 4 --duration 2
 
 or point it at a running server with ``--host``/``--port``.  The
-workload mixes snapshot-isolated reads (an indexed prepared retrieve)
-with serialized writes (a prepared replace that triggers an audit
-rule) in a configurable ratio; every client reports its own op count
-and the summary includes the per-path totals.
+workload mixes reads (an indexed prepared retrieve) with writes (a
+prepared replace that triggers an audit rule) in a configurable ratio;
+every client reports its own op count and the summary totals both.
 """
 
 from __future__ import annotations

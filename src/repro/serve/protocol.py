@@ -49,7 +49,12 @@ def _encode_fallback(value):
 
 
 def decode_message(line: bytes) -> dict:
-    """Parse one wire line; raises ``ValueError`` on malformed input."""
+    """Parse one wire line; ``{}`` for a blank (keep-alive) line.
+    Raises ``ValueError`` on an oversized or malformed line."""
+    if len(line) > MAX_LINE:
+        raise ValueError("request line exceeds protocol maximum")
+    if not line.strip():
+        return {}
     payload = json.loads(line.decode("utf-8"))
     if not isinstance(payload, dict):
         raise ValueError("protocol messages must be JSON objects")
@@ -62,11 +67,33 @@ def read_message(reader) -> dict | None:
     line = reader.readline(MAX_LINE + 1)
     if not line:
         return None
-    if len(line) > MAX_LINE:
-        raise ValueError("request line exceeds protocol maximum")
-    if not line.strip():
-        return {}
     return decode_message(line)
+
+
+class LineBuffer:
+    """Reassembles request lines from bytes as they arrive (framing
+    for a non-blocking reader): a ``recv`` may carry several requests,
+    or part of one."""
+
+    def __init__(self):
+        self._tail = bytearray()
+
+    def feed(self, chunk: bytes) -> list[bytes]:
+        """The lines ``chunk`` completes, newline stripped, in order.
+        Raises ``ValueError`` once the unfinished line exceeds
+        ``MAX_LINE`` — it could never be accepted."""
+        tail = self._tail
+        if b"\n" in chunk:
+            *lines, chunk = chunk.split(b"\n")
+            if tail:
+                lines[0] = bytes(tail) + lines[0]
+                tail.clear()
+        else:
+            lines = []
+        tail += chunk
+        if len(tail) > MAX_LINE:
+            raise ValueError("request line exceeds protocol maximum")
+        return lines
 
 
 def encode_result(result) -> dict:

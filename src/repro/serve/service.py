@@ -1,88 +1,132 @@
-"""The concurrent rule-evaluation service: one engine, many sessions.
+"""The rule-evaluation service: one engine, many sessions, one lock.
 
-:class:`RuleService` wraps a single :class:`~repro.db.Database` behind
-two disciplines that together make concurrent serving *equivalent to a
-serial execution*:
+Ariel's engine is transition-at-a-time by construction: tokens are
+routed and rules fire before control returns to the caller.  So
+:class:`RuleService` puts no thread of its own around a
+:class:`~repro.db.Database` — it is a *serializer*.  Every call, read
+or write, takes the one engine lock and runs on the caller's thread
+through the ordinary ``Database`` entry points.  The order in which
+calls take the lock is the serial order; the mutating ones are recorded
+in it (:attr:`RuleService.serial_log`), and :func:`replay_serial` on a
+fresh database reproduces P-nodes, firing order and WAL bytes.  A
+caller only ever sees settled transitions, because nobody else is
+inside the engine while it looks.
 
-* **Serialized writes.**  Every mutating command — ad-hoc DML, DDL,
-  rule lifecycle, prepared-statement executions of append/delete/
-  replace, and transaction control — is submitted to a single-consumer
-  write queue.  One writer thread drains it, running each operation
-  through the ordinary ``Database`` entry points, so the recognize-act
-  cycle, the firing order, and the WAL's journal bytes are exactly
-  those of the same commands executed serially in queue order.  The
-  service records that order (:attr:`serial_log`), which is what the
-  concurrent-vs-serial equivalence property replays.
-* **Snapshot-isolated reads.**  Plain retrieves run concurrently on
-  the calling threads under the shared side of a
-  :class:`~repro.serve.session.SnapshotGate`; the writer takes the
-  exclusive side for the duration of each transition.  A reader
-  therefore only ever sees fully-settled transitions — never a
-  half-applied Δ-set, a mid-cascade agenda, or an uncommitted
-  transaction.
-
-**Transactions** are per-session and exclusive: ``begin`` hands the
-owning session the write gate until ``commit``/``abort``.  A second
-session's ``begin`` is *denied* with a clean
-:class:`~repro.errors.TransactionError` before the engine is touched
-(the engine-level guard would corrupt nothing either, but the denial
-must not depend on timing), other sessions' writes are deferred in
-arrival order until the transaction ends, and other sessions' reads
-wait on the gate — uncommitted state never escapes the owner.
+**Transactions** are per-session and exclusive: ``begin`` makes the
+session the owner until ``commit``/``abort``.  A second ``begin``, from
+anyone, is *denied* at once with a
+:class:`~repro.errors.TransactionError` naming the owner.  Any other
+request of another session waits until the transaction ends: an
+in-process caller on the lock's condition (longer than ``timeout`` is a
+:class:`~repro.errors.ServiceError`); a front end that must not block
+asks :meth:`RuleService.defers` first and parks the request itself
+(:mod:`repro.serve.server`).  Closing the owner aborts its transaction.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from collections import deque
-from concurrent.futures import Future
-from queue import Empty, SimpleQueue
+import time
 
 from repro.db import Database
 from repro.errors import (
-    ExecutionError, ServiceError, SessionError, TransactionError)
+    ArielError, ExecutionError, ServiceError, SessionError,
+    TransactionError)
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse_command
-from repro.serve.session import Session, SnapshotGate
 
-#: sentinel draining the writer thread
-_STOP = object()
-
-#: default seconds a caller waits for the writer before giving up
+#: default seconds a request waits for another session's transaction
 DEFAULT_TIMEOUT = 30.0
 
 
-class _WriteOp:
-    """One queued write: what to run, for whom, and where the caller
-    waits for the outcome."""
+class Session:
+    """One client's handle on a :class:`RuleService`: its named
+    prepared statements, whether it holds the open transaction, and
+    how many requests it was served.  Every method delegates to the
+    service.
 
-    __slots__ = ("kind", "session", "payload", "future")
+    Sessions are cheap and single-client by convention: the service
+    serializes every call anyway, but a session's prepared-statement
+    namespace and transaction state are not meant to be shared between
+    threads.
+    """
 
-    def __init__(self, kind: str, session: Session, payload):
-        self.kind = kind
-        self.session = session
-        self.payload = payload
-        self.future: Future = Future()
+    def __init__(self, service, session_id: int):
+        self.service = service
+        self.id = session_id
+        #: client-named prepared statements (name -> Prepared)
+        self.prepared: dict = {}
+        #: this session holds the service's open transaction
+        self.in_transaction = False
+        self.closed = False
+        #: diagnostics: plain retrieves served / everything else
+        self.reads = 0
+        self.writes = 0
 
+    def execute(self, text: str):
+        """Execute one command."""
+        return self.service.execute(self, text)
 
-def _is_plain_retrieve(command: ast.Command) -> bool:
-    return isinstance(command, ast.Retrieve) and command.into is None
+    def query(self, text: str):
+        """Execute a plain retrieve (anything else is rejected)."""
+        return self.service.query(self, text)
+
+    def prepare(self, name: str, text: str):
+        """Prepare ``text`` under a session-scoped name; returns the
+        parameter signature."""
+        return self.service.prepare(self, name, text)
+
+    def execute_prepared(self, name: str,
+                         params: dict | None = None):
+        """Execute a prepared statement by its session-scoped name."""
+        return self.service.execute_prepared(self, name, params)
+
+    def begin(self) -> None:
+        self.service.begin(self)
+
+    def commit(self) -> None:
+        self.service.commit(self)
+
+    def abort(self) -> None:
+        self.service.abort(self)
+
+    def close(self) -> None:
+        self.service.close_session(self)
+
+    def prepared_statement(self, name: str):
+        """The session's prepared statement ``name`` (or raise)."""
+        prepared = self.prepared.get(name)
+        if prepared is None:
+            known = ", ".join(sorted(self.prepared)) or "none"
+            raise SessionError(
+                f"session {self.id} has no prepared statement "
+                f"{name!r} (prepared: {known})")
+        return prepared
+
+    def __enter__(self) -> Session:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if not self.closed:
+            self.close()
+
+    def __repr__(self) -> str:
+        state = "closed" if self.closed else (
+            "in-transaction" if self.in_transaction else "open")
+        return (f"Session(id={self.id}, {state}, "
+                f"{len(self.prepared)} prepared)")
 
 
 class RuleService:
-    """Serve one database to many concurrent sessions.
+    """Serve one database to many sessions, one call at a time.
 
-    Parameters
-    ----------
-    db:
-        The database to serve.  When None, one is created from
-        ``database_kwargs``.  The service takes ownership either way:
-        :meth:`shutdown` with ``close_db=True`` closes it.
-    timeout:
-        Default seconds a submitting thread waits for the write queue
-        before raising :class:`~repro.errors.ServiceError` (a write
-        stuck behind a long transaction is surfaced, not hung).
+    ``db`` is the database to serve (None: one is created from
+    ``database_kwargs``); :meth:`shutdown` with ``close_db=True`` closes
+    it either way.  ``timeout`` is how many seconds a request waits for
+    another session's transaction before it becomes a
+    :class:`~repro.errors.ServiceError` — stuck requests are surfaced,
+    not hung.
     """
 
     def __init__(self, db: Database | None = None,
@@ -90,23 +134,23 @@ class RuleService:
                  **database_kwargs):
         self.db = db if db is not None else Database(**database_kwargs)
         self.timeout = timeout
-        self.gate = SnapshotGate()
-        self._queue: SimpleQueue = SimpleQueue()
+        #: the engine lock; its condition is signalled when the open
+        #: transaction ends or the service stops
+        self._engine = threading.Condition()
         self._sessions: dict[int, Session] = {}
-        self._session_lock = threading.Lock()
         self._session_ids = itertools.count(1)
-        self._read_lock = threading.Lock()
         self._txn_owner: Session | None = None
+        self._waiting = 0
         self._stopped = False
-        #: the committed serial order of every write operation, as
-        #: replayable entries — ``("execute", text)``,
-        #: ``("exec", text, params)``, ``("begin",)``, ``("commit",)``,
-        #: ``("abort",)``.  Replaying these serially on a fresh
-        #: database reproduces P-nodes, firing order and WAL bytes.
+        #: called, engine lock held, when the open transaction ends:
+        #: how a front end that parks requests (rather than waiting on
+        #: the condition) learns it may serve them
+        self.transaction_end_hooks: list = []
+        #: every mutating call in the order it ran, as replayable
+        #: entries — ``("execute", text)``, ``("exec", text, values)``
+        #: with the parameter values in signature order, ``("begin",)``,
+        #: ``("commit",)``, ``("abort",)``; see :func:`replay_serial`
         self.serial_log: list[tuple] = []
-        self._writer = threading.Thread(
-            target=self._drain, name="repro-serve-writer", daemon=True)
-        self._writer.start()
 
     # ------------------------------------------------------------------
     # session lifecycle
@@ -114,257 +158,175 @@ class RuleService:
 
     def open_session(self) -> Session:
         """Open a new session (cheap; one dict entry)."""
-        self._require_running()
-        with self._session_lock:
+        with self._engine:
+            if self._stopped:
+                raise ServiceError("service is shut down")
             session = Session(self, next(self._session_ids))
             self._sessions[session.id] = session
-        self.db.stats.bump("serve.sessions_opened")
+            self.db.stats.bump("serve.sessions_opened")
         return session
 
     def close_session(self, session: Session) -> None:
         """Close a session, aborting its open transaction if any."""
-        if session.closed:
-            return
-        if session.in_transaction and not self._stopped:
-            try:
-                self.abort(session)
-            except (TransactionError, ServiceError):
-                pass
-        session.closed = True
-        with self._session_lock:
+        with self._engine:
+            if session.closed:
+                return
+            if self._txn_owner is session:
+                if not self._stopped:
+                    try:
+                        self._write(session, ("abort",), self.db.abort)
+                    except ArielError:
+                        pass
+                self._end_transaction(session)
+            session.closed = True
             self._sessions.pop(session.id, None)
-        self.db.stats.bump("serve.sessions_closed")
-
-    def session(self, session_id: int) -> Session:
-        """Look a session up by id (the socket front end's handle)."""
-        with self._session_lock:
-            session = self._sessions.get(session_id)
-        if session is None:
-            raise SessionError(f"no open session {session_id}")
-        return session
+            self.db.stats.bump("serve.sessions_closed")
 
     def session_count(self) -> int:
-        with self._session_lock:
-            return len(self._sessions)
+        return len(self._sessions)
 
     # ------------------------------------------------------------------
-    # dispatch: read path vs write queue
+    # requests
     # ------------------------------------------------------------------
 
     def execute(self, session: Session, text: str):
-        """Execute one command for ``session``.
-
-        A plain retrieve outside a transaction takes the concurrent
-        read path; everything else — and *all* commands of the
-        transaction owner, whose uncommitted state only the writer
-        thread may see — is serialized through the write queue.
-        """
-        session._require_open()
+        """Execute one command for ``session``."""
         command = parse_command(text)
-        if _is_plain_retrieve(command) and not session.in_transaction:
-            return self._read(session,
-                              lambda: self.db.execute_readonly(text))
-        return self._submit(_WriteOp("execute", session, text))
+        if isinstance(command, ast.Retrieve) and command.into is None:
+            return self.query(session, text)
+        with self._engine:
+            self._admit(session)
+            return self._write(session, ("execute", text),
+                               self.db.execute, text)
 
     def query(self, session: Session, text: str):
-        """Execute a retrieve on the snapshot-isolated read path."""
-        session._require_open()
-        if session.in_transaction:
-            return self._submit(_WriteOp("execute", session, text))
-        return self._read(session,
-                          lambda: self.db.execute_readonly(text))
+        """Execute a plain retrieve; any other command is rejected."""
+        with self._engine:
+            self._admit(session)
+            return self._read(session, self.db.execute_readonly, text)
 
     def prepare(self, session: Session, name: str,
                 text: str) -> tuple[str, ...]:
-        """Prepare ``text`` under ``name`` in the session's namespace.
-
-        Planning reads the catalog, so it is serialized through the
-        write queue (racing a concurrent DDL would plan against a
-        half-updated catalog); returns the parameter signature.
-        """
-        session._require_open()
-        prepared = self._submit(_WriteOp("prepare", session,
-                                         (name, text)))
+        """Prepare ``text`` under ``name`` in the session's namespace;
+        returns the parameter signature."""
+        with self._engine:
+            self._admit(session)
+            prepared = self._write(session, None, self.db.prepare, text)
+            session.prepared[name] = prepared
         return prepared.signature
 
     def execute_prepared(self, session: Session, name: str,
                          params: dict | None = None):
-        """Execute the session's prepared statement ``name``.
-
-        Read-only statements run concurrently under the snapshot gate;
-        mutating ones are serialized through the write queue.
-        """
-        session._require_open()
-        prepared = session.prepared_statement(name)
-        if prepared.read_only and not session.in_transaction:
-            return self._read(
-                session, lambda: prepared.execute_readonly(params))
-        return self._submit(_WriteOp("exec", session, (name, params)))
+        """Execute the session's prepared statement ``name``."""
+        with self._engine:
+            self._admit(session)
+            prepared = session.prepared_statement(name)
+            if prepared.read_only:
+                return self._read(session, prepared.execute_readonly,
+                                  params)
+            # recorded as the statement text, by reference, and the
+            # values in signature order; a call with the wrong
+            # parameters is rejected here, before anything is recorded
+            params = prepared.check_params(params)
+            entry = ("exec", prepared.text,
+                     tuple([params[n] for n in prepared.signature]))
+            return self._write(session, entry, prepared.execute_with,
+                               params)
 
     def begin(self, session: Session) -> None:
-        session._require_open()
-        self._submit(_WriteOp("begin", session, None))
-
-    def commit(self, session: Session) -> None:
-        session._require_open()
-        self._submit(_WriteOp("commit", session, None))
-
-    def abort(self, session: Session) -> None:
-        session._require_open()
-        self._submit(_WriteOp("abort", session, None))
-
-    # ------------------------------------------------------------------
-
-    def _read(self, session: Session, thunk):
-        self._require_running()
-        with self.gate.read():
-            result = thunk()
-        # EngineStats bumps are read-modify-write; reader threads must
-        # not interleave them (the writer thread's bumps happen under
-        # the exclusive gate, so they cannot race this lock's holders).
-        with self._read_lock:
-            session.reads += 1
-            self.db.stats.bump("serve.reads")
-        return result
-
-    def _submit(self, op: _WriteOp):
-        self._require_running()
-        self._queue.put(op)
-        try:
-            return op.future.result(timeout=self.timeout)
-        except TimeoutError:
-            op.future.cancel()
-            raise ServiceError(
-                f"write queue did not serve the {op.kind!r} operation "
-                f"within {self.timeout:.0f}s (a long-running "
-                f"transaction may be holding the gate)") from None
-
-    def _require_running(self) -> None:
-        if self._stopped:
-            raise ServiceError("service is shut down")
-
-    # ------------------------------------------------------------------
-    # the single consumer
-    # ------------------------------------------------------------------
-
-    def _drain(self) -> None:
-        """The writer thread: one op at a time, in queue order, each
-        under the exclusive side of the snapshot gate.
-
-        While a transaction is open, ops from other sessions are
-        deferred (in arrival order) rather than interleaved — the gate
-        stays with the owner from ``begin`` to ``commit``/``abort``.
-        """
-        deferred: deque[_WriteOp] = deque()
-        while True:
-            if deferred and self._txn_owner is None:
-                op = deferred.popleft()
-            else:
-                op = self._queue.get()
-            if op is _STOP:
-                break
-            if self._txn_owner is not None \
-                    and op.session is not self._txn_owner \
-                    and op.kind != "begin":
-                deferred.append(op)
-                self.db.stats.bump("serve.deferred_ops")
-                continue
-            self._run_op(op)
-        for op in deferred:
-            self._fail(op, ServiceError("service is shut down"))
-        while True:
-            try:
-                op = self._queue.get_nowait()
-            except Empty:
-                break
-            if op is not _STOP:
-                self._fail(op, ServiceError("service is shut down"))
-
-    @staticmethod
-    def _fail(op: _WriteOp, exc: Exception) -> None:
-        if op.future.set_running_or_notify_cancel():
-            op.future.set_exception(exc)
-
-    def _run_op(self, op: _WriteOp) -> None:
-        # Moving the future to RUNNING first means a timed-out caller's
-        # cancel() can no longer race the result delivery below; a
-        # False return means the caller already gave up — the op is
-        # skipped entirely, never half-applied.
-        if not op.future.set_running_or_notify_cancel():
-            return
-        try:
-            result = self._apply(op)
-        except BaseException as exc:
-            op.future.set_exception(exc)
-        else:
-            op.future.set_result(result)
-
-    def _apply(self, op: _WriteOp):
-        """Run one write op against the engine, managing gate tenure.
-
-        Outside a transaction the gate is held for exactly this op;
-        ``begin`` keeps it until the matching ``commit``/``abort``.
-        """
-        owner = self._txn_owner
-        if op.kind == "begin":
+        with self._engine:
+            self._require_open(session)
+            owner = self._txn_owner
             if owner is not None:
                 self.db.stats.bump("serve.txn_denied")
-                whose = ("this session" if owner is op.session
+                whose = ("this session" if owner is session
                          else f"session {owner.id}")
                 raise TransactionError(
                     f"transaction already open by {whose}")
-            self.gate.acquire_write()
-            try:
-                self.db.begin()
-            except BaseException:
-                self.gate.release_write()
-                raise
+            self.db.begin()
             self.serial_log.append(("begin",))
-            self._txn_owner = op.session
-            op.session.in_transaction = True
-            return None
-        holding = owner is op.session
-        if not holding:
-            self.gate.acquire_write()
-        try:
-            return self._apply_command(op)
-        finally:
-            still_open = self.db._in_transaction
-            if self._txn_owner is op.session and not still_open:
-                self._txn_owner = None
-                op.session.in_transaction = False
-                self.gate.release_write()
-            elif not holding and self._txn_owner is not op.session:
-                self.gate.release_write()
+            self._txn_owner = session
+            session.in_transaction = True
 
-    def _apply_command(self, op: _WriteOp):
-        db = self.db
-        with self._read_lock:
-            op.session.writes += 1
-        db.stats.bump("serve.writes")
-        if op.kind == "execute":
-            self.serial_log.append(("execute", op.payload))
-            return db.execute(op.payload)
-        if op.kind == "exec":
-            name, params = op.payload
-            prepared = op.session.prepared_statement(name)
-            self.serial_log.append(("exec", prepared.text,
-                                    dict(params or {})))
-            return prepared.execute_with(params)
-        if op.kind == "prepare":
-            name, text = op.payload
-            prepared = db.prepare(text)
-            op.session.prepared[name] = prepared
-            return prepared
-        if op.kind == "commit":
-            self.serial_log.append(("commit",))
-            db.commit()
-            return None
-        if op.kind == "abort":
-            self.serial_log.append(("abort",))
-            db.abort()
-            return None
-        raise ServiceError(f"unknown write operation {op.kind!r}")
+    def commit(self, session: Session) -> None:
+        with self._engine:
+            self._admit(session)
+            self._write(session, ("commit",), self.db.commit)
+
+    def abort(self, session: Session) -> None:
+        with self._engine:
+            self._admit(session)
+            self._write(session, ("abort",), self.db.abort)
+
+    def defers(self, session: Session) -> bool:
+        """Whether ``session``'s next request has to wait for another
+        session's transaction (counted as a deferred op when so) — the
+        question a front end that must not block asks before calling
+        in."""
+        owner = self._txn_owner
+        if owner is None or owner is session:
+            return False
+        with self._engine:
+            self.db.stats.bump("serve.deferred_ops")
+        return True
+
+    # ------------------------------------------------------------------
+    # with the engine lock held
+    # ------------------------------------------------------------------
+
+    def _require_open(self, session: Session) -> None:
+        if session.closed:
+            raise SessionError(f"session {session.id} is closed")
+        if self._stopped:
+            raise ServiceError("service is shut down")
+
+    def _admit(self, session: Session) -> None:
+        """Return once ``session`` may use the engine: at once unless
+        another session's transaction is open, then when it ends."""
+        self._require_open(session)
+        if not self.defers(session):
+            return
+        deadline = time.monotonic() + self.timeout
+        self._waiting += 1
+        try:
+            while self._txn_owner is not None and not self._stopped:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ServiceError(
+                        f"session {self._txn_owner.id}'s transaction "
+                        f"did not end within {self.timeout:g}s")
+                self._engine.wait(remaining)
+        finally:
+            self._waiting -= 1
+        self._require_open(session)
+
+    def _read(self, session: Session, run, argument):
+        result = run(argument)
+        session.reads += 1
+        self.db.stats.bump("serve.reads")
+        return result
+
+    def _write(self, session: Session, entry: tuple | None, run, *args):
+        """Count, record and run one call that is not a plain
+        retrieve; if it ended the session's transaction (commit, abort,
+        or a failure the engine rolled back), let the waiters in."""
+        session.writes += 1
+        self.db.stats.bump("serve.writes")
+        if entry is not None:
+            self.serial_log.append(entry)
+        try:
+            return run(*args)
+        finally:
+            if self._txn_owner is session \
+                    and not self.db._in_transaction:
+                self._end_transaction(session)
+
+    def _end_transaction(self, session: Session) -> None:
+        self._txn_owner = None
+        session.in_transaction = False
+        self._engine.notify_all()
+        for hook in self.transaction_end_hooks:
+            hook()
 
     # ------------------------------------------------------------------
     # status and lifecycle
@@ -373,37 +335,34 @@ class RuleService:
     def status(self) -> dict:
         """A JSON-safe snapshot for the front end's status endpoint."""
         db = self.db
-        with self._session_lock:
-            sessions = len(self._sessions)
-        owner = self._txn_owner
-        return {
-            "sessions": sessions,
-            "transaction_owner": owner.id if owner else None,
-            "queue_depth": self._queue.qsize(),
-            "serial_log_entries": len(self.serial_log),
-            "gate": self.gate.snapshot(),
-            "firings": db.firings,
-            "degraded": db.degraded,
-            "wal": db.wal_info(),
-            "stopped": self._stopped,
-        }
+        with self._engine:
+            owner = self._txn_owner
+            return {
+                "sessions": len(self._sessions),
+                "transaction_owner": owner.id if owner else None,
+                "parked": self._waiting,
+                "serial_log_entries": len(self.serial_log),
+                "firings": db.firings,
+                "degraded": db.degraded,
+                "wal": db.wal_info(),
+                "stopped": self._stopped,
+            }
 
     def serial_history(self) -> list[tuple]:
-        """A copy of the committed write order (see
+        """A copy of the order mutating calls ran in (see
         :func:`replay_serial`)."""
         return list(self.serial_log)
 
-    def shutdown(self, close_db: bool = False,
-                 timeout: float = 10.0) -> None:
-        """Stop accepting work, drain the writer thread, and fail any
-        still-queued operations; idempotent."""
-        if self._stopped:
-            return
-        self._stopped = True
-        self._queue.put(_STOP)
-        self._writer.join(timeout=timeout)
-        if close_db and not self.db.closed:
-            self.db.close()
+    def shutdown(self, close_db: bool = False) -> None:
+        """Stop accepting work and fail the requests still waiting for
+        a transaction; idempotent."""
+        with self._engine:
+            if self._stopped:
+                return
+            self._stopped = True
+            self._engine.notify_all()
+            if close_db and not self.db.closed:
+                self.db.close()
 
     def __enter__(self) -> RuleService:
         return self
@@ -421,8 +380,6 @@ def replay_serial(db: Database, history: list[tuple]) -> None:
     individual commands are swallowed exactly as the service surfaced
     them to one client without stopping the others.
     """
-    from repro.errors import ArielError
-
     prepared_cache: dict[str, object] = {}
     for entry in history:
         try:
@@ -433,13 +390,10 @@ def replay_serial(db: Database, history: list[tuple]) -> None:
                 if prepared is None:
                     prepared = db.prepare(entry[1])
                     prepared_cache[entry[1]] = prepared
-                prepared.execute_with(entry[2] or None)
-            elif entry[0] == "begin":
-                db.begin()
-            elif entry[0] == "commit":
-                db.commit()
-            elif entry[0] == "abort":
-                db.abort()
+                prepared.execute_with(
+                    dict(zip(prepared.signature, entry[2])))
+            elif entry[0] in ("begin", "commit", "abort"):
+                getattr(db, entry[0])()
             else:
                 raise ExecutionError(
                     f"unknown serial-log entry {entry[0]!r}")

@@ -1,7 +1,7 @@
-"""The serving layer, in process: sessions, the snapshot gate, the
-serialized write queue, per-session transaction gating — plus the
-thread-safety regression sweep this layer forced (statement-cache
-locking, Database close idempotence, the wal_info pending accessor).
+"""The serving layer, in process: sessions, the one engine lock that
+serializes every call on its caller's thread, per-session transaction
+gating — plus the regressions this layer found (Database close
+idempotence, the wal_info pending accessor).
 """
 
 import threading
@@ -10,10 +10,10 @@ import time
 import pytest
 
 from repro import (
-    Database, DatabaseClosedError, ServiceError, SessionError,
-    TransactionError)
-from repro.prepared import Prepared, StatementCache
-from repro.serve import RuleService, SnapshotGate
+    Database, DatabaseClosedError, ExecutionError, ServiceError,
+    SessionError, TransactionError)
+from repro.serve import RuleService
+from repro.serve.service import replay_serial
 
 
 def _service():
@@ -29,7 +29,7 @@ def _service():
 
 
 # ----------------------------------------------------------------------
-# sessions and the read/write split
+# sessions
 # ----------------------------------------------------------------------
 
 def test_sessions_share_one_database():
@@ -42,13 +42,19 @@ def test_sessions_share_one_database():
         assert svc.status()["sessions"] == 2
 
 
-def test_reads_take_the_read_path_writes_the_queue():
+def test_calls_run_on_the_callers_thread_and_are_counted():
     with _service() as svc:
+        threads_before = threading.active_count()
         session = svc.open_session()
+        ran_on = []
+        svc.db.on_event(
+            lambda *_: ran_on.append(threading.get_ident()),
+            "plan_executed")
         session.query("retrieve (e.name) from e in emp")
         session.execute('append emp(id = 3, name = "c", sal = 1.0)')
-        assert session.reads == 1
-        assert session.writes == 1
+        assert set(ran_on) == {threading.get_ident()}
+        assert threading.active_count() == threads_before
+        assert (session.reads, session.writes) == (1, 1)
         assert svc.db.stats.get("serve.reads") == 1
         assert svc.db.stats.get("serve.writes") == 1
 
@@ -172,7 +178,7 @@ def test_owner_reads_its_own_uncommitted_state():
         session = svc.open_session()
         session.begin()
         session.execute('append emp(id = 3, name = "c", sal = 1.0)')
-        # routed through the write queue, sees the open transaction
+        # same engine, same thread: sees the open transaction
         assert len(session.query(
             "retrieve (e.name) from e in emp").rows) == 3
         session.commit()
@@ -201,101 +207,96 @@ def test_shutdown_fails_pending_work_and_is_idempotent():
         assert svc.status()["stopped"]
 
 
-# ----------------------------------------------------------------------
-# the snapshot gate itself
-# ----------------------------------------------------------------------
+def _in_thread(call):
+    """Run ``call`` on a thread; returns (done event, outcome list)."""
+    done, outcome = threading.Event(), []
 
-def test_gate_readers_share_writers_exclude():
-    gate = SnapshotGate()
-    gate.acquire_read()
-    gate.acquire_read()         # readers share
-    acquired = threading.Event()
-
-    def writer():
-        with gate.write():
-            acquired.set()
-
-    thread = threading.Thread(target=writer, daemon=True)
-    thread.start()
-    assert not acquired.wait(0.2)
-    gate.release_read()
-    assert not acquired.wait(0.2)   # one reader still holds it
-    gate.release_read()
-    assert acquired.wait(5.0)
-    thread.join(timeout=5.0)
-
-
-def test_gate_is_writer_preferring():
-    gate = SnapshotGate()
-    gate.acquire_read()
-    started = threading.Event()
-    writer_done = threading.Event()
-    late_read_done = threading.Event()
-
-    def writer():
-        started.set()
-        with gate.write():
-            writer_done.set()
-
-    def late_reader():
-        with gate.read():
-            late_read_done.set()
-
-    w = threading.Thread(target=writer, daemon=True)
-    w.start()
-    started.wait(5.0)
-    time.sleep(0.1)             # let the writer queue up
-    r = threading.Thread(target=late_reader, daemon=True)
-    r.start()
-    # a reader arriving behind a waiting writer must wait too
-    assert not late_read_done.wait(0.2)
-    gate.release_read()
-    assert writer_done.wait(5.0)
-    assert late_read_done.wait(5.0)
-    w.join(timeout=5.0)
-    r.join(timeout=5.0)
-
-
-# ----------------------------------------------------------------------
-# regression: StatementCache under concurrent lookup/store
-# ----------------------------------------------------------------------
-
-def test_statement_cache_survives_concurrent_hammering():
-    """Reader threads hammering lookup() while others store() must not
-    corrupt the OrderedDict recency list (pre-fix: KeyError out of
-    move_to_end, or RuntimeError from mutation during eviction)."""
-    db = Database()
-    db.execute("create t (a = int4)")
-    cache = StatementCache(capacity=8)
-    texts = [f"retrieve (x.a) from x in t where x.a > {i}"
-             for i in range(32)]
-    prepared = {text: Prepared(db, text) for text in texts}
-    stop = time.monotonic() + 1.0
-    failures = []
-
-    def worker(seed):
-        i = seed
+    def run():
         try:
-            while time.monotonic() < stop:
-                i += 1
-                text = texts[(i * 7 + seed) % len(texts)]
-                if (i + seed) % 3 == 0:
-                    cache.store(text, prepared[text])
-                else:
-                    entry = cache.lookup(text)
-                    assert entry is None or entry.text == text
-        except Exception as exc:   # pragma: no cover - the regression
-            failures.append(f"{type(exc).__name__}: {exc}")
+            outcome.append(call())
+        except Exception as exc:
+            outcome.append(exc)
+        done.set()
 
-    threads = [threading.Thread(target=worker, args=(n,), daemon=True)
-               for n in range(6)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30.0)
-    assert not failures
-    assert len(cache) <= 8
-    db.close()
+    threading.Thread(target=run, daemon=True).start()
+    return done, outcome
+
+
+def test_other_sessions_reads_wait_for_the_commit_too():
+    with _service() as svc:
+        s1, s2 = svc.open_session(), svc.open_session()
+        s1.begin()
+        s1.execute('append emp(id = 3, name = "c", sal = 1.0)')
+        done, outcome = _in_thread(lambda: len(s2.query(
+            "retrieve (e.name) from e in emp").rows))
+        assert not done.wait(0.3)       # uncommitted state stays private
+        assert svc.status()["parked"] == 1
+        s1.commit()
+        assert done.wait(5.0)
+        assert outcome == [3]
+        assert svc.status()["parked"] == 0
+        assert svc.db.stats.get("serve.deferred_ops") == 1
+
+
+def test_waiting_longer_than_the_timeout_is_a_service_error():
+    svc = RuleService(timeout=0.2)
+    with svc:
+        svc.db.execute("create t (a = int4)")
+        s1, s2 = svc.open_session(), svc.open_session()
+        s1.begin()
+        started = time.monotonic()
+        with pytest.raises(ServiceError, match="did not end within"):
+            s2.execute("append t(a = 1)")
+        assert 0.15 < time.monotonic() - started < 5.0
+        s1.commit()
+        s2.execute("append t(a = 2)")   # nothing is wedged
+        assert svc.db.relation_rows("t") == [(2,)]
+
+
+def test_shutdown_fails_the_waiters():
+    svc = _service()
+    s1, s2 = svc.open_session(), svc.open_session()
+    s1.begin()
+    done, outcome = _in_thread(
+        lambda: s2.execute('append emp(id = 4, name = "d", sal = 2.0)'))
+    assert not done.wait(0.2)
+    svc.shutdown()
+    assert done.wait(5.0)
+    assert isinstance(outcome[0], ServiceError)
+
+
+def test_status_reports_parked_not_a_queue_or_a_gate():
+    with _service() as svc:
+        status = svc.status()
+        assert status["parked"] == 0
+        assert "queue_depth" not in status and "gate" not in status
+
+
+def test_serial_log_is_compact_and_replayable():
+    with _service() as svc:
+        session = svc.open_session()
+        session.prepare("bump", "replace e (sal = $sal) from e in emp "
+                                "where e.id = $id")
+        session.execute_prepared("bump", {"id": 1, "sal": 200.0})
+        session.execute_prepared("bump", {"sal": 300.0, "id": 2})
+        # rejected before the engine is touched: nothing to replay
+        with pytest.raises(ExecutionError, match="missing"):
+            session.execute_prepared("bump", {"id": 1})
+        with pytest.raises(ExecutionError, match="unknown"):
+            session.execute_prepared(
+                "bump", {"id": 1, "sal": 1.0, "pay": 1.0})
+        history = svc.serial_history()
+        text = session.prepared["bump"].text
+        # values as one tuple in signature order, the text by reference
+        assert history == [("exec", text, (200.0, 1)),
+                           ("exec", text, (300.0, 2))]
+        assert history[0][1] is history[1][1] is text
+        fresh = _service()
+        replay_serial(fresh.db, history)
+        for rel in ("emp", "audit"):
+            assert sorted(fresh.db.relation_rows(rel)) == \
+                sorted(svc.db.relation_rows(rel))
+        fresh.shutdown()
 
 
 # ----------------------------------------------------------------------
