@@ -23,6 +23,7 @@ the same machinery transparent for repeated ad-hoc text.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 from repro.errors import ExecutionError
@@ -64,6 +65,10 @@ class Prepared:
         self._command = command
         self._planned = db.optimizer.plan_command(command)
         self._version = db.catalog.version
+        # One statement may be executed from several threads (the shell
+        # beside ``\serve``); the replan-on-version-mismatch must not
+        # interleave (a half-swapped command/plan pair would execute).
+        self._replan_lock = threading.Lock()
         #: diagnostics: executions served and plans built
         self.executions = 0
         self.replans = 1
@@ -78,13 +83,17 @@ class Prepared:
         catalog change may alter name resolution, not just access paths.
         """
         if self._version != self.db.catalog.version:
-            command = self.db.analyzer.analyze(parse_command(self.text))
-            self._command = command
-            self._planned = self.db.optimizer.plan_command(command)
-            self._version = self.db.catalog.version
-            self.replans += 1
-            getattr(self.db, "stats", NULL_STATS).bump(
-                "plan_cache.replans")
+            with self._replan_lock:
+                if self._version != self.db.catalog.version:
+                    command = self.db.analyzer.analyze(
+                        parse_command(self.text))
+                    self._command = command
+                    self._planned = self.db.optimizer.plan_command(
+                        command)
+                    self._version = self.db.catalog.version
+                    self.replans += 1
+                    getattr(self.db, "stats", NULL_STATS).bump(
+                        "plan_cache.replans")
         return self._planned
 
     def execute(self, **params):
@@ -168,42 +177,53 @@ class StatementCache:
     themselves on catalog-version mismatch, so eviction is purely a
     memory bound, never a correctness mechanism.
 
-    Not thread-safe, like the rest of the engine: the serving layer
-    runs every call under its one engine lock.
+    Thread-safe: the shell beside ``\\serve`` hits ``lookup`` /
+    ``store`` while the serving loop does, and ``OrderedDict`` is not —
+    an unlocked ``move_to_end`` racing an eviction can leave the recency
+    list corrupt (a KeyError out of ``lookup``, or an entry evicted
+    while being returned).  One lock serializes the short critical
+    sections; plan execution itself happens outside it.
     """
 
     def __init__(self, capacity: int = 128, stats=None):
         self.capacity = capacity
         self._entries: "OrderedDict[str, Prepared]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         #: engine counter registry (``stmt_cache.*``)
         self.stats = stats or NULL_STATS
 
     def lookup(self, text: str) -> Prepared | None:
-        entry = self._entries.get(text)
+        with self._lock:
+            entry = self._entries.get(text)
+            if entry is not None:
+                self._entries.move_to_end(text)
+                self.hits += 1
         if entry is None:
             self.misses += 1
             self.stats.bump("stmt_cache.misses")
             return None
-        self._entries.move_to_end(text)
-        self.hits += 1
         self.stats.bump("stmt_cache.hits")
         return entry
 
     def store(self, text: str, prepared: Prepared) -> None:
         if self.capacity <= 0:
             return
-        self._entries[text] = prepared
-        self._entries.move_to_end(text)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        with self._lock:
+            self._entries[text] = prepared
+            self._entries.move_to_end(text)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, text: str) -> bool:
-        return text in self._entries
+        with self._lock:
+            return text in self._entries

@@ -57,44 +57,27 @@ def demo_database(rows: int = 200, rules: int = 4,
     return db
 
 
-class _ClientWorker(threading.Thread):
-    """One closed-loop client: exec, wait for the reply, repeat."""
-
-    def __init__(self, host: str, port: int, deadline: float,
-                 rows: int, write_every: int, offset: int):
-        super().__init__(name=f"loadgen-{offset}", daemon=True)
-        self.host = host
-        self.port = port
-        self.deadline = deadline
-        self.rows = rows
-        self.write_every = write_every
-        self.offset = offset
-        self.reads = 0
-        self.writes = 0
-        self.errors = 0
-        self.error: str | None = None
-
-    def run(self) -> None:
-        try:
-            with ServiceClient(self.host, self.port) as client:
-                client.prepare("probe", READ_STATEMENT)
-                if self.write_every:
-                    client.prepare("bump", WRITE_STATEMENT)
-                i = self.offset
-                while time.perf_counter() < self.deadline:
-                    i += 1
-                    if self.write_every and i % self.write_every == 0:
-                        client.exec_prepared("bump", {
-                            "id": i % self.rows,
-                            "sal": 250.0 + (i % 2000)})
-                        self.writes += 1
-                    else:
-                        client.exec_prepared("probe",
-                                             {"id": i % self.rows})
-                        self.reads += 1
-        except Exception as exc:   # surfaced in the summary
-            self.error = f"{type(exc).__name__}: {exc}"
-            self.errors += 1
+def _client_loop(host: str, port: int, deadline: float, rows: int,
+                 write_every: int, offset: int, tally: dict) -> None:
+    """One closed-loop client: exec, wait for the reply, repeat; what
+    it did goes into ``tally``."""
+    try:
+        with ServiceClient(host, port) as client:
+            client.prepare("probe", READ_STATEMENT)
+            if write_every:
+                client.prepare("bump", WRITE_STATEMENT)
+            i = offset
+            while time.perf_counter() < deadline:
+                i += 1
+                if write_every and i % write_every == 0:
+                    client.exec_prepared("bump", {
+                        "id": i % rows, "sal": 250.0 + (i % 2000)})
+                    tally["writes"] += 1
+                else:
+                    client.exec_prepared("probe", {"id": i % rows})
+                    tally["reads"] += 1
+    except Exception as exc:   # surfaced in the summary
+        tally["error"] = f"{type(exc).__name__}: {exc}"
 
 
 def run_load(host: str, port: int, clients: int = 4,
@@ -106,17 +89,21 @@ def run_load(host: str, port: int, clients: int = 4,
     write_every = int(round(1.0 / write_ratio)) if write_ratio else 0
     start = time.perf_counter()
     deadline = start + duration
+    tallies = [{"reads": 0, "writes": 0, "error": None}
+               for _ in range(clients)]
     workers = [
-        _ClientWorker(host, port, deadline, rows, write_every,
-                      offset=i * 7919)
-        for i in range(clients)]
+        threading.Thread(
+            target=_client_loop, name=f"loadgen-{i}", daemon=True,
+            args=(host, port, deadline, rows, write_every, i * 7919,
+                  tally))
+        for i, tally in enumerate(tallies)]
     for worker in workers:
         worker.start()
     for worker in workers:
         worker.join(timeout=duration + 30.0)
     elapsed = time.perf_counter() - start
-    reads = sum(w.reads for w in workers)
-    writes = sum(w.writes for w in workers)
+    reads = sum(t["reads"] for t in tallies)
+    writes = sum(t["writes"] for t in tallies)
     total = reads + writes
     return {
         "clients": clients,
@@ -125,8 +112,8 @@ def run_load(host: str, port: int, clients: int = 4,
         "writes": writes,
         "ops": total,
         "ops_per_sec": round(total / elapsed, 2) if elapsed else 0.0,
-        "per_client": [w.reads + w.writes for w in workers],
-        "errors": [w.error for w in workers if w.error],
+        "per_client": [t["reads"] + t["writes"] for t in tallies],
+        "errors": [t["error"] for t in tallies if t["error"]],
     }
 
 

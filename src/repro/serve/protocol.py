@@ -36,16 +36,11 @@ MAX_LINE = 4 * 1024 * 1024
 
 
 def encode_message(payload: dict) -> bytes:
-    """One wire line for ``payload`` (compact JSON + newline)."""
+    """One wire line for ``payload`` (compact JSON + newline); an
+    engine value JSON has no form for is stringified rather than
+    killing the connection."""
     return json.dumps(payload, separators=(",", ":"),
-                      default=_encode_fallback).encode("utf-8") + b"\n"
-
-
-def _encode_fallback(value):
-    """JSON fallback for engine values (tuples become arrays via the
-    default encoder; anything else is stringified rather than killing
-    the connection)."""
-    return str(value)
+                      default=str).encode("utf-8") + b"\n"
 
 
 def decode_message(line: bytes) -> dict:
@@ -55,7 +50,10 @@ def decode_message(line: bytes) -> dict:
         raise ValueError("request line exceeds protocol maximum")
     if not line.strip():
         return {}
-    payload = json.loads(line.decode("utf-8"))
+    try:
+        payload = json.loads(line.decode("utf-8"))
+    except RecursionError:          # e.g. 100,000 opening brackets
+        raise ValueError("request line is nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("protocol messages must be JSON objects")
     return payload
@@ -81,7 +79,8 @@ class LineBuffer:
     def feed(self, chunk: bytes) -> list[bytes]:
         """The lines ``chunk`` completes, newline stripped, in order.
         Raises ``ValueError`` once the unfinished line exceeds
-        ``MAX_LINE`` — it could never be accepted."""
+        ``MAX_LINE`` — it could never be accepted (and, chunks being
+        far shorter than that, this chunk completed none)."""
         tail = self._tail
         if b"\n" in chunk:
             *lines, chunk = chunk.split(b"\n")

@@ -19,7 +19,8 @@ connection meanwhile); a request that has to wait for another session's
 transaction is *parked* — set aside in arrival order — until the
 transaction ends, :attr:`RuleService.timeout` passes (answered with
 ``ServiceError``) or the server stops.  A dropped connection aborts its
-session's open transaction on the same thread.
+session's open transaction on the same thread.  Whatever one
+connection's bytes make the loop raise ends that connection only.
 """
 
 from __future__ import annotations
@@ -52,13 +53,16 @@ _WAITS = frozenset(("execute", "query", "prepare", "exec", "commit",
 
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
+_log = logging.getLogger(__name__)
+
 
 class _Connection:
     """One client socket and what the loop holds for it: ``backlog`` —
     complete request lines not yet served, oldest first; ``outgoing`` —
     the part of a reply the socket has not taken yet; ``deadline`` —
-    when the parked head of the backlog gives up (None: not parked);
-    ``closing`` — close once ``outgoing`` is sent."""
+    when the head of the backlog, parked now or re-parked since, gives
+    up waiting (None: it has not had to wait); ``closing`` — close once
+    ``outgoing`` is sent."""
 
     def __init__(self, sock: socket.socket, session):
         self.sock = sock
@@ -110,7 +114,7 @@ class RuleServer:
         self._selector = selectors.DefaultSelector()
         self._selector.register(listener, _READ, None)
         self._selector.register(wakee, _READ, wakee)
-        self.service.transaction_end_hooks.append(self._wake)
+        self.service.on_transaction_end = self._transaction_ended
         self._thread = threading.Thread(
             target=self._loop, args=(listener, wakee),
             name="repro-serve-loop", daemon=True)
@@ -140,7 +144,7 @@ class RuleServer:
         if thread is not None:
             self._wake()
             thread.join(timeout=5)
-            self.service.transaction_end_hooks.remove(self._wake)
+            self.service.on_transaction_end = None
             self._waker.close()
         if shutdown_service is None:
             shutdown_service = self._owns_service
@@ -159,42 +163,52 @@ class RuleServer:
     # ------------------------------------------------------------------
 
     def _wake(self) -> None:
-        """Make the loop look at its parked requests and at whether it
-        was stopped; callable from any thread.  (Failing to send means
-        closed, or full — then a wake is pending anyway.)"""
+        """Make the loop go round once more; callable from any thread.
+        (Failing to send means closed, or full — then a wake is pending
+        anyway.)"""
         with suppress(OSError):
             self._waker.send(b"\0")
+
+    def _transaction_ended(self) -> None:
+        """The service's ``on_transaction_end``.  The loop looks at its
+        parked requests each time round, so only a transaction ended by
+        a session on another thread has to wake it."""
+        if self._parked \
+                and threading.current_thread() is not self._thread:
+            self._wake()
 
     def _loop(self, listener: socket.socket,
               wakee: socket.socket) -> None:
         selector = self._selector
         parked = self._parked
+        defers = self.service.defers
         try:
             while self._thread is not None:     # until stop()
                 timeout = None
                 if parked:
-                    timeout = max(
-                        0.0, parked[0].deadline - time.monotonic())
+                    if not defers(parked[0].session, count=False):
+                        self._serve_parked()
+                    self._expire_parked()
+                    if parked:
+                        timeout = max(
+                            0.0, parked[0].deadline - time.monotonic())
                 for key, events in selector.select(timeout):
                     conn = key.data
                     if conn is None:
                         self._accept(listener)
                     elif conn is wakee:
-                        self._woken(wakee)
+                        with suppress(OSError):
+                            wakee.recv(4096)
                     elif events & _WRITE:
-                        self._send(conn, conn.outgoing)
+                        self._step(conn, self._send, conn.outgoing)
                     else:
-                        self._receive(conn)
-                if parked:
-                    self._expire_parked()
+                        self._step(conn, self._receive)
         finally:
             stopped = ServiceError("rule server stopped")
+            while parked:
+                self._step(self._unpark(), self._refuse_head, stopped)
             for conn in list(self._connections):
-                if conn.deadline is not None:
-                    self._unpark(conn)
-                    self._refuse_head(conn, stopped)
                 self._close(conn)
-            parked.clear()
             selector.close()
             listener.close()
             wakee.close()
@@ -215,15 +229,26 @@ class RuleServer:
         self._connections.add(conn)
         self._selector.register(sock, _READ, conn)
 
+    def _step(self, conn: _Connection, step, *args) -> None:
+        """Run one connection's ``step``; a failure nobody foresaw ends
+        that connection, not the loop and everybody else's."""
+        try:
+            step(conn, *args)
+        except Exception:
+            _log.exception("connection of session %d failed",
+                           conn.session.id)
+            self._close(conn)
+
     def _close(self, conn: _Connection) -> None:
         """Drop the connection and close its session (which aborts its
-        open transaction, and so wakes the loop for the parked)."""
-        if conn.sock is None:
+        open transaction; the loop then serves the parked)."""
+        sock, conn.sock = conn.sock, None
+        if sock is None:
             return
         self._connections.discard(conn)
-        self._selector.unregister(conn.sock)
-        conn.sock.close()
-        conn.sock = None
+        with suppress(KeyError, ValueError):    # if that is what failed
+            self._selector.unregister(sock)
+        sock.close()
         self.service.close_session(conn.session)
 
     def _receive(self, conn: _Connection) -> None:
@@ -255,18 +280,22 @@ class RuleServer:
                 self._protocol_error(conn, exc)
                 return
             op = request.get("op")
-            if op in _WAITS and self.service.defers(session):
+            waited = conn.deadline is not None
+            if isinstance(op, str) and op in _WAITS \
+                    and self.service.defers(session, count=not waited):
                 if len(self._parked) < MAX_PARKED:
-                    conn.deadline = \
-                        time.monotonic() + self.service.timeout
-                    self._parked.append(conn)
+                    if not waited:
+                        conn.deadline = \
+                            time.monotonic() + self.service.timeout
                     self._selector.unregister(conn.sock)
+                    self._parked.append(conn)
                     return
                 self._refuse_head(conn, ServiceOverloaded(
                     f"{MAX_PARKED} requests are already waiting for "
                     f"a transaction to end"))
                 continue
             backlog.popleft()
+            conn.deadline = None
             if not request:             # blank keep-alive line
                 continue
             response = self._dispatch(session, request)
@@ -310,36 +339,34 @@ class RuleServer:
         """Answer the request at the head of the backlog with ``exc``
         instead of serving it."""
         request = protocol.decode_message(conn.backlog.popleft())
+        conn.deadline = None
         self._send(conn, protocol.encode_message(
             {"ok": False, "error": protocol.error_payload(exc),
              "id": request.get("id")}))
 
-    def _unpark(self, conn: _Connection) -> None:
-        conn.deadline = None
+    def _unpark(self) -> _Connection:
+        """The longest-parked connection, read from again."""
+        conn = self._parked.popleft()
         self._selector.register(conn.sock, _READ, conn)
+        return conn
 
-    def _woken(self, wakee: socket.socket) -> None:
-        """A transaction ended (or stop() was called): serve what was
-        parked, in arrival order; a request that has to wait again
-        parks again, still behind what arrived before it."""
-        with suppress(OSError):
-            wakee.recv(4096)
-        if self._thread is not None:
-            for _ in range(len(self._parked)):
-                conn = self._parked.popleft()
-                self._unpark(conn)
-                self._pump(conn)
+    def _serve_parked(self) -> None:
+        """The transaction ended: serve what was parked, in arrival
+        order; a request that has to wait again (one served before it
+        began a transaction) parks again, still behind what arrived
+        before it and with the deadline it had."""
+        for _ in range(len(self._parked)):
+            self._step(self._unpark(), self._pump)
 
     def _expire_parked(self) -> None:
         parked = self._parked
         now = time.monotonic()
         while parked and parked[0].deadline <= now:
-            conn = parked.popleft()
-            self._unpark(conn)
-            self._refuse_head(conn, ServiceError(
+            conn = self._unpark()
+            self._step(conn, self._refuse_head, ServiceError(
                 f"another session's transaction did not end within "
                 f"{self.service.timeout:g}s"))
-            self._pump(conn)
+            self._step(conn, self._pump)
 
     def _dispatch(self, session, request: dict) -> dict:
         try:
@@ -348,8 +375,7 @@ class RuleServer:
             if not isinstance(exc, (ArielError, ValueError, TypeError)):
                 # an engine bug: answer it too — unhandled, it would
                 # end the loop and with it every connection
-                logging.getLogger(__name__).exception(
-                    "request %r failed", request.get("op"))
+                _log.exception("request %r failed", request.get("op"))
             return {"ok": False, "error": protocol.error_payload(exc)}
 
     def _serve(self, session, request: dict) -> dict:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from contextlib import suppress
 
 from repro.db import Database
 from repro.errors import (
@@ -57,12 +58,15 @@ class Session:
         self.id = session_id
         #: client-named prepared statements (name -> Prepared)
         self.prepared: dict = {}
-        #: this session holds the service's open transaction
-        self.in_transaction = False
         self.closed = False
         #: diagnostics: plain retrieves served / everything else
         self.reads = 0
         self.writes = 0
+
+    @property
+    def in_transaction(self) -> bool:
+        """This session holds the service's open transaction."""
+        return self.service._txn_owner is self
 
     def execute(self, text: str):
         """Execute one command."""
@@ -104,19 +108,6 @@ class Session:
                 f"{name!r} (prepared: {known})")
         return prepared
 
-    def __enter__(self) -> Session:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if not self.closed:
-            self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else (
-            "in-transaction" if self.in_transaction else "open")
-        return (f"Session(id={self.id}, {state}, "
-                f"{len(self.prepared)} prepared)")
-
 
 class RuleService:
     """Serve one database to many sessions, one call at a time.
@@ -142,10 +133,10 @@ class RuleService:
         self._txn_owner: Session | None = None
         self._waiting = 0
         self._stopped = False
-        #: called, engine lock held, when the open transaction ends:
-        #: how a front end that parks requests (rather than waiting on
-        #: the condition) learns it may serve them
-        self.transaction_end_hooks: list = []
+        #: set by a front end that parks requests rather than waiting
+        #: on the condition: called, engine lock held, whenever the
+        #: open transaction ends
+        self.on_transaction_end = None
         #: every mutating call in the order it ran, as replayable
         #: entries — ``("execute", text)``, ``("exec", text, values)``
         #: with the parameter values in signature order, ``("begin",)``,
@@ -171,13 +162,11 @@ class RuleService:
         with self._engine:
             if session.closed:
                 return
-            if self._txn_owner is session:
-                if not self._stopped:
-                    try:
-                        self._write(session, ("abort",), self.db.abort)
-                    except ArielError:
-                        pass
-                self._end_transaction(session)
+            if self._txn_owner is session and not self._stopped:
+                with suppress(ArielError):
+                    self._write(session, ("abort",), self.db.abort)
+            if self._txn_owner is session:  # stopped, or abort failed
+                self._end_transaction()
             session.closed = True
             self._sessions.pop(session.id, None)
             self.db.stats.bump("serve.sessions_closed")
@@ -246,7 +235,6 @@ class RuleService:
             self.db.begin()
             self.serial_log.append(("begin",))
             self._txn_owner = session
-            session.in_transaction = True
 
     def commit(self, session: Session) -> None:
         with self._engine:
@@ -258,16 +246,19 @@ class RuleService:
             self._admit(session)
             self._write(session, ("abort",), self.db.abort)
 
-    def defers(self, session: Session) -> bool:
+    def defers(self, session: Session, count: bool = True) -> bool:
         """Whether ``session``'s next request has to wait for another
-        session's transaction (counted as a deferred op when so) — the
+        session's transaction (counted as a deferred op when so, unless
+        the caller asks again about a request it already counted) — the
         question a front end that must not block asks before calling
-        in."""
+        in.  (Should a session on another thread begin in between, the
+        request waits on the condition like any in-process caller.)"""
         owner = self._txn_owner
         if owner is None or owner is session:
             return False
-        with self._engine:
-            self.db.stats.bump("serve.deferred_ops")
+        if count:
+            with self._engine:
+                self.db.stats.bump("serve.deferred_ops")
         return True
 
     # ------------------------------------------------------------------
@@ -319,14 +310,13 @@ class RuleService:
         finally:
             if self._txn_owner is session \
                     and not self.db._in_transaction:
-                self._end_transaction(session)
+                self._end_transaction()
 
-    def _end_transaction(self, session: Session) -> None:
+    def _end_transaction(self) -> None:
         self._txn_owner = None
-        session.in_transaction = False
         self._engine.notify_all()
-        for hook in self.transaction_end_hooks:
-            hook()
+        if self.on_transaction_end is not None:
+            self.on_transaction_end()
 
     # ------------------------------------------------------------------
     # status and lifecycle

@@ -1,7 +1,7 @@
 """The serving layer, in process: sessions, the one engine lock that
 serializes every call on its caller's thread, per-session transaction
-gating — plus the regressions this layer found (Database close
-idempotence, the wal_info pending accessor).
+gating — plus the regressions this layer found (StatementCache under
+threads, Database close idempotence, the wal_info pending accessor).
 """
 
 import threading
@@ -12,6 +12,7 @@ import pytest
 from repro import (
     Database, DatabaseClosedError, ExecutionError, ServiceError,
     SessionError, TransactionError)
+from repro.prepared import Prepared, StatementCache
 from repro.serve import RuleService
 from repro.serve.service import replay_serial
 
@@ -297,6 +298,49 @@ def test_serial_log_is_compact_and_replayable():
             assert sorted(fresh.db.relation_rows(rel)) == \
                 sorted(svc.db.relation_rows(rel))
         fresh.shutdown()
+
+
+# ----------------------------------------------------------------------
+# regression: StatementCache under concurrent lookup/store
+# ----------------------------------------------------------------------
+
+def test_statement_cache_survives_concurrent_hammering():
+    """Threads hammering lookup() while others store() — the shell
+    beside ``\\serve`` does, next to the serving loop — must not corrupt
+    the OrderedDict recency list (pre-fix: KeyError out of move_to_end,
+    or RuntimeError from mutation during eviction)."""
+    db = Database()
+    db.execute("create t (a = int4)")
+    cache = StatementCache(capacity=8)
+    texts = [f"retrieve (x.a) from x in t where x.a > {i}"
+             for i in range(32)]
+    prepared = {text: Prepared(db, text) for text in texts}
+    stop = time.monotonic() + 1.0
+    failures = []
+
+    def worker(seed):
+        i = seed
+        try:
+            while time.monotonic() < stop:
+                i += 1
+                text = texts[(i * 7 + seed) % len(texts)]
+                if (i + seed) % 3 == 0:
+                    cache.store(text, prepared[text])
+                else:
+                    entry = cache.lookup(text)
+                    assert entry is None or entry.text == text
+        except Exception as exc:   # pragma: no cover - the regression
+            failures.append(f"{type(exc).__name__}: {exc}")
+
+    threads = [threading.Thread(target=worker, args=(n,), daemon=True)
+               for n in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30.0)
+    assert not failures
+    assert len(cache) <= 8
+    db.close()
 
 
 # ----------------------------------------------------------------------

@@ -95,6 +95,8 @@ def test_protocol_eof_blank_and_oversize():
         protocol.read_message(io.BytesIO(b"{nope\n"))
     with pytest.raises(ValueError, match="JSON objects"):
         protocol.read_message(io.BytesIO(b"[1, 2]\n"))
+    with pytest.raises(ValueError, match="nested too deeply"):
+        protocol.read_message(io.BytesIO(b"[" * 200_000 + b"\n"))
     with pytest.raises(ValueError, match="exceeds"):
         long_line = b"x" * (protocol.MAX_LINE + 1) + b"\n"
         protocol.read_message(io.BytesIO(long_line))
@@ -237,6 +239,65 @@ def test_engine_runs_on_the_loop_thread_only(server):
     assert ran_on == {"repro-serve-loop"}
 
 
+def test_an_engine_bug_is_answered_and_the_loop_survives(
+        server, monkeypatch, caplog):
+    def broken(text):
+        raise RuntimeError("engine bug")
+    monkeypatch.setattr(server.service.db, "execute", broken)
+    with _client(server) as client:
+        with pytest.raises(RemoteError, match="engine bug") as excinfo:
+            client.execute(_append(100)["text"])
+        assert excinfo.value.kind == "RuntimeError"
+        assert client.ping()                # same connection, same loop
+    assert "request 'execute' failed" in caplog.text
+
+
+@pytest.mark.parametrize("op", [[], {"a": 1}, 5, None, True])
+def test_an_op_that_is_not_a_string_is_an_unknown_op(server, op):
+    raw = _Raw(server)
+    try:
+        with _client(server) as other:
+            raw.send({"id": 1, "op": op})
+            reply = raw.reply()
+            assert not reply["ok"] and reply["id"] == 1
+            assert "unknown op" in reply["error"]["message"]
+            raw.send({"id": 2, "op": "ping"})   # still connected
+            assert raw.reply()["ok"]
+            assert other.ping()                 # and so is everyone
+    finally:
+        raw.close()
+
+
+def test_a_failure_outside_dispatch_ends_that_connection_only(
+        server, monkeypatch, caplog):
+    feed = protocol.LineBuffer.feed
+
+    def broken(self, chunk):
+        if b"boom" in chunk:
+            raise RuntimeError("framing bug")
+        return feed(self, chunk)
+    monkeypatch.setattr(protocol.LineBuffer, "feed", broken)
+    owner, raw = _client(server), _Raw(server)
+    try:
+        with _client(server) as other:
+            owner.begin()
+            raw.send(b"boom\n")
+            assert raw.reply() is None          # hung up on
+            assert other.ping()
+            assert other.status()["sessions"] == 2
+            # the loop still serves, parks and releases
+            raw2 = _Raw(server)
+            raw2.send(_append(301))
+            assert _eventually(lambda: server.status()["parked"] == 1)
+            owner.commit()
+            assert raw2.reply()["ok"]
+            raw2.close()
+    finally:
+        raw.close()
+        owner.close()
+    assert "framing bug" in caplog.text
+
+
 # ----------------------------------------------------------------------
 # requests parked behind another session's transaction
 # ----------------------------------------------------------------------
@@ -317,6 +378,55 @@ def test_parked_request_times_out_with_service_error():
             owner.close()
             other.close()
     service.shutdown(close_db=True)
+
+
+def test_a_reparked_request_keeps_its_deadline_and_counts_once(server):
+    """The first parked connection's backlog goes on to begin a
+    transaction of its own, so the second has to wait again: same
+    deadline as before, still one deferral."""
+    stats = server.service.db.stats
+    owner = _client(server)
+    first, second = _Raw(server), _Raw(server)
+    try:
+        owner.begin()
+        first.send(protocol.encode_message(_append(301))
+                   + protocol.encode_message({"id": 2, "op": "begin"}))
+        assert _eventually(lambda: server.status()["parked"] == 1)
+        second.send(_append(303))
+        assert _eventually(lambda: server.status()["parked"] == 2)
+        deadline = server._parked[-1].deadline
+        owner.commit()
+        assert [first.reply()["id"], first.reply()["id"]] == [301, 2]
+        assert second.quiet()
+        assert server.status()["parked"] == 1
+        assert server._parked[0].deadline == deadline
+        assert stats.get("serve.deferred_ops") == 2
+        first.send({"id": 3, "op": "commit"})
+        assert first.reply()["ok"]
+        assert second.reply()["ok"]
+        assert stats.get("serve.deferred_ops") == 2
+        # what the connection sends next has not waited yet
+        assert all(conn.deadline is None
+                   for conn in server._connections)
+    finally:
+        first.close()
+        second.close()
+        owner.close()
+
+
+def test_a_transaction_ended_on_another_thread_wakes_the_loop(server):
+    session = server.service.open_session()     # in process, our thread
+    raw = _Raw(server)
+    try:
+        session.begin()
+        raw.send(_append(301))
+        assert _eventually(lambda: server.status()["parked"] == 1)
+        assert raw.quiet()
+        session.commit()
+        assert raw.reply()["ok"]
+    finally:
+        raw.close()
+        session.close()
 
 
 def test_owner_disconnect_releases_the_parked_requests(server):
@@ -463,18 +573,23 @@ def test_oversized_line_is_refused_and_the_connection_closed(
     assert _eventually(lambda: server.service.session_count() == 0)
 
 
-@pytest.mark.parametrize("line", [b"{nope\n", b"[1, 2]\n",
-                                  b"\xff\xfe\n"])
+@pytest.mark.parametrize(
+    "line", [b"{nope\n", b"[1, 2]\n", b"\xff\xfe\n",
+             b"[" * 200_000 + b"\n"],       # a RecursionError in json
+    ids=["not-json", "not-an-object", "not-utf8", "nested-too-deeply"])
 def test_malformed_line_is_refused_and_the_connection_closed(
         server, line):
     raw = _Raw(server)
     try:
-        raw.send(protocol.encode_message({"id": 1, "op": "ping"}) + line
-                 + protocol.encode_message({"id": 2, "op": "ping"}))
-        assert raw.reply()["id"] == 1
-        assert raw.reply()["error"]["kind"] in (
-            "ValueError", "JSONDecodeError", "UnicodeDecodeError")
-        assert raw.reply() is None          # what followed is dropped
+        with _client(server) as other:
+            raw.send(protocol.encode_message({"id": 1, "op": "ping"})
+                     + line
+                     + protocol.encode_message({"id": 2, "op": "ping"}))
+            assert raw.reply()["id"] == 1
+            assert raw.reply()["error"]["kind"] in (
+                "ValueError", "JSONDecodeError", "UnicodeDecodeError")
+            assert raw.reply() is None      # what followed is dropped
+            assert other.ping()             # nobody else is
     finally:
         raw.close()
     assert _eventually(lambda: server.service.session_count() == 0)
