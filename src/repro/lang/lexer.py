@@ -3,12 +3,18 @@
 Keywords are case-insensitive (normalised to lower case); identifiers are
 case-sensitive.  Strings use double quotes with backslash escapes, matching
 the paper's examples (``dept.name = "Sales"``).  Comments run from ``--``
-or ``#`` to end of line.
+or ``#`` to end of line.  Number literals are ASCII digits.
+
+The whole text is scanned once by one compiled regular expression: each
+match skips the trivia before a token and captures the token in the one
+group that names its kind; the last alternatives catch what is not a
+token, so the scan itself raises every lexical error at its position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import ParseError
 
@@ -21,13 +27,8 @@ KEYWORDS = frozenset({
     "unique", "explain", "analyze", "inf", "nan",
 })
 
-#: multi-character operators first so maximal munch applies
-OPERATORS = ("!=", "<=", ">=", "=", "<", ">", "+", "-", "*", "/",
-             "(", ")", ",", ".")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (1-based)."""
 
     kind: str          # 'keyword' | 'ident' | 'number' | 'string' | 'op'
@@ -42,150 +43,107 @@ class Token:
         return repr(self.value)
 
 
-class Lexer:
-    """Converts command text into a token stream."""
+# One match = the trivia before a token (a stray semicolon is trivia:
+# scripts may separate commands with newlines or semicolons) + the token,
+# captured by the one group that names its kind.  A number comes before
+# the operators so ``.5`` is not a dot, multi-character operators before
+# single ones so maximal munch applies, and the last three alternatives
+# catch what is not a token.
+_SCAN = re.compile(r"""
+    (?: [ \t\r\n;]+ | (?: \# | -- ) [^\n]* )*
+    (?: ( [A-Za-z_] \w* )                                  # 1 word
+      | ( (?: [0-9]+ (?: \.[0-9]+ )? | \.[0-9]+ )
+          (?: [eE] [+-]? [0-9]+ )? )                       # 2 number
+      | ( != | <= | >= | [=<>+\-*/(),.] )                  # 3 op
+      | ( " (?: [^"\\] | \\. )* " )                        # 4 string
+      | ( \$ (?: [0-9]+ | \w* ) )                          # 5 param
+      | ( \Z )                                             # 6 eof
+      | ( \w+ )                                            # 7 non-ASCII word
+      | ( " )                                              # 8 unclosed string
+      | ( . )                                              # 9 junk
+    )""", re.VERBOSE | re.DOTALL)
+_WORD, _NUMBER, _OP, _STRING, _PARAM, _EOF, _UWORD, _UNCLOSED = range(1, 9)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def tokens(self) -> list[Token]:
-        """Tokenize the whole input, ending with a single EOF token."""
-        out: list[Token] = []
-        while True:
-            token = self._next_token()
-            out.append(token)
-            if token.kind == "eof":
-                return out
-
-    # ------------------------------------------------------------------
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n;":
-                # A stray semicolon is treated as whitespace: scripts may
-                # separate commands with either newlines or semicolons.
-                self._advance()
-            elif ch == "#" or self.text.startswith("--", self.pos):
-                while self.pos < len(self.text) \
-                        and self.text[self.pos] != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.text):
-            return Token("eof", None, self.line, self.column)
-        line, column = self.line, self.column
-        ch = self._peek()
-        if ch == '"':
-            return self._string(line, column)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._number(line, column)
-        if ch.isalpha() or ch == "_":
-            return self._word(line, column)
-        if ch == "$":
-            return self._param(line, column)
-        for op in OPERATORS:
-            if self.text.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token("op", op, line, column)
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-
-    def _string(self, line: int, column: int) -> Token:
-        self._advance()   # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise ParseError("unterminated string literal", line, column)
-            if ch == "\\":
-                escape = self._peek(1)
-                mapped = {"n": "\n", "t": "\t", "r": "\r", '"': '"',
-                          "\\": "\\"}.get(escape)
-                if mapped is None:
-                    raise ParseError(f"bad escape \\{escape}",
-                                     self.line, self.column)
-                chars.append(mapped)
-                self._advance(2)
-            elif ch == '"':
-                self._advance()
-                return Token("string", "".join(chars), line, column)
-            else:
-                chars.append(ch)
-                self._advance()
-
-    def _number(self, line: int, column: int) -> Token:
-        start = self.pos
-        saw_dot = False
-        saw_exp = False
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch.isdigit():
-                self._advance()
-            elif ch == "." and not saw_dot and not saw_exp \
-                    and self._peek(1).isdigit():
-                saw_dot = True
-                self._advance()
-            elif ch in "eE" and not saw_exp and (
-                    self._peek(1).isdigit()
-                    or (self._peek(1) in "+-" and self._peek(2).isdigit())):
-                saw_exp = True
-                self._advance(2 if self._peek(1) in "+-" else 1)
-            else:
-                break
-        text = self.text[start:self.pos]
-        value: object
-        if saw_dot or saw_exp:
-            value = float(text)
-        else:
-            value = int(text)
-        return Token("number", value, line, column)
-
-    def _param(self, line: int, column: int) -> Token:
-        """``$name`` or ``$1`` — a prepared-statement placeholder."""
-        self._advance()   # '$'
-        start = self.pos
-        if self._peek().isdigit():
-            while self._peek().isdigit():
-                self._advance()
-        else:
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-        name = self.text[start:self.pos]
-        if not name:
-            raise ParseError("expected a parameter name after '$'",
-                             line, column)
-        return Token("param", name, line, column)
-
-    def _word(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.text) and (self._peek().isalnum()
-                                             or self._peek() == "_"):
-            self._advance()
-        word = self.text[start:self.pos]
-        if word.lower() in KEYWORDS:
-            return Token("keyword", word.lower(), line, column)
-        return Token("ident", word, line, column)
+_ESCAPE = re.compile(r"\\(.?)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_new = tuple.__new__
 
 
 def tokenize(text: str) -> list[Token]:
-    """Convenience wrapper: tokenize ``text`` fully."""
-    return Lexer(text).tokens()
+    """Tokenize ``text`` fully, ending with a single EOF token."""
+    out: list[Token] = []
+    line, line_start, seen = 1, 0, 0
+    multiline = "\n" in text
+    for match in _SCAN.finditer(text):
+        group = match.lastindex
+        start = match.start(group)
+        if multiline:
+            newlines = text.count("\n", seen, start)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", seen, start) + 1
+            seen = start
+        value = match.group(group)
+        if group == _WORD or group == _UWORD:
+            lowered = value.lower()
+            if lowered in KEYWORDS:
+                kind, value = "keyword", lowered
+            elif group == _WORD or value[0].isalpha():
+                kind = "ident"
+            else:       # a numeral outside ASCII is a word character,
+                        # but neither a letter nor a digit
+                raise _error(f"unexpected character {value[0]!r}",
+                             text, start)
+        elif group == _OP:
+            kind = "op"
+        elif group == _NUMBER:
+            kind = "number"
+            value = int(value) if value.isdigit() else float(value)
+        elif group == _STRING:
+            kind = "string"
+            value = value[1:-1]
+            if "\\" in value:
+                value = _unescape(value, text, start + 1)
+        elif group == _PARAM:
+            kind = "param"
+            value = value[1:]
+            if not value:
+                raise _error("expected a parameter name after '$'",
+                             text, start)
+        elif group == _EOF:
+            out.append(Token("eof", None, line, start - line_start + 1))
+            return out
+        elif group == _UNCLOSED:
+            _unescape(text[start + 1:], text, start + 1)
+            raise _error("unterminated string literal", text, start)
+        else:
+            raise _error(f"unexpected character {value!r}", text, start)
+        out.append(_new(Token, (kind, value, line, start - line_start + 1)))
+
+
+def _error(message: str, text: str, at: int) -> ParseError:
+    """A ParseError at offset ``at`` of ``text``."""
+    return ParseError(message, text.count("\n", 0, at) + 1,
+                      at - text.rfind("\n", 0, at))
+
+
+def _unescape(body: str, text: str, offset: int) -> str:
+    """``body`` (the inside of a string literal, found at
+    ``text[offset:]``) with its escapes replaced."""
+    def replace(match):
+        mapped = _ESCAPES.get(match.group(1))
+        if mapped is None:
+            raise _error(f"bad escape \\{match.group(1)}", text,
+                         offset + match.start())
+        return mapped
+    return _ESCAPE.sub(replace, body)
+
+
+class Lexer:
+    """``Lexer(text).tokens()`` — the class form of :func:`tokenize`."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def tokens(self) -> list[Token]:
+        return tokenize(self.text)

@@ -88,3 +88,53 @@ class TestLexer:
         assert "rule" in words
         assert "NoBobs" in words
         assert "Bob" in words
+
+
+class TestLexicalErrors:
+    """Every lexical error is a ParseError naming its own position."""
+
+    def error(self, text):
+        with pytest.raises(ParseError) as excinfo:
+            tokenize(text)
+        return str(excinfo.value)
+
+    def test_non_ascii_numeral_is_not_a_number(self):
+        # str.isdigit() accepts '²', which int() rejects: it used to
+        # escape as ValueError
+        assert self.error("x = ²") == \
+            "unexpected character '²' (line 1, column 5)"
+
+    def test_non_ascii_decimal_digit_is_not_a_number(self):
+        # '٣' (ARABIC-INDIC DIGIT THREE) used to lex silently as 3
+        assert self.error("x = ٣") == \
+            "unexpected character '٣' (line 1, column 5)"
+        assert self.error("x = 5٣") == \
+            "unexpected character '٣' (line 1, column 6)"
+
+    def test_non_ascii_letters_are_identifier_characters(self):
+        assert values("é1 = naïve²") == ["é1", "=", "naïve²"]
+
+    def test_dollar_alone(self):
+        assert self.error("a = \n  $ + 1") == \
+            "expected a parameter name after '$' (line 2, column 3)"
+
+    def test_unterminated_string_position(self):
+        assert self.error('a\n = "oops\nmore') == \
+            "unterminated string literal (line 2, column 4)"
+
+    def test_bad_escape_position(self):
+        assert self.error('a = "ok\\n\nno\\x"') == \
+            "bad escape \\x (line 2, column 3)"
+        # the escape is reported even when the string never closes,
+        # and a lone trailing backslash is a bad escape too
+        assert self.error('"no\\q') == "bad escape \\q (line 1, column 4)"
+        assert self.error('"no\\') == "bad escape \\ (line 1, column 4)"
+
+    def test_eof_position_after_trailing_newline(self):
+        eof = tokenize("a -- x\n")[-1]
+        assert (eof.kind, eof.line, eof.column) == ("eof", 2, 1)
+
+    def test_multiline_string_advances_the_line(self):
+        tokens = tokenize('"a\nb" c')
+        assert tokens[0].value == "a\nb"
+        assert (tokens[1].line, tokens[1].column) == (2, 4)
