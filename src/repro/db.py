@@ -42,12 +42,14 @@ from repro.executor.executor import (
     DmlResult, ExecutionContext, Executor, ResultSet)
 from repro.faults import FaultRegistry, SimulatedCrash
 from repro.lang import ast_nodes as ast
+from repro.lang.lexer import tokenize
 from repro.lang.parser import parse_command, parse_script
 from repro.lang.semantic import SemanticAnalyzer
 from repro.observe import EngineStats, TraceHub
 from repro.planner.optimizer import Optimizer, PlannedCommand
 from repro.planner.plans import explain as explain_plan, instrument
-from repro.prepared import Prepared, StatementCache, is_cacheable
+from repro.prepared import (
+    Prepared, StatementCache, is_cacheable, shape_of)
 from repro.txn.durability import DurabilityManager
 from repro.txn.transitions import TransitionHooks
 from repro.txn.undo import UndoLog
@@ -504,20 +506,41 @@ class Database:
         (a ResultSet for retrieve, a DmlResult for updates, else None).
 
         Plain DML goes through a transparent statement cache keyed by
-        the command text: repeated executions reuse the cached plan,
-        re-planning automatically when DDL has changed the catalog since
-        the plan was built.
+        the statement's shape — the text with its number and string
+        literals lifted out: texts that differ only in literals share
+        one plan (the literals are its parameters), re-planned
+        automatically when DDL has changed the catalog since.
         """
         self._require_open()
-        cached = self.statement_cache.lookup(text)
-        if cached is not None:
-            return cached.execute_with(None)
-        command = self.analyzer.analyze(parse_command(text))
+        prepared, source = self._statement(text)
+        if prepared is not None:
+            return prepared.execute_with(source)
+        command = self.analyzer.analyze(parse_command(source))
         if is_cacheable(command) and self.statement_cache.capacity > 0:
-            prepared = Prepared(self, text, command=command)
-            self.statement_cache.store(text, prepared)
-            return prepared.execute_with(None)
+            # DML with its own $ placeholders: prepared, never cached
+            return Prepared(self, text, command=command).execute_with(None)
         return self._dispatch(command)
+
+    def _statement(self, text: str):
+        """``(prepared, params)`` — the statement-cache entry serving
+        ``text`` (built and stored on a miss) and the text's literals as
+        its parameter vector; ``(None, source)`` for a text the cache
+        does not serve, ``source`` being what ``parse_command`` takes
+        (the tokens, if the text was scanned).  With the cache off
+        nothing is scanned here."""
+        cache = self.statement_cache
+        if cache.capacity <= 0:
+            return None, text
+        tokens = tokenize(text)
+        shape = shape_of(tokens)
+        if shape is None:
+            return None, tokens
+        key, literals = shape
+        prepared = cache.lookup(key)
+        if prepared is None:
+            prepared = Prepared(self, text, tokens=tokens)
+            cache.store(key, prepared)
+        return prepared, dict(zip(prepared.signature, literals))
 
     def prepare(self, text: str) -> Prepared:
         """Prepare one DML command: parse, analyze and plan it now, and
@@ -564,18 +587,16 @@ class Database:
         Anything but a plain retrieve is rejected.
         """
         self._require_open()
-        cached = self.statement_cache.lookup(text)
-        if cached is None:
-            command = self.analyzer.analyze(parse_command(text))
+        prepared, source = self._statement(text)
+        if prepared is None:
+            command = self.analyzer.analyze(parse_command(source))
             if not isinstance(command, ast.Retrieve) \
                     or command.into is not None:
                 raise ExecutionError(
                     "execute_readonly serves plain retrieve commands "
                     "only; route mutations through execute()")
-            cached = Prepared(self, text, command=command)
-            if self.statement_cache.capacity > 0:
-                self.statement_cache.store(text, cached)
-        return cached.execute_readonly(None)
+            prepared, source = Prepared(self, text, command=command), None
+        return prepared.execute_readonly(source)
 
     def explain(self, text: str, analyze: bool = False) -> str:
         """The physical plan the optimizer picks for a data command.
@@ -593,21 +614,17 @@ class Database:
         not leak into ordinary executions.
         """
         self._require_open()
+        source = text
         if not analyze:
-            cached = self.statement_cache.lookup(text)
-            if cached is not None:
-                return cached.explain()
-        command = self.analyzer.analyze(parse_command(text))
+            prepared, source = self._statement(text)
+            if prepared is not None:
+                return prepared.explain(source)
+        command = self.analyzer.analyze(parse_command(source))
         if isinstance(command, ast.Explain):
             return self._run_explain(command)
         if analyze:
             return self._explain_analyze(command)
-        if is_cacheable(command) and self.statement_cache.capacity > 0:
-            prepared = Prepared(self, text, command=command)
-            self.statement_cache.store(text, prepared)
-            return prepared.explain()
-        planned = self.optimizer.plan_command(command)
-        return explain_plan(planned.plan)
+        return explain_plan(self.optimizer.plan_command(command).plan)
 
     def _run_explain(self, command: ast.Explain):
         """Dispatch target for a parsed ``explain [analyze]`` command."""

@@ -210,7 +210,8 @@ class Executor:
         for i, col in enumerate(command.targets):
             if _contains_aggregate(col.expr):
                 agg_targets.append(
-                    (i, _build_post_evaluator(col.expr, aggregates)))
+                    (i, _build_post_evaluator(col.expr, aggregates,
+                                              params)))
             else:
                 key_targets.append((i, compile_expr(col.expr)))
 
@@ -444,29 +445,32 @@ class _Accumulator:
         return state[1]
 
 
-def _build_post_evaluator(expr: ast.Expr, aggregates: list[_Accumulator]):
+def _build_post_evaluator(expr: ast.Expr, aggregates: list[_Accumulator],
+                          params: dict[str, object] | None = None):
     """Compile an aggregate-containing target into a closure over the
     list of finalised aggregate values (bare attribute references were
-    rejected by semantic analysis)."""
+    rejected by semantic analysis).  Built per execution, so a
+    placeholder is this execution's constant."""
     from repro.lang.expr import _ARITHMETIC, _COMPARATORS
 
     if isinstance(expr, ast.AggregateCall):
         index = len(aggregates)
         aggregates.append(_Accumulator(expr.func, expr.argument))
         return lambda values: values[index]
-    if isinstance(expr, ast.Const):
-        constant = expr.value
+    if isinstance(expr, (ast.Const, ast.Param)):
+        constant = expr.value if isinstance(expr, ast.Const) \
+            else compile_expr(expr)(Bindings(params=params))
         return lambda values: constant
     if isinstance(expr, ast.UnaryOp):
-        inner = _build_post_evaluator(expr.operand, aggregates)
+        inner = _build_post_evaluator(expr.operand, aggregates, params)
         if expr.op == "-":
             return lambda values: (None if inner(values) is None
                                    else -inner(values))
         return lambda values: (None if inner(values) is None
                                else not inner(values))
     if isinstance(expr, ast.BinOp):
-        left = _build_post_evaluator(expr.left, aggregates)
-        right = _build_post_evaluator(expr.right, aggregates)
+        left = _build_post_evaluator(expr.left, aggregates, params)
+        right = _build_post_evaluator(expr.right, aggregates, params)
         op = _ARITHMETIC.get(expr.op) or _COMPARATORS.get(expr.op)
         if op is None:
             raise ExecutionError(

@@ -25,17 +25,32 @@ comparisons, ``+ -``, ``* /``, unary minus.
 
 from __future__ import annotations
 
+from repro.catalog.schema import AttributeType
 from repro.errors import ParseError
 from repro.lang import ast_nodes as ast
 from repro.lang.lexer import Token, tokenize
 
+#: the type a number or string literal has, by the class of its value
+LITERAL_TYPES = {int: AttributeType.INT, float: AttributeType.FLOAT,
+                 str: AttributeType.TEXT}
+
 
 class Parser:
-    """Parses one command (or a script of commands) from a token list."""
+    """Parses one command (or a script of commands) from command text
+    or from its token list.
 
-    def __init__(self, text: str):
-        self._tokens = tokenize(text)
+    With ``lift=True`` the n-th number or string literal parses to
+    ``Param("n", <the literal's type>)`` instead of a constant: analysis
+    checks it as it checks the literal, and the plan serves any literals
+    of those types (the statement cache, :mod:`repro.prepared`).
+    """
+
+    def __init__(self, source: str | list[Token], lift: bool = False):
+        self._tokens = tokenize(source) if isinstance(source, str) \
+            else source
         self._pos = 0
+        self._lift = lift
+        self._lifted = 0
 
     # ------------------------------------------------------------------
     # token plumbing
@@ -462,11 +477,12 @@ class Parser:
         if token.kind == "param":
             self._advance()
             return ast.Param(str(token.value))
-        if token.kind == "number":
+        if token.kind in ("number", "string"):
             self._advance()
-            return ast.Const(token.value)
-        if token.kind == "string":
-            self._advance()
+            if self._lift:
+                self._lifted += 1
+                return ast.Param(str(self._lifted),
+                                 LITERAL_TYPES[type(token.value)])
             return ast.Const(token.value)
         if self._accept("keyword", "true"):
             return ast.Const(True)
@@ -517,9 +533,10 @@ class Parser:
                          token.line, token.column)
 
 
-def parse_command(text: str) -> ast.Command:
-    """Parse exactly one command from ``text``."""
-    return Parser(text).parse_command()
+def parse_command(source: str | list[Token],
+                  lift: bool = False) -> ast.Command:
+    """Parse exactly one command from text or from its tokens."""
+    return Parser(source, lift).parse_command()
 
 
 def parse_script(text: str) -> list[ast.Command]:

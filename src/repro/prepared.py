@@ -17,19 +17,55 @@ against and transparently re-parses, re-analyzes and re-plans when the
 versions no longer match, so a cached plan can never silently use a
 dropped index or miss a new one.
 
-:class:`StatementCache` is the LRU used by ``Database.execute`` to make
-the same machinery transparent for repeated ad-hoc text.
+:class:`StatementCache` is the LRU that makes the same machinery
+transparent for ad-hoc text: ``Database.execute`` keys it by the *shape*
+of a DML text (:func:`shape_of`) and runs the shape's one Prepared with
+the text's own literals as the parameter vector, so ``parse → analyze →
+plan`` is paid once per shape, not once per text.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 
 from repro.errors import ExecutionError
 from repro.lang import ast_nodes as ast
+from repro.lang.ast_nodes import deparse
+from repro.lang.lexer import Token
 from repro.lang.parser import parse_command
 from repro.observe import NULL_STATS
+
+_DML = frozenset({"retrieve", "append", "delete", "replace"})
+
+
+def shape_of(tokens: list[Token]) -> tuple[tuple, list] | None:
+    """``(key, literals)`` for the tokens of a DML text the statement
+    cache serves; None for DDL, rule commands, ``do … end``, ``retrieve
+    into`` and a text that carries its own ``$`` placeholders.
+
+    The key is the token values with each number and string literal
+    replaced by its class (``true``, ``null``, ``inf``… are keywords and
+    stay); the literals, in text order, are the parameter vector.  The
+    type is in the key because analysis checks it: ``t.a = 1.5`` and
+    ``t.a = 1`` are different statements to an int4 attribute.
+    """
+    first = tokens[0]
+    if first.kind != "keyword" or first.value not in _DML:
+        return None
+    key: list = []
+    literals: list = []
+    for kind, value, _, _ in tokens:
+        if kind == "number" or kind == "string":
+            literals.append(value)
+            value = type(value)
+        elif kind == "param":
+            return None
+        key.append(value)
+    if "into" in key[1:3]:              # retrieve [unique] into
+        return None
+    return tuple(key), literals
 
 
 def is_cacheable(command: ast.Command) -> bool:
@@ -51,17 +87,24 @@ class Prepared:
     as keyword arguments.
     """
 
-    def __init__(self, db, text: str, command: ast.Command | None = None):
+    def __init__(self, db, text: str, command: ast.Command | None = None,
+                 tokens: list[Token] | None = None):
         self.db = db
         self.text = text
+        #: a shape entry of the statement cache: the tokens of its first
+        #: text, parsed (now and at each replan) with every literal
+        #: lifted to a placeholder of the literal's type
+        self._tokens = tokens
         if command is None:
-            command = db.analyzer.analyze(parse_command(text))
+            command = self._analyze()
         if not is_cacheable(command):
             raise ExecutionError(
                 f"cannot prepare a {type(command).__name__} command; "
                 f"only retrieve/append/delete/replace can be prepared")
         self.signature: tuple[str, ...] = tuple(
             getattr(command, "param_signature", ()) or ())
+        if tokens is not None:          # "1", "2", …: text order
+            self.signature = tuple(sorted(self.signature, key=int))
         self._command = command
         self._planned = db.optimizer.plan_command(command)
         self._version = db.catalog.version
@@ -75,6 +118,11 @@ class Prepared:
 
     # ------------------------------------------------------------------
 
+    def _analyze(self) -> ast.Command:
+        lift = self._tokens is not None
+        return self.db.analyzer.analyze(
+            parse_command(self._tokens if lift else self.text, lift))
+
     def current_plan(self):
         """The cached PlannedCommand, re-planned if the catalog moved.
 
@@ -85,8 +133,7 @@ class Prepared:
         if self._version != self.db.catalog.version:
             with self._replan_lock:
                 if self._version != self.db.catalog.version:
-                    command = self.db.analyzer.analyze(
-                        parse_command(self.text))
+                    command = self._analyze()
                     self._command = command
                     self._planned = self.db.optimizer.plan_command(
                         command)
@@ -159,23 +206,32 @@ class Prepared:
         self.db._note_plan_executed(planned)
         return result
 
-    def explain(self) -> str:
-        """The (current) physical plan, as an indented outline."""
+    def explain(self, params: dict[str, object] | None = None) -> str:
+        """The (current) physical plan, as an indented outline; with
+        ``params``, each ``$name`` they bind prints as its value."""
         from repro.planner.plans import explain as explain_plan
-        return explain_plan(self.current_plan().plan)
+        outline = explain_plan(self.current_plan().plan)
+        if params:
+            outline = _PLACEHOLDER.sub(
+                lambda m: deparse(ast.Const(params[m.group(1)])), outline)
+        return outline
 
     def __repr__(self) -> str:
         sig = ", ".join(f"${name}" for name in self.signature)
         return f"Prepared({self.text!r}, params=[{sig}])"
 
 
-class StatementCache:
-    """LRU cache of Prepared statements keyed by command text.
+_PLACEHOLDER = re.compile(r"\$(\w+)")
 
-    Backs the transparent caching inside ``Database.execute``: repeated
-    ad-hoc DML pays the parse/analyze/plan cost once.  Entries re-plan
-    themselves on catalog-version mismatch, so eviction is purely a
-    memory bound, never a correctness mechanism.
+
+class StatementCache:
+    """LRU cache of Prepared statements keyed by statement shape
+    (:func:`shape_of`).
+
+    Backs the transparent caching inside ``Database.execute``: ad-hoc
+    DML pays the parse/analyze/plan cost once per shape.  Entries
+    re-plan themselves on catalog-version mismatch, so eviction is
+    purely a memory bound, never a correctness mechanism.
 
     Thread-safe: the shell beside ``\\serve`` hits ``lookup`` /
     ``store`` while the serving loop does, and ``OrderedDict`` is not —
@@ -187,18 +243,18 @@ class StatementCache:
 
     def __init__(self, capacity: int = 128, stats=None):
         self.capacity = capacity
-        self._entries: "OrderedDict[str, Prepared]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, Prepared]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         #: engine counter registry (``stmt_cache.*``)
         self.stats = stats or NULL_STATS
 
-    def lookup(self, text: str) -> Prepared | None:
+    def lookup(self, key: tuple) -> Prepared | None:
         with self._lock:
-            entry = self._entries.get(text)
+            entry = self._entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(text)
+                self._entries.move_to_end(key)
                 self.hits += 1
         if entry is None:
             self.misses += 1
@@ -207,12 +263,12 @@ class StatementCache:
         self.stats.bump("stmt_cache.hits")
         return entry
 
-    def store(self, text: str, prepared: Prepared) -> None:
+    def store(self, key: tuple, prepared: Prepared) -> None:
         if self.capacity <= 0:
             return
         with self._lock:
-            self._entries[text] = prepared
-            self._entries.move_to_end(text)
+            self._entries[key] = prepared
+            self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
@@ -224,6 +280,6 @@ class StatementCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, text: str) -> bool:
+    def __contains__(self, key: tuple) -> bool:
         with self._lock:
-            return text in self._entries
+            return key in self._entries

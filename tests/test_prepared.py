@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from repro import Database
 from repro.errors import ExecutionError, SemanticError
-from repro.prepared import StatementCache
+from repro.lang.lexer import tokenize
+from repro.prepared import StatementCache, shape_of
 
 
 def small_db(cache_size: int = 128) -> Database:
@@ -20,6 +21,11 @@ def small_db(cache_size: int = 128) -> Database:
         db.execute(f'append emp(id = {i}, name = "e{i}", '
                    f'sal = {1000.0 * i})')
     return db
+
+
+def shape(text: str) -> tuple:
+    """The statement cache's key for ``text``."""
+    return shape_of(tokenize(text))[0]
 
 
 class TestSignatures:
@@ -203,19 +209,26 @@ class TestExplainStaleness:
         db.execute(text)                      # populates the cache
         db.execute("define index emp_id on emp (id) using hash")
         assert "emp_id" in db.explain(text)
-        entry = db.statement_cache.lookup(text)
+        entry = db.statement_cache.lookup(shape(text))
         assert entry is not None and entry.replans == 2
+        # explain showed the entry execute runs: same access path and
+        # index, the lifted bound printed as this text's own literal
+        assert db.explain(text) == entry.explain({"1": 3})
+        assert "IndexProbe emp as emp using emp_id on 3" in db.explain(text)
+        assert db.explain("retrieve (emp.name) where emp.id = 4") \
+            == db.explain(text).replace("on 3", "on 4")
 
 
 class TestStatementCache:
     def test_repeated_text_hits_cache(self):
         db = small_db()
         text = "retrieve (emp.name) where emp.id = 3"
+        hits = db.statement_cache.hits      # small_db's own appends
         for _ in range(3):
             assert db.execute(text).rows == [("e3",)]
-        assert text in db.statement_cache
-        assert db.statement_cache.hits == 2
-        assert db.statement_cache.lookup(text).replans == 1
+        assert shape(text) in db.statement_cache
+        assert db.statement_cache.hits == hits + 2
+        assert db.statement_cache.lookup(shape(text)).replans == 1
 
     def test_cached_entry_replans_after_ddl(self):
         db = small_db()
@@ -223,7 +236,7 @@ class TestStatementCache:
         db.execute(text)
         db.execute("define index emp_id on emp (id) using hash")
         assert db.execute(text).rows == [("e3",)]
-        assert db.statement_cache.lookup(text).replans == 2
+        assert db.statement_cache.lookup(shape(text)).replans == 2
 
     def test_lru_eviction(self):
         cache = StatementCache(capacity=2)
@@ -448,7 +461,8 @@ class TestTargetListCompiledOnce:
         calls = self._count_compiles(monkeypatch)
         for i in range(1, 6):
             db.execute(f"append emp(id = {i}, sal = {10.0 + i})")
-        # the five ad-hoc appends compile their own two columns each;
-        # the rule's cached action plan compiles nothing more
-        assert len(calls) == 5 * 2
+        # the five ad-hoc appends share the first one's shape, so its
+        # plan serves them all: neither they nor the rule's cached
+        # action plan compile anything more
+        assert len(calls) == 0
         assert sorted(db.relation_rows("log"))[-1] == (5, 30.0)

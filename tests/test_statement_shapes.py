@@ -1,0 +1,372 @@
+"""The literal-lifted statement cache: one plan per statement shape.
+
+``Database.execute(text)`` keys its statement cache by the *shape* of a
+DML text (literals replaced by their types) and runs the shape's one
+plan with the text's literals as parameters.  The property here runs
+the same stream of literal-varying texts on a default database and on
+``Database(statement_cache_size=0)`` — the full parse → analyze → plan
+pipeline for every text — and demands the same observable behaviour;
+the count-based tests pin what the cache saves.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.prepared
+from repro import Database
+from repro.errors import ArielError, SemanticError
+from repro.lang.lexer import tokenize
+from repro.prepared import shape_of
+
+# ----------------------------------------------------------------------
+# shapes
+# ----------------------------------------------------------------------
+
+
+def shape(text):
+    return shape_of(tokenize(text))
+
+
+class TestShapeOf:
+    def test_literals_are_replaced_by_their_types(self):
+        key, literals = shape('replace emp (sal = 1.5, name = "x") '
+                              'where emp.id = 7')
+        assert literals == [1.5, "x", 7]
+        assert key == ("replace", "emp", "(", "sal", "=", float, ",",
+                       "name", "=", str, ")", "where", "emp", ".", "id",
+                       "=", int, None)
+
+    def test_same_shape_whatever_the_literals_and_the_spacing(self):
+        a, _ = shape("retrieve (emp.name) where emp.id = 3")
+        b, _ = shape("RETRIEVE (emp.name)\n  where emp.id=12345 -- x")
+        assert a == b
+
+    def test_literal_type_is_part_of_the_shape(self):
+        keys = {shape(f"retrieve (t.a) where t.a = {lit}")[0]
+                for lit in ("1", "2", "1.0", "1e3", '"1"', '"one"')}
+        assert len(keys) == 3
+
+    def test_keyword_literals_stay_in_the_key(self):
+        key, literals = shape("replace t (a = null, b = true, c = inf) "
+                              "where t.d = nan or t.e = false")
+        assert literals == []
+        assert {"null", "true", "inf", "nan", "false"} <= set(key)
+
+    def test_a_sign_is_an_operator_not_part_of_the_literal(self):
+        key, literals = shape("retrieve (t.a) where t.a = -5")
+        assert literals == [5] and key[-4:] == ("=", "-", int, None)
+
+    @pytest.mark.parametrize("text", [
+        "create t (a = int4)", "destroy t", "define index i on t (a)",
+        "define rule r if t.a > 1 then delete t", "remove rule r",
+        "activate rule r", "do append t(a = 1) delete t end",
+        "explain retrieve (t.a)", "halt", "", "42", '"retrieve"',
+        "retrieve into u (t.a) where t.a = 1",
+        "retrieve unique into u (t.a)",
+        "retrieve (t.a) where t.a = $1",
+        "append t(a = $a, b = 2)",
+    ])
+    def test_texts_the_cache_does_not_serve(self, text):
+        assert shape(text) is None
+
+
+# ----------------------------------------------------------------------
+# equivalence property: lifted == the full pipeline on every text
+# ----------------------------------------------------------------------
+
+RULES = [
+    "define rule high if emp.sal > 5000 "
+    "then append to log(tag = emp.name, v = emp.sal)",
+    "define rule cut on replace emp(sal) "
+    "if emp.sal < previous emp.sal "
+    "then append to log(tag = \"cut\", v = previous emp.sal - emp.sal)",
+    "define rule gone on delete emp "
+    "then append to log(tag = \"gone\", v = emp.sal)",
+    "define rule pair if emp.dno = dept.dno and dept.floor > 2 "
+    "and emp.sal > 8000 "
+    "then append to log(tag = dept.name, v = emp.id)",
+]
+
+
+def company(cache_size: int) -> Database:
+    db = Database(statement_cache_size=cache_size)
+    db.execute_script("""
+        create emp (id = int4, name = text, sal = float8, dno = int4)
+        create dept (dno = int4, name = text, floor = int4)
+        create log (tag = text, v = float8)
+        define index emp_id on emp (id) using hash
+        define index emp_sal on emp (sal)
+    """)
+    for rule in RULES:
+        db.execute(rule)
+    db.bulk_append("dept", [(d, f"d{d}", d + 1) for d in range(4)])
+    db.bulk_append("emp", [(i, f"e{i}", 700.0 * i, i % 4)
+                           for i in range(12)])
+    return db
+
+
+def quoted(value: str) -> str:
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+INTS = st.integers(min_value=-3, max_value=16).map(str)
+FLOATS = st.sampled_from(
+    ["0.0", "0.5", "1.5", "2e3", "7e3", "9999.75", ".25", "1.5e+3"])
+NUMS = st.one_of(INTS, FLOATS,
+                 st.integers(0, 10_000).map(lambda n: str(float(n))))
+ZEROISH = st.sampled_from(["0", "0.0", "2", "4.0"])
+TEXTS = st.one_of(
+    st.sampled_from(['"e1"', '"e7"', '"d2"', '""']),
+    st.text(alphabet='ab "\\\n', max_size=4).map(quoted))
+ANY = st.one_of(INTS, FLOATS, TEXTS,
+                st.sampled_from(["null", "true", "nan", "inf"]))
+
+
+def fmt(template: str, *parts):
+    return st.tuples(*parts).map(lambda values: template.format(*values))
+
+
+STATEMENTS = st.one_of(
+    # retrieves: point, range (possibly empty), no where, strings,
+    # a literal-only conjunct, aggregates over a literal, sorted
+    fmt("retrieve (emp.name, emp.sal) where emp.id = {}", INTS),
+    fmt("retrieve (emp.id) where emp.sal >= {} and emp.sal < {}",
+        NUMS, NUMS),
+    fmt("retrieve (emp.id, x = emp.sal * {} + {})", NUMS, NUMS),
+    fmt("retrieve (emp.id) where emp.name = {} or emp.dno = {}",
+        TEXTS, INTS),
+    fmt("retrieve (emp.id) where {} = {} and emp.dno = {}",
+        INTS, INTS, INTS),
+    fmt("retrieve (n = count(emp.id), s = sum(emp.sal) + {}) "
+        "where emp.dno = {}", NUMS, INTS),
+    fmt("retrieve (emp.dno, m = max(emp.sal) * {}) where emp.id > {}",
+        NUMS, INTS),
+    fmt("retrieve (emp.id, emp.sal) where emp.sal > {} "
+        "sort by sal desc, id", NUMS),
+    fmt("retrieve (e.name, d.name) from e in emp, d in dept "
+        "where e.dno = d.dno and d.floor = {} and e.sal < {} "
+        "sort by name", INTS, NUMS),
+    # appends, well- and ill-typed in every column
+    fmt("append emp(id = {}, name = {}, sal = {}, dno = {})",
+        INTS, TEXTS, NUMS, INTS),
+    fmt("append emp(id = {}, name = {}, sal = {}, dno = {})",
+        ANY, ANY, ANY, ANY),
+    fmt("append to log(tag = {}, v = {})", ANY, ANY),
+    # replaces: set-oriented and point, division by a literal zero
+    fmt("replace emp (sal = {}) where emp.id = {}", NUMS, INTS),
+    fmt("replace emp (sal = emp.sal - {}) where emp.sal > {}",
+        NUMS, NUMS),
+    fmt("replace emp (sal = emp.sal / {}) where emp.dno = {}",
+        ZEROISH, INTS),
+    fmt("replace emp (sal = {}, name = {}) where emp.id = {}",
+        ANY, ANY, INTS),
+    fmt("replace emp (dno = {} / {}) where emp.id = {}",
+        INTS, ZEROISH, INTS),
+    # deletes: point, range, all
+    fmt("delete emp where emp.id = {}", INTS),
+    fmt("delete emp where emp.sal < {} or emp.name = {}", NUMS, ANY),
+    st.just("delete emp"),
+    # comparisons the analyzer must keep rejecting, and plain errors
+    fmt("retrieve (emp.id) where emp.name > {}", ANY),
+    fmt("retrieve (emp.id) where emp.sal = {} and emp.id = {}", ANY, ANY),
+    fmt("retrieve (emp.id) where not {}", ANY),
+    fmt("retrieve (emp.id) where emp.id = {} {}", INTS, INTS),
+    fmt("retrieve (emp.nope) where emp.id = {}", INTS),
+    fmt("delete nope where nope.id = {}", INTS),
+)
+
+
+def outcome(db: Database, text: str):
+    try:
+        result = db.execute(text)
+    except ArielError as exc:
+        return type(exc).__name__, str(exc)
+    rows = getattr(result, "rows", None)
+    if rows is None:
+        return "count", result.count
+    if "sort by" not in text:           # order is the plan's business
+        rows = sorted(rows, key=repr)
+    return result.columns, [repr(row) for row in rows]
+
+
+def state(db: Database):
+    return ({name: sorted(map(repr, db.relation_rows(name)))
+             for name in ("emp", "dept", "log")},
+            db.firings,
+            sorted((r.rule_name, r.match_count) for r in db.firing_log))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(STATEMENTS, min_size=1, max_size=25))
+def test_lifted_statements_equal_the_full_pipeline(texts):
+    lifted, full = company(128), company(0)
+    for text in texts:
+        assert outcome(lifted, text) == outcome(full, text), text
+        assert state(lifted) == state(full), text
+    assert len(full.statement_cache) == 0
+    assert full.stats.get("stmt_cache.hits") == 0
+
+
+def test_the_property_sees_a_key_without_types(monkeypatch):
+    """Mutation check: drop the literal's type from the key and an
+    ill-typed literal executes against the well-typed one's plan."""
+    db = company(128)
+    db.execute('append emp(id = 90, name = "a", sal = 1.0, dno = 1)')
+    ill_typed = 'append emp(id = 91, name = "a", sal = "x", dno = 1)'
+    assert outcome(db, ill_typed) == outcome(company(0), ill_typed) \
+        == ("SemanticError",
+            "cannot assign text expression to float8 attribute 'sal'")
+
+    def untyped(tokens):
+        found = shape_of(tokens)
+        if found is None:
+            return None
+        key, literals = found
+        return tuple("?" if isinstance(part, type) else part
+                     for part in key), literals
+
+    monkeypatch.setattr("repro.db.shape_of", untyped)
+    mutant = company(128)
+    mutant.execute('append emp(id = 90, name = "a", sal = 1.0, dno = 1)')
+    assert outcome(mutant, ill_typed) != outcome(company(0), ill_typed)
+
+
+# ----------------------------------------------------------------------
+# what the cache saves, as counts
+# ----------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestOnePlanPerShape:
+    def test_a_thousand_point_retrieves_plan_once(self, monkeypatch):
+        db = company(128)
+        db.bulk_append("emp", [(i, f"e{i}", 1.0, 0)
+                               for i in range(100, 1100)])
+        plans = count_calls(monkeypatch, db.optimizer, "plan_command")
+        parses = count_calls(monkeypatch, repro.prepared, "parse_command")
+        size = len(db.statement_cache)
+        misses = db.stats.get("stmt_cache.misses")
+        for i in range(100, 1100):
+            rows = db.execute(
+                f"retrieve (emp.name) where emp.id = {i}").rows
+            assert rows == [(f"e{i}",)]
+        assert db.stats.get("stmt_cache.misses") == misses + 1
+        assert db.stats.get("stmt_cache.hits") >= 999
+        assert len(db.statement_cache) == size + 1
+        assert len(plans) == 1 and len(parses) == 1
+
+    def test_lru_is_over_shapes(self):
+        db = company(128)
+        for i in range(200):
+            db.execute(f"retrieve (x{i} = emp.sal) where emp.id = 1")
+        assert len(db.statement_cache) == 128
+        assert shape("retrieve (x199 = emp.sal) where emp.id = 5")[0] \
+            in db.statement_cache
+        assert shape("retrieve (x0 = emp.sal) where emp.id = 5")[0] \
+            not in db.statement_cache
+
+    def test_cache_off_runs_no_shape_logic(self, monkeypatch):
+        db = company(0)
+        calls = count_calls(monkeypatch, repro.db, "shape_of")
+        scans = count_calls(monkeypatch, repro.db, "tokenize")
+        db.execute("retrieve (emp.name) where emp.id = 1")
+        db.explain("retrieve (emp.name) where emp.id = 1")
+        db.execute_readonly("retrieve (emp.name) where emp.id = 1")
+        assert calls == [] and scans == []
+        assert len(db.statement_cache) == 0
+
+    def test_failures_are_never_cached(self):
+        db = company(128)
+        size = len(db.statement_cache)
+        for text in ('append emp(id = 1.5, name = "a", sal = 1, dno = 1)',
+                     "retrieve (emp.nope) where emp.id = 1",
+                     "retrieve (emp.id) where emp.id = 1 2"):
+            for _ in range(2):
+                with pytest.raises(ArielError):
+                    db.execute(text)
+        assert len(db.statement_cache) == size
+
+    def test_ddl_and_rule_commands_take_no_lookup(self):
+        db = company(128)
+        before = (db.stats.get("stmt_cache.hits"),
+                  db.stats.get("stmt_cache.misses"),
+                  len(db.statement_cache))
+        db.execute("create t (a = int4)")
+        db.execute("define rule t_r if t.a > 1 then delete t")
+        db.execute("do append t(a = 1) append t(a = 5) end")
+        db.execute("retrieve into u (t.a) where t.a = 1")
+        db.execute("remove rule t_r")
+        assert (db.stats.get("stmt_cache.hits"),
+                db.stats.get("stmt_cache.misses"),
+                len(db.statement_cache)) == before
+
+
+class TestTypesSurviveAReplan:
+    def test_replan_rechecks_the_literal_types(self):
+        """``destroy``/``create`` changes an attribute's type under a
+        cached shape: the replan analyzes the typed placeholders, so
+        the text that is now ill-typed raises what it would uncached."""
+        db = Database()
+        db.execute("create t (a = int4, b = int4)")
+        text = "append t(a = 1, b = 5)"
+        db.execute(text)
+        db.execute("destroy t")
+        db.execute("create t (a = int4, b = text)")
+        with pytest.raises(SemanticError) as cached:
+            db.execute(text)
+        fresh = Database(statement_cache_size=0)
+        fresh.execute("create t (a = int4, b = text)")
+        with pytest.raises(SemanticError) as uncached:
+            fresh.execute(text)
+        assert str(cached.value) == str(uncached.value) \
+            == "cannot assign int4 expression to text attribute 'b'"
+        assert db.relation_rows("t") == []
+        # and the well-typed text of the new schema is its own shape
+        db.execute('append t(a = 1, b = "five")')
+        assert db.relation_rows("t") == [(1, "five")]
+
+    def test_int_literal_against_a_float_attribute(self):
+        db = company(128)
+        db.execute("replace emp (sal = 5) where emp.id = 1")
+        db.execute("replace emp (sal = 6) where emp.id = 2")
+        assert db.execute("retrieve (emp.sal) where emp.id = 2").rows \
+            == [(6.0,)]
+        assert isinstance(db.relation_rows("emp")[2][2], float)
+
+
+class TestExplainShowsTheCachedPlan:
+    def test_bounds_print_as_the_texts_own_literals(self):
+        db = company(128)
+        low = db.explain("retrieve (emp.id) where emp.sal > 100.5 "
+                         "and emp.sal <= 900")
+        assert "IndexScan emp as emp using emp_sal" in low
+        assert "low=100.5 high=900" in low and "$" not in low
+        again = db.explain("retrieve (emp.id) where emp.sal > -2.5 "
+                           "and emp.sal <= 7")
+        assert "low=-2.5 high=7" in again
+        text = 'retrieve (emp.id) where emp.name = "a $1 b"'
+        assert '"a $1 b"' in db.explain(text)
+
+    def test_explain_and_execute_share_the_entry(self, monkeypatch):
+        db = company(128)
+        plans = count_calls(monkeypatch, db.optimizer, "plan_command")
+        db.explain("retrieve (emp.name) where emp.id = 3")
+        assert db.execute("retrieve (emp.name) where emp.id = 4").rows \
+            == [("e4",)]
+        assert db.execute_readonly(
+            "retrieve (emp.name) where emp.id = 5").rows == [("e5",)]
+        assert len(plans) == 1
