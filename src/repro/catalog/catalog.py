@@ -49,21 +49,31 @@ class Catalog:
         self._rules: dict[str, object] = {}
         self._rulesets: dict[str, RulesetInfo] = {
             DEFAULT_RULESET: RulesetInfo(DEFAULT_RULESET)}
-        #: monotonic schema version: bumped on every DDL change (relation,
-        #: index, rule).  Cached plans record the version they were built
-        #: against and are invalidated on mismatch.
-        self._version = 0
+        #: monotonic versions: relation and index changes, and rule
+        #: lifecycle changes.  Cached plans record the version they were
+        #: built against and are invalidated on mismatch.
+        self._schema_version = 0
+        self._rule_version = 0
 
     @property
     def version(self) -> int:
-        """The current schema version (see :meth:`bump_version`)."""
-        return self._version
+        """Moves on every DDL change, rule lifecycle included: what a
+        rule-action plan (query modification) is checked against."""
+        return self._schema_version + self._rule_version
 
-    def bump_version(self) -> int:
-        """Advance the schema version; called on any change that could
-        invalidate a cached plan (DDL, index changes, rule activation)."""
-        self._version += 1
-        return self._version
+    @property
+    def schema_version(self) -> int:
+        """Moves on relation and index changes only: all that a user
+        command's plan depends on."""
+        return self._schema_version
+
+    def bump_version(self, rules: bool = False) -> None:
+        """Advance the version; ``rules`` for a rule lifecycle change
+        (install, activate, deactivate, drop)."""
+        if rules:
+            self._rule_version += 1
+        else:
+            self._schema_version += 1
 
     # ------------------------------------------------------------------
     # relations
@@ -161,7 +171,7 @@ class Catalog:
         self._rules[name] = rule
         self._rulesets.setdefault(
             ruleset, RulesetInfo(ruleset)).rule_names.add(name)
-        self.bump_version()
+        self.bump_version(rules=True)
 
     def drop_rule(self, name: str) -> object:
         """Remove a rule from the catalog and its ruleset; returns it."""
@@ -171,7 +181,7 @@ class Catalog:
             raise CatalogError(f"no rule named {name!r}") from None
         for ruleset in self._rulesets.values():
             ruleset.rule_names.discard(name)
-        self.bump_version()
+        self.bump_version(rules=True)
         return rule
 
     def rule(self, name: str) -> object:

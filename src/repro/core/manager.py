@@ -121,9 +121,9 @@ class RuleManager:
         compiled = CompiledRule(record.definition, self.catalog)
         self.network.add_rule(compiled, prime=True)
         record.compiled = compiled
-        # an active rule changes which plans are valid (query
-        # modification, action plans) — invalidate cached plans
-        self.catalog.bump_version()
+        # an active rule changes which rule-action plans are valid
+        # (query modification) — invalidate them; user plans stay
+        self.catalog.bump_version(rules=True)
         return compiled
 
     def deactivate(self, name: str) -> None:
@@ -134,7 +134,7 @@ class RuleManager:
         self.network.remove_rule(name)
         self.agenda.discard(name)
         record.compiled = None
-        self.catalog.bump_version()
+        self.catalog.bump_version(rules=True)
 
     def remove(self, name: str) -> None:
         """Drop a rule entirely (deactivating it first if needed)."""

@@ -10,12 +10,15 @@ is fixed at plan time, the key resolves per execution
 (:class:`~repro.planner.plans.IndexProbe` /
 :class:`~repro.planner.plans.IndexScan` bound expressions).
 
-Staleness is handled by catalog versioning: every DDL change (relation,
-index, rule lifecycle) bumps :attr:`Catalog.version <repro.catalog
-.catalog.Catalog.version>`; a Prepared remembers the version it planned
+Staleness is handled by catalog versioning: every relation or index
+change bumps :attr:`Catalog.schema_version <repro.catalog.catalog
+.Catalog.schema_version>`; a Prepared remembers the version it planned
 against and transparently re-parses, re-analyzes and re-plans when the
 versions no longer match, so a cached plan can never silently use a
-dropped index or miss a new one.
+dropped index or miss a new one.  Rule lifecycle does not move it: a
+user command's plan depends on relations, indexes and statistics only
+(query modification applies to rule *actions*, whose planners watch
+:attr:`Catalog.version`).
 
 :class:`StatementCache` is the LRU that makes the same machinery
 transparent for ad-hoc text: ``Database.execute`` keys it by the *shape*
@@ -107,7 +110,7 @@ class Prepared:
             self.signature = tuple(sorted(self.signature, key=int))
         self._command = command
         self._planned = db.optimizer.plan_command(command)
-        self._version = db.catalog.version
+        self._version = db.catalog.schema_version
         # One statement may be executed from several threads (the shell
         # beside ``\serve``); the replan-on-version-mismatch must not
         # interleave (a half-swapped command/plan pair would execute).
@@ -130,14 +133,14 @@ class Prepared:
         replan starts from a fresh parse of the original text — the
         catalog change may alter name resolution, not just access paths.
         """
-        if self._version != self.db.catalog.version:
+        if self._version != self.db.catalog.schema_version:
             with self._replan_lock:
-                if self._version != self.db.catalog.version:
+                if self._version != self.db.catalog.schema_version:
                     command = self._analyze()
                     self._command = command
                     self._planned = self.db.optimizer.plan_command(
                         command)
-                    self._version = self.db.catalog.version
+                    self._version = self.db.catalog.schema_version
                     self.replans += 1
                     getattr(self.db, "stats", NULL_STATS).bump(
                         "plan_cache.replans")

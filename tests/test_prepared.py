@@ -168,6 +168,45 @@ class TestInvalidation:
         db.execute("remove rule r")
         assert db.catalog.version > v2
 
+    def test_rule_lifecycle_does_not_replan_user_statements(self):
+        """A user command's plan depends on relations, indexes and
+        statistics; define / deactivate / activate / remove move only
+        what rule-action plans are checked against."""
+        db = small_db()
+        db.execute("create log (id = int4)")
+        p = db.prepare("retrieve (emp.name) where emp.id = $id")
+        text = "replace emp (sal = {}) where emp.id = {}"
+        db.execute(text.format(1.0, 1))
+        entry = db.statement_cache.lookup(shape(text.format(1.0, 1)))
+        replans = db.stats.get("plan_cache.replans")
+        schema = db.catalog.schema_version
+        fired = []
+        for n, command in enumerate((
+                "define rule r if emp.sal > 5e6 "
+                "then append to log(id = emp.id)",
+                "deactivate rule r", "activate rule r", "remove rule r")):
+            db.execute(command)
+            db.execute(text.format(6e6 + n, 2))
+            fired.append(len(db.relation_rows("log")))
+            assert p.execute(id=2).rows == [("e2",)]
+        # the cached plan kept serving, and the rule saw its updates
+        # exactly while it was active (activation also primes: +1)
+        assert fired == [1, 1, 3, 3]
+        assert db.execute("retrieve (emp.sal) where emp.id = 2").rows \
+            == [(6e6 + 3,)]
+        assert db.catalog.schema_version == schema
+        assert db.stats.get("plan_cache.replans") == replans
+        assert (entry.replans, p.replans) == (1, 1)
+        # relation and index changes still replan both
+        db.execute("define index emp_id on emp (id) using hash")
+        db.execute(text.format(2.0, 1))
+        assert p.execute(id=2).rows == [("e2",)]
+        assert (entry.replans, p.replans) == (2, 2)
+        db.execute("destroy log")
+        db.execute(text.format(3.0, 1))
+        assert entry.replans == 3
+        assert db.stats.get("plan_cache.replans") == replans + 3
+
     def test_replan_is_lazy_and_counted(self):
         db = small_db()
         p = db.prepare("retrieve (emp.name) where emp.id = $id")
