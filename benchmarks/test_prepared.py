@@ -7,9 +7,14 @@ command text.  Workload: ``N_OPS`` operations against an ``account``
 relation with a hash index on ``id`` and ``N_RULES`` active
 balance-interval rules — alternating parameterized appends and indexed
 point retrieves, the classic OLTP shape.  The ad-hoc side runs with the
-transparent statement cache disabled (every command text is unique
-anyway, so the cache could only add overhead): it is exactly the
-pre-existing pipeline.
+transparent statement cache disabled (``statement_cache_size=0``): it
+is the full scan → parse → analyze → plan pipeline for every text, the
+cost the cache's literal lifting removes for a default ``Database`` —
+left on, the two texts here are two shapes and the comparison would be
+prepared against prepared.  That side got faster by the one-scan lexer
+alone (on one host ``adhoc_s`` 1.64 → 1.17 s, ``prepared_s`` 0.21 s both
+times), so the ratio recorded in ``BENCH_prepared.json`` is lower than
+before it (7.9x → 5.7x) with the prepared side unchanged.
 
 Both sides produce identical query results, final table contents and
 rule firings (asserted).  Timing is the median of ``REPEATS`` fresh

@@ -506,10 +506,9 @@ class Database:
         (a ResultSet for retrieve, a DmlResult for updates, else None).
 
         Plain DML goes through a transparent statement cache keyed by
-        the statement's shape — the text with its number and string
-        literals lifted out: texts that differ only in literals share
-        one plan (the literals are its parameters), re-planned
-        automatically when DDL has changed the catalog since.
+        the statement's shape: texts that differ only in their number
+        and string literals share one plan (the literals are its
+        parameters), re-planned when DDL has changed the catalog since.
         """
         self._require_open()
         prepared, source = self._statement(text)
@@ -522,12 +521,11 @@ class Database:
         return self._dispatch(command)
 
     def _statement(self, text: str):
-        """``(prepared, params)`` — the statement-cache entry serving
-        ``text`` (built and stored on a miss) and the text's literals as
-        its parameter vector; ``(None, source)`` for a text the cache
-        does not serve, ``source`` being what ``parse_command`` takes
-        (the tokens, if the text was scanned).  With the cache off
-        nothing is scanned here."""
+        """``(prepared, params)``: the statement-cache entry serving
+        ``text`` (built on a miss) and the text's literals as its
+        parameter vector — or ``(None, source)`` for a text the cache
+        does not serve, ``source`` being ``parse_command``'s input (the
+        text itself when the cache is off: nothing is scanned here)."""
         cache = self.statement_cache
         if cache.capacity <= 0:
             return None, text

@@ -90,8 +90,7 @@ def tokenize(text: str) -> list[Token]:
                 kind, value = "keyword", lowered
             elif group == _WORD or value[0].isalpha():
                 kind = "ident"
-            else:       # a numeral outside ASCII is a word character,
-                        # but neither a letter nor a digit
+            else:       # a numeral outside ASCII: a word character only
                 raise _error(f"unexpected character {value[0]!r}",
                              text, start)
         elif group == _OP:

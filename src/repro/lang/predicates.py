@@ -140,8 +140,8 @@ def interval_of_conjunct(conjunct: ast.Expr,
             bound = constant_value(const_side)
         except SemanticError:
             continue
-        if bound is None:
-            return None
+        if bound is None or bound != bound:
+            return None                 # null / NaN: no interval holds it
         return AttrInterval(attr_side.attr, attr_side.position or 0,
                             _interval_for(op, bound))
     return None

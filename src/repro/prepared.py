@@ -106,8 +106,6 @@ class Prepared:
                 f"only retrieve/append/delete/replace can be prepared")
         self.signature: tuple[str, ...] = tuple(
             getattr(command, "param_signature", ()) or ())
-        if tokens is not None:          # "1", "2", …: text order
-            self.signature = tuple(sorted(self.signature, key=int))
         self._command = command
         self._planned = db.optimizer.plan_command(command)
         self._version = db.catalog.schema_version
