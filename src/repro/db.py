@@ -511,34 +511,34 @@ class Database:
         parameters), re-planned when DDL has changed the catalog since.
         """
         self._require_open()
-        prepared, source = self._statement(text)
+        prepared, params, source = self._statement(text)
         if prepared is not None:
-            return prepared.execute_with(source)
+            return prepared.execute_with(params)
         command = self.analyzer.analyze(parse_command(source))
         if is_cacheable(command) and self.statement_cache.capacity > 0:
-            # DML with its own $ placeholders: prepared, never cached
+            # DML the cache does not serve ($ placeholders): prepared only
             return Prepared(self, text, command=command).execute_with(None)
         return self._dispatch(command)
 
     def _statement(self, text: str):
-        """``(prepared, params)``: the statement-cache entry serving
-        ``text`` (built on a miss) and the text's literals as its
-        parameter vector — or ``(None, source)`` for a text the cache
-        does not serve, ``source`` being ``parse_command``'s input (the
-        text itself when the cache is off: nothing is scanned here)."""
+        """``(prepared, params, source)``: the statement-cache entry
+        serving ``text`` (built on a miss; None if the cache does not
+        serve it), the text's literals as its parameter vector, and
+        what to hand ``parse_command`` (the text's tokens; the text
+        itself when the cache is off: nothing is scanned here)."""
         cache = self.statement_cache
         if cache.capacity <= 0:
-            return None, text
+            return None, None, text
         tokens = tokenize(text)
         shape = shape_of(tokens)
         if shape is None:
-            return None, tokens
+            return None, None, tokens
         key, literals = shape
         prepared = cache.lookup(key)
         if prepared is None:
             prepared = Prepared(self, text, tokens=tokens)
             cache.store(key, prepared)
-        return prepared, dict(zip(prepared.signature, literals))
+        return prepared, dict(zip(prepared.signature, literals)), tokens
 
     def prepare(self, text: str) -> Prepared:
         """Prepare one DML command: parse, analyze and plan it now, and
@@ -585,16 +585,16 @@ class Database:
         Anything but a plain retrieve is rejected.
         """
         self._require_open()
-        prepared, source = self._statement(text)
+        prepared, params, source = self._statement(text)
         if prepared is None:
             command = self.analyzer.analyze(parse_command(source))
-            if not isinstance(command, ast.Retrieve) \
-                    or command.into is not None:
-                raise ExecutionError(
-                    "execute_readonly serves plain retrieve commands "
-                    "only; route mutations through execute()")
-            prepared, source = Prepared(self, text, command=command), None
-        return prepared.execute_readonly(source)
+            if isinstance(command, ast.Retrieve) and command.into is None:
+                prepared = Prepared(self, text, command=command)
+        if prepared is None or not prepared.read_only:
+            raise ExecutionError(
+                "execute_readonly serves plain retrieve commands "
+                "only; route mutations through execute()")
+        return prepared.execute_readonly(params)
 
     def explain(self, text: str, analyze: bool = False) -> str:
         """The physical plan the optimizer picks for a data command.
@@ -614,9 +614,9 @@ class Database:
         self._require_open()
         source = text
         if not analyze:
-            prepared, source = self._statement(text)
+            prepared, params, source = self._statement(text)
             if prepared is not None:
-                return prepared.explain(source)
+                return prepared.explain(params)
         command = self.analyzer.analyze(parse_command(source))
         if isinstance(command, ast.Explain):
             return self._run_explain(command)

@@ -321,7 +321,9 @@ def analyze_param_selection(conjuncts: list[ast.Expr],
     not folded into the anchor (including constant-interval conjuncts,
     which the caller's plain analysis may prefer to anchor on instead).
     Equality anchors win over range anchors; among ranges the attribute
-    with the most param bounds wins.
+    with the most param bounds wins.  Only what the access path uses is
+    folded: a probe's one equality (ranges beside it stay residual), or
+    a scan's first lower and first upper bound.
     """
     by_attr: dict[str, list[tuple[ast.Expr, int, str, ast.Expr]]] = {}
     for conjunct in conjuncts:
@@ -340,25 +342,19 @@ def analyze_param_selection(conjuncts: list[ast.Expr],
 
     best = max(by_attr, key=score)
     entries = by_attr[best]
-    position = entries[0][1]
-    anchor = ParamAnchor(best, position)
+    anchor = ParamAnchor(best, entries[0][1])
+    equalities = [entry for entry in entries if entry[2] == "="]
     folded: set[int] = set()
-    for conjunct, _, op, bound in entries:
-        if op == "=" and anchor.eq is None:
+    for conjunct, _, op, bound in equalities[:1] or entries:
+        if op == "=":
             anchor.eq = bound
-            folded.add(id(conjunct))
-        elif op in (">", ">=") and anchor.low is None \
-                and anchor.eq is None:
-            anchor.low = bound
-            anchor.low_closed = op == ">="
-            folded.add(id(conjunct))
-        elif op in ("<", "<=") and anchor.high is None \
-                and anchor.eq is None:
-            anchor.high = bound
-            anchor.high_closed = op == "<="
-            folded.add(id(conjunct))
-    if anchor.eq is None and anchor.low is None and anchor.high is None:
-        return None, conjoin(conjuncts)
+        elif op in (">", ">=") and anchor.low is None:
+            anchor.low, anchor.low_closed = bound, op == ">="
+        elif op in ("<", "<=") and anchor.high is None:
+            anchor.high, anchor.high_closed = bound, op == "<="
+        else:
+            continue
+        folded.add(id(conjunct))
     residual = conjoin([c for c in conjuncts if id(c) not in folded])
     return anchor, residual
 

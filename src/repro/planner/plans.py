@@ -109,7 +109,7 @@ class IndexScan(Plan):
     statements): evaluated against the outer bindings on every execution,
     they override the corresponding static interval endpoint, so one
     cached plan serves every parameter value.  A bound that evaluates to
-    null produces no rows (SQL comparison semantics).
+    null or NaN produces no rows (no comparison with either is true).
     """
 
     def __init__(self, relation: str, var: str, index_name: str,
@@ -147,11 +147,11 @@ class IndexScan(Plan):
             high = None if iv.high is POS_INF else iv.high
             if self._low is not None:
                 low = self._low(outer)
-                if low is None:
+                if low is None or low != low:
                     return
             if self._high is not None:
                 high = self._high(outer)
-                if high is None:
+                if high is None or high != high:
                     return
             tids = index.range_search(low, high,
                                       low_inclusive=iv.low_closed,
@@ -198,7 +198,7 @@ class IndexProbe(Plan):
     def rows(self, ctx, outer: Bindings,
              reuse: bool = False) -> Iterator[Bindings]:
         key = self._key(outer)
-        if key is None:
+        if key is None or key != key:
             return
         relation = ctx.catalog.relation(self.relation)
         index = None

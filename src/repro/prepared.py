@@ -46,7 +46,8 @@ _DML = frozenset({"retrieve", "append", "delete", "replace"})
 def shape_of(tokens: list[Token]) -> tuple[tuple, list] | None:
     """``(key, literals)`` for the tokens of a DML text the statement
     cache serves; None for DDL, rule commands, ``do … end``, ``retrieve
-    into`` and a text that carries its own ``$`` placeholders.
+    into``, a text with its own ``$`` placeholders and one that divides
+    after ``where`` (``t.a = 1/0`` raises at plan time, rows or none).
 
     The key is the token values with each number and string literal
     replaced by its class (``true``, ``null``, ``inf``… are keywords and
@@ -63,7 +64,7 @@ def shape_of(tokens: list[Token]) -> tuple[tuple, list] | None:
         if kind == "number" or kind == "string":
             literals.append(value)
             value = type(value)
-        elif kind == "param":
+        elif kind == "param" or value == "/" and "where" in key:
             return None
         key.append(value)
     if "into" in key[1:3]:              # retrieve [unique] into
@@ -208,8 +209,11 @@ class Prepared:
         return result
 
     def explain(self, params: dict[str, object] | None = None) -> str:
-        """The (current) physical plan, as an indented outline; with
-        ``params``, each ``$name`` they bind prints as its value."""
+        """The (current) physical plan, as an indented outline; with a
+        statement-cache text's literals as ``params``, each ``$name``
+        prints as its literal (one pass: every string constant was
+        lifted and no identifier has a ``$``, so each is a placeholder).
+        """
         from repro.planner.plans import explain as explain_plan
         outline = explain_plan(self.current_plan().plan)
         if params:

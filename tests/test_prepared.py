@@ -114,6 +114,43 @@ class TestParameterizedPlans:
         p = db.prepare("retrieve (emp.name) where emp.sal >= $lo")
         assert p.execute(lo=None).rows == []
 
+    def test_nan_bound_yields_no_rows(self):
+        db = small_db()
+        db.execute("define index emp_sal on emp (sal)")
+        nan = float("nan")
+        p = db.prepare("retrieve (emp.name) where emp.sal >= $lo")
+        assert p.execute(lo=nan).rows == []
+        p = db.prepare("retrieve (emp.name) "
+                       "where emp.sal > $lo and emp.sal <= $hi")
+        assert p.execute(lo=0.0, hi=nan).rows == []
+        p = db.prepare("retrieve (emp.name) where emp.sal = $x")
+        assert "IndexProbe" in p.explain()
+        assert p.execute(x=nan).rows == []
+
+    def test_range_beside_an_equality_stays_in_the_residual(self):
+        db = small_db()
+        db.execute("define index emp_sal on emp (sal)")
+        p = db.prepare("retrieve (emp.name) "
+                       "where emp.sal > $lo and emp.sal = $x")
+        plan = p.explain()
+        assert "IndexProbe" in plan and "on $x [emp.sal > $lo]" in plan
+        assert p.execute(lo=6000.0, x=5000.0).rows == []
+        assert p.execute(lo=4000.0, x=5000.0).rows == [("e5",)]
+        p = db.prepare("delete emp where emp.sal = $x and emp.sal < $hi")
+        assert p.execute(x=5000.0, hi=2000.0).count == 0
+        assert p.execute(x=5000.0, hi=5000.5).count == 1
+
+    def test_second_bound_on_one_side_stays_in_the_residual(self):
+        db = small_db()
+        db.execute("define index emp_sal on emp (sal)")
+        p = db.prepare("retrieve (emp.name) where emp.sal > $a "
+                       "and emp.sal > $b and emp.sal < $c")
+        assert "IndexScan" in p.explain()
+        assert sorted(p.execute(a=1000.0, b=6000.0, c=8500.0).rows) \
+            == [("e7",), ("e8",)]
+        assert sorted(p.execute(a=6000.0, b=1000.0, c=8500.0).rows) \
+            == [("e7",), ("e8",)]
+
     def test_param_without_index_filters_at_runtime(self):
         db = small_db()
         p = db.prepare("retrieve (emp.name) where emp.id = $id")

@@ -118,6 +118,11 @@ FLOATS = st.sampled_from(
 NUMS = st.one_of(INTS, FLOATS,
                  st.integers(0, 10_000).map(lambda n: str(float(n))))
 ZEROISH = st.sampled_from(["0", "0.0", "2", "4.0"])
+# where-clause bounds only (a NaN sort key would make order undefined):
+# stored salaries, so equalities match, and bounds that *compute* NaN —
+# a lifted bound is evaluated per execution, not folded at plan time
+BOUNDS = st.one_of(NUMS, st.sampled_from(
+    ["700", "1400.0", "3500", "1e999", "1e999 - 1e999", "1e999 * 0"]))
 TEXTS = st.one_of(
     st.sampled_from(['"e1"', '"e7"', '"d2"', '""']),
     st.text(alphabet='ab "\\\n', max_size=4).map(quoted))
@@ -151,6 +156,23 @@ STATEMENTS = st.one_of(
     fmt("retrieve (e.name, d.name) from e in emp, d in dept "
         "where e.dno = d.dno and d.floor = {} and e.sal < {} "
         "sort by e.name, d.name", INTS, NUMS),
+    # several bounds on one indexed attribute: a range beside an
+    # equality (either order), duplicate lower bounds, empty ranges
+    fmt("retrieve (emp.id) where emp.sal > {} and emp.sal = {}",
+        BOUNDS, BOUNDS),
+    fmt("retrieve (emp.id) where emp.sal = {} and emp.sal <= {}",
+        BOUNDS, BOUNDS),
+    fmt("retrieve (emp.id) where emp.sal > {} and emp.sal >= {} "
+        "and emp.sal < {}", BOUNDS, BOUNDS, BOUNDS),
+    fmt("retrieve (emp.name) where emp.id >= {} and emp.id = {}",
+        INTS, INTS),
+    fmt("delete emp where emp.sal < {} and emp.sal = {}", BOUNDS, BOUNDS),
+    fmt("replace emp (dno = {}) where emp.sal >= {} and emp.sal = {}",
+        INTS, BOUNDS, BOUNDS),
+    # a division after ``where`` (never lifted: a constant bound folds,
+    # and raises, at plan time whether or not a row reaches it)
+    fmt("retrieve (emp.id) where emp.id = {} and emp.sal = {} / {}",
+        INTS, NUMS, ZEROISH),
     # appends, well- and ill-typed in every column
     fmt("append emp(id = {}, name = {}, sal = {}, dno = {})",
         INTS, TEXTS, NUMS, INTS),
@@ -415,11 +437,81 @@ def test_smoke_two_thousand_literal_varying_statements():
 
 @pytest.mark.parametrize("cache_size", [128, 0])
 def test_a_nan_bound_anchors_no_index_scan(cache_size):
-    """Found by the property above: ``sal = nan`` as a literal used to
-    anchor an IndexScan over ``[nan, nan]``, which a B-tree answers with
-    every row; as a lifted placeholder it was already right."""
+    """Found by the property above: a B-tree answers a range over
+    ``[nan, nan]`` with every row.  A constant NaN bound anchors no
+    IndexScan at plan time; a lifted bound that computes NaN at run
+    time makes the scan or probe yield nothing."""
     db = company(cache_size)
     for text in ("retrieve (emp.id) where emp.sal = nan and emp.id = 0",
                  "retrieve (emp.id) where emp.sal = nan",
-                 "retrieve (emp.id) where emp.sal >= nan"):
+                 "retrieve (emp.id) where emp.sal >= nan",
+                 "retrieve (emp.id) where emp.sal = 1e999 - 1e999",
+                 "retrieve (emp.id) where emp.sal >= 1e999 * 0",
+                 "retrieve (emp.id) where emp.sal < 1e999 - 1e999",
+                 "retrieve (emp.id) where emp.sal > 0 and "
+                 "emp.sal < 1e999 * 0"):
         assert db.execute(text).rows == [], text
+
+
+@pytest.mark.parametrize("cache_size", [128, 0])
+def test_a_range_beside_an_equality_is_still_checked(cache_size):
+    """Review finding: the lifted plan probed ``emp_sal`` on the
+    equality and dropped the range conjunct it had also "folded", so
+    contradictory bounds returned — and deleted, and replaced — rows."""
+    db = company(cache_size)
+    for bounds in ("emp.sal > 1000 and emp.sal = 700",
+                   "emp.sal = 700 and emp.sal > 1000",
+                   "emp.sal < 100 and emp.sal = 700",
+                   "emp.sal >= 701 and emp.sal <= 7000 and emp.sal = 700"):
+        assert db.execute(f"retrieve (emp.id) where {bounds}").rows == []
+        assert db.execute(f"delete emp where {bounds}").count == 0
+        assert db.execute(
+            f"replace emp (dno = 9) where {bounds}").count == 0
+    assert len(db.relation_rows("emp")) == 12
+    assert db.execute("retrieve (emp.id) where emp.sal >= 700 "
+                      "and emp.sal = 700").rows == [(1,)]
+    # the second lower bound is not folded either
+    assert db.execute("retrieve (emp.id) where emp.sal > 700 and "
+                      "emp.sal > 7000").rows == [(11,)]
+
+
+class TestSameErrorsAsTheFullPipeline:
+    """Review findings: where the cached path answered differently."""
+
+    @pytest.mark.parametrize("cache_size", [128, 0])
+    def test_execute_readonly_rejects_a_mutation_with_one_message(
+            self, cache_size):
+        db = company(cache_size)
+        before = state(db)
+        for text in ('append to log(tag = "x", v = 1.0)',
+                     "delete emp where emp.id = 1",
+                     "retrieve into u (emp.id) where emp.id = 1",
+                     "create u (a = int4)"):
+            for _ in range(2):          # a miss, then (cached) a hit
+                with pytest.raises(ArielError) as raised:
+                    db.execute_readonly(text)
+                assert str(raised.value) == (
+                    "execute_readonly serves plain retrieve commands "
+                    "only; route mutations through execute()")
+        assert state(db) == before
+
+    @pytest.mark.parametrize("cache_size", [128, 0])
+    def test_a_zero_divisor_in_a_bound_raises_without_rows(
+            self, cache_size):
+        db = company(cache_size)
+        db.execute("create t0 (id = int4)")
+        for run in (db.execute, db.explain, db.execute_readonly):
+            for text in ("retrieve (t0.id) where t0.id = 1/0",
+                         "retrieve (emp.name) where emp.id = 99 "
+                         "and emp.sal = 1 / 0"):
+                with pytest.raises(ArielError) as raised:
+                    run(text)
+                assert (type(raised.value).__name__, str(raised.value)) \
+                    == ("ExecutionError", "division by zero")
+
+    def test_a_division_after_where_is_not_lifted(self):
+        assert shape("retrieve (t.a) where t.a = 4 / 2") is None
+        assert shape("delete t where t.a / 2 > 1") is None
+        assert shape("retrieve (t.a) where t.b = 1 sort by t.a / 2") is None
+        key, literals = shape("replace t (a = t.a / 2) where t.b = 1")
+        assert literals == [2, 1] and "/" in key
