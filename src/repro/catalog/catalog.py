@@ -49,31 +49,22 @@ class Catalog:
         self._rules: dict[str, object] = {}
         self._rulesets: dict[str, RulesetInfo] = {
             DEFAULT_RULESET: RulesetInfo(DEFAULT_RULESET)}
-        #: monotonic versions: relation and index changes, and rule
-        #: lifecycle changes.  Cached plans record the version they were
-        #: built against and are invalidated on mismatch.
+        #: monotonic version of relations and indexes.  Cached plans
+        #: record the version they were built against and are
+        #: invalidated on mismatch.
         self._schema_version = 0
-        self._rule_version = 0
-
-    @property
-    def version(self) -> int:
-        """Moves on every DDL change, rule lifecycle included: what a
-        rule-action plan (query modification) is checked against."""
-        return self._schema_version + self._rule_version
 
     @property
     def schema_version(self) -> int:
-        """Moves on relation and index changes only: all that a user
-        command's plan depends on."""
+        """Moves on relation and index changes: all that a user command's
+        plan, a rule-action plan and a join order depend on.  Rule
+        lifecycle does not move it — a rule leaving the network drops
+        its own cached plans."""
         return self._schema_version
 
-    def bump_version(self, rules: bool = False) -> None:
-        """Advance the version; ``rules`` for a rule lifecycle change
-        (install, activate, deactivate, drop)."""
-        if rules:
-            self._rule_version += 1
-        else:
-            self._schema_version += 1
+    def bump_version(self) -> None:
+        """Advance the schema version."""
+        self._schema_version += 1
 
     # ------------------------------------------------------------------
     # relations
@@ -171,7 +162,6 @@ class Catalog:
         self._rules[name] = rule
         self._rulesets.setdefault(
             ruleset, RulesetInfo(ruleset)).rule_names.add(name)
-        self.bump_version(rules=True)
 
     def drop_rule(self, name: str) -> object:
         """Remove a rule from the catalog and its ruleset; returns it."""
@@ -181,7 +171,6 @@ class Catalog:
             raise CatalogError(f"no rule named {name!r}") from None
         for ruleset in self._rulesets.values():
             ruleset.rule_names.discard(name)
-        self.bump_version(rules=True)
         return rule
 
     def rule(self, name: str) -> object:

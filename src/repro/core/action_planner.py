@@ -16,9 +16,9 @@ at once, and "the rest of the query plan is constructed as usual by the
 query optimizer" (section 5.2 / Figure 8).  The paper's Ariel **always
 reoptimizes** — plans are rebuilt at every firing — because a
 pre-planned action (section 5.3) can go stale.  Here a plan is kept per
-(rule, command) together with the catalog version it was built at and
-rebuilt when the catalog has moved, which removes that hazard;
-:attr:`ActionPlanner.cache_plans` switches the reuse off so the
+(rule, command) with the schema version it was built at, rebuilt after
+DDL and dropped when its rule leaves the network, which removes that
+hazard; :attr:`ActionPlanner.cache_plans` switches the reuse off so the
 ablation benchmark can still measure always-reoptimize.
 """
 
@@ -71,11 +71,11 @@ class ActionPlanner:
     def __init__(self, catalog: Catalog, optimizer: Optimizer):
         self.catalog = catalog
         self.optimizer = optimizer
-        #: reuse a plan until the catalog version moves; False is the
+        #: reuse a plan until the schema version moves; False is the
         #: paper's always-reoptimize (kept for the §5.3 ablation)
         self.cache_plans = True
         self._holders: dict[str, _MatchesHolder] = {}
-        #: (rule, command index) -> (plan, catalog version it was built at)
+        #: (rule, command index) -> (plan, schema version it was built at)
         self._cache: dict[tuple[str, int], tuple[PlannedAction, int]] = {}
         #: diagnostics: how many times the optimizer ran for actions
         self.plans_built = 0
@@ -85,7 +85,7 @@ class ActionPlanner:
         """Plans for every command of the rule action, bound to the
         matches consumed by this firing.
 
-        Cached plans carry the catalog version they were built against
+        Cached plans carry the schema version they were built against
         and are rebuilt lazily whenever the schema has changed since —
         the same invalidation mechanism the prepared-statement cache
         uses, so no caller needs to notify the planner of DDL.
@@ -95,7 +95,7 @@ class ActionPlanner:
             holder = _MatchesHolder(rule.name, rule.variables)
             self._holders[rule.name] = holder
         holder.set(matches.matches())
-        version = self.catalog.version
+        version = self.catalog.schema_version
         out: list[PlannedAction] = []
         for i, entry in enumerate(rule.actions):
             key = (rule.name, i)
@@ -113,9 +113,10 @@ class ActionPlanner:
     def invalidate(self, rule_name: str | None = None) -> None:
         """Drop cached plans explicitly.
 
-        Version tracking already invalidates stale plans lazily; this
-        is for a rule that left the network (removed or deactivated),
-        whose plans and match holder would otherwise stay for good.
+        Version tracking already invalidates plans made stale by DDL;
+        this is for a rule that left the network (removed or
+        deactivated), whose plans and match holder would otherwise stay
+        — and serve a redefinition under the same name.
         """
         if rule_name is None:
             self._cache.clear()

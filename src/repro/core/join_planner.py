@@ -12,9 +12,10 @@ equi-join conjunct (a hash-bucket or index probe) over unfiltered scans.
 Planning stays off the hot path by memoizing the chosen order per
 ``(rule, seed variable, cardinality-bucket signature)``: the signature
 buckets each memory's cardinality by its bit length, so an order is
-re-planned only when some memory's size changes by ~2x, and the whole
-cache is invalidated when the catalog version moves (DDL, rule
-lifecycle, index creation).
+re-planned only when some memory's size changes by ~2x; the whole
+cache is invalidated when the catalog's schema version moves (relation
+or index DDL), and a rule leaving the network drops only its own
+entries (:meth:`JoinPlanner.forget`).
 
 The same machinery plans the Rete β-chain order
 (:meth:`JoinPlanner.chain_order`), recomputed whenever a rule's chain
@@ -26,7 +27,7 @@ pairwise order enumerates a superlinear intermediate — it can route the
 step to the worst-case-optimal leapfrog triejoin of
 :mod:`repro.core.leapfrog` (:meth:`JoinPlanner.seek_plan` for TREAT,
 :meth:`JoinPlanner.chain_plan` for Rete).  The choice is cost-driven,
-memoized per cardinality-bucket signature with the same catalog-version
+memoized per cardinality-bucket signature with the same schema-version
 invalidation, and overridable per Database via ``join_mode`` (or the
 ``REPRO_JOIN_MODE`` environment variable): ``auto`` (default),
 ``pairwise``, or ``multiway``.
@@ -132,15 +133,16 @@ class JoinPlanner:
         self._virtual_rows.clear()
 
     def forget(self, rule_name: str) -> None:
-        """Drop cached plans of one rule (rule removal)."""
+        """Drop one rule's cached plans and estimates (it left)."""
         for cache in (self._orders, self._chains, self._seek_plans,
-                      self._chain_plans, self._multiway_plans):
+                      self._chain_plans, self._multiway_plans,
+                      self._virtual_rows):
             for key in [k for k in cache if k[0] == rule_name]:
                 del cache[key]
         self._shapes.pop(rule_name, None)
 
     def _sync(self) -> None:
-        version = self.network.catalog.version
+        version = self.network.catalog.schema_version
         if version != self._version:
             self.invalidate()
             self._version = version

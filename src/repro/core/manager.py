@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.catalog.catalog import Catalog
+from repro.core.action_planner import ActionPlanner
 from repro.core.agenda import Agenda
 from repro.core.network import DiscriminationNetwork
 from repro.core.pnode import FrozenMatches
@@ -82,6 +83,8 @@ class RuleManager:
                  worker_pool=None):
         self.catalog = catalog
         self.optimizer = optimizer or Optimizer(catalog)
+        #: rule-action plans; a rule leaving the network drops its own
+        self.action_planner = ActionPlanner(catalog, self.optimizer)
         self.stats = stats or NULL_STATS
         self.agenda = Agenda()
         self.agenda.stats = self.stats
@@ -121,9 +124,6 @@ class RuleManager:
         compiled = CompiledRule(record.definition, self.catalog)
         self.network.add_rule(compiled, prime=True)
         record.compiled = compiled
-        # an active rule changes which rule-action plans are valid
-        # (query modification) — invalidate them; user plans stay
-        self.catalog.bump_version(rules=True)
         return compiled
 
     def deactivate(self, name: str) -> None:
@@ -133,8 +133,8 @@ class RuleManager:
             raise RuleError(f"rule {name!r} is not active")
         self.network.remove_rule(name)
         self.agenda.discard(name)
+        self.action_planner.invalidate(name)
         record.compiled = None
-        self.catalog.bump_version(rules=True)
 
     def remove(self, name: str) -> None:
         """Drop a rule entirely (deactivating it first if needed)."""

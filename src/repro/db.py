@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
-from repro.core.action_planner import ActionPlanner
 from repro.core.deltasets import DeltaSets
 from repro.core.subscriptions import Subscriber, SubscriptionHub
 from repro.core.manager import RuleManager
@@ -216,9 +215,10 @@ class Database:
                                      defer_routing=batch_tokens)
         self.hooks.stats = self.stats
         self.hooks.trace = self.trace
+        self.hooks.network = self.manager.network
         self.context = ExecutionContext(self.catalog, self.hooks)
         self.executor = Executor(self.context, self.optimizer)
-        self.action_planner = ActionPlanner(self.catalog, self.optimizer)
+        self.action_planner = self.manager.action_planner
         #: rule firings since construction (diagnostics)
         self.firings = 0
         #: trace of the most recent firings (at least the last
@@ -810,8 +810,8 @@ class Database:
             self._journal_statement(command)
             return None
         # DDL paths need no explicit plan-cache invalidation: the catalog
-        # bumps its version, and both the statement cache and the action
-        # planner check it lazily before reusing a plan.
+        # bumps its schema version, which the statement cache and the
+        # action and join planners check lazily before reusing a plan.
         if isinstance(command, ast.DestroyRelation):
             self.catalog.destroy_relation(command.name)
             self._journal_statement(command)
@@ -837,7 +837,6 @@ class Database:
             return None
         if isinstance(command, ast.RemoveRule):
             self.manager.remove(command.name)
-            self.action_planner.invalidate(command.name)
             self._journal_statement(command)
             return None
         if isinstance(command, ast.ActivateRule):
@@ -848,7 +847,6 @@ class Database:
             return None
         if isinstance(command, ast.DeactivateRule):
             self.manager.deactivate(command.name)
-            self.action_planner.invalidate(command.name)
             self._journal_statement(command)
             return None
         if isinstance(command, ast.Explain):

@@ -136,6 +136,9 @@ class TestDatabaseCounters:
         assert db.stats.snapshot() == before
 
     def test_reset_mid_session(self, db):
+        # a rule on emp: tokens of a relation no rule names are not made
+        db.execute("define rule r if emp.sal > 100.0 "
+                   "then append to log(emp.name)")
         db.execute('append emp(name = "a", sal = 1.0)')
         assert db.stats.snapshot()
         db.stats.reset()
@@ -200,6 +203,8 @@ class TestCliObservability:
     def test_stats_meta_command(self):
         shell, out = self._shell()
         shell.feed("create t (a = int4);")
+        shell.feed("create log (a = int4);")
+        shell.feed("define rule r if t.a > 5 then append to log(t.a);")
         shell.feed("append t(a = 1);")
         shell.feed("\\stats")
         text = out.getvalue()

@@ -85,6 +85,52 @@ class TestSelectionIndex:
         index.remove(memory)
         assert index.probe("emp", (5,)) == []
 
+    def test_removing_the_last_target_leaves_nothing_to_stab(self):
+        """Once a relation's last target goes, a probe of it touches no
+        interval index and the relation is unwatched; an attribute whose
+        last anchor goes drops out of the anchor positions."""
+        stabs = []
+
+        class CountingIndex(IntervalSkipList):
+            def stab_payloads(self, value):
+                stabs.append(value)
+                return super().stab_payloads(value)
+
+        index = SelectionIndex(index_factory=CountingIndex)
+        by_sal, by_age = _FakeMemory("sal"), _FakeMemory("age")
+        residual = _FakeMemory("resid")
+        index.add("emp", anchor("sal", 2, Interval.at_least(0)), by_sal)
+        index.add("emp", anchor("age", 1, Interval.at_least(0)), by_age)
+        index.add("emp", None, residual)
+        assert index.anchor_positions["emp"] == (2, 1)
+        index.remove(by_age)
+        assert index.anchor_positions["emp"] == (2,)
+        assert index.probe("emp", ("Ann", 30, 5)) == [by_sal, residual]
+        assert stabs == [5]
+        index.remove(by_sal)
+        assert "emp" not in index.anchor_positions
+        assert index.watches("emp")
+        assert index.probe("emp", ("Ann", 30, 5)) == [residual]
+        index.remove(residual)
+        assert not index.watches("emp")
+        assert index.probe("emp", ("Ann", 30, 5)) == []
+        assert index.anchor_key("emp", ("Ann", 30, 5)) == ()
+        assert stabs == [5]
+
+    def test_rule_removal_unwatches_its_relations(self):
+        from repro import Database
+
+        db = Database()
+        db.execute("create emp (name = text, sal = float8)")
+        db.execute("create log (name = text)")
+        index = db.network.selection_index
+        db.execute("define rule r if emp.sal > 10.0 "
+                   "then append to log(emp.name)")
+        assert index.watches("emp") and not index.watches("log")
+        db.execute("remove rule r")
+        assert not index.watches("emp")
+        assert "emp" not in index.anchor_positions
+
     def test_remove_unregistered(self):
         with pytest.raises(ValueError):
             SelectionIndex().remove(_FakeMemory("m"))

@@ -98,12 +98,14 @@ class TestVirtualMemories:
 class TestTokenRouting:
     def test_tokens_counted(self):
         db = make_db()
+        db.execute(JOIN_RULE)      # a relation no rule names gets none
         before = db.network.tokens_processed
         db.execute('append emp(name="x", sal=1.0, dno=0)')
         assert db.network.tokens_processed == before + 1
 
     def test_replace_generates_two_tokens(self):
         db = make_db()
+        db.execute(JOIN_RULE)      # a relation no rule names gets none
         before = db.network.tokens_processed
         db.execute('replace emp (sal = 99.0) where emp.name = "e0"')
         assert db.network.tokens_processed == before + 2   # − then Δ+
