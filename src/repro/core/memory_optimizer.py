@@ -15,11 +15,12 @@ available storage".  This module implements that optimizer:
 * the chosen assignment is applied by deactivating and reactivating each
   affected rule under a callable virtual policy that pins the decision.
 
-The estimates come from the same :class:`~repro.planner.stats.Statistics`
-the query optimizer uses.  Probe frequencies are assumed uniform by
-default; a ``weights`` mapping lets callers bias rules they know fire
-often, and ``observed=True`` replaces the uniform assumption with the
-per-memory probe counters the join step maintains at runtime —
+The estimates come from a fresh :class:`~repro.planner.stats.Statistics`,
+not the optimizer's, whose cached estimates depend on when it asked.
+Probe frequencies are assumed uniform by default; a ``weights`` mapping
+lets callers bias rules they know fire often, and ``observed=True``
+replaces the uniform assumption with the per-memory probe counters the
+join step maintains at runtime —
 :func:`adapt_memories` packages that feedback loop (plan from observed
 frequencies, rebuild only the rules whose decision flipped, reset the
 counters for a fresh window).
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from repro.planner.stats import Statistics
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,7 @@ def plan_memories(db, budget_entries: float,
     the workload actually consults outbid cold ones (uniform frequency
     is used as a fallback when nothing has been probed yet).
     """
-    stats = db.optimizer.stats
+    stats = Statistics(db.catalog)
     weights = weights or {}
     network = db.manager.network
     frequency: dict[tuple[str, str], float] = {}

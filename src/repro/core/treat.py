@@ -71,8 +71,8 @@ class TreatNetwork(DiscriminationNetwork):
         stats = self.stats
         counting = stats.enabled
         # Priming is not token propagation: the joins.* / alpha.* /
-        # virtual.* counters and the memories' probe feedback (which
-        # drives adaptive materialization) measure token traffic only.
+        # virtual.* counters, probe feedback (adaptive materialization)
+        # and the planner's memo (forgotten below) see token traffic only.
         stats.enabled = False
         try:
             # no memory changes size while priming: plan the seek once
@@ -81,6 +81,7 @@ class TreatNetwork(DiscriminationNetwork):
                 self._seek(rule, seed_var, entry, (), None, plan)
         finally:
             stats.enabled = counting
+            self.join_planner.forget(rule.name)
         for var in rule.variables:
             memories[(rule.name, var)].reset_feedback()
         primed = len(self._pnodes[rule.name])
