@@ -31,9 +31,6 @@ inspect the system:
                database is kept if the load fails)
 ``\\wal``       durability status: WAL path, generation, record count,
                fsync policy, degraded state
-``\\workers``   sharded-propagation pool: ``\\workers`` inspects it,
-               ``\\workers N [thread|process]`` resizes it (0 =
-               serial)
 ``\\serve``     concurrent serving: ``\\serve [host[:port]]`` exposes
                the session database over TCP (``\\serve status``
                inspects it, ``\\serve stop`` shuts it down)
@@ -230,8 +227,6 @@ class Shell:
                 self._load(argument)
             elif command == "\\wal":
                 self._wal_status()
-            elif command == "\\workers":
-                self._workers(argument)
             elif command == "\\serve":
                 self._serve(argument)
             elif command == "\\checkpoint":
@@ -243,8 +238,7 @@ class Shell:
                             f"\\explain, \\begin, \\commit, \\abort, "
                             f"\\net, \\stats, \\trace, \\timing, "
                             f"\\prepare, \\exec, \\dump, \\load, "
-                            f"\\wal, \\checkpoint, \\workers, "
-                            f"\\serve, \\q)")
+                            f"\\wal, \\checkpoint, \\serve, \\q)")
         except (ArielError, OSError, UnicodeError) as exc:
             self._print(f"error: {exc}")
         return True
@@ -288,27 +282,6 @@ class Shell:
         self._print(f"checkpoint every    {info['checkpoint_every']}")
         degraded = info["degraded"] or "no"
         self._print(f"degraded            {degraded}")
-
-    def _workers(self, argument: str) -> None:
-        """``\\workers [N [thread|process]]`` — inspect or resize the
-        sharded-propagation worker pool."""
-        if argument:
-            parts = argument.split()
-            try:
-                count = int(parts[0])
-            except ValueError:
-                self._print(
-                    "usage: \\workers [<count> [thread|process]]")
-                return
-            backend = parts[1] if len(parts) > 1 else None
-            self.db.set_parallel_workers(count, backend=backend)
-        info = self.db.parallel_info()
-        if info is None:
-            self._print("propagation is serial (workers=0)")
-        else:
-            self._print(f"workers={info['workers']} "
-                        f"backend={info['backend']} "
-                        f"min_batch={info['min_batch']}")
 
     def _serve(self, argument: str) -> None:
         """``\\serve [host[:port] | status | stop]`` — expose the

@@ -27,10 +27,7 @@ class Agenda:
         # Insertion-ordered (dict, not set): select() already breaks
         # ties with a total order, but iterating notifications in
         # arrival order makes every agenda walk — including diagnostic
-        # inspection — reproducible run-to-run.  The sharded
-        # propagation path relies on notify() being called only from
-        # the serial apply/merge phase, in original token order, so
-        # this arrival order is identical to serial execution.
+        # inspection — reproducible run-to-run.
         self._notified: dict[str, None] = {}
 
     def notify(self, rule: CompiledRule) -> None:

@@ -58,10 +58,7 @@ def residual_memo_key(spec: VariableSpec, entry: MemoryEntry) -> tuple:
     Keys on the projection of the values the residual actually reads,
     so tuples differing only in untested columns (unique keys) share
     one evaluation.  Key shapes differ by length, so the one-position
-    fast path cannot collide with the general form.  Shared by the
-    serial batched path and the sharded match phase; residual
-    evaluation is pure, so per-shard memo caches may re-evaluate a key
-    another shard also saw without affecting results.
+    fast path cannot collide with the general form.
     """
     cur_pos, prev_pos = spec.residual_positions
     old = entry.old_values

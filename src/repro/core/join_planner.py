@@ -57,8 +57,7 @@ JOIN_MODES = ("auto", "pairwise", "multiway")
 
 def resolve_join_mode(mode: str | None) -> str:
     """Resolve a ``join_mode`` setting: an explicit value wins, then the
-    ``REPRO_JOIN_MODE`` environment variable, then ``"auto"`` (the same
-    resolution scheme as ``shard.resolve_workers``)."""
+    ``REPRO_JOIN_MODE`` environment variable, then ``"auto"``."""
     if mode is None:
         raw = os.environ.get("REPRO_JOIN_MODE", "").strip().lower()
         mode = raw or "auto"

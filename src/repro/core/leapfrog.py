@@ -30,10 +30,6 @@ the :class:`~repro.core.join_planner.JoinPlanner` selects for such rules
 Null and NaN values never satisfy an equi-join conjunct under
 three-valued logic, so they are excluded from every level — matching the
 pairwise probe guard in ``DiscriminationNetwork._join_candidates``.
-
-Multiway joins run in the serial apply phase of token propagation (the
-sharded match phase never joins), so ``parallel_workers`` composes
-unchanged.
 """
 
 from __future__ import annotations

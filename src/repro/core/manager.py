@@ -78,9 +78,7 @@ class RuleManager:
                  selection_index: SelectionIndex | None = None,
                  max_rule_cascade: int = 1000,
                  stats: EngineStats | None = None,
-                 join_index_policy: str = "demand",
-                 join_mode: str | None = None,
-                 worker_pool=None):
+                 join_mode: str | None = None):
         self.catalog = catalog
         self.optimizer = optimizer or Optimizer(catalog)
         #: rule-action plans; a rule leaving the network drops its own
@@ -94,11 +92,7 @@ class RuleManager:
             virtual_policy=virtual_policy,
             on_match=self.agenda.notify,
             stats=self.stats,
-            join_index_policy=join_index_policy,
             join_mode=join_mode)
-        # sharded propagation worker pool (None = serial; the Database
-        # owns the pool's lifecycle and may swap it at runtime)
-        self.network.worker_pool = worker_pool
         self.halted = False
         #: bound on firings per triggering transition (cascade guard)
         self.max_rule_cascade = max_rule_cascade
@@ -161,11 +155,6 @@ class RuleManager:
     def process_tokens(self, tokens) -> None:
         """Set-oriented routing of a whole Δ-set batch."""
         self.network.process_tokens(tokens)
-
-    def set_worker_pool(self, pool) -> None:
-        """Attach (or detach, with None) the propagation worker pool;
-        takes effect from the next routed batch."""
-        self.network.worker_pool = pool
 
     def select_rule(self) -> CompiledRule | None:
         """Conflict resolution: the next rule to fire, if any."""

@@ -31,14 +31,13 @@ from typing import Callable, Iterable, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.core.alpha import (
-    AlphaMemory, MemoryEntry, MemoryOp, VirtualAlphaMemory, dispatch,
+    AlphaMemory, MemoryEntry, VirtualAlphaMemory, dispatch,
     residual_memo_key)
 from repro.core.join_planner import JoinPlanner
 from repro.core.leapfrog import multiway_seek
 from repro.core.pnode import Match, PNode
 from repro.core.rules import CompiledRule, VariableSpec
 from repro.core.selection_index import SelectionIndex
-from repro.core.shard import merge_results, partition
 from repro.core.tokens import Token, TokenKind
 from repro.errors import RuleError
 from repro.observe import EngineStats, NULL_STATS
@@ -65,7 +64,6 @@ class DiscriminationNetwork:
                  virtual_policy: VirtualPolicy = "auto",
                  on_match: Callable[[CompiledRule], None] | None = None,
                  stats: EngineStats | None = None,
-                 join_index_policy: str = "demand",
                  join_mode: str | None = None):
         self.catalog = catalog
         self.optimizer = optimizer or Optimizer(catalog)
@@ -75,15 +73,6 @@ class DiscriminationNetwork:
         self.stats = stats or NULL_STATS
         self.selection_index.stats = self.stats
         self.virtual_policy = virtual_policy
-        if join_index_policy not in ("eager", "demand"):
-            raise RuleError(
-                f"unknown join index policy {join_index_policy!r}; "
-                f"expected 'eager' or 'demand'")
-        #: "eager" builds hash join-indexes on every equality-probed
-        #: position at add_rule time; "demand" (default) lets
-        #: :meth:`AlphaMemory.note_unindexed_probe` promote them at
-        #: runtime once a scan-cost threshold is crossed
-        self.join_index_policy = join_index_policy
         #: the adaptive seek/chain-order planner (cost-driven ordering
         #: and pairwise-vs-multiway algorithm choice, memoized per
         #: cardinality bucket)
@@ -99,10 +88,6 @@ class DiscriminationNetwork:
         self._stamp = 0
         #: the in-flight batch, or None on the per-token path
         self._batch: _BatchState | None = None
-        #: propagation worker pool (a :class:`~repro.core.shard
-        #: .ShardPool`, set by the Database); None keeps every batch
-        #: on the serial path
-        self.worker_pool = None
         #: virtual α-memories currently in the network (overlay gate)
         self._virtual_count = 0
         #: diagnostics: tokens processed since construction
@@ -134,36 +119,8 @@ class DiscriminationNetwork:
                                      spec.analysis.anchor
                                      if spec.analysis else None,
                                      memory)
-        self._build_join_indexes(rule)
         if prime:
             self.prime_rule(rule)
-
-    def _build_join_indexes(self, rule: CompiledRule) -> None:
-        """Under the ``"eager"`` join-index policy, give each stored
-        α-memory a hash join-index on every attribute position the
-        rule's join graph probes with equality, so the join step's
-        candidate lookup is a bucket fetch instead of a full-memory
-        scan.  Built before priming; maintained by the memories
-        themselves afterwards.
-
-        Under the default ``"demand"`` policy nothing is built here:
-        the join step counts un-indexed equality scans per (memory,
-        position) and :meth:`AlphaMemory.note_unindexed_probe` promotes
-        an index once the accumulated scan cost crosses its threshold —
-        so never-probed positions never pay index maintenance."""
-        if self.join_index_policy != "eager":
-            return
-        for conjunct in rule.joins:
-            equi = conjunct.equijoin
-            if equi is None:
-                continue
-            for var, position in ((equi.left_var, equi.left_position),
-                                  (equi.right_var, equi.right_position)):
-                memory = self._memories.get((rule.name, var))
-                if memory is None or memory.is_virtual \
-                        or memory.spec.is_simple:
-                    continue
-                memory.ensure_join_index(position)
 
     def remove_rule(self, name: str) -> None:
         """Tear down the rule's memories and P-node."""
@@ -283,10 +240,6 @@ class DiscriminationNetwork:
         if len(tokens) == 1:
             self._process_one(tokens[0], None)
             return
-        pool = self.worker_pool
-        if pool is not None and pool.accepts(len(tokens)):
-            self._process_tokens_sharded(tokens, pool)
-            return
         self.batches_processed += 1
         self.tokens_processed += len(tokens)
         stats = self.stats
@@ -315,192 +268,12 @@ class DiscriminationNetwork:
                 if batch.pnode_inserts:
                     stats.bump("pnode.inserts", batch.pnode_inserts)
 
-    def _process_tokens_sharded(self, tokens: Sequence[Token],
-                                pool) -> None:
-        """Route a Δ-set through the two-phase sharded pipeline.
-
-        **Match phase (parallel, read-only):** the Δ-set is
-        hash-partitioned by ``(relation, anchor-key)`` — the batch
-        probe-cache key, so co-cached tokens co-shard — and each shard
-        runs :meth:`_match_shard` on the worker pool: selection-index
-        probes, Figure-5 dispatch, and residual verification, against
-        network structures that are immutable during propagation.  No
-        memory, P-node, stamp, or agenda state is touched.
-
-        **Apply phase (serial, deterministic merge):** decisions come
-        back keyed by original token index and are replayed on the
-        calling thread in exactly the serial token order — memory
-        mutation, joins, P-node inserts, stamps, and agenda
-        notifications all happen here, so cascade firing order,
-        ``max_rule_cascade`` traces, undo scopes, and WAL record order
-        are identical to serial execution by construction.  (WAL
-        journaling happens at mutation time, before routing, so token
-        propagation never reorders the log; the durability manager's
-        quiesce hook flushes deferred tokens *before* writing the
-        boundary record — merge-then-flush.)
-        """
-        self.batches_processed += 1
-        self.tokens_processed += len(tokens)
-        stats = self.stats
-        stats.note_tokens_routed(len(tokens), batches=1)
-        shards = partition(tokens, self.selection_index, pool.workers)
-        results = pool.map(self._match_shard, shards)
-        decided, counters, memo_hits = merge_results(results)
-        if stats.enabled:
-            stats.bump("shard.batches")
-            stats.bump("shard.shards", sum(1 for s in shards if s))
-            stats.merge_counts(counters)
-        track_overlay = self._virtual_count > 0
-        batch = _BatchState(tokens, track_overlay=track_overlay)
-        batch.memo_hits = memo_hits
-        self._batch = batch
-        process_one = self._process_one
-        get_decision = decided.get
-        try:
-            if track_overlay:
-                advance = batch.advance
-                for idx, token in enumerate(tokens):
-                    advance(token)
-                    decision = get_decision(idx)
-                    if decision is not None:
-                        process_one(token, batch, decision)
-            else:
-                for idx, token in enumerate(tokens):
-                    decision = get_decision(idx)
-                    if decision is not None:
-                        process_one(token, batch, decision)
-        finally:
-            self._batch = None
-            if stats.enabled:
-                if batch.memo_hits:
-                    stats.bump("selection.probe_memo_hits",
-                               batch.memo_hits)
-                if batch.pnode_inserts:
-                    stats.bump("pnode.inserts", batch.pnode_inserts)
-
-    def _match_shard(self, items: list) -> tuple:
-        """Match phase for one shard (runs on a worker thread).
-
-        Read-only with respect to all shared network state: probes the
-        selection index (immutable during propagation — rule lifecycle
-        cannot interleave with a batch), applies the pure Figure-5
-        dispatch table, and verifies residual predicates, memoized in
-        shard-local caches.  Counters go to a private
-        :class:`~repro.observe.EngineStats` merged at the boundary, so
-        workers never contend on (or interleave in) the shared
-        registry.
-
-        Returns ``(decisions, counters, memo_hits)`` where each
-        decision is ``(token_index, candidates, ops)`` and ``ops``
-        aligns 1:1 with ``candidates``: None (skip), a delete op, or
-        an insert op whose residual already verified.
-        """
-        local_stats = EngineStats(enabled=self.stats.enabled)
-        anchor_positions = self.selection_index.anchor_positions
-        offload = (self.worker_pool.offload
-                   if self.worker_pool is not None else None)
-        probe_cache: dict = {}
-        stab_cache: dict = {}
-        residual_cache: dict = {}
-        deferred: dict = {} if offload is not None else None
-        decisions: list = []
-        memo_hits = 0
-        for idx, token in items:
-            positions = anchor_positions.get(token.relation)
-            if not positions:
-                anchor_vals: tuple = ()
-            elif len(positions) == 1:
-                anchor_vals = (token.values[positions[0]],)
-            else:
-                anchor_vals = tuple(token.values[p] for p in positions)
-            probe_key = (token.relation, anchor_vals)
-            candidates = probe_cache.get(probe_key)
-            if candidates is None:
-                candidates = probe_cache[probe_key] = \
-                    self._sorted_probe(token, stab_cache, local_stats)
-            else:
-                memo_hits += 1
-            if not candidates:
-                continue
-            plus_op = (MemoryOp("insert",
-                                MemoryEntry(token.tid, token.values))
-                       if token.kind is TokenKind.PLUS else None)
-            ops: list = []
-            for memory in candidates:
-                spec = memory.spec
-                if plus_op is not None and spec.event is None \
-                        and not spec.is_transition:
-                    op = plus_op
-                else:
-                    op = dispatch(spec, token)
-                    if op is None or op.op == "delete":
-                        ops.append(op)
-                        continue
-                entry = op.entry
-                if spec.residual is None:
-                    ops.append(op)
-                    continue
-                if spec.residual_positions is None:
-                    ops.append(op if spec.residual_matches(
-                        entry.values, entry.old_values) else None)
-                    continue
-                key = residual_memo_key(spec, entry)
-                accepted = residual_cache.get(key)
-                if accepted is None:
-                    if deferred is not None:
-                        # first sight of this key: park the slot and
-                        # batch the evaluation to the process pool
-                        deferred[key] = (spec, entry.values,
-                                         entry.old_values)
-                        residual_cache[key] = _DEFERRED_MARK
-                        ops.append(_DeferredOp(key, op))
-                        continue
-                    accepted = residual_cache[key] = \
-                        spec.residual_matches(entry.values,
-                                              entry.old_values)
-                elif accepted is _DEFERRED_MARK:
-                    ops.append(_DeferredOp(key, op))
-                    continue
-                ops.append(op if accepted else None)
-            decisions.append((idx, candidates, ops))
-        if deferred:
-            self._resolve_deferred(decisions, deferred, offload,
-                                   local_stats)
-        return (decisions,
-                local_stats.counters if local_stats.enabled else None,
-                memo_hits)
-
-    @staticmethod
-    def _resolve_deferred(decisions: list, deferred: dict, offload,
-                          local_stats) -> None:
-        """Replace parked residual slots with verified ops, using the
-        process-pool answers when available and inline evaluation
-        otherwise (the results are identical either way — residual
-        evaluation is pure)."""
-        answers = offload.evaluate(deferred)
-        if answers is None:
-            answers = {key: spec.residual_matches(values, old)
-                       for key, (spec, values, old) in deferred.items()}
-        elif local_stats.enabled:
-            local_stats.bump("shard.residual_offloads")
-            local_stats.bump("shard.residuals_offloaded",
-                             len(deferred))
-        for _, _, ops in decisions:
-            for i, op in enumerate(ops):
-                if type(op) is _DeferredOp:
-                    ops[i] = op.op if answers[op.key] else None
-
     def _process_one(self, token: Token,
-                     batch: _BatchState | None,
-                     decided: tuple | None = None) -> None:
-        if decided is not None:
-            candidates, ops = decided
-            op_iter = iter(ops)
-        elif batch is None:
+                     batch: _BatchState | None) -> None:
+        if batch is None:
             self.tokens_processed += 1
             self.stats.note_tokens_routed()
             candidates = self._sorted_probe(token, None)
-            op_iter = None
         else:
             # Key on the anchored attribute values only: tuples differing
             # just in unanchored columns share one probe + sort.
@@ -519,7 +292,6 @@ class DiscriminationNetwork:
                     self._sorted_probe(token, batch.stab_cache)
             else:
                 batch.memo_hits += 1
-            op_iter = None
         # The ProcessedMemories bookkeeping only matters when this token
         # reaches more than one memory; the common single-candidate case
         # skips it entirely.
@@ -534,11 +306,8 @@ class DiscriminationNetwork:
         # A + token means "insert (tid, values)" at every pattern-gated
         # memory (Figure 5, first column): build that entry once and skip
         # the dispatch-table walk for this overwhelmingly common case.
-        # (The sharded match phase already resolved ops; its apply calls
-        # skip dispatch and residual work entirely.)
         plus_entry = (MemoryEntry(token.tid, token.values)
-                      if op_iter is None and token.kind is TokenKind.PLUS
-                      else None)
+                      if token.kind is TokenKind.PLUS else None)
         for memory in candidates:
             rule = memory.rule
             spec = memory.spec
@@ -547,17 +316,7 @@ class DiscriminationNetwork:
             else:
                 pending[rule.name].discard(spec.var)
                 pending_vars = pending[rule.name]
-            if op_iter is not None:
-                # precomputed decision: residual already verified
-                op = next(op_iter)
-                if op is None:
-                    continue
-                if op.op == "delete":
-                    self._apply_delete(rule, memory, op.tid,
-                                       deleted_rules)
-                    continue
-                entry = op.entry
-            elif plus_entry is not None and spec.event is None \
+            if plus_entry is not None and spec.event is None \
                     and not spec.is_transition:
                 entry = plus_entry
             else:
@@ -569,11 +328,9 @@ class DiscriminationNetwork:
                                        deleted_rules)
                     continue
                 entry = op.entry
-            if op_iter is None:
-                # insertion: verify the residual before accepting
-                if spec.residual is None:
-                    accepted = True
-                elif batch is None or spec.residual_positions is None:
+            # insertion: verify the residual before accepting
+            if spec.residual is not None:
+                if batch is None or spec.residual_positions is None:
                     accepted = spec.residual_matches(entry.values,
                                                      entry.old_values)
                 else:
@@ -650,18 +407,15 @@ class DiscriminationNetwork:
                       token: Token | None) -> bool:
         """Run one leapfrog-triejoin step (see
         :func:`repro.core.leapfrog.multiway_seek`); returns True when
-        the rule's P-node gained a match.  Always called from the
-        serial apply phase, so it composes with sharded propagation."""
+        the rule's P-node gained a match."""
         if self.stats.enabled:
             self.stats.bump("joins.multiway_seeks")
         return multiway_seek(self, rule, plan, seed_entry, pending_vars,
                              token)
 
-    def _sorted_probe(self, token: Token, stab_cache: dict | None,
-                      stats: EngineStats | None = None) -> list:
+    def _sorted_probe(self, token: Token, stab_cache: dict | None) -> list:
         candidates = self.selection_index.probe(token.relation,
-                                                token.values, stab_cache,
-                                                stats=stats)
+                                                token.values, stab_cache)
         # Deterministic processing order defines the sequential
         # "ProcessedMemories" semantics for self-joins.
         candidates.sort(key=_memory_order)
@@ -800,21 +554,6 @@ class DiscriminationNetwork:
 
 def _memory_order(memory) -> tuple[str, str]:
     return (memory.rule_name, memory.spec.var)
-
-
-#: residual-cache sentinel: the key's evaluation is parked with the
-#: process-pool offload (sharded match phase only)
-_DEFERRED_MARK = object()
-
-
-class _DeferredOp:
-    """A decision slot awaiting a process-pool residual verdict."""
-
-    __slots__ = ("key", "op")
-
-    def __init__(self, key, op):
-        self.key = key
-        self.op = op
 
 
 #: overlay sentinel: the tuple is absent at this point of the sequence

@@ -7,14 +7,6 @@ and (for transition/replace-bound variables) the values it had at the
 beginning of the transition, which is what lets rule actions reference
 ``previous var.attr`` and lets ``replace'``/``delete'`` locate their
 targets by TID (paper §5.1).
-
-Threading/ownership: P-nodes are *single-writer*.  Under sharded
-propagation the parallel match phase never touches them — every
-:meth:`PNode.insert` / :meth:`PNode.delete_by_tid` happens on the
-boundary thread during the serial apply/merge phase, in original token
-order, which is what keeps ``last_insert_stamp`` (the agenda's recency
-tie-break) and therefore conflict resolution identical to serial
-execution.
 """
 
 from __future__ import annotations

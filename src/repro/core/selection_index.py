@@ -157,8 +157,7 @@ class SelectionIndex:
     # ------------------------------------------------------------------
 
     def probe(self, relation: str, values: tuple,
-              stab_cache: dict | None = None,
-              stats=None) -> list:
+              stab_cache: dict | None = None) -> list:
         """Every registered target whose anchor accepts ``values``, plus
         the relation's unanchored targets.  Null attribute values never
         satisfy an anchor (SQL comparison semantics).
@@ -166,13 +165,8 @@ class SelectionIndex:
         ``stab_cache`` (a plain dict owned by the caller) memoizes
         attribute-value stabs across probes of one batch — tuples that
         repeat an attribute value skip the interval-index walk entirely.
-
-        ``stats`` overrides the shared counter registry for this probe:
-        sharded match workers pass a private registry so concurrent
-        shards never touch (or interleave in) the shared one; the
-        network merges the per-shard counts at the transition boundary.
         """
-        return self._probe(relation, values, stab_cache, stats)
+        return self._probe(relation, values, stab_cache)
 
     def anchor_key(self, relation: str, values: tuple) -> tuple:
         """The projection of ``values`` onto the relation's anchored
@@ -210,9 +204,8 @@ class SelectionIndex:
         return out
 
     def _probe(self, relation: str, values: tuple,
-               stab_cache: dict | None, stats=None) -> list:
-        if stats is None:
-            stats = self.stats
+               stab_cache: dict | None) -> list:
+        stats = self.stats
         if stats.enabled:
             counters = stats.counters
             counters["selection.probes"] = \

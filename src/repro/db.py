@@ -32,7 +32,6 @@ from repro.core.manager import RuleManager
 from repro.core.rete import ReteNetwork
 from repro.core.rules import CompiledRule
 from repro.core.selection_index import SelectionIndex
-from repro.core.shard import ShardPool, resolve_workers
 from repro.core.treat import TreatNetwork
 from repro.errors import (
     ArielError, DatabaseClosedError, DegradedError, DurabilityError,
@@ -125,11 +124,6 @@ class Database:
         Capacity of the transparent LRU plan cache inside
         :meth:`execute` (0 disables it).  Explicitly prepared statements
         (:meth:`prepare`) are unaffected by this bound.
-    join_index_policy:
-        ``"demand"`` (default) promotes α-memory hash join-indexes at
-        runtime once an equality-probed position accumulates enough
-        full-scan cost; ``"eager"`` builds them for every equi-join
-        position at rule activation (the pre-adaptive behaviour).
     join_mode:
         Join-algorithm policy for multi-variable rules: ``"auto"``
         (default) lets the planner pick the worst-case-optimal
@@ -153,19 +147,6 @@ class Database:
         Auto-checkpoint once the WAL holds this many records (0
         disables automatic checkpoints; :meth:`checkpoint` still
         works).  Ignored without ``durable_path``.
-    parallel_workers:
-        Size of the sharded-propagation worker pool.  ``0`` keeps
-        token routing serial (bit-for-bit today's behaviour); ``N > 0``
-        hash-partitions each batched Δ-set by (relation, anchor-key)
-        across ``N`` workers for the read-only match phase, with a
-        deterministic token-index-ordered merge at the transition
-        boundary, so results, firing order, and WAL record order are
-        identical to serial.  ``None`` (the default) reads the
-        ``REPRO_WORKERS`` environment variable (absent/empty = 0).
-    parallel_backend:
-        ``"thread"`` (default) or ``"process"`` — the latter offloads
-        the deduplicated CPU-bound residual-predicate evaluations to a
-        fork-based process pool, falling back inline on any failure.
     """
 
     def __init__(self, network: str = "a-treat",
@@ -174,13 +155,10 @@ class Database:
                  selection_index: SelectionIndex | None = None,
                  batch_tokens: bool = False,
                  statement_cache_size: int = 128,
-                 join_index_policy: str = "demand",
                  join_mode: str | None = None,
                  durable_path=None,
                  fsync: str = "commit",
-                 checkpoint_every: int = 1000,
-                 parallel_workers: int | None = None,
-                 parallel_backend: str = "thread"):
+                 checkpoint_every: int = 1000):
         try:
             network_cls, default_policy = _NETWORKS[network.lower()]
         except KeyError:
@@ -195,17 +173,11 @@ class Database:
         self.catalog = Catalog()
         self.analyzer = SemanticAnalyzer(self.catalog)
         self.optimizer = Optimizer(self.catalog)
-        workers = resolve_workers(parallel_workers)
-        #: sharded-propagation worker pool (None = serial routing)
-        self._pool: ShardPool | None = (
-            ShardPool(workers, backend=parallel_backend)
-            if workers else None)
         self.manager = RuleManager(
             self.catalog, self.optimizer, network_cls,
             virtual_policy or default_policy, selection_index,
             max_rule_cascade=max_firings, stats=self.stats,
-            join_index_policy=join_index_policy,
-            join_mode=join_mode, worker_pool=self._pool)
+            join_mode=join_mode)
         self.deltasets = DeltaSets()
         self.undo = UndoLog()
         self.hooks = TransitionHooks(self.catalog, self.deltasets,
@@ -313,8 +285,7 @@ class Database:
         self._durability.checkpoint()
 
     def close(self) -> None:
-        """Flush and close the durable state (no-op when in-memory)
-        and shut down the propagation worker pool, if any.
+        """Flush and close the durable state (no-op when in-memory).
 
         The handle is unusable afterwards: executing commands — or
         closing again — raises :class:`~repro.errors
@@ -329,10 +300,6 @@ class Database:
             if not d.crashed and d.degraded is None:
                 d.flush_boundary(sync=True)
             d.close()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self.manager.set_worker_pool(None)
 
     @property
     def closed(self) -> bool:
@@ -342,41 +309,6 @@ class Database:
     def _require_open(self) -> None:
         if self._closed:
             raise DatabaseClosedError("database is closed")
-
-    # ------------------------------------------------------------------
-    # sharded propagation
-    # ------------------------------------------------------------------
-
-    @property
-    def parallel_workers(self) -> int:
-        """Current propagation worker count (0 = serial)."""
-        return self._pool.workers if self._pool is not None else 0
-
-    def set_parallel_workers(self, workers: int,
-                             backend: str | None = None,
-                             min_batch: int | None = None) -> None:
-        """Resize (or, with 0, dissolve) the propagation worker pool at
-        runtime; takes effect from the next routed batch.  ``backend``
-        and ``min_batch`` default to the current pool's settings."""
-        old = self._pool
-        if backend is None:
-            backend = old.backend if old is not None else "thread"
-        if min_batch is None and old is not None:
-            min_batch = old.min_batch
-        workers = resolve_workers(workers)
-        if workers:
-            kwargs = {} if min_batch is None \
-                else {"min_batch": min_batch}
-            self._pool = ShardPool(workers, backend=backend, **kwargs)
-        else:
-            self._pool = None
-        self.manager.set_worker_pool(self._pool)
-        if old is not None:
-            old.close()
-
-    def parallel_info(self) -> dict | None:
-        """Worker-pool settings (None while propagation is serial)."""
-        return self._pool.info() if self._pool is not None else None
 
     @property
     def degraded(self) -> str | None:

@@ -31,8 +31,6 @@ docs/ARCHITECTURE.md, "Observing the engine"):
                        transition touched, hence flushed) and rule
                        activation (rules primed, tuples the priming
                        passes examined — one bump per activation)
-``shard.*``            sharded propagation (batches sharded, live
-                       shards dispatched, residual offload calls)
 ``joins.*``            seek planning (orders planned / cache hits,
                        β chains planned, unindexed equality probes)
                        and the multiway join step (multiway plans
@@ -100,9 +98,9 @@ class EngineStats:
     def note_tokens_routed(self, n: int = 1, batches: int = 0) -> None:
         """Count routed tokens (and, optionally, a propagated batch).
 
-        The single bookkeeping point shared by the per-token, batched,
-        and sharded propagation paths, so all three count identically
-        (a no-op while disabled).
+        The single bookkeeping point shared by the per-token and
+        batched propagation paths, so both count identically (a no-op
+        while disabled).
         """
         if self.enabled:
             counters = self.counters
@@ -111,19 +109,6 @@ class EngineStats:
             if batches:
                 counters["tokens.batches"] = \
                     counters.get("tokens.batches", 0) + batches
-
-    def merge_counts(self, mapping: dict[str, int]) -> None:
-        """Fold a worker's local counter dict into this registry.
-
-        The sharded match phase gives each worker a private
-        :class:`EngineStats` (no locks on the hot path) and merges the
-        sums here at the transition boundary; addition commutes, so
-        the merged totals are independent of worker completion order.
-        """
-        if self.enabled and mapping:
-            counters = self.counters
-            for key, value in mapping.items():
-                counters[key] = counters.get(key, 0) + value
 
     def observe_max(self, key: str, value: int) -> None:
         """Track a high-water mark (e.g. deepest rule cascade seen)."""

@@ -57,20 +57,26 @@ class Index:
 
 
 class HashIndex(Index):
-    """Equality-only index backed by a dict of key -> set of TIDs."""
+    """Equality-only index backed by a dict of key -> TIDs.
+
+    Each bucket is an insertion-ordered dict used as a set: a ``set``
+    would iterate in hash order, and ``TupleId`` hashes a salted
+    ``str``, so probe order — and with it rule firing order — would
+    change with ``PYTHONHASHSEED``.
+    """
 
     kind = "hash"
 
     def __init__(self, name: str, relation: str, attribute: str,
                  position: int):
         super().__init__(name, relation, attribute, position)
-        self._buckets: dict[object, set[TupleId]] = {}
+        self._buckets: dict[object, dict[TupleId, None]] = {}
         self._count = 0
 
     def insert(self, key, tid: TupleId) -> None:
         if key is None:
             return
-        self._buckets.setdefault(key, set()).add(tid)
+        self._buckets.setdefault(key, {})[tid] = None
         self._count += 1
 
     def delete(self, key, tid: TupleId) -> None:
@@ -80,7 +86,7 @@ class HashIndex(Index):
         if bucket is None or tid not in bucket:
             raise StorageError(
                 f"index {self.name}: delete of absent entry {key!r}/{tid}")
-        bucket.discard(tid)
+        del bucket[tid]
         if not bucket:
             del self._buckets[key]
         self._count -= 1

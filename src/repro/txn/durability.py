@@ -66,9 +66,8 @@ class DurabilityManager:
         #: merge-then-flush ordering hook: called at the top of every
         #: :meth:`flush_boundary`, before the buffered record is
         #: written.  The database points this at the transition hooks'
-        #: ``flush_tokens`` so any deferred token propagation —
-        #: including a sharded batch's parallel match and deterministic
-        #: merge — settles *before* the boundary's WAL record goes out.
+        #: ``flush_tokens`` so any deferred token propagation settles
+        #: *before* the boundary's WAL record goes out.
         #: Propagation never journals (mutations journal at heap-change
         #: time, ahead of routing), so the quiesce can only add network
         #: state, never reorder or extend the record being flushed.

@@ -25,8 +25,8 @@ from repro.core.validate import check_network
 from repro.db import FIRING_LOG_KEEP
 from repro.errors import ArielError, ExecutionError
 
-from tests.test_network_equivalence import pnode_snapshot
-from tests.test_parallel_property import _alpha_snapshot, _firing_sequence
+from tests.test_network_equivalence import (
+    alpha_snapshot, firing_sequence, pnode_snapshot)
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +93,7 @@ DYNAMIC_RULES = {
 RULE_NAMES = sorted(DYNAMIC_RULES)
 
 CONFIGS = list(itertools.product(
-    ("a-treat", "rete"), (False, True), (0, 2), ("pairwise", "auto")))
+    ("a-treat", "rete"), (False, True), ("pairwise", "auto")))
 
 _rel = st.sampled_from("tuv")
 _val = st.integers(0, 10)
@@ -180,11 +180,9 @@ class _Driver:
 
 
 def _build(config, initial, full_walk):
-    network, batch, workers, join_mode = config
+    network, batch, join_mode = config
     db = Database(network=network, batch_tokens=batch,
-                  join_mode=join_mode, parallel_workers=0)
-    if workers:
-        db.set_parallel_workers(workers, min_batch=1)
+                  join_mode=join_mode)
     if full_walk:
         _use_full_walk(db)
     db.execute_script(SCHEMA)
@@ -198,10 +196,10 @@ def _build(config, initial, full_walk):
 def _state(db):
     return {
         "pnodes": pnode_snapshot(db),
-        "alpha": _alpha_snapshot(db),
+        "alpha": alpha_snapshot(db),
         "beta": {name: len(list(db.network.beta_partials(name)))
                  for name in db.network.rules},
-        "firings": _firing_sequence(db),
+        "firings": firing_sequence(db),
         "rows": {rel: sorted(db.relation_rows(rel))
                  for rel in ("t", "u", "v", "log", "n")},
     }

@@ -6,7 +6,7 @@ import pytest
 
 from repro import Database
 from repro.core.alpha import MAX_JOIN_INDEXES, PROMOTE_COST_THRESHOLD
-from repro.errors import ArielError, RuleError
+from repro.errors import ArielError
 
 
 def _fill(db, relation, rows):
@@ -180,8 +180,8 @@ class TestChainOrdering:
 
 
 class TestDemandDrivenIndexes:
-    def _db(self, policy="demand"):
-        db = Database(virtual_policy="never", join_index_policy=policy)
+    def _db(self):
+        db = Database(virtual_policy="never")
         db.execute_script("""
             create l (k = int4)
             create r (k = int4, pad = int4)
@@ -190,10 +190,6 @@ class TestDemandDrivenIndexes:
         db._rules_suspended = True
         db.execute("define rule jj if l.k = r.k then delete l")
         return db
-
-    def test_eager_policy_builds_indexes_at_activation(self):
-        db = self._db("eager")
-        assert db.network.memory("jj", "r").join_index_positions() == [0]
 
     def test_demand_policy_starts_unindexed(self):
         db = self._db()
@@ -238,10 +234,6 @@ class TestDemandDrivenIndexes:
             promoted = memory.note_unindexed_probe(MAX_JOIN_INDEXES)
             assert promoted is False
         assert len(memory.join_index_positions()) == MAX_JOIN_INDEXES
-
-    def test_bad_policy_rejected(self):
-        with pytest.raises((RuleError, ArielError)):
-            Database(join_index_policy="sometimes")
 
 
 class TestFeedbackAdaptation:

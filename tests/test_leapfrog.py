@@ -446,30 +446,3 @@ def test_self_join_multiplicity_multiway():
     assert reference
     for key, value in results.items():
         assert value == reference, f"{key} diverged"
-
-
-def test_multiway_composes_with_parallel_workers():
-    reference = None
-    for workers in (0, 2):
-        db = Database(network="a-treat", virtual_policy="never",
-                      join_mode="multiway")
-        db.set_parallel_workers(workers, min_batch=1)
-        db.execute_script("""
-            create r (a = int4, b = int4)
-            create s (b = int4, c = int4)
-            create t (c = int4, a = int4)
-            create log (tag = text)
-        """)
-        db._rules_suspended = True
-        db.execute(TRIANGLE)
-        db.bulk_append("s", [(b, c) for b in range(3)
-                             for c in range(3)])
-        db.bulk_append("t", [(c, a) for c in range(3)
-                             for a in range(3)])
-        db.bulk_append("r", [(i % 3, i % 3) for i in range(8)])
-        snapshot = _pnode_values(db, "triangle")
-        if reference is None:
-            reference = snapshot
-        else:
-            assert snapshot == reference
-    assert reference

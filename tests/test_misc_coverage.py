@@ -78,6 +78,13 @@ class TestDatabaseSurface:
         with pytest.raises(ArielError):
             Database(network="bogus")
 
+    def test_removed_knobs_fail_loudly(self):
+        for knob in ({"parallel_workers": 2},
+                     {"parallel_backend": "thread"},
+                     {"join_index_policy": "eager"}):
+            with pytest.raises(TypeError):
+                Database(**knob)
+
     def test_query_requires_retrieve(self):
         db = Database()
         db.execute("create t (a = int4)")

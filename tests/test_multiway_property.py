@@ -13,9 +13,9 @@ set-equal but identical in every ordering-observable artifact:
 The rule pool is weighted toward shapes the planner actually routes to
 the triejoin — triangles, cyclic self-joins, 4-variable cycles — plus a
 non-equi residue and a transition-gated cycle to exercise the residual
-schedule and Δ-set paths.  Runs across TREAT and Rete, serial and
-sharded (``parallel_workers``), and with durability on, so the multiway
-step composes with every other propagation layer.
+schedule and Δ-set paths.  Runs across TREAT and Rete, and with
+durability on, so the multiway step composes with every other
+propagation layer.
 """
 
 import pathlib
@@ -25,8 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database
 
-from tests.test_network_equivalence import pnode_snapshot
-from tests.test_parallel_property import _alpha_snapshot, _firing_sequence
+from tests.test_network_equivalence import (
+    alpha_snapshot, firing_sequence, pnode_snapshot)
 
 MULTIWAY_RULES = [
     # the canonical triangle
@@ -52,13 +52,13 @@ MULTIWAY_RULES = [
      'then append to log(tag = "trans")'),
 ]
 
-#: (network, virtual_policy, parallel_workers, durable)
+#: (network, virtual_policy, durable)
 CONFIGS = [
-    ("a-treat", "auto", 0, False),
-    ("a-treat", "never", 2, False),
-    ("a-treat", "always", 0, True),
-    ("rete", "never", 0, False),
-    ("rete", "never", 2, True),
+    ("a-treat", "auto", False),
+    ("a-treat", "never", False),
+    ("a-treat", "always", True),
+    ("rete", "never", False),
+    ("rete", "never", True),
 ]
 
 _op = st.one_of(
@@ -72,13 +72,11 @@ _op = st.one_of(
 
 
 def _build(join_mode, config, rules, durable_path):
-    network, policy, workers, durable = config
+    network, policy, durable = config
     db = Database(network=network, virtual_policy=policy,
                   batch_tokens=True, join_mode=join_mode,
                   durable_path=durable_path if durable else None,
                   fsync="never")
-    if workers:
-        db.set_parallel_workers(workers, min_batch=1)
     db.execute("create t (a = int4, k = int4)")
     db.execute("create u (b = int4, k = int4)")
     db.execute("create v (c = int4, k = int4)")
@@ -122,8 +120,8 @@ def test_multiway_equivalent_to_pairwise(ops, rule_indexes, config):
             _apply(db, ops)
             db.close()
             snapshots[mode] = (
-                pnode_snapshot(db), _alpha_snapshot(db),
-                _firing_sequence(db),
+                pnode_snapshot(db), alpha_snapshot(db),
+                firing_sequence(db),
                 {rel: sorted(db.relation_rows(rel))
                  for rel in ("t", "u", "v", "log")})
         label = f"config={config}"

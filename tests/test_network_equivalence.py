@@ -66,6 +66,24 @@ def pnode_snapshot(db):
     return out
 
 
+def alpha_snapshot(db):
+    """Stored α-memory contents as comparable per-(rule, var) sets."""
+    out = {}
+    for (rule, var), memory in db.network._memories.items():
+        if memory.is_virtual:
+            continue
+        out[(rule, var)] = frozenset(
+            (entry.values, entry.old_values)
+            for entry in memory.entries())
+    return out
+
+
+def firing_sequence(db):
+    """The agenda's firing order as ``(rule, match-count)`` pairs."""
+    return [(record.rule_name, record.match_count)
+            for record in db.firing_log]
+
+
 _op = st.one_of(
     st.tuples(st.just("insert"), st.sampled_from("tuv"),
               st.integers(0, 10)),

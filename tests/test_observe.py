@@ -65,6 +65,18 @@ class TestEngineStats:
         assert "alpha.inserts" in stats.report()
         assert "2" in stats.report()
 
+    def test_note_tokens_routed(self):
+        stats = EngineStats()
+        stats.note_tokens_routed()
+        stats.note_tokens_routed(5, batches=1)
+        assert stats.get("tokens.routed") == 6
+        assert stats.get("tokens.batches") == 1
+
+    def test_note_tokens_routed_disabled(self):
+        stats = EngineStats(enabled=False)
+        stats.note_tokens_routed(5, batches=1)
+        assert stats.get("tokens.routed") == 0
+
     def test_null_stats_shared_disabled(self):
         assert NULL_STATS.enabled is False
         NULL_STATS.bump("anything")

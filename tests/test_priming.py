@@ -160,7 +160,7 @@ def _rule_text(name):
 
 CONFIGS = list(itertools.product(
     ("a-treat", "treat", "rete"), ("auto", "always", "never"),
-    ("pairwise", "auto"), (False, True), (0, 2)))
+    ("pairwise", "auto"), (False, True)))
 
 _int = st.integers(0, 7)
 _float = st.one_of(st.none(), st.just(float("nan")),
@@ -186,12 +186,10 @@ _COLUMN = {"t": "a", "u": "b", "v": "c"}
 
 
 def _build(config, rows, root, oracle):
-    network, policy, join_mode, batch, workers = config
+    network, policy, join_mode, batch = config
     db = Database(network=network, virtual_policy=policy,
                   join_mode=join_mode, batch_tokens=batch,
-                  parallel_workers=0, durable_path=root)
-    if workers:
-        db.set_parallel_workers(workers, min_batch=1)
+                  durable_path=root)
     if oracle:
         _use_query_priming(db)
     db.execute_script(SCHEMA)
@@ -372,10 +370,9 @@ def test_network_priming_equals_query_priming(rows, ops, config):
             # and so does recovery (checkpoint script + WAL replay)
             db.close()
             reference.close()
-            network, policy, join_mode, batch, _ = config
+            network, policy, join_mode, batch = config
             kwargs = dict(network=network, virtual_policy=policy,
-                          join_mode=join_mode, batch_tokens=batch,
-                          parallel_workers=0)
+                          join_mode=join_mode, batch_tokens=batch)
             recovered = Database.recover(tmp / "new", **kwargs)
             with _query_priming_everywhere():
                 ref_recovered = Database.recover(tmp / "ref", **kwargs)
