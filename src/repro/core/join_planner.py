@@ -28,15 +28,13 @@ step to the worst-case-optimal leapfrog triejoin of
 :mod:`repro.core.leapfrog` (:meth:`JoinPlanner.seek_plan` for TREAT,
 :meth:`JoinPlanner.chain_plan` for Rete).  The choice is cost-driven,
 memoized per cardinality-bucket signature with the same schema-version
-invalidation, and overridable per Database via ``join_mode`` (or the
-``REPRO_JOIN_MODE`` environment variable): ``auto`` (default),
-``pairwise``, or ``multiway``.
+invalidation, and overridable per Database via ``join_mode``: ``auto``
+(default), ``pairwise``, or ``multiway``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 from repro.catalog.schema import AttributeType
 from repro.core.leapfrog import (
@@ -55,12 +53,8 @@ _MULTIWAY_MARGIN = 0.75
 JOIN_MODES = ("auto", "pairwise", "multiway")
 
 
-def resolve_join_mode(mode: str | None) -> str:
-    """Resolve a ``join_mode`` setting: an explicit value wins, then the
-    ``REPRO_JOIN_MODE`` environment variable, then ``"auto"``."""
-    if mode is None:
-        raw = os.environ.get("REPRO_JOIN_MODE", "").strip().lower()
-        mode = raw or "auto"
+def resolve_join_mode(mode: str) -> str:
+    """Validate a ``join_mode`` setting."""
     if mode not in JOIN_MODES:
         raise RuleError(f"unknown join mode {mode!r}; expected one of "
                         + ", ".join(repr(m) for m in JOIN_MODES))
@@ -94,7 +88,7 @@ class JoinPlanner:
     (:meth:`order`) and the Rete β-chain rebuild (:meth:`chain_order`).
     """
 
-    def __init__(self, network, mode: str | None = None):
+    def __init__(self, network, mode: str = "auto"):
         self.network = network
         #: "auto" | "pairwise" | "multiway" (see :func:`resolve_join_mode`)
         self.mode = resolve_join_mode(mode)

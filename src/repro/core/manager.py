@@ -29,7 +29,6 @@ from repro.core.agenda import Agenda
 from repro.core.network import DiscriminationNetwork
 from repro.core.pnode import FrozenMatches
 from repro.core.rules import CompiledRule
-from repro.core.selection_index import SelectionIndex
 from repro.core.tokens import Token
 from repro.core.treat import TreatNetwork
 from repro.errors import RuleError, RuleLoopError
@@ -75,10 +74,9 @@ class RuleManager:
                  optimizer: Optimizer | None = None,
                  network_cls: type[DiscriminationNetwork] = TreatNetwork,
                  virtual_policy="auto",
-                 selection_index: SelectionIndex | None = None,
                  max_rule_cascade: int = 1000,
                  stats: EngineStats | None = None,
-                 join_mode: str | None = None):
+                 join_mode: str = "auto"):
         self.catalog = catalog
         self.optimizer = optimizer or Optimizer(catalog)
         #: rule-action plans; a rule leaving the network drops its own
@@ -88,7 +86,6 @@ class RuleManager:
         self.agenda.stats = self.stats
         self.network = network_cls(
             catalog, self.optimizer,
-            selection_index or SelectionIndex(),
             virtual_policy=virtual_policy,
             on_match=self.agenda.notify,
             stats=self.stats,

@@ -60,14 +60,13 @@ class DiscriminationNetwork:
 
     def __init__(self, catalog: Catalog,
                  optimizer: Optimizer | None = None,
-                 selection_index: SelectionIndex | None = None,
                  virtual_policy: VirtualPolicy = "auto",
                  on_match: Callable[[CompiledRule], None] | None = None,
                  stats: EngineStats | None = None,
-                 join_mode: str | None = None):
+                 join_mode: str = "auto"):
         self.catalog = catalog
         self.optimizer = optimizer or Optimizer(catalog)
-        self.selection_index = selection_index or SelectionIndex()
+        self.selection_index = SelectionIndex()
         #: engine counter registry, shared with the selection index and
         #: every memory / P-node built by :meth:`add_rule`
         self.stats = stats or NULL_STATS

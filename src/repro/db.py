@@ -31,7 +31,6 @@ from repro.core.subscriptions import Subscriber, SubscriptionHub
 from repro.core.manager import RuleManager
 from repro.core.rete import ReteNetwork
 from repro.core.rules import CompiledRule
-from repro.core.selection_index import SelectionIndex
 from repro.core.treat import TreatNetwork
 from repro.errors import (
     ArielError, DatabaseClosedError, DegradedError, DurabilityError,
@@ -113,8 +112,6 @@ class Database:
     max_firings:
         Bound on rule firings per triggering transition; exceeding it
         raises :class:`~repro.errors.RuleLoopError`.
-    selection_index:
-        Override the top-level predicate index (for ablations).
     batch_tokens:
         Defer token routing to transition boundaries and propagate each
         transition's whole Δ-set through the network as one batch
@@ -130,9 +127,7 @@ class Database:
         leapfrog multiway step for cyclic/many-variable equi-join
         graphs when its estimated cost wins, ``"pairwise"`` keeps the
         classic probe chain everywhere, ``"multiway"`` forces the
-        leapfrog step wherever it is structurally eligible.  ``None``
-        reads the ``REPRO_JOIN_MODE`` environment variable
-        (absent/empty = ``"auto"``).
+        leapfrog step wherever it is structurally eligible.
     durable_path:
         Directory for durable state (a checkpoint script plus a
         write-ahead log of committed transitions).  Starts *fresh*: an
@@ -152,10 +147,9 @@ class Database:
     def __init__(self, network: str = "a-treat",
                  virtual_policy=None,
                  max_firings: int = 1000,
-                 selection_index: SelectionIndex | None = None,
                  batch_tokens: bool = False,
                  statement_cache_size: int = 128,
-                 join_mode: str | None = None,
+                 join_mode: str = "auto",
                  durable_path=None,
                  fsync: str = "commit",
                  checkpoint_every: int = 1000):
@@ -175,15 +169,13 @@ class Database:
         self.optimizer = Optimizer(self.catalog)
         self.manager = RuleManager(
             self.catalog, self.optimizer, network_cls,
-            virtual_policy or default_policy, selection_index,
+            virtual_policy or default_policy,
             max_rule_cascade=max_firings, stats=self.stats,
             join_mode=join_mode)
         self.deltasets = DeltaSets()
         self.undo = UndoLog()
         self.hooks = TransitionHooks(self.catalog, self.deltasets,
-                                     self.manager.process_token, self.undo,
-                                     route_tokens=self.manager
-                                     .process_tokens,
+                                     self.manager.process_tokens, self.undo,
                                      defer_routing=batch_tokens)
         self.hooks.stats = self.stats
         self.hooks.trace = self.trace

@@ -1,14 +1,21 @@
 """Predicate analysis: conjunct splitting, selection/join classification,
-and interval extraction.
+and bound extraction.
 
-Used by two clients:
+Both clients read a single-variable conjunct through one recognizer,
+:func:`bound_of_conjunct` (``var.attr CMP e`` with ``e`` free of tuple
+variables), and then part ways:
 
-* the **query optimizer**, to push selections to scans and pick join
-  predicates/access paths;
-* the **rule network builder**, to split a rule condition into per-variable
-  selection predicates and inter-variable join predicates, and to find the
-  interval form (``c1 < r.a <= c2``, ``c = r.a``, ``c < r.a`` …) that the
-  top-level selection predicate index can index (paper section 4.1).
+* the **query optimizer** (and its statistics) takes the bound as an
+  expression — a literal, a constant expression or a ``$param`` — via
+  :func:`analyze_bounds`, to push selections to scans and pick an index
+  probe or range scan; :func:`equijoin_of_conjunct` picks join
+  predicates;
+* the **rule network builder** splits a rule condition into
+  per-variable selection predicates and inter-variable join predicates,
+  and folds constant bounds into the interval form (``c1 < r.a <= c2``,
+  ``c = r.a``, ``c < r.a`` …) that the top-level selection predicate
+  index can index (paper section 4.1) via :func:`interval_of_conjunct`
+  and :func:`analyze_selection`; rules have no parameters.
 """
 
 from __future__ import annotations
@@ -102,8 +109,34 @@ def build_condition_graph(expr: ast.Expr | None,
 
 
 # ----------------------------------------------------------------------
-# interval extraction for the selection predicate index
+# bounds: ``var.attr CMP e`` with ``e`` free of tuple variables
 # ----------------------------------------------------------------------
+
+def bound_of_conjunct(conjunct: ast.Expr, var: str
+                      ) -> tuple[str, int, str, ast.Expr] | None:
+    """The ``(attr, position, op, bound)`` form of a conjunct comparing
+    ``var.attr`` against an expression free of tuple variables — a
+    literal, a constant expression or one holding ``$param``
+    placeholders — with ``op`` read as ``var.attr op bound``.
+
+    Returns None for conjuncts no index can anchor on (``!=``,
+    ``previous`` references, arithmetic over the attribute, multiple
+    attributes, ``new()``, …); those become residual predicates.
+    """
+    if not isinstance(conjunct, ast.BinOp) \
+            or conjunct.op not in ast.COMPARISON_OPS \
+            or conjunct.op == "!=":
+        return None
+    sides = [(conjunct.left, conjunct.right, conjunct.op),
+             (conjunct.right, conjunct.left, _flip(conjunct.op))]
+    for attr_side, bound_side, op in sides:
+        if not isinstance(attr_side, ast.AttrRef) or attr_side.previous:
+            continue
+        if attr_side.var != var or variables_of(bound_side):
+            continue
+        return (attr_side.attr, attr_side.position or 0, op, bound_side)
+    return None
+
 
 @dataclass(frozen=True)
 class AttrInterval:
@@ -116,35 +149,23 @@ class AttrInterval:
 
 def interval_of_conjunct(conjunct: ast.Expr,
                          var: str) -> AttrInterval | None:
-    """The interval form of ``var.attr CMP const-expr``, if it has one.
+    """The folded interval of a constant bound (:func:`bound_of_conjunct`),
+    for the selection predicate index.
 
-    Returns None for conjuncts the interval index cannot handle (``!=``,
-    ``previous`` references, arithmetic over the attribute, multiple
-    attributes, ``new()``, …); those become residual predicates tested
-    after the index probe.
+    None when the conjunct is no bound, its bound holds a parameter, or
+    the bound is null or NaN (no interval holds either).
     """
-    if not isinstance(conjunct, ast.BinOp) \
-            or conjunct.op not in ast.COMPARISON_OPS \
-            or conjunct.op == "!=":
+    form = bound_of_conjunct(conjunct, var)
+    if form is None:
         return None
-    sides = [(conjunct.left, conjunct.right, conjunct.op),
-             (conjunct.right, conjunct.left, _flip(conjunct.op))]
-    for attr_side, const_side, op in sides:
-        if not isinstance(attr_side, ast.AttrRef) or attr_side.previous:
-            continue
-        if attr_side.var != var:
-            continue
-        if variables_of(const_side):
-            continue
-        try:
-            bound = constant_value(const_side)
-        except SemanticError:
-            continue
-        if bound is None or bound != bound:
-            return None                 # null / NaN: no interval holds it
-        return AttrInterval(attr_side.attr, attr_side.position or 0,
-                            _interval_for(op, bound))
-    return None
+    attr, position, op, expr = form
+    try:
+        bound = constant_value(expr)
+    except SemanticError:
+        return None
+    if bound is None or bound != bound:
+        return None
+    return AttrInterval(attr, position, _interval_for(op, bound))
 
 
 def _flip(op: str) -> str:
@@ -265,20 +286,17 @@ def analyze_selection(conjuncts: list[ast.Expr],
 
 
 # ----------------------------------------------------------------------
-# parameterized anchors (prepared statements)
+# the planner's index anchor
 # ----------------------------------------------------------------------
 
 @dataclass
-class ParamAnchor:
-    """An index anchor whose bounds are parameter expressions.
+class BoundAnchor:
+    """An index anchor whose bounds are expressions.
 
-    Produced for conjuncts like ``var.attr = $id`` or
-    ``var.attr > $low and var.attr <= $high`` — the bound expressions
-    reference no tuple variables but at least one ``$param``, so the
-    access path can be chosen at plan time while the concrete key is
-    resolved from the parameter vector at each execution.  ``eq`` set
-    means a point probe; otherwise ``low``/``high`` give the (possibly
-    one-sided) range bounds.
+    ``eq`` set means a point probe; otherwise ``low``/``high`` give the
+    (possibly one-sided) range bounds.  A bound is evaluated at each
+    execution, so one plan serves literals, constant expressions and
+    ``$param`` values alike; a literal is the trivial expression.
     """
 
     attr: str
@@ -290,46 +308,25 @@ class ParamAnchor:
     high_closed: bool = False
 
 
-def param_bound_of_conjunct(conjunct: ast.Expr, var: str
-                            ) -> tuple[str, int, str, ast.Expr] | None:
-    """The ``(attr, position, op, bound_expr)`` form of a conjunct
-    comparing ``var.attr`` against a tuple-variable-free expression that
-    contains at least one parameter placeholder; None otherwise."""
-    if not isinstance(conjunct, ast.BinOp) \
-            or conjunct.op not in ast.COMPARISON_OPS \
-            or conjunct.op == "!=":
-        return None
-    sides = [(conjunct.left, conjunct.right, conjunct.op),
-             (conjunct.right, conjunct.left, _flip(conjunct.op))]
-    for attr_side, bound_side, op in sides:
-        if not isinstance(attr_side, ast.AttrRef) or attr_side.previous:
-            continue
-        if attr_side.var != var:
-            continue
-        if variables_of(bound_side) or not contains_params(bound_side):
-            continue
-        return (attr_side.attr, attr_side.position or 0, op, bound_side)
-    return None
-
-
-def analyze_param_selection(conjuncts: list[ast.Expr],
-                            var: str) -> tuple[ParamAnchor | None,
-                                               ast.Expr | None]:
-    """Choose a parameterized index anchor for a variable's selections.
+def analyze_bounds(conjuncts: list[ast.Expr],
+                   var: str) -> tuple[BoundAnchor | None, ast.Expr | None]:
+    """Choose an index anchor for a variable's selection conjuncts.
 
     Returns ``(anchor, residual)``; the residual re-checks every conjunct
-    not folded into the anchor (including constant-interval conjuncts,
-    which the caller's plain analysis may prefer to anchor on instead).
-    Equality anchors win over range anchors; among ranges the attribute
-    with the most param bounds wins.  Only what the access path uses is
-    folded: a probe's one equality (ranges beside it stay residual), or
-    a scan's first lower and first upper bound.
+    not folded into the anchor.  Equality anchors win over range
+    anchors; among ranges the attribute with the most bounds wins.  Only
+    what the access path uses is folded: a probe's one equality (ranges
+    beside it stay residual), or a scan's first lower and first upper
+    bound.  A parameter-free bound is evaluated once here, so one that
+    raises (``t.a = 1/0``) raises while planning, rows or none.
     """
     by_attr: dict[str, list[tuple[ast.Expr, int, str, ast.Expr]]] = {}
     for conjunct in conjuncts:
-        form = param_bound_of_conjunct(conjunct, var)
+        form = bound_of_conjunct(conjunct, var)
         if form is not None:
             attr, position, op, bound = form
+            if not contains_params(bound):
+                constant_value(bound)
             by_attr.setdefault(attr, []).append(
                 (conjunct, position, op, bound))
     if not by_attr:
@@ -342,7 +339,7 @@ def analyze_param_selection(conjuncts: list[ast.Expr],
 
     best = max(by_attr, key=score)
     entries = by_attr[best]
-    anchor = ParamAnchor(best, entries[0][1])
+    anchor = BoundAnchor(best, entries[0][1])
     equalities = [entry for entry in entries if entry[2] == "="]
     folded: set[int] = set()
     for conjunct, _, op, bound in equalities[:1] or entries:

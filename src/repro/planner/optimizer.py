@@ -2,10 +2,12 @@
 
 Planning proceeds exactly as in System R's lineage: the WHERE clause is
 split into conjuncts; single-variable conjuncts are pushed down and drive
-access-path selection (B-tree range scans, hash point lookups, otherwise a
-sequential scan with the predicate inlined); multi-variable conjuncts rank
-join orders, enumerated bottom-up over left-deep trees by dynamic
-programming (greedy beyond 8 inputs).  Join methods considered: index
+access-path selection (an index point probe, a B-tree range scan,
+otherwise a sequential scan with the predicate inlined) — a bound is an
+expression, so a literal, a constant expression and a ``$param`` plan
+the same way; multi-variable conjuncts rank join orders, enumerated
+bottom-up over left-deep trees by dynamic programming (greedy beyond 8
+inputs).  Join methods considered: index
 nested loop (when the new input has an index on an equi-join attribute),
 hash join, sort-merge join, and plain nested loop.
 
@@ -21,13 +23,11 @@ from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog
 from repro.errors import PlanError
-from repro.intervals.interval import Interval, NEG_INF, POS_INF
 from repro.lang import ast_nodes as ast
 from repro.lang.expr import (
     Bindings, compile_expr, contains_params, is_true, variables_of)
 from repro.lang.predicates import (
-    analyze_param_selection, analyze_selection, build_condition_graph,
-    conjoin, equijoin_of_conjunct)
+    analyze_bounds, build_condition_graph, conjoin, equijoin_of_conjunct)
 from repro.planner import cost as costs
 from repro.planner.plans import (
     EmptyPlan, FilterPlan, HashJoin, IndexProbe, IndexScan,
@@ -160,8 +160,6 @@ class Optimizer:
                 continue
             inputs.append(self._leaf(var, scope[var],
                                      graph.selections.get(var, [])))
-        if any(isinstance(i.plan, EmptyPlan) for i in inputs):
-            return EmptyPlan()
         if not inputs:
             return finish(SingletonPlan())
 
@@ -177,57 +175,28 @@ class Optimizer:
     def _leaf(self, var: str, relation_name: str,
               conjuncts: list[ast.Expr]) -> _Input:
         relation = self.catalog.relation(relation_name)
-        analysis = analyze_selection(conjuncts, var)
-        if analysis.unsatisfiable:
-            return _Input(frozenset([var]), EmptyPlan(), 0.0, 0.0,
-                          relation_name, var)
+        anchor, residual = analyze_bounds(conjuncts, var)
         out_rows = self.stats.scan_cardinality(relation_name, var,
                                                conjuncts)
-        seq_cost, _ = costs.seq_scan_cost(len(relation), out_rows)
+        best_cost, _ = costs.seq_scan_cost(len(relation), out_rows)
         best_plan: Plan = SeqScan(relation_name, var, conjoin(conjuncts))
-        best_cost = seq_cost
-        if analysis.anchor is not None:
-            interval = analysis.anchor.interval
-            point = (interval.low_closed and interval.high_closed
-                     and interval.low == interval.high)
-            index = relation.index_on(analysis.anchor.attr, "btree")
-            if index is None and point:
-                index = relation.index_on(analysis.anchor.attr, "hash")
-            if index is not None:
-                idx_cost, _ = costs.index_scan_cost(out_rows)
-                if idx_cost < best_cost:
-                    best_cost = idx_cost
-                    best_plan = IndexScan(relation_name, var, index.name,
-                                          interval, analysis.residual)
-        # Parameterized anchors: a conjunct like ``var.attr = $id`` can
-        # still drive index selection — the access path is fixed at plan
-        # time, the key resolves from the parameter vector per execution.
-        if any(contains_params(c) for c in conjuncts):
-            p_anchor, p_residual = analyze_param_selection(conjuncts, var)
-            if p_anchor is not None:
-                idx_cost, _ = costs.index_scan_cost(out_rows)
-                if p_anchor.eq is not None:
-                    index = (relation.index_on(p_anchor.attr, "hash")
-                             or relation.index_on(p_anchor.attr, "btree"))
-                    # an equality probe is at worst as good as a static
-                    # range anchor at equal estimated cost
-                    if index is not None and idx_cost <= best_cost:
-                        best_cost = idx_cost
-                        best_plan = IndexProbe(relation_name, var,
-                                               index.name, p_anchor.eq,
-                                               p_residual)
-                else:
-                    index = relation.index_on(p_anchor.attr, "btree")
-                    if index is not None and idx_cost < best_cost:
-                        bounds = Interval(NEG_INF, POS_INF,
-                                          p_anchor.low_closed,
-                                          p_anchor.high_closed)
-                        best_cost = idx_cost
-                        best_plan = IndexScan(relation_name, var,
-                                              index.name, bounds,
-                                              p_residual,
-                                              low_expr=p_anchor.low,
-                                              high_expr=p_anchor.high)
+        if anchor is not None:
+            # The access path is fixed at plan time; its key or bounds
+            # resolve per execution (literal, constant or parameter).
+            point = anchor.eq is not None
+            index = ((point and relation.index_on(anchor.attr, "hash"))
+                     or relation.index_on(anchor.attr, "btree"))
+            idx_cost, _ = costs.index_scan_cost(out_rows)
+            # a point probe wins a tie (an empty relation), a range not
+            if index is not None and (idx_cost < best_cost or point
+                                      and idx_cost == best_cost):
+                best_cost = idx_cost
+                best_plan = (
+                    IndexProbe(relation_name, var, index.name, anchor.eq,
+                               residual) if point else
+                    IndexScan(relation_name, var, index.name,
+                              anchor.low, anchor.low_closed,
+                              anchor.high, anchor.high_closed, residual))
         return _Input(frozenset([var]), best_plan, best_cost, out_rows,
                       relation_name, var)
 
@@ -364,8 +333,9 @@ class Optimizer:
 
     def _index_probe(self, right: _Input, equis, applicable
                      ) -> Plan | None:
-        """An IndexProbe replacement for a single-variable right leaf."""
-        if right.relation is None or right.var is None:
+        """An IndexProbe replacement for a single-variable right leaf
+        (only a SeqScan leaf: an index leaf keeps its own access path)."""
+        if right.relation is None or not isinstance(right.plan, SeqScan):
             return None
         relation = self.catalog.relation(right.relation)
         for conjunct, equi in equis:
@@ -378,17 +348,8 @@ class Optimizer:
             key = ast.AttrRef(equi.left_var, equi.left_attr,
                               position=equi.left_position)
             residual_parts = [c for c in applicable if c is not conjunct]
-            existing = getattr(right.plan, "predicate_expr", None)
-            if isinstance(right.plan, (SeqScan,)) and existing is not None:
-                residual_parts.append(existing)
-            elif isinstance(right.plan, IndexScan):
-                # Rebuilding the probe loses the original access path's
-                # interval; fold it back in as a residual via the scan's
-                # residual and skip (keep it simple: only replace SeqScan
-                # leaves).
-                return None
-            elif not isinstance(right.plan, SeqScan):
-                return None
+            if right.plan.predicate_expr is not None:
+                residual_parts.append(right.plan.predicate_expr)
             return IndexProbe(right.relation, right.var, index.name, key,
                               conjoin(residual_parts))
         return None

@@ -26,7 +26,6 @@ import time
 from typing import Iterator
 
 from repro.errors import PlanError
-from repro.intervals.interval import Interval, NEG_INF, POS_INF
 from repro.lang import ast_nodes as ast
 from repro.lang.ast_nodes import deparse
 from repro.lang.expr import Bindings, compile_expr, is_true
@@ -101,61 +100,60 @@ class SeqScan(Plan):
         return text
 
 
-class IndexScan(Plan):
-    """Index access with constant bounds: a B-tree range or a hash point.
+def _index(relation, name: str):
+    for candidate in relation.indexes():
+        if candidate.name == name:
+            return candidate
+    raise PlanError(f"index {name!r} disappeared; replan required")
 
-    ``residual`` re-checks conjuncts the index key does not fully cover.
-    ``low_expr`` / ``high_expr`` are parameterized bounds (prepared
-    statements): evaluated against the outer bindings on every execution,
-    they override the corresponding static interval endpoint, so one
-    cached plan serves every parameter value.  A bound that evaluates to
-    null or NaN produces no rows (no comparison with either is true).
+
+def _unordered(value) -> bool:
+    """Null or NaN: no comparison with either is true, and a B-tree
+    orders NaN nowhere (it would answer a NaN range with every row)."""
+    return value is None or value != value
+
+
+class IndexScan(Plan):
+    """B-tree range scan between bound expressions.
+
+    ``low`` / ``high`` (None = unbounded on that side) are evaluated
+    against the outer bindings on every execution, so one cached plan
+    serves every literal and parameter value; a bound that evaluates to
+    null or NaN produces no rows.  ``residual`` re-checks conjuncts the
+    range does not cover.
     """
 
     def __init__(self, relation: str, var: str, index_name: str,
-                 interval: Interval, residual: ast.Expr | None = None,
-                 low_expr: ast.Expr | None = None,
-                 high_expr: ast.Expr | None = None):
+                 low: ast.Expr | None, low_closed: bool,
+                 high: ast.Expr | None, high_closed: bool,
+                 residual: ast.Expr | None = None):
         self.relation = relation
         self.var = var
         self.index_name = index_name
-        self.interval = interval
+        self.low_expr, self.low_closed = low, low_closed
+        self.high_expr, self.high_closed = high, high_closed
+        self._low = _compile_optional(low)
+        self._high = _compile_optional(high)
         self.residual_expr = residual
         self._residual = _compile_optional(residual)
-        self.low_expr = low_expr
-        self.high_expr = high_expr
-        self._low = _compile_optional(low_expr)
-        self._high = _compile_optional(high_expr)
         self.vars = frozenset([var])
 
     def rows(self, ctx, outer: Bindings,
              reuse: bool = False) -> Iterator[Bindings]:
         relation = ctx.catalog.relation(self.relation)
-        index = None
-        for candidate in relation.indexes():
-            if candidate.name == self.index_name:
-                index = candidate
-                break
-        if index is None:
-            raise PlanError(f"index {self.index_name!r} disappeared; "
-                            f"replan required")
-        iv = self.interval
-        if index.kind == "hash":
-            tids = index.search(iv.low)
-        else:
-            low = None if iv.low is NEG_INF else iv.low
-            high = None if iv.high is POS_INF else iv.high
-            if self._low is not None:
-                low = self._low(outer)
-                if low is None or low != low:
-                    return
-            if self._high is not None:
-                high = self._high(outer)
-                if high is None or high != high:
-                    return
-            tids = index.range_search(low, high,
-                                      low_inclusive=iv.low_closed,
-                                      high_inclusive=iv.high_closed)
+        index = _index(relation, self.index_name)
+        low = high = None
+        if self._low is not None:
+            low = self._low(outer)
+            if _unordered(low):
+                return
+        if self._high is not None:
+            high = self._high(outer)
+            if _unordered(high):
+                return
+        tids = index.range_search(low, high,
+                                  low_inclusive=self.low_closed,
+                                  high_inclusive=self.high_closed)
         residual = self._residual
         var = self.var
         base = outer.child() if reuse else None
@@ -168,21 +166,22 @@ class IndexScan(Plan):
                 yield bound
 
     def label(self) -> str:
+        low = "-inf" if self.low_expr is None else deparse(self.low_expr)
+        high = "+inf" if self.high_expr is None else deparse(self.high_expr)
         text = (f"IndexScan {self.relation} as {self.var} "
-                f"using {self.index_name} {self.interval}")
-        if self.low_expr is not None:
-            text += f" low={deparse(self.low_expr)}"
-        if self.high_expr is not None:
-            text += f" high={deparse(self.high_expr)}"
+                f"using {self.index_name} "
+                f"{'[' if self.low_closed else '('}{low}, "
+                f"{high}{']' if self.high_closed else ')'}")
         if self.residual_expr is not None:
             text += f" [{deparse(self.residual_expr)}]"
         return text
 
 
 class IndexProbe(Plan):
-    """Parameterised equality probe: the key is computed from the outer
-    bindings on every call (the inner side of an index nested-loop
-    join)."""
+    """Equality probe: the key is computed from the outer bindings on
+    every call — a literal or parameter bound, or the outer side's join
+    attribute (the inner side of an index nested-loop join).  A null or
+    NaN key produces no rows."""
 
     def __init__(self, relation: str, var: str, index_name: str,
                  key: ast.Expr, residual: ast.Expr | None = None):
@@ -198,17 +197,10 @@ class IndexProbe(Plan):
     def rows(self, ctx, outer: Bindings,
              reuse: bool = False) -> Iterator[Bindings]:
         key = self._key(outer)
-        if key is None or key != key:
+        if _unordered(key):
             return
         relation = ctx.catalog.relation(self.relation)
-        index = None
-        for candidate in relation.indexes():
-            if candidate.name == self.index_name:
-                index = candidate
-                break
-        if index is None:
-            raise PlanError(f"index {self.index_name!r} disappeared; "
-                            f"replan required")
+        index = _index(relation, self.index_name)
         residual = self._residual
         var = self.var
         base = outer.child() if reuse else None

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from repro.catalog.catalog import Catalog
 from repro.lang import ast_nodes as ast
-from repro.lang.predicates import (
-    equijoin_of_conjunct, interval_of_conjunct, param_bound_of_conjunct)
-from repro.intervals.interval import NEG_INF, POS_INF
+from repro.lang.predicates import bound_of_conjunct, equijoin_of_conjunct
 
 #: System R's default selectivities
 EQ_DEFAULT = 0.1
@@ -78,24 +76,13 @@ class Statistics:
                               relation_name: str) -> float:
         """Estimated fraction of ``relation`` tuples satisfying a
         single-variable conjunct."""
-        attr_interval = interval_of_conjunct(conjunct, var)
-        if attr_interval is not None:
-            interval = attr_interval.interval
-            point = (interval.low_closed and interval.high_closed
-                     and interval.low == interval.high)
-            if point:
-                return 1.0 / self.distinct(relation_name,
-                                           attr_interval.attr)
-            one_sided = (interval.low is NEG_INF
-                         or interval.high is POS_INF)
-            return RANGE_DEFAULT if one_sided else RANGE_DEFAULT / 2
-        param_bound = param_bound_of_conjunct(conjunct, var)
-        if param_bound is not None:
-            # A parameterized bound: the value is unknown at plan time,
-            # so fall back to the System R defaults for its shape.
-            _, _, op, _ = param_bound
+        # A bound's value may be a parameter, unknown at plan time: the
+        # System R defaults for its shape, whatever the bound.
+        bound = bound_of_conjunct(conjunct, var)
+        if bound is not None:
+            attr, _, op, _ = bound
             if op == "=":
-                return 1.0 / self.distinct(relation_name, param_bound[0])
+                return 1.0 / self.distinct(relation_name, attr)
             return RANGE_DEFAULT
         if isinstance(conjunct, ast.BinOp) and conjunct.op == "!=":
             return NEQ_DEFAULT

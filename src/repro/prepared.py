@@ -4,11 +4,13 @@ A :class:`Prepared` carries one DML command through parse → analyze →
 plan exactly once and then executes the finished plan any number of
 times, each execution supplying a parameter vector for the ``$name`` /
 ``$1`` placeholders in the text.  Placeholders compile to closures that
-read the vector at runtime (:mod:`repro.lang.expr`), and parameterized
-equality/range predicates still drive index selection — the access path
-is fixed at plan time, the key resolves per execution
+read the vector at runtime (:mod:`repro.lang.expr`), and the optimizer
+plans a parameter bound exactly as it plans a literal one — the access
+path is fixed at plan time, the key resolves per execution
 (:class:`~repro.planner.plans.IndexProbe` /
-:class:`~repro.planner.plans.IndexScan` bound expressions).
+:class:`~repro.planner.plans.IndexScan` bound expressions) — so a
+statement-cache text explains and runs the plan the full pipeline
+would build for it.
 
 Staleness is handled by catalog versioning: every relation or index
 change bumps :attr:`Catalog.schema_version <repro.catalog.catalog

@@ -50,14 +50,11 @@ class TransitionHooks(MutationHooks):
     network = None
 
     def __init__(self, catalog: Catalog, deltasets: DeltaSets,
-                 route_token: Callable[[Token], None],
+                 route_tokens: Callable[[Sequence[Token]], None],
                  undo: UndoLog | None = None,
-                 route_tokens: Callable[[Sequence[Token]], None]
-                 | None = None,
                  defer_routing: bool = False):
         self.catalog = catalog
         self.deltasets = deltasets
-        self.route_token = route_token
         self.route_tokens = route_tokens
         # "undo or UndoLog()" would discard a passed-in empty log, since
         # UndoLog defines __len__ and an empty log is falsy.
@@ -203,8 +200,4 @@ class TransitionHooks(MutationHooks):
                     "tid": token.tid,
                     "values": token.values,
                 })
-        if self.route_tokens is not None:
-            self.route_tokens(tokens)
-            return
-        for token in tokens:
-            self.route_token(token)
+        self.route_tokens(tokens)

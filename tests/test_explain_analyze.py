@@ -99,7 +99,7 @@ class TestExplainAnalyzeOperators:
     def test_empty_plan(self, db):
         out = db.execute(
             "explain analyze retrieve (emp.name) "
-            "where emp.age > 10 and emp.age < 5")
+            "where emp.age > 10 and 1 = 2")
         assert "Empty" in out
         assert "rows=0" in out
         assert "Total: 0 row(s)" in out

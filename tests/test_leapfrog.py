@@ -205,15 +205,9 @@ class TestJoinGraphAnalysis:
 
 class TestJoinModeResolution:
 
-    def test_explicit_mode_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOIN_MODE", "pairwise")
+    def test_explicit_mode_wins(self):
         assert resolve_join_mode("multiway") == "multiway"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOIN_MODE", "multiway")
-        assert resolve_join_mode(None) == "multiway"
-        monkeypatch.delenv("REPRO_JOIN_MODE")
-        assert resolve_join_mode(None) == "auto"
+        assert Database().network.join_planner.mode == "auto"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(RuleError, match="unknown join mode"):

@@ -81,7 +81,8 @@ class TestDatabaseSurface:
     def test_removed_knobs_fail_loudly(self):
         for knob in ({"parallel_workers": 2},
                      {"parallel_backend": "thread"},
-                     {"join_index_policy": "eager"}):
+                     {"join_index_policy": "eager"},
+                     {"selection_index": None}):
             with pytest.raises(TypeError):
                 Database(**knob)
 

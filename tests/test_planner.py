@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.lang.parser import parse_command
 from repro.planner.plans import explain, plan_operators
+from repro.planner.stats import NEQ_DEFAULT, OTHER_DEFAULT, RANGE_DEFAULT
 from tests.helpers import paper_engine
 
 
@@ -25,12 +27,13 @@ class TestAccessPaths:
     def test_btree_point_scan(self, engine):
         engine.run("define index empdno on emp (dno) using btree")
         planned = engine.plan("retrieve (emp.name) where emp.dno = 3")
-        assert "IndexScan" in plan_operators(planned.plan)
+        assert plan_operators(planned.plan) == ["IndexProbe"]
+        assert "using empdno on 3" in explain(planned.plan)
 
     def test_hash_point_scan(self, engine):
         engine.run("define index empdno on emp (dno) using hash")
         planned = engine.plan("retrieve (emp.name) where emp.dno = 3")
-        assert "IndexScan" in plan_operators(planned.plan)
+        assert plan_operators(planned.plan) == ["IndexProbe"]
 
     def test_hash_index_unused_for_range(self, engine):
         engine.run("define index empsal on emp (sal) using hash")
@@ -47,9 +50,12 @@ class TestAccessPaths:
         assert "!=" in text
 
     def test_unsatisfiable_predicate_plans_empty(self, engine):
-        planned = engine.plan(
-            "retrieve (emp.name) where emp.sal > 10 and emp.sal < 5")
-        assert plan_operators(planned.plan) == ["EmptyPlan"]
+        engine.run("define index empsal on emp (sal) using btree")
+        for where in ("emp.sal > 10 and emp.sal < 5",
+                      "emp.sal > 10 and emp.sal = 5",
+                      "emp.name = \"emp03\" and emp.sal < 5"):
+            assert engine.run(f"retrieve (emp.name) where {where}").rows \
+                == [], where
 
     def test_false_constant_plans_empty(self, engine):
         planned = engine.plan("retrieve (emp.name) where 1 = 2")
@@ -125,3 +131,32 @@ class TestExplain:
         assert len(lines) >= 3
         assert lines[0][0] != " "
         assert any(line.startswith("  ") for line in lines[1:])
+
+
+class TestSelectivity:
+    """One bound recognizer serves the estimates: a literal, a constant
+    expression and a parameter bound estimate alike, by comparison
+    shape — ``1/distinct`` for ``=``, System R's 1/3 for a range."""
+
+    @pytest.mark.parametrize("conjunct, expected", [
+        ("emp.dno = 3", 1 / 7),
+        ("3 = emp.dno", 1 / 7),
+        ("emp.dno = 1 + 2", 1 / 7),
+        ("emp.dno = $d", 1 / 7),
+        ('emp.name = "emp03"', 1 / 25),
+        ("emp.sal = inf", 1 / 25),
+        ("emp.sal > 30000", RANGE_DEFAULT),
+        ("30000 >= emp.sal", RANGE_DEFAULT),
+        ("emp.sal < 1.1 * 30000", RANGE_DEFAULT),
+        ("emp.sal <= $hi", RANGE_DEFAULT),
+        ("emp.sal > -inf", RANGE_DEFAULT),
+        ("emp.sal != 30000", NEQ_DEFAULT),
+        ("emp.sal + 1 > 30000", OTHER_DEFAULT),
+        ("emp.age = emp.jno", OTHER_DEFAULT),
+    ])
+    def test_estimate_by_comparison_shape(self, engine, conjunct,
+                                          expected):
+        command = engine.analyzer.analyze(parse_command(
+            f"retrieve (emp.name) where {conjunct}"))
+        assert engine.optimizer.stats.selection_selectivity(
+            command.where, "emp", "emp") == pytest.approx(expected)

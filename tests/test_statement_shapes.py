@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 import repro.prepared
 from repro import Database
 from repro.errors import ArielError, SemanticError
+from repro.lang.expr import Bindings, compile_expr, is_true
 from repro.lang.lexer import tokenize
+from repro.lang.parser import parse_command
 from repro.prepared import shape_of
 
 # ----------------------------------------------------------------------
@@ -378,11 +380,11 @@ class TestExplainShowsTheCachedPlan:
         db = company(128)
         low = db.explain("retrieve (emp.id) where emp.sal > 100.5 "
                          "and emp.sal <= 900")
-        assert "IndexScan emp as emp using emp_sal" in low
-        assert "low=100.5 high=900" in low and "$" not in low
+        assert "IndexScan emp as emp using emp_sal (100.5, 900]" in low
+        assert "$" not in low
         again = db.explain("retrieve (emp.id) where emp.sal > -2.5 "
                            "and emp.sal <= 7")
-        assert "low=-2.5 high=7" in again
+        assert "(-2.5, 7]" in again
         text = 'retrieve (emp.id) where emp.name = "a $1 b"'
         assert '"a $1 b"' in db.explain(text)
 
@@ -438,9 +440,9 @@ def test_smoke_two_thousand_literal_varying_statements():
 @pytest.mark.parametrize("cache_size", [128, 0])
 def test_a_nan_bound_anchors_no_index_scan(cache_size):
     """Found by the property above: a B-tree answers a range over
-    ``[nan, nan]`` with every row.  A constant NaN bound anchors no
-    IndexScan at plan time; a lifted bound that computes NaN at run
-    time makes the scan or probe yield nothing."""
+    ``[nan, nan]`` with every row.  A bound that is or computes NaN —
+    a constant or a lifted parameter alike — makes the scan or probe
+    yield nothing at run time."""
     db = company(cache_size)
     for text in ("retrieve (emp.id) where emp.sal = nan and emp.id = 0",
                  "retrieve (emp.id) where emp.sal = nan",
@@ -515,3 +517,95 @@ class TestSameErrorsAsTheFullPipeline:
         assert shape("retrieve (t.a) where t.b = 1 sort by t.a / 2") is None
         key, literals = shape("replace t (a = t.a / 2) where t.b = 1")
         assert literals == [2, 1] and "/" in key
+
+
+# ----------------------------------------------------------------------
+# the definitional oracle: a where clause means what a nested loop says
+# ----------------------------------------------------------------------
+
+#: stored ids, departments and salaries, int-vs-float, and the values no
+#: index orders — null, NaN spelt out and computed, the infinities
+ORACLE_BOUNDS = st.one_of(
+    st.integers(-1, 12).map(str),
+    st.integers(0, 11).map(lambda i: str(700 * i)),
+    st.sampled_from(["2.0", "2.5", "1400.0", "3500.5", "-0.0", "nan",
+                     "null", "inf", "-inf", "1e999 - 1e999", "1e999 * 0"]))
+#: a hash-indexed, a B-tree-indexed and an unindexed attribute
+ORACLE_ATTRS = st.sampled_from(["id", "sal", "dno"])
+ORACLE_OPS = st.sampled_from(["=", "<", "<=", ">", ">=", "!="])
+
+
+@st.composite
+def where_clauses(draw):
+    """1–3 conjuncts over id, sal and dno, piling on one attribute often
+    enough that ranges beside equalities, redundant and contradictory
+    bounds all turn up, with the attribute on either side."""
+    home = draw(ORACLE_ATTRS)
+    conjuncts = []
+    for _ in range(draw(st.integers(1, 3))):
+        attr = draw(st.one_of(st.just(home), ORACLE_ATTRS))
+        op, bound = draw(ORACLE_OPS), draw(ORACLE_BOUNDS)
+        conjuncts.append(draw(st.sampled_from(
+            [f"emp.{attr} {op} {bound}", f"{bound} {op} emp.{attr}"])))
+    return " and ".join(conjuncts)
+
+
+def nested_loop(db: Database, where: str) -> list:
+    """The ``emp.id`` of every stored row satisfying ``where``: the
+    analyzed predicate evaluated over a plain heap scan — no optimizer,
+    no index, no statement cache."""
+    command = db.analyzer.analyze(
+        parse_command(f"retrieve (emp.id) where {where}"))
+    predicate = compile_expr(command.where)
+    return sorted(stored.values[0]
+                  for stored in db.catalog.relation("emp").scan()
+                  if is_true(predicate(Bindings({"emp": stored.values}))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(where_clauses())
+def test_where_clauses_mean_what_a_nested_loop_says(where):
+    for cache_size in (128, 0):
+        db = company(cache_size)
+        expected = nested_loop(db, where)
+        rows = db.execute(f"retrieve (emp.id) where {where}").rows
+        assert sorted(row[0] for row in rows) == expected, \
+            (cache_size, where)
+        assert db.execute(f"delete emp where {where}").count \
+            == len(expected), (cache_size, where)
+        assert nested_loop(db, where) == []
+        assert len(db.relation_rows("emp")) == 12 - len(expected)
+
+
+@pytest.mark.parametrize("text, plan", [
+    # a literal point probes the hash index, as a parameter would
+    ("retrieve (emp.name) where emp.id = 3",
+     "IndexProbe emp as emp using emp_id on 3"),
+    ("retrieve (emp.id) where emp.sal = 700",
+     "IndexProbe emp as emp using emp_sal on 700"),
+    ("retrieve (emp.id) where emp.sal > 100.5 and emp.sal <= 900",
+     "IndexScan emp as emp using emp_sal (100.5, 900]"),
+    ("retrieve (emp.id) where 700 <= emp.sal",
+     "IndexScan emp as emp using emp_sal [700, +inf)"),
+    # contradictory: the range is empty at run time, not at plan time
+    ("retrieve (emp.id) where emp.sal > 900 and emp.sal < 5",
+     "IndexScan emp as emp using emp_sal (900, 5)"),
+    ("retrieve (emp.id) where emp.sal > 1000 and emp.sal = 700",
+     "IndexProbe emp as emp using emp_sal on 700 [emp.sal > 1000]"),
+    # redundant: the first lower bound anchors, the rest is residual
+    ("retrieve (emp.id) where emp.sal > 10 and emp.sal > 2000",
+     "IndexScan emp as emp using emp_sal (10, +inf) [emp.sal > 2000]"),
+    # a NaN key finds nothing at run time
+    ("retrieve (emp.id) where emp.sal = nan",
+     "IndexProbe emp as emp using emp_sal on nan"),
+    ('retrieve (emp.id) where emp.name = "e3"',
+     'SeqScan emp as emp [emp.name = "e3"]'),
+    ('delete emp where emp.id = 3 and emp.sal < 3500.5',
+     "IndexProbe emp as emp using emp_id on 3 [emp.sal < 3500.5]"),
+])
+def test_one_plan_whichever_path(text, plan):
+    """One bound analysis: a text prints the same plan through the
+    statement cache (its literals lifted to parameters) and through the
+    full pipeline (its literals constants)."""
+    lifted, full = company(128).explain(text), company(0).explain(text)
+    assert lifted == full == plan
