@@ -11,10 +11,10 @@ cost-driven planner extends into **tiny** first and rejects 90% of the
 tokens after a single probe (their ``tk`` values don't exist in tiny).
 
 The static baseline runs through the ``JoinPlanner.forced`` hook, so
-both measurements share every other code path (demand-driven index
-promotion included).  Median of ``REPEATS`` fresh runs each, per the
-perf-gate policy in ``common.py``; the bar is ≥2× (relaxed under CI)
-with P-node match sets verified identical.
+both measurements share every other code path (the join indexes the
+rule's equi-joins give both memories included).  Median of ``REPEATS``
+fresh runs each, per the perf-gate policy in ``common.py``; the bar is
+≥2× (relaxed under CI) with P-node match sets verified identical.
 """
 
 import time

@@ -9,8 +9,8 @@ inspect the system:
 ``\\rules``     list rules and network statistics
 ``\\rule name`` describe one rule's network and modified action
 ``\\plan name`` show one rule's adaptive join plan: per-memory
-               stored/virtual decision, join-index set, probe
-               feedback, and the seek order from every seed —
+               stored/virtual decision, the join-index set its
+               equi-joins give it, and the seek order from every seed —
                multiway (leapfrog) plans print the trie level
                sequence with each participant's iterator source
 ``\\explain q`` show the plan for a data command; ``\\explain analyze

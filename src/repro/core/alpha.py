@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.rules import VariableSpec
 from repro.core.tokens import Token, TokenKind
@@ -148,16 +148,6 @@ def _event_matches(gate: EventSpec | None, token: Token) -> bool:
     return bool(set(gate.attributes) & set(token.event.attributes))
 
 
-#: accumulated full-scan cost (probes x entries scanned) at which an
-#: equality-probed but un-indexed (memory, position) earns a hash join
-#: index built on the fly
-PROMOTE_COST_THRESHOLD = 256
-
-#: cap on join indexes per memory: each one is maintained by every
-#: insert/remove/flush, so promotion must not grow without bound
-MAX_JOIN_INDEXES = 4
-
-
 class AlphaMemory:
     """A materialised α-memory: entries keyed by tuple id.
 
@@ -166,6 +156,11 @@ class AlphaMemory:
     network routes entries straight to the P-node and this object stays
     empty ("simple memories never contain a persistent collection",
     paper §4.3.3).
+
+    ``join_positions`` are the attribute positions the rule equi-joins
+    this variable on: each gets a hash join-index, built empty here and
+    maintained by every insert/remove/flush, so every equality probe of
+    the join step is a bucket lookup.
     """
 
     is_virtual = False
@@ -174,32 +169,25 @@ class AlphaMemory:
     #: the shared disabled default with the Database's registry
     stats = NULL_STATS
 
-    def __init__(self, rule_name: str, spec: VariableSpec):
+    def __init__(self, rule_name: str, spec: VariableSpec,
+                 join_positions: Iterable[int] = ()):
         self.rule_name = rule_name
         self.spec = spec
         #: back-references set by the owning network at add_rule time so
         #: the token hot path skips the by-name lookups
         self.rule = None
         self.pnode = None
-        #: how many times the join step consulted this memory (probe or
-        #: scan) — the feedback signal for adaptive materialization
-        self.probe_count = 0
-        #: equality probes answered by a full scan for want of an index
-        self.unindexed_probe_count = 0
         self._entries: dict[TupleId, MemoryEntry] = {}
         # join indexes: attribute position -> {value -> {tid -> entry}}
         # (inner dicts keep insertion order, matching entries() iteration
         # semantics for determinism)
         self._join_indexes: dict[int, dict[object,
-                                           dict[TupleId,
-                                                MemoryEntry]]] = {}
+                                           dict[TupleId, MemoryEntry]]] = {
+            position: {} for position in join_positions}
         # position -> sorted distinct join-key values (the leapfrog
         # iterator view over the join index); built lazily by
         # sorted_join_keys and maintained by insert/remove/flush
         self._sorted_keys: dict[int, list] = {}
-        # position -> accumulated un-indexed equality-scan cost; feeds
-        # the on-the-fly promotion decision in note_unindexed_probe
-        self._unindexed_cost: dict[int, int] = {}
 
     @property
     def kind_name(self) -> str:
@@ -278,70 +266,19 @@ class AlphaMemory:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def reset_feedback(self) -> None:
-        """Open a fresh probe-feedback window (after an adaptation
-        step; after priming, whose probes are not token traffic)."""
-        self.probe_count = 0
-        self.unindexed_probe_count = 0
-
     # ------------------------------------------------------------------
     # join indexes
     # ------------------------------------------------------------------
 
-    def ensure_join_index(self, position: int) -> None:
-        """Build (idempotently) a hash join-index on an attribute
-        position the rule's join graph probes with equality.  Maintained
-        by every subsequent insert/remove/flush."""
-        if position in self._join_indexes:
-            return
-        buckets: dict[object, dict[TupleId, MemoryEntry]] = {}
-        for entry in self._entries.values():
-            buckets.setdefault(entry.values[position],
-                               {})[entry.tid] = entry
-        self._join_indexes[position] = buckets
-
-    def has_join_index(self, position: int) -> bool:
-        return position in self._join_indexes
-
     def join_index_positions(self) -> list[int]:
-        """The attribute positions currently carrying a join index."""
+        """The attribute positions carrying a join index."""
         return list(self._join_indexes)
-
-    def note_unindexed_probe(self, position: int) -> bool:
-        """Record one equality probe that found no join index on
-        ``position``.
-
-        Accumulates the probe's full-scan cost (the current entry
-        count); once the total crosses :data:`PROMOTE_COST_THRESHOLD`
-        — and the memory is under :data:`MAX_JOIN_INDEXES` — the index
-        is built on the spot and True is returned, telling the caller
-        to answer this very probe from the fresh index.  Returns False
-        while the probe must still degrade to a full scan.
-        """
-        cost = self._unindexed_cost.get(position, 0) \
-            + max(len(self._entries), 1)
-        if cost >= PROMOTE_COST_THRESHOLD \
-                and len(self._join_indexes) < MAX_JOIN_INDEXES:
-            self._unindexed_cost.pop(position, None)
-            self.ensure_join_index(position)
-            stats = self.stats
-            if stats.enabled:
-                stats.bump("alpha.join_indexes_promoted")
-            return True
-        self._unindexed_cost[position] = cost
-        self.unindexed_probe_count += 1
-        stats = self.stats
-        if stats.enabled:
-            counters = stats.counters
-            counters["joins.unindexed_probes"] = \
-                counters.get("joins.unindexed_probes", 0) + 1
-        return False
 
     def join_probe(self, position: int, value) -> Iterator[MemoryEntry]:
         """Entries whose attribute at ``position`` equals ``value`` —
         the O(1) bucket lookup replacing the full-memory scan of the
-        TREAT/Rete join step.  Only valid after :meth:`ensure_join_index`
-        for that position."""
+        TREAT/Rete join step.  ``position`` must be one of the memory's
+        join positions."""
         stats = self.stats
         if stats.enabled:
             counters = stats.counters
@@ -360,8 +297,8 @@ class AlphaMemory:
         when a bucket appears or drains, and :meth:`flush` drops it
         with the rest of the Δ-set state.  Null and NaN keys are
         excluded — under three-valued logic they never satisfy an
-        equi-join conjunct.  Only valid after :meth:`ensure_join_index`
-        for the position.  Callers must treat the list as read-only.
+        equi-join conjunct.  ``position`` must be one of the memory's
+        join positions.  Callers must treat the list as read-only.
         """
         keys = self._sorted_keys.get(position)
         if keys is None:
@@ -422,9 +359,6 @@ class VirtualAlphaMemory:
         self.pnode = None
         #: diagnostics: how many base-relation scans this memory answered
         self.scan_count = 0
-        #: join-step consultations (same feedback role as
-        #: :attr:`AlphaMemory.probe_count`)
-        self.probe_count = 0
 
     @property
     def kind_name(self) -> str:
@@ -440,7 +374,6 @@ class VirtualAlphaMemory:
         or one filtered heap pass) is :meth:`VariableSpec.select`'s.
         """
         self.scan_count += 1
-        self.probe_count += 1
         stats = self.stats
         if stats.enabled:
             counters = stats.counters
@@ -452,9 +385,6 @@ class VirtualAlphaMemory:
 
     def __len__(self) -> int:
         return 0        # stores nothing: that is the point
-
-    def reset_feedback(self) -> None:
-        self.probe_count = 0
 
     def flush(self) -> None:
         return None

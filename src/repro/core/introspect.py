@@ -68,8 +68,8 @@ def _describe_memory(manager: RuleManager, rule: CompiledRule,
 
 def describe_join_plan(manager: RuleManager, name: str) -> str:
     """The adaptive join plan of one active rule (the CLI's ``\\plan``):
-    per-memory storage decision, join-index set and probe feedback, plus
-    the planner's seek order from every seed variable."""
+    per-memory storage decision and join-index set, plus the planner's
+    seek order from every seed variable."""
     record = manager.rule(name)
     if not record.active:
         return f"rule {name} is not active (no join plan)"

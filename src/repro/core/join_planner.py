@@ -431,8 +431,8 @@ class JoinPlanner:
             rows = float(len(memory))
             if equi is not None:
                 attr, _position = equi
-                # hash-bucket fetch: cheap whether the join index exists
-                # already or is about to be promoted on demand
+                # hash-bucket fetch: the rule's join graph gave the
+                # memory a join index on every equi-join position
                 output = stats.equijoin_bucket(spec.relation, attr, rows)
                 return 1.0 + 2.0 * output
             cost = 2.0 * rows
@@ -515,8 +515,7 @@ class JoinPlanner:
                 rows = self._virtual_rows_estimate(rule, var, spec, stats)
                 lines.append(
                     f"  {var} in {spec.relation}: virtual, "
-                    f"~{rows:.0f} of {len(relation)} row(s), "
-                    f"{memory.probe_count} probe(s)")
+                    f"~{rows:.0f} of {len(relation)} row(s)")
             elif spec.is_simple:
                 lines.append(f"  {var} in {spec.relation}: simple "
                              f"(routed straight to the P-node)")
@@ -527,9 +526,7 @@ class JoinPlanner:
                 lines.append(
                     f"  {var} in {spec.relation}: stored, "
                     f"{len(memory)} entries, "
-                    f"join-index(es) [{indexed}], "
-                    f"{memory.probe_count} probe(s), "
-                    f"{memory.unindexed_probe_count} unindexed")
+                    f"join-index(es) [{indexed}]")
         if len(rule.variables) > 1:
             if len(rule.variables) >= 3 and self.mode != "pairwise" \
                     and self.forced is None:
@@ -577,9 +574,9 @@ class JoinPlanner:
                     source = "virtual scan"
                 elif level_var.constraints:
                     source = "restricted probe"
-                elif memory.has_join_index(level_var.positions[0]):
+                elif len(level_var.positions) == 1:
                     source = "sorted join-index view"
-                else:
+                else:       # intra-tuple equality: grouped on the fly
                     source = "memory scan"
                 sources.append(f"{level_var.var}.{attr} via {source}")
             parts.append("leapfrog[" + " & ".join(sources) + "]")

@@ -344,8 +344,7 @@ def multiway_seek(network, rule, plan: MultiwayPlan,
 
     def restricted_entries(var: str, constraints) -> list:
         """The var's memory contents under the already-fixed equality
-        constraints — probed through the hash join-index (with the
-        same demand-promotion feedback as the pairwise step) or the
+        constraints — probed through the hash join-index or the
         sharpened virtual scan, then filtered.  Memoized per seek."""
         flat = []
         for class_index, positions in constraints:
@@ -368,20 +367,13 @@ def multiway_seek(network, rule, plan: MultiwayPlan,
                 entries = network._virtual_entries(
                     memory, var, partial, None, pending_vars, token)
                 rest = ()
+        elif flat:
+            position, value = flat[0]
+            entries = memory.join_probe(position, value)
+            rest = flat[1:]
         else:
-            memory.probe_count += 1
-            if flat:
-                position, value = flat[0]
-                if memory.has_join_index(position) \
-                        or memory.note_unindexed_probe(position):
-                    entries = memory.join_probe(position, value)
-                    rest = flat[1:]
-                else:
-                    entries = memory.entries()
-                    rest = flat
-            else:
-                entries = memory.entries()
-                rest = ()
+            entries = memory.entries()
+            rest = ()
         if rest:
             out = [entry for entry in entries
                    if all(entry.values[p] == v for p, v in rest)]
@@ -406,12 +398,9 @@ def multiway_seek(network, rule, plan: MultiwayPlan,
         if view is not None:
             return view
         memory = memories[(rule_name, var)]
-        if not constraints and len(positions) == 1 \
-                and not memory.is_virtual \
-                and memory.has_join_index(positions[0]):
+        if not constraints and len(positions) == 1 and not memory.is_virtual:
             view = (memory.sorted_join_keys(positions[0]),
                     _IndexedView(memory, positions[0]))
-            memory.probe_count += 1
         else:
             entries = restricted_entries(var, constraints)
             first = positions[0]

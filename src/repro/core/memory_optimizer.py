@@ -17,13 +17,8 @@ available storage".  This module implements that optimizer:
 
 The estimates come from a fresh :class:`~repro.planner.stats.Statistics`,
 not the optimizer's, whose cached estimates depend on when it asked.
-Probe frequencies are assumed uniform by default; a ``weights`` mapping
-lets callers bias rules they know fire often, and ``observed=True``
-replaces the uniform assumption with the per-memory probe counters the
-join step maintains at runtime —
-:func:`adapt_memories` packages that feedback loop (plan from observed
-frequencies, rebuild only the rules whose decision flipped, reset the
-counters for a fresh window).
+Probe frequencies are assumed uniform; a ``weights`` mapping lets
+callers bias rules they know fire often.
 """
 
 from __future__ import annotations
@@ -89,38 +84,16 @@ def _density_key(choice: MemoryChoice) -> tuple:
 
 
 def plan_memories(db, budget_entries: float,
-                  weights: dict[str, float] | None = None,
-                  observed: bool = False) -> MemoryPlan:
+                  weights: dict[str, float] | None = None) -> MemoryPlan:
     """Choose which pattern α-memories to materialize.
 
     ``budget_entries`` bounds the total stored α entries across all
     rules; ``weights`` optionally scales the probe benefit per rule name
-    (how often its memories are consulted, default 1.0).  With
-    ``observed=True`` each memory's benefit is additionally scaled by
-    its *measured* probe frequency — the ``probe_count`` the join step
-    maintains — normalised to mean 1.0 over the candidates, so memories
-    the workload actually consults outbid cold ones (uniform frequency
-    is used as a fallback when nothing has been probed yet).
+    (how often its memories are consulted, default 1.0).
     """
     stats = Statistics(db.catalog)
     weights = weights or {}
     network = db.manager.network
-    frequency: dict[tuple[str, str], float] = {}
-    if observed:
-        counts = {}
-        for rule in network.rules.values():
-            if len(rule.variables) == 1:
-                continue
-            for var in rule.variables:
-                spec = rule.specs[var]
-                if spec.is_dynamic or spec.is_simple:
-                    continue
-                memory = network.memory(rule.name, var)
-                counts[(rule.name, var)] = float(memory.probe_count)
-        mean = (sum(counts.values()) / len(counts)) if counts else 0.0
-        if mean > 0:
-            frequency = {key: count / mean
-                         for key, count in counts.items()}
     candidates: list[MemoryChoice] = []
     for rule in network.rules.values():
         if len(rule.variables) == 1:
@@ -137,13 +110,12 @@ def plan_memories(db, budget_entries: float,
             #            a join attribute, else scan the whole relation
             stored_cost = entries
             virtual_cost = float(len(relation))
-            if _has_index_on_join_attr(db, rule, var):
-                matches = entries / max(stats.distinct(
-                    spec.relation,
-                    relation.schema.names()[0]), 1)
+            attr = _indexed_join_attr(db, rule, var)
+            if attr is not None:
+                matches = entries / max(stats.distinct(spec.relation,
+                                                       attr), 1)
                 virtual_cost = math.log2(len(relation) + 2) + matches
             weight = weights.get(rule.name, 1.0)
-            weight *= frequency.get((rule.name, var), 1.0)
             benefit = max(virtual_cost - stored_cost, 0.0) * weight
             candidates.append(MemoryChoice(
                 rule.name, var, spec.relation, entries, benefit, False))
@@ -163,15 +135,12 @@ def plan_memories(db, budget_entries: float,
     return MemoryPlan(float(budget_entries), chosen)
 
 
-def apply_plan(db, plan: MemoryPlan, only_changes: bool = False) -> int:
+def apply_plan(db, plan: MemoryPlan) -> int:
     """Rebuild the affected rules' networks under the plan's choices.
 
     Returns the number of rules reactivated.  Each rule is deactivated
     and reactivated with a pinned virtual policy, so its memories are
-    re-primed from current data.  With ``only_changes=True`` a rule
-    whose memories already match the plan is left untouched — the
-    online-adaptation mode, where a reactivation (re-prime plus β/P
-    rebuild) is only worth paying for an actual flip.
+    re-primed from current data.
     """
     by_rule: dict[str, dict[str, bool]] = {}
     for choice in plan.choices:
@@ -182,8 +151,6 @@ def apply_plan(db, plan: MemoryPlan, only_changes: bool = False) -> int:
     for rule_name, decisions in by_rule.items():
         record = db.manager.rule(rule_name)
         if not record.active:
-            continue
-        if only_changes and not _plan_differs(db, rule_name, decisions):
             continue
 
         def pinned(spec, decisions=decisions):
@@ -202,16 +169,6 @@ def apply_plan(db, plan: MemoryPlan, only_changes: bool = False) -> int:
     return reactivated
 
 
-def _plan_differs(db, rule_name: str, decisions: dict[str, bool]) -> bool:
-    """Does any of the rule's memories disagree with the plan?"""
-    network = db.manager.network
-    for var, materialize in decisions.items():
-        memory = network.memory(rule_name, var)
-        if memory.is_virtual == materialize:
-            return True
-    return False
-
-
 def optimize_memories(db, budget_entries: float,
                       weights: dict[str, float] | None = None
                       ) -> MemoryPlan:
@@ -219,25 +176,6 @@ def optimize_memories(db, budget_entries: float,
     plan = plan_memories(db, budget_entries, weights)
     apply_plan(db, plan)
     return plan
-
-
-def adapt_memories(db, budget_entries: float,
-                   weights: dict[str, float] | None = None
-                   ) -> tuple[MemoryPlan, int]:
-    """One feedback-driven adaptation step (paper §8, made adaptive).
-
-    Plans from the *observed* per-memory probe counters, rebuilds only
-    the rules whose storage decision actually flipped, then resets the
-    counters so the next step sees a fresh feedback window.  Returns
-    ``(plan, rules_reactivated)``.
-    """
-    plan = plan_memories(db, budget_entries, weights, observed=True)
-    flipped = apply_plan(db, plan, only_changes=True)
-    network = db.manager.network
-    for rule in network.rules.values():
-        for var in rule.variables:
-            network.memory(rule.name, var).reset_feedback()
-    return plan, flipped
 
 
 #: below this relation size the optimizer counts qualifying tuples
@@ -254,17 +192,12 @@ def _entry_estimate(db, stats, spec) -> float:
                                   spec.selection_conjuncts)
 
 
-def _has_index_on_join_attr(db, rule, var: str) -> bool:
+def _indexed_join_attr(db, rule, var: str) -> str | None:
+    """The first of ``var``'s equi-join attributes its relation has an
+    index on — the access path a virtual memory's join probe can take —
+    or None."""
     relation = db.catalog.relation(rule.var_relations[var])
-    for conjunct in rule.joins:
-        equi = conjunct.equijoin
-        if equi is None:
-            continue
-        attr = None
-        if equi.left_var == var:
-            attr = equi.left_attr
-        elif equi.right_var == var:
-            attr = equi.right_attr
-        if attr is not None and relation.index_on(attr) is not None:
-            return True
-    return False
+    for _other, attr, _position in rule.equijoins_by_var.get(var, ()):
+        if relation.index_on(attr) is not None:
+            return attr
+    return None

@@ -136,9 +136,14 @@ class DiscriminationNetwork:
         self.join_planner.forget(name)
 
     def _make_memory(self, rule: CompiledRule, spec: VariableSpec):
+        """A virtual memory, or a stored one with a join index on each
+        position the rule equi-joins the variable on (a simple memory,
+        of a one-variable rule, has none)."""
         if self._wants_virtual(spec):
             return VirtualAlphaMemory(rule.name, spec)
-        return AlphaMemory(rule.name, spec)
+        return AlphaMemory(rule.name, spec, sorted({
+            position for _other, _attr, position
+            in rule.equijoins_by_var.get(spec.var, ())}))
 
     def _wants_virtual(self, spec: VariableSpec) -> bool:
         """Decide stored vs virtual for a pattern (ungated) memory.
@@ -426,30 +431,22 @@ class DiscriminationNetwork:
         conjunct the access path already *enforces* (None when every
         conjunct must still be evaluated over the candidates).
 
-        Stored memories answer an equality probe from a hash
-        join-index bucket; a probe that finds no index is noted (the
-        demand-driven promotion signal) and degrades — explicitly — to
-        a full-memory scan with no conjunct enforced.  Virtual memories
-        answer from the base relation via :meth:`_virtual_entries`,
-        whose equality sharpening is exact, so the probed conjunct is
-        enforced there too.  Null and NaN probe values yield no
-        candidates: under three-valued logic they never satisfy an
-        equi-join conjunct.
+        Stored memories answer an equality probe from the hash
+        join-index the rule's join graph gave them at activation.
+        Virtual memories answer from the base relation via
+        :meth:`_virtual_entries`, whose equality sharpening is exact,
+        so the probed conjunct is enforced there too.  Null and NaN
+        probe values yield no candidates: under three-valued logic they
+        never satisfy an equi-join conjunct.
         """
         probe = equality_probe(var, partial, conjuncts)
         if not memory.is_virtual:
-            memory.probe_count += 1
             if probe is None:
                 return memory.entries(), None
             position, value, conjunct = probe
             if value is None or value != value:
                 return (), conjunct
-            if memory.has_join_index(position) \
-                    or memory.note_unindexed_probe(position):
-                return memory.join_probe(position, value), conjunct
-            # degraded path: no join index (yet) — scan everything and
-            # let the conjunct be evaluated like any other
-            return memory.entries(), None
+            return memory.join_probe(position, value), conjunct
         if probe is None:
             equality, enforced = None, None
         else:

@@ -16,10 +16,12 @@ one-attribute-per-relation case runs with no dedup bookkeeping at all —
 a target is registered under exactly one anchor, so a single stab can
 never produce duplicates.
 
-:meth:`SelectionIndex.probe_many` is the batch entry point used by the
-network's set-oriented token propagation: it groups probes by relation,
-dedupes repeated ``(relation, values)`` probes, and memoizes individual
-attribute-value stabs within the batch.
+The network's set-oriented token propagation calls
+:meth:`SelectionIndex.probe` with a batch-owned ``stab_cache`` that
+memoizes attribute-value stabs across the batch, and caches whole probe
+results by the tuple's anchored values (what :meth:`anchor_key`
+projects).  :meth:`probe_many`, a self-contained batch form, is not on
+that path.
 
 The interval index defaults to the interval skip list; the IBS tree or
 the naive :class:`LinearIntervalIndex` can be substituted (the

@@ -71,8 +71,8 @@ class TreatNetwork(DiscriminationNetwork):
         stats = self.stats
         counting = stats.enabled
         # Priming is not token propagation: the joins.* / alpha.* /
-        # virtual.* counters, probe feedback (adaptive materialization)
-        # and the planner's memo (forgotten below) see token traffic only.
+        # virtual.* counters and the planner's memo (forgotten below)
+        # see token traffic only.
         stats.enabled = False
         try:
             # no memory changes size while priming: plan the seek once
@@ -82,8 +82,6 @@ class TreatNetwork(DiscriminationNetwork):
         finally:
             stats.enabled = counting
             self.join_planner.forget(rule.name)
-        for var in rule.variables:
-            memories[(rule.name, var)].reset_feedback()
         primed = len(self._pnodes[rule.name])
         if primed:
             stats.bump("pnode.inserts", primed)

@@ -212,12 +212,6 @@ class Database:
                 checkpoint_every=checkpoint_every, mode="fresh",
                 quiesce=self.hooks.flush_tokens)
             self.hooks.journal = self._durability
-        # feedback-driven α-memory adaptation (off until enabled)
-        self._adapt_every = 0
-        self._adapt_budget = 0.0
-        self._adapt_weights: dict[str, float] | None = None
-        self._adapt_countdown = 0
-        self._adapting = False
 
     @property
     def max_firings(self) -> int:
@@ -851,56 +845,6 @@ class Database:
         # Deliver trigger notifications only after the cycle settles, so
         # subscribers always observe a consistent post-cascade state.
         self.subscriptions.deliver()
-        self._maybe_adapt_memories()
-
-    # ------------------------------------------------------------------
-    # feedback-driven α-memory adaptation (paper §8)
-    # ------------------------------------------------------------------
-
-    def adapt_memories(self, budget_entries: float,
-                       weights: dict[str, float] | None = None):
-        """One feedback-driven materialization step: re-plan stored vs
-        virtual from the observed per-memory probe counters under a
-        storage budget, rebuild only the rules whose decision flipped,
-        and reset the counters.  Returns the
-        :class:`~repro.core.memory_optimizer.MemoryPlan`."""
-        from repro.core.memory_optimizer import adapt_memories
-        self._adapting = True
-        try:
-            plan, flipped = adapt_memories(self, budget_entries, weights)
-        finally:
-            self._adapting = False
-        if self.stats.enabled:
-            self.stats.bump("memory.adaptations")
-            if flipped:
-                self.stats.bump("memory.flips", flipped)
-        return plan
-
-    def enable_memory_adaptation(self, budget_entries: float,
-                                 every: int = 100,
-                                 weights: dict[str, float] | None = None
-                                 ) -> None:
-        """Run :meth:`adapt_memories` automatically every ``every``
-        completed transitions (outside explicit transactions)."""
-        if every <= 0:
-            raise ArielError("adaptation interval must be positive")
-        self._adapt_every = every
-        self._adapt_budget = float(budget_entries)
-        self._adapt_weights = weights
-        self._adapt_countdown = every
-
-    def disable_memory_adaptation(self) -> None:
-        self._adapt_every = 0
-
-    def _maybe_adapt_memories(self) -> None:
-        if not self._adapt_every or self._adapting \
-                or self._in_transaction:
-            return
-        self._adapt_countdown -= 1
-        if self._adapt_countdown > 0:
-            return
-        self._adapt_countdown = self._adapt_every
-        self.adapt_memories(self._adapt_budget, self._adapt_weights)
 
     def _fire(self, rule: CompiledRule) -> None:
         """One act step: consume the P-node and run the action as a

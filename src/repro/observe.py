@@ -32,11 +32,10 @@ docs/ARCHITECTURE.md, "Observing the engine"):
                        activation (rules primed, tuples the priming
                        passes examined — one bump per activation)
 ``joins.*``            seek planning (orders planned / cache hits,
-                       β chains planned, unindexed equality probes)
-                       and the multiway join step (multiway plans
-                       chosen, cost/shape fallbacks to pairwise,
-                       multiway seeks run, leapfrog iterator seeks)
-``memory.*``           feedback-driven α-memory adaptation (runs, flips)
+                       β chains planned) and the multiway join step
+                       (multiway plans chosen, cost/shape fallbacks to
+                       pairwise, multiway seeks run, leapfrog iterator
+                       seeks)
 ``stmt_cache.*``       transparent statement-cache hits / misses
 ``plan_cache.*``       prepared-statement executions / replans
 ``actions.*``          rule-action plans built

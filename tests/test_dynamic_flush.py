@@ -21,6 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, persist
+from repro.core.memory_optimizer import (
+    apply_plan, optimize_memories, plan_memories)
 from repro.core.validate import check_network
 from repro.db import FIRING_LOG_KEEP
 from repro.errors import ArielError, ExecutionError
@@ -108,7 +110,7 @@ _statement = st.one_of(
     st.tuples(st.sampled_from(("define", "deactivate", "activate",
                                "remove")),
               st.sampled_from(RULE_NAMES)),
-    st.tuples(st.just("adapt")),
+    st.tuples(st.just("optimize")),
 )
 
 _COLUMN = {"t": "a", "u": "b", "v": "c"}
@@ -168,13 +170,8 @@ class _Driver:
                 getattr(db, kind)()
         elif kind == "define":
             db.execute(f"define rule {op[1]} {DYNAMIC_RULES[op[1]]}")
-        elif kind == "adapt":
-            # probe feedback legitimately differs (the full walk
-            # re-probes untouched Rete chains); level it so both sides
-            # take the same storage decisions
-            for memory in db.network._memories.values():
-                memory.probe_count = 1
-            db.adapt_memories(budget_entries=6)
+        elif kind == "optimize":
+            optimize_memories(db, 6)
         else:
             db.execute(f"{kind} rule {op[1]}")
 
@@ -365,9 +362,9 @@ def test_adaptation_rebuild_mid_registration():
     db = _mixed_db()
     db._rules_suspended = True
     db.execute("append t(a = 4, k = 1)")
-    for memory in db.network._memories.values():
-        memory.probe_count = 1
-    db.adapt_memories(budget_entries=0)         # flips u to virtual
+    # a zero budget stores nothing: the rebuild flips u to virtual
+    apply_plan(db, plan_memories(db, 0))
+    assert db.network.memory("mix", "u").is_virtual
     db._rules_suspended = False
     db.execute("retrieve (t.a)")
     assert _settled(db)

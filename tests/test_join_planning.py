@@ -1,12 +1,9 @@
-"""Tests for adaptive join planning: cost-driven seek ordering,
-demand-driven join-index promotion, and feedback-driven α-memory
-adaptation."""
+"""Tests for adaptive join planning: cost-driven seek ordering, and the
+α-memory join indexes the rule's join graph decides at activation."""
 
 import pytest
 
 from repro import Database
-from repro.core.alpha import MAX_JOIN_INDEXES, PROMOTE_COST_THRESHOLD
-from repro.errors import ArielError
 
 
 def _fill(db, relation, rows):
@@ -179,139 +176,107 @@ class TestChainOrdering:
         assert results[0] == results[1]
 
 
-class TestDemandDrivenIndexes:
-    def _db(self):
-        db = Database(virtual_policy="never")
+class TestJoinIndexesFromJoinGraph:
+    """A stored α-memory carries a hash join-index on every attribute
+    position its rule equi-joins it on, from ``define rule`` on — before
+    any token arrives."""
+
+    #: rule -> condition, and var -> the positions it is equi-joined on:
+    #: 2-4 variables, a self-join, two conjuncts on one variable pair, a
+    #: cyclic triangle, an ``on append`` (dynamic) variable, and a
+    #: one-variable (simple) rule
+    RULES = {
+        "pair": ("if l.k = r.k", {"l": [0], "r": [0]}),
+        "self": ("if r1.k = r2.pad from r1 in r, r2 in r",
+                 {"r1": [0], "r2": [1]}),
+        "twice": ("if l.k = r.k and l.j = r.k", {"l": [0, 1], "r": [0]}),
+        "tri": ("if l.k = r.k and r.pad = m.a and m.b = l.j",
+                {"l": [0, 1], "r": [0, 1], "m": [0, 1]}),
+        "ev": ("on append l if l.k = r.k and r.pad = m.a",
+               {"l": [0], "r": [0, 1], "m": [0]}),
+        "four": ("if l.k = r.k and r.pad = m.a and m.b = n.c",
+                 {"l": [0], "r": [0, 1], "m": [0, 1], "n": [0]}),
+        "solo": ("if r.k > 3", {"r": []}),
+    }
+
+    CONFIGS = [{"network": "a-treat", "virtual_policy": "never"},
+               {"network": "treat"},
+               {"network": "rete"}]
+    CONFIG_IDS = ["a-treat-never", "treat", "rete"]
+
+    def _db(self, **config):
+        db = Database(**config)
         db.execute_script("""
-            create l (k = int4)
+            create l (k = int4, j = int4)
             create r (k = int4, pad = int4)
-        """)
-        db.bulk_append("r", ((i % 8, i) for i in range(64)))
-        db._rules_suspended = True
-        db.execute("define rule jj if l.k = r.k then delete l")
-        return db
-
-    def test_demand_policy_starts_unindexed(self):
-        db = self._db()
-        assert db.network.memory("jj", "r").join_index_positions() == []
-
-    def test_index_promoted_at_runtime_after_threshold(self):
-        db = self._db()
-        memory = db.network.memory("jj", "r")
-        probes_needed = PROMOTE_COST_THRESHOLD // len(memory) + 1
-        for i in range(probes_needed):
-            db.execute(f"append l(k = {i % 8})")
-        assert memory.join_index_positions() == [0]
-        assert db.stats.get("alpha.join_indexes_promoted") == 1
-        # degradation before the promotion was counted
-        assert db.stats.get("joins.unindexed_probes") > 0
-        assert memory.unindexed_probe_count > 0
-
-    def test_promoted_index_answers_probes(self):
-        db = self._db()
-        memory = db.network.memory("jj", "r")
-        for i in range(20):
-            db.execute(f"append l(k = {i % 8})")
-        assert memory.has_join_index(0)
-        assert {e.values[0] for e in memory.join_probe(0, 3)} == {3}
-
-    def test_promotion_visible_in_plan_description(self):
-        db = self._db()
-        for i in range(20):
-            db.execute(f"append l(k = {i % 8})")
-        from repro.core.introspect import describe_join_plan
-        text = describe_join_plan(db.manager, "jj")
-        assert "join-index(es) [k]" in text
-
-    def test_index_cap_respected(self):
-        from repro.core.alpha import AlphaMemory
-        from repro.core.rules import VariableSpec
-        spec = VariableSpec(var="v", relation="t")
-        memory = AlphaMemory("rr", spec)
-        for position in range(MAX_JOIN_INDEXES):
-            memory.ensure_join_index(position)
-        for _ in range(10_000):
-            promoted = memory.note_unindexed_probe(MAX_JOIN_INDEXES)
-            assert promoted is False
-        assert len(memory.join_index_positions()) == MAX_JOIN_INDEXES
-
-
-class TestFeedbackAdaptation:
-    def _db(self):
-        """Two symmetric event rules; only hot_rule sees traffic.
-
-        The ``< 2`` selection keeps 40 of 80 rows, so materializing a
-        memory saves 40 per probe (scan 80 vs iterate 40); a budget of
-        50 entries fits exactly one of the two memories, and observed
-        probe frequency must decide which.
-        """
-        db = Database(virtual_policy="always")
-        db.execute_script("""
-            create hp (k = int4)
-            create cp (k = int4)
-            create hot (k = int4)
-            create cold (k = int4)
+            create m (a = int4, b = int4)
+            create n (c = int4)
             create log (k = int4)
         """)
-        db.bulk_append("hot", ((i % 4,) for i in range(80)))
-        db.bulk_append("cold", ((i % 4,) for i in range(80)))
-        db.execute("define rule hot_rule on append hp "
-                   "if hp.k = hot.k and hot.k < 2 "
-                   "then append to log(k = hp.k)")
-        db.execute("define rule cold_rule on append cp "
-                   "if cp.k = cold.k and cold.k < 2 "
-                   "then append to log(k = cp.k)")
+        db.bulk_append("r", ((i % 8, i % 5) for i in range(64)))
+        db.bulk_append("m", ((i % 5, i % 3) for i in range(20)))
+        db.bulk_append("n", ((i,) for i in range(3)))
+        db._rules_suspended = True
+        for name, (condition, _) in self.RULES.items():
+            db.execute(f"define rule {name} {condition} "
+                       f"then append to log(k = 1)")
         return db
 
-    def test_observed_probes_bias_materialization(self):
-        db = self._db()
-        for i in range(30):
-            db.execute(f"append hp(k = {i % 4})")
-        plan = db.adapt_memories(budget_entries=50)
-        assert plan.decision("hot_rule", "hot") is True
-        assert plan.decision("cold_rule", "cold") is False
-        assert db.network.memory("hot_rule", "hot").is_virtual is False
-        assert db.network.memory("cold_rule", "cold").is_virtual is True
-        assert db.stats.get("memory.adaptations") == 1
-        assert db.stats.get("memory.flips") == 1
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_indexes_exist_right_after_define(self, config):
+        db = self._db(**config)
+        for name, (_, expected) in self.RULES.items():
+            rule = db.network.rules[name]
+            for var, positions in expected.items():
+                memory = db.network.memory(name, var)
+                assert not memory.is_virtual
+                assert memory.join_index_positions() == positions, \
+                    (name, var)
+                assert positions == sorted({
+                    p for _, _, p in rule.equijoins_by_var.get(var, ())})
+        assert db.network.memory("solo", "r").spec.is_simple
 
-    def test_adaptation_resets_probe_counters(self):
-        db = self._db()
-        for i in range(5):
-            db.execute(f"append hp(k = {i % 4})")
-        assert db.network.memory("hot_rule", "hot").probe_count > 0
-        db.adapt_memories(budget_entries=50)
-        assert db.network.memory("hot_rule", "hot").probe_count == 0
+    def test_virtual_memories_carry_no_index(self):
+        db = self._db(network="a-treat", virtual_policy="always")
+        virtual = 0
+        for name, (_, expected) in self.RULES.items():
+            for var in expected:
+                memory = db.network.memory(name, var)
+                if memory.is_virtual:
+                    virtual += 1
+                    assert not hasattr(memory, "join_index_positions")
+                else:       # dynamic or simple: stored whatever the policy
+                    assert memory.spec.is_dynamic or memory.spec.is_simple
+        assert virtual == 15
 
-    def test_no_flip_means_no_reactivation(self):
-        db = self._db()
-        db.adapt_memories(budget_entries=0)   # nothing materializable
-        flips = db.stats.get("memory.flips")
-        db.adapt_memories(budget_entries=0)   # same verdict again
-        assert db.stats.get("memory.flips") == flips
-        assert db.stats.get("memory.adaptations") == 2
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_dynamic_memory_keeps_its_indexes_across_flush(self, config):
+        db = self._db(**config)
+        memory = db.network.memory("ev", "l")
+        assert memory.spec.is_dynamic
+        db.execute("append l(k = 3, j = 0)")
+        assert len(memory) == 1         # suspended: not flushed yet
+        db.network.flush_dynamic()
+        assert len(memory) == 0
+        assert memory.join_index_positions() == [0]
+        db._rules_suspended = False
+        db.execute("append l(k = 3, j = 0)")
+        assert memory.join_index_positions() == [0]
 
-    def test_auto_trigger_every_n_transitions(self):
-        db = self._db()
-        db.enable_memory_adaptation(budget_entries=50, every=3)
-        for i in range(7):
-            db.execute(f"append hp(k = {i % 4})")
-        assert db.stats.get("memory.adaptations") == 2
-        db.disable_memory_adaptation()
-        for i in range(6):
-            db.execute(f"append hp(k = {i % 4})")
-        assert db.stats.get("memory.adaptations") == 2
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_first_token_probes_the_index(self, config):
+        db = self._db(**config)     # l is empty: priming probed nothing
+        before = db.stats.get("alpha.join_probes")
+        db.execute("append l(k = 3, j = 0)")
+        assert db.stats.get("alpha.join_probes") > before
+        memory = db.network.memory("pair", "r")
+        assert {e.values[0] for e in memory.join_probe(0, 3)} == {3}
 
-    def test_bad_interval_rejected(self):
-        db = self._db()
-        with pytest.raises(ArielError):
-            db.enable_memory_adaptation(budget_entries=10, every=0)
-
-    def test_rules_still_correct_after_adaptation(self):
-        db = self._db()
-        db.enable_memory_adaptation(budget_entries=50, every=2)
-        for i in range(8):
-            db.execute(f"append hp(k = {i % 4})")
-        # k cycles 0..3; the two k<2 values each appear twice and join
-        # 20 hot rows apiece — a mid-run storage flip must not change it
-        assert len(db.relation_rows("log")) == 4 * 20
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_plan_description_shows_the_index(self, config):
+        from repro.core.introspect import describe_join_plan
+        db = self._db(**config)
+        text = describe_join_plan(db.manager, "pair")
+        assert text.count("join-index(es) [k]") == 2
+        assert "join-index(es) [k, pad]" in describe_join_plan(
+            db.manager, "tri")

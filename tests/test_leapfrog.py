@@ -82,7 +82,7 @@ def _memory_with_index():
     db.execute('define rule rj if t.a = u.b '
                'then append to log(tag = "j")')
     memory = db.network._memories[("rj", "t")]
-    memory.ensure_join_index(0)        # position of t.a
+    assert memory.join_index_positions() == [0]     # position of t.a
     return db, memory
 
 
@@ -116,7 +116,6 @@ class TestSortedJoinKeys:
         db.execute('define rule rj if t.a = u.b '
                    'then append to log(tag = "j")')
         memory = db.network._memories[("rj", "t")]
-        memory.ensure_join_index(0)
         position = 0
         db.execute("append t(a = 2.0, k = 1)")
         db.execute("append t(a = null, k = 2)")

@@ -90,15 +90,26 @@ class TestPlanning:
             ("a_rule", "x"), ("a_rule", "y"),
             ("b_rule", "x"), ("b_rule", "y")]
 
-    def test_observed_planning_falls_back_to_uniform(self, db):
-        # nothing has been probed yet: observed mode must reproduce the
-        # uniform-frequency plan rather than zeroing every benefit
-        uniform = plan_memories(db, budget_entries=60)
-        observed = plan_memories(db, budget_entries=60, observed=True)
-        assert [(c.rule_name, c.var, c.materialize)
-                for c in observed.choices] == \
-               [(c.rule_name, c.var, c.materialize)
-                for c in uniform.choices]
+    def test_virtual_probe_estimate_uses_the_join_attribute(self):
+        # a virtual big memory answers a k-probe through the index on
+        # big.k, so each probe yields ~rows / distinct(k) = all 800 rows:
+        # storing the memory saves the index descent (log2 802 ≈ 9.6)
+        db = Database(virtual_policy="never")
+        db.execute_script("""
+            create big (a = int4, k = int4)
+            create small (k = int4)
+            create log (a = int4)
+            define index big_k on big (k) using hash
+        """)
+        db.bulk_append("big", ((i, 7) for i in range(800)))
+        db.bulk_append("small", ((7,),))
+        db._rules_suspended = True
+        db.execute("define rule r if big.a >= 0 and big.k = small.k "
+                   "then append to log(a = big.a)")
+        choice, = [c for c in plan_memories(db, 10000).choices
+                   if c.var == "big"]
+        assert choice.benefit_per_probe == pytest.approx(9.65, abs=0.01)
+        assert choice.materialize is True
 
     def test_simple_and_dynamic_memories_excluded(self, db):
         db.execute("define rule ev on append big "
@@ -171,10 +182,3 @@ class TestApplying:
             db.manager.deactivate(name)
             db.manager.activate(name)
         assert pnode_sets() == after_plan
-
-    def test_only_changes_skips_agreeing_rules(self, db):
-        plan = plan_memories(db, budget_entries=60)
-        assert apply_plan(db, plan) == 2
-        # same plan again: every memory already agrees, nothing rebuilt
-        assert apply_plan(db, plan, only_changes=True) == 0
-        assert apply_plan(db, plan) == 2   # default still rebuilds all

@@ -85,6 +85,13 @@ class TestDatabaseSurface:
                      {"selection_index": None}):
             with pytest.raises(TypeError):
                 Database(**knob)
+        db = Database()
+        for method in ("adapt_memories", "enable_memory_adaptation",
+                       "disable_memory_adaptation"):
+            assert not hasattr(db, method)
+        import repro.core.alpha as alpha
+        for constant in ("PROMOTE_COST_THRESHOLD", "MAX_JOIN_INDEXES"):
+            assert not hasattr(alpha, constant)
 
     def test_query_requires_retrieve(self):
         db = Database()

@@ -5,7 +5,7 @@
 just-loaded memories through the network's own join step.  Checked here:
 
 * the property — every way a rule gets activated (``define``,
-  ``deactivate`` + ``activate``, an ``adapt_memories`` flip, a
+  ``deactivate`` + ``activate``, an ``optimize_memories`` flip, a
   ``persist`` round trip, ``Database.recover``) leaves exactly the state
   a reference database leaves whose network primes by running the
   planned query the paper describes (the oracle lives in this file
@@ -14,8 +14,8 @@ just-loaded memories through the network's own join step.  Checked here:
 * the cost — ``network.prime_tuples_examined`` is one pass per stored
   variable (plus the seed's, when the seed is not stored), whatever the
   relation size;
-* priming leaves the probe feedback and the ``joins.*`` / ``virtual.*``
-  counters alone, and may promote a join index;
+* priming leaves the ``joins.*`` / ``virtual.*`` / ``alpha.join_probes``
+  counters alone, and the join indexes exist before it runs;
 * ``ActionPlanner`` lets go of a removed rule's matches.
 """
 
@@ -31,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, persist
 from repro.core.alpha import MemoryEntry
+from repro.core.memory_optimizer import optimize_memories
 from repro.core.network import DiscriminationNetwork
 from repro.core.pnode import Match
 from repro.core.validate import check_network
@@ -177,7 +178,7 @@ _rule = st.sampled_from(RULE_NAMES + ["purge"])
 _op = st.one_of(
     st.tuples(st.sampled_from(("define", "define", "deactivate",
                                "activate", "remove")), _rule),
-    st.tuples(st.just("adapt"), st.integers(0, 40)),
+    st.tuples(st.just("optimize"), st.integers(0, 40)),
     st.tuples(st.just("insert"), st.sampled_from("tuv"), _int),
     st.tuples(st.just("delete"), st.sampled_from("tuv"), _int),
     st.tuples(st.just("modify"), st.sampled_from("tuv"), _int, _int),
@@ -229,18 +230,11 @@ def _network_state(db):
     }
 
 
-def _feedback(db):
-    """What adaptive materialization and the e2e layer metrics read."""
-    counters = db.stats.counters
-    return {
-        "memories": {key: (memory.probe_count,
-                           getattr(memory, "unindexed_probe_count", 0))
-                     for key, memory in db.network._memories.items()},
-        "counters": {key: value for key, value in counters.items()
-                     if key.startswith(("joins.", "virtual."))
-                     or key in ("alpha.join_probes",
-                                "alpha.join_indexes_promoted")},
-    }
+def _join_counters(db):
+    """The join-step counters the e2e layer metrics read."""
+    return {key: value for key, value in db.stats.counters.items()
+            if key.startswith(("joins.", "virtual."))
+            or key == "alpha.join_probes"}
 
 
 def _rows_state(db):
@@ -264,12 +258,8 @@ class _Driver:
         db = self.db
         db._rules_suspended = True
         try:
-            if op[0] == "adapt":
-                # level the feedback window: both sides must take the
-                # same storage decisions, whatever tokens did before
-                for memory in db.network._memories.values():
-                    memory.probe_count = 1
-                db.adapt_memories(budget_entries=op[1])
+            if op[0] == "optimize":
+                optimize_memories(db, op[1])
             elif op[0] == "define":
                 db.execute(_rule_text(op[1]))
             else:
@@ -330,7 +320,7 @@ def test_network_priming_equals_query_priming(rows, ops, config):
                     driver.data(op)
                     oracle.data(op)
                 else:
-                    before = _feedback(db)["counters"]
+                    before = _join_counters(db)
                     outcome = driver.lifecycle(op)
                     assert outcome == oracle.lifecycle(op), op
                     primed = op[1] if outcome is None and op[0] in (
@@ -342,12 +332,13 @@ def test_network_priming_equals_query_priming(rows, ops, config):
                         _compare(db, reference, op, primed)
                     finally:
                         db._rules_suspended = False
-                    if op[0] != "adapt":
+                    if op[0] != "optimize":
                         # priming is not token traffic (on Rete the β
                         # build always counted, on both sides alike)
-                        assert _feedback(db) == _feedback(reference), op
+                        assert _join_counters(db) \
+                            == _join_counters(reference), op
                         if treat_family:
-                            assert _feedback(db)["counters"] == before, op
+                            assert _join_counters(db) == before, op
                     if treat_family:
                         # one stamp per complete combination, as the
                         # query gave one row per combination: agenda
@@ -572,15 +563,24 @@ def test_all_stored_rule_reads_each_relation_once():
     db.bulk_append("a", [(i % 50,) for i in range(2000)])
     db.bulk_append("b", [(i,) for i in range(50)])
     db._rules_suspended = True
+    # the join graph indexed both memories before priming loaded them,
+    # so priming's 50 seeks into the 2,000-entry a memory are bucket
+    # lookups, not scans
+    indexed_at_priming = []
+    prime_rule = db.network.prime_rule
+
+    def recording_prime(rule):
+        indexed_at_priming.extend(
+            db.network.memory(rule.name, var).join_index_positions()
+            for var in rule.variables)
+        prime_rule(rule)
+
+    db.network.prime_rule = recording_prime
     assert _examined_by(db, "define rule ab if a.k = b.k "
                             "then append to log(k = a.k)") == 2050
+    assert indexed_at_priming == [[0], [0]]
     assert len(db.network.pnode("ab")) == 2000
-    # 50 seeks into a 2,000-entry memory: the first un-indexed probe
-    # crossed the promotion threshold, so priming did not scan it 50x
-    memory = db.network.memory("ab", "a")
-    assert memory.has_join_index(0)
-    assert memory.probe_count == 0 and memory.unindexed_probe_count == 0
-    assert db.stats.get("alpha.join_indexes_promoted") == 0
+    assert db.stats.get("alpha.join_probes") == 0
     assert db.stats.get("joins.seeks") == 0
     assert check_network(db) == []
 
@@ -601,9 +601,6 @@ def test_priming_does_not_feed_probe_feedback(network):
     for variables in (2, 3):
         db.execute(f"define rule r{variables} if {_SHAPES[variables]} "
                    f"{_ACTION}")
-    for memory in db.network._memories.values():
-        assert memory.probe_count == 0
-        assert getattr(memory, "unindexed_probe_count", 0) == 0
     assert not [key for key in db.stats.counters
                 if key.startswith(("joins.", "virtual."))
                 or key == "alpha.join_probes"]
