@@ -4,22 +4,26 @@ Compares the three discrimination networks on the same rule set and
 token stream, reporting per-token processing time and resident network
 state (α entries; β partials for Rete).  Expected shape: Rete carries
 the largest state (α + β), TREAT drops the β state, and A-TREAT's
-virtual nodes drop most of the α state as well — the paper's storage
-argument — while token times stay within a small factor of each other.
+virtual nodes (storage budget 0) drop the α state as well — the paper's
+storage argument — while token times stay within a small factor of each
+other.
 """
 
+import math
 import time
 
 import pytest
 
 from repro import Database
+from repro.core.memory_optimizer import optimize_memories
 from common import emit
 
 ROWS = 600
 
 
-def build(network: str, policy):
-    db = Database(network=network, virtual_policy=policy)
+def build(network: str, budget: float):
+    db = Database(network=network)
+    optimize_memories(db, budget)
     db.execute_script("""
         create emp (name = text, sal = float8, dno = int4)
         create dept (dno = int4, name = text)
@@ -39,10 +43,11 @@ def build(network: str, policy):
     return db
 
 
+#: (network, storage budget, label)
 CONFIGS = [
-    ("rete", "never", "Rete"),
-    ("treat", "never", "TREAT"),
-    ("a-treat", "always", "A-TREAT(virtual)"),
+    ("rete", math.inf, "Rete"),
+    ("treat", math.inf, "TREAT"),
+    ("a-treat", 0, "A-TREAT(virtual)"),
 ]
 
 
@@ -61,10 +66,10 @@ def run_stream(db, burst: int = 40) -> float:
     return time.perf_counter() - start
 
 
-@pytest.mark.parametrize("network,policy,label", CONFIGS,
+@pytest.mark.parametrize("network,budget,label", CONFIGS,
                          ids=[c[2] for c in CONFIGS])
-def test_token_stream(benchmark, network, policy, label):
-    db = build(network, policy)
+def test_token_stream(benchmark, network, budget, label):
+    db = build(network, budget)
     benchmark.pedantic(lambda: run_stream(db), rounds=10,
                        warmup_rounds=2)
 
@@ -74,8 +79,8 @@ def test_network_comparison_table(benchmark):
 
     def run():
         rows = []
-        for network, policy, label in CONFIGS:
-            db = build(network, policy)
+        for network, budget, label in CONFIGS:
+            db = build(network, budget)
             alpha = db.network.memory_entry_count("watch")
             beta = (db.network.beta_entry_count("watch")
                     if network == "rete" else 0)

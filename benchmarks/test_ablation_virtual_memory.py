@@ -4,7 +4,7 @@ The paper's motivation for virtual α-memories: "if selection conditions
 have low selectivity … α-memories will contain a large amount of data
 that is redundant since it is already stored in base tables".  This bench
 sweeps the selection predicate's selectivity on a 2000-row relation and
-reports, for a stored and a virtual middle memory:
+reports, for a stored (budget ∞) and a virtual (budget 0) middle memory:
 
 * the materialised α-memory entries (storage the virtual node saves);
 * the per-token join-test time (the price the virtual node pays by
@@ -16,11 +16,13 @@ fraction; token time is comparable when an index supports the join probe
 (the "space for time" trade the paper describes).
 """
 
+import math
 import time
 
 import pytest
 
 from repro import Database
+from repro.core.memory_optimizer import optimize_memories
 from common import emit
 
 ROWS = 2000
@@ -33,8 +35,9 @@ RULE = ('define rule watch if emp.sal > {cutoff} '
         'then append to bench_log(name = emp.name)')
 
 
-def build(selectivity: float, policy: str, with_index: bool = True):
-    db = Database(virtual_policy=policy)
+def build(selectivity: float, budget: float, with_index: bool = True):
+    db = Database()
+    optimize_memories(db, budget)
     db.execute_script("""
         create emp (name = text, sal = float8, dno = int4)
         create dept (dno = int4, name = text)
@@ -66,18 +69,18 @@ def token_time(db, repeats: int = 100) -> float:
     return elapsed / repeats
 
 
-def best_token_time(selectivity: float, policy: str,
+def best_token_time(selectivity: float, budget: float,
                     with_index: bool = True, repeats: int = 100) -> float:
     """The best of :data:`RUNS` :func:`token_time` measurements, each
     on a freshly built database."""
-    return min(token_time(build(selectivity, policy, with_index), repeats)
+    return min(token_time(build(selectivity, budget, with_index), repeats)
                for _ in range(RUNS))
 
 
 @pytest.mark.parametrize("selectivity", SELECTIVITIES)
-@pytest.mark.parametrize("policy", ["never", "always"])
-def test_dept_token_join(benchmark, selectivity, policy):
-    db = build(selectivity, policy)
+@pytest.mark.parametrize("budget", [math.inf, 0], ids=["stored", "virtual"])
+def test_dept_token_join(benchmark, selectivity, budget):
+    db = build(selectivity, budget)
     tids = []
 
     def run():
@@ -94,14 +97,14 @@ def test_virtual_memory_table(benchmark):
     def run():
         rows = []
         for selectivity in SELECTIVITIES:
-            stored = build(selectivity, "never")
-            virtual = build(selectivity, "always")
+            stored = build(selectivity, math.inf)
+            virtual = build(selectivity, 0)
             rows.append((
                 selectivity,
                 stored.network.memory_entry_count("watch"),
                 virtual.network.memory_entry_count("watch"),
-                best_token_time(selectivity, "never"),
-                best_token_time(selectivity, "always"),
+                best_token_time(selectivity, math.inf),
+                best_token_time(selectivity, 0),
             ))
         holder["rows"] = rows
 
@@ -134,9 +137,9 @@ def test_virtual_memory_scan_vs_index_cost(benchmark):
     holder = {}
 
     def run():
-        holder["indexed"] = best_token_time(0.5, "always", repeats=30)
-        holder["unindexed"] = best_token_time(0.5, "always",
-                                              with_index=False, repeats=30)
+        holder["indexed"] = best_token_time(0.5, 0, repeats=30)
+        holder["unindexed"] = best_token_time(0.5, 0, with_index=False,
+                                              repeats=30)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     lines = ["Virtual α-memory probe cost: index scan vs sequential scan "

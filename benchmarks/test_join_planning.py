@@ -44,8 +44,7 @@ def _token_rows():
 
 
 def _prepared_database():
-    db = Database(network="a-treat", virtual_policy="never",
-                  batch_tokens=True)
+    db = Database(batch_tokens=True)
     db.execute_script("""
         create s (bk = int4, tk = int4)
         create big (bk = int4, pad = int4)

@@ -41,8 +41,7 @@ def _token_rows():
 
 
 def _prepared_database(join_mode: str):
-    db = Database(network="a-treat", virtual_policy="never",
-                  batch_tokens=True, join_mode=join_mode)
+    db = Database(batch_tokens=True, join_mode=join_mode)
     db.execute_script("""
         create r (a = int4, b = int4)
         create s (b = int4, c = int4)

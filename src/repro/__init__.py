@@ -10,7 +10,7 @@ execution by query modification through the ordinary query optimizer.
 Entry point::
 
     from repro import Database
-    db = Database()                 # A-TREAT network (the paper's system)
+    db = Database()                 # TREAT; A-TREAT under a §8 memory budget
     db.execute('create emp (name = text, sal = float8)')
 """
 

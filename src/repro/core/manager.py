@@ -73,7 +73,6 @@ class RuleManager:
     def __init__(self, catalog: Catalog,
                  optimizer: Optimizer | None = None,
                  network_cls: type[DiscriminationNetwork] = TreatNetwork,
-                 virtual_policy="auto",
                  max_rule_cascade: int = 1000,
                  stats: EngineStats | None = None,
                  join_mode: str = "auto"):
@@ -86,7 +85,6 @@ class RuleManager:
         self.agenda.stats = self.stats
         self.network = network_cls(
             catalog, self.optimizer,
-            virtual_policy=virtual_policy,
             on_match=self.agenda.notify,
             stats=self.stats,
             join_mode=join_mode)

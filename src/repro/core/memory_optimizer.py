@@ -3,20 +3,24 @@
 The paper closes by observing that virtual memory nodes open "tremendous
 possibilities for optimization, in which the most worthy memory nodes
 would be materialized for the best possible performance given the
-available storage".  This module implements that optimizer:
+available storage".  This module is the engine's one stored-vs-virtual
+decision, :func:`choose_memories`:
 
-* every pattern (ungated, non-simple) α-memory of every active rule is a
-  *candidate*, with an estimated **storage cost** (how many tuples a
-  stored node would hold) and an estimated **benefit** of materializing
+* every pattern (ungated, non-simple) α-memory of a multi-variable rule
+  is a *candidate*, with its **storage cost** (how many tuples a stored
+  node would hold, counted exactly) and the **benefit** of materializing
   it (the per-probe saving of iterating a stored collection instead of
   scanning — or index-probing — the base relation);
-* a greedy knapsack packs the budget with the highest benefit-per-entry
-  candidates;
-* the chosen assignment is applied by deactivating and reactivating each
-  affected rule under a callable virtual policy that pins the decision.
+* a budget of stored entries decides: ∞ stores every candidate (TREAT),
+  0 none (all-virtual A-TREAT), and a finite budget packs the highest
+  benefit-per-entry candidates first (a greedy knapsack).
 
-The estimates come from a fresh :class:`~repro.planner.stats.Statistics`,
-not the optimizer's, whose cached estimates depend on when it asked.
+The network keeps the budget (∞ by default) and plans each activated
+rule under what is left of it.  :func:`optimize_memories` sets it and
+re-plans the whole rule base, swapping memories in place — which no
+P-node, agenda entry or firing notices.  The budget is not checkpointed:
+``persist.loads`` and ``Database.recover`` come back all-stored.
+
 Probe frequencies are assumed uniform; a ``weights`` mapping lets
 callers bias rules they know fire often.
 """
@@ -24,8 +28,9 @@ callers bias rules they know fire often.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.errors import MemoryBudgetError
 from repro.planner.stats import Statistics
 
 
@@ -39,11 +44,6 @@ class MemoryChoice:
     estimated_entries: float
     benefit_per_probe: float
     materialize: bool
-
-    @property
-    def worth(self) -> float:
-        """Benefit density: per-probe saving per stored entry."""
-        return self.benefit_per_probe / max(self.estimated_entries, 1.0)
 
 
 @dataclass
@@ -78,95 +78,80 @@ class MemoryPlan:
 
 
 def _density_key(choice: MemoryChoice) -> tuple:
-    """Deterministic knapsack order: benefit density descending, then
-    (rule name, variable) to break ties stably."""
-    return (-choice.worth, choice.rule_name, choice.var)
+    """Deterministic knapsack order: benefit per stored entry
+    descending, then (rule name, variable) to break ties stably."""
+    worth = choice.benefit_per_probe / max(choice.estimated_entries, 1.0)
+    return (-worth, choice.rule_name, choice.var)
 
 
-def plan_memories(db, budget_entries: float,
-                  weights: dict[str, float] | None = None) -> MemoryPlan:
-    """Choose which pattern α-memories to materialize.
-
-    ``budget_entries`` bounds the total stored α entries across all
-    rules; ``weights`` optionally scales the probe benefit per rule name
-    (how often its memories are consulted, default 1.0).
-    """
-    stats = Statistics(db.catalog)
+def choose_memories(catalog, rules, budget: float,
+                    weights: dict[str, float] | None = None
+                    ) -> list[MemoryChoice]:
+    """Decide the pattern α-memories of ``rules`` under ``budget``
+    stored entries: a candidate is stored when the budget is ∞, or when
+    it saves probe work and fits in what the more worthy ones left.
+    ``weights`` scales the probe benefit per rule name (default 1.0)."""
+    stats = Statistics(catalog)     # fresh: cached ones depend on timing
     weights = weights or {}
-    network = db.manager.network
     candidates: list[MemoryChoice] = []
-    for rule in network.rules.values():
+    for rule in rules:
         if len(rule.variables) == 1:
             continue
         for var in rule.variables:
             spec = rule.specs[var]
             if spec.is_dynamic or spec.is_simple:
                 continue
-            relation = db.catalog.relation(spec.relation)
-            entries = _entry_estimate(db, stats, spec)
+            relation = catalog.relation(spec.relation)
+            entries = float(sum(1 for _ in spec.select(relation)))
             # Cost of answering a join probe from this memory:
             #   stored:  iterate the entries
             #   virtual: index probe (log + matches) when an index covers
             #            a join attribute, else scan the whole relation
-            stored_cost = entries
             virtual_cost = float(len(relation))
-            attr = _indexed_join_attr(db, rule, var)
+            attr = _indexed_join_attr(relation, rule, var)
             if attr is not None:
                 matches = entries / max(stats.distinct(spec.relation,
                                                        attr), 1)
                 virtual_cost = math.log2(len(relation) + 2) + matches
-            weight = weights.get(rule.name, 1.0)
-            benefit = max(virtual_cost - stored_cost, 0.0) * weight
+            benefit = max(virtual_cost - entries, 0.0) \
+                * weights.get(rule.name, 1.0)
             candidates.append(MemoryChoice(
                 rule.name, var, spec.relation, entries, benefit, False))
 
-    # Greedy knapsack by benefit density.
-    remaining = float(budget_entries)
+    remaining = budget
     chosen: list[MemoryChoice] = []
     for candidate in sorted(candidates, key=_density_key):
-        materialize = (candidate.benefit_per_probe > 0
-                       and candidate.estimated_entries <= remaining)
+        materialize = remaining == math.inf or (
+            remaining > 0 and candidate.benefit_per_probe > 0
+            and candidate.estimated_entries <= remaining)
         if materialize:
             remaining -= candidate.estimated_entries
-        chosen.append(MemoryChoice(
-            candidate.rule_name, candidate.var, candidate.relation,
-            candidate.estimated_entries, candidate.benefit_per_probe,
-            materialize))
-    return MemoryPlan(float(budget_entries), chosen)
+        chosen.append(replace(candidate, materialize=materialize))
+    return chosen
+
+
+def plan_memories(db, budget_entries: float,
+                  weights: dict[str, float] | None = None) -> MemoryPlan:
+    """Choose which pattern α-memories of the active rules to
+    materialize within ``budget_entries`` stored entries; a negative or
+    NaN budget raises :class:`~repro.errors.MemoryBudgetError`."""
+    budget = float(budget_entries)
+    if not budget >= 0:
+        raise MemoryBudgetError(
+            f"memory budget must be a non-negative number of α entries "
+            f"(or inf), not {budget_entries!r}")
+    return MemoryPlan(budget, choose_memories(
+        db.catalog, db.network.rules.values(), budget, weights))
 
 
 def apply_plan(db, plan: MemoryPlan) -> int:
-    """Rebuild the affected rules' networks under the plan's choices.
-
-    Returns the number of rules reactivated.  Each rule is deactivated
-    and reactivated with a pinned virtual policy, so its memories are
-    re-primed from current data.
-    """
-    by_rule: dict[str, dict[str, bool]] = {}
-    for choice in plan.choices:
-        by_rule.setdefault(choice.rule_name, {})[choice.var] = \
-            choice.materialize
-    reactivated = 0
-    original_policy = db.manager.network.virtual_policy
-    for rule_name, decisions in by_rule.items():
-        record = db.manager.rule(rule_name)
-        if not record.active:
-            continue
-
-        def pinned(spec, decisions=decisions):
-            materialize = decisions.get(spec.var)
-            if materialize is None:
-                return False
-            return not materialize
-
-        db.manager.deactivate(rule_name)
-        db.manager.network.virtual_policy = pinned
-        try:
-            db.manager.activate(rule_name)
-        finally:
-            db.manager.network.virtual_policy = original_policy
-        reactivated += 1
-    return reactivated
+    """Make the plan's budget the network's and swap each memory whose
+    assignment changed (rules no longer active are skipped); returns
+    the number of memories swapped."""
+    network = db.network
+    network.memory_budget = plan.budget
+    return sum(network.set_virtual(c.rule_name, c.var, not c.materialize)
+               for c in plan.choices if c.rule_name in network.rules)
 
 
 def optimize_memories(db, budget_entries: float,
@@ -178,25 +163,10 @@ def optimize_memories(db, budget_entries: float,
     return plan
 
 
-#: below this relation size the optimizer counts qualifying tuples
-#: exactly instead of using the planner's magic-constant selectivities —
-#: this is an offline reorganisation, so precision beats speed
-_EXACT_COUNT_CAP = 10000
-
-
-def _entry_estimate(db, stats, spec) -> float:
-    relation = db.catalog.relation(spec.relation)
-    if len(relation) <= _EXACT_COUNT_CAP:
-        return float(sum(1 for _ in spec.select(relation)))
-    return stats.scan_cardinality(spec.relation, spec.var,
-                                  spec.selection_conjuncts)
-
-
-def _indexed_join_attr(db, rule, var: str) -> str | None:
-    """The first of ``var``'s equi-join attributes its relation has an
+def _indexed_join_attr(relation, rule, var: str) -> str | None:
+    """The first of ``var``'s equi-join attributes ``relation`` has an
     index on — the access path a virtual memory's join probe can take —
     or None."""
-    relation = db.catalog.relation(rule.var_relations[var])
     for _other, attr, _position in rule.equijoins_by_var.get(var, ()):
         if relation.index_on(attr) is not None:
             return attr

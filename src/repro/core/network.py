@@ -5,7 +5,8 @@ The shared machinery of the TREAT/A-TREAT and Rete networks:
 * building one α-memory per (rule, tuple variable) with the right kind
   (stored / virtual / dynamic / simple) and registering its selection
   anchor in the top-level :class:`~repro.core.selection_index
-  .SelectionIndex`;
+  .SelectionIndex` — stored or virtual as the §8 storage budget
+  decides (:mod:`repro.core.memory_optimizer`);
 * routing a token: probe the selection index with the token's values,
   verify each candidate memory's residual predicate, apply the Figure-5
   :func:`~repro.core.alpha.dispatch` action, and hand insertions to the
@@ -27,6 +28,7 @@ The shared machinery of the TREAT/A-TREAT and Rete networks:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 from repro.catalog.catalog import Catalog
@@ -35,6 +37,7 @@ from repro.core.alpha import (
     residual_memo_key)
 from repro.core.join_planner import JoinPlanner
 from repro.core.leapfrog import multiway_seek
+from repro.core.memory_optimizer import choose_memories
 from repro.core.pnode import Match, PNode
 from repro.core.rules import CompiledRule, VariableSpec
 from repro.core.selection_index import SelectionIndex
@@ -42,14 +45,6 @@ from repro.core.tokens import Token, TokenKind
 from repro.errors import RuleError
 from repro.observe import EngineStats, NULL_STATS
 from repro.planner.optimizer import Optimizer
-
-#: "auto" virtual policy: make a pattern memory virtual when its selection
-#: keeps at least this fraction of the relation…
-_VIRTUAL_SELECTIVITY = 0.25
-#: …and the relation has at least this many tuples.
-_VIRTUAL_MIN_ROWS = 10
-
-VirtualPolicy = str | Callable[[VariableSpec], bool]
 
 
 class DiscriminationNetwork:
@@ -60,7 +55,6 @@ class DiscriminationNetwork:
 
     def __init__(self, catalog: Catalog,
                  optimizer: Optimizer | None = None,
-                 virtual_policy: VirtualPolicy = "auto",
                  on_match: Callable[[CompiledRule], None] | None = None,
                  stats: EngineStats | None = None,
                  join_mode: str = "auto"):
@@ -71,7 +65,9 @@ class DiscriminationNetwork:
         #: every memory / P-node built by :meth:`add_rule`
         self.stats = stats or NULL_STATS
         self.selection_index.stats = self.stats
-        self.virtual_policy = virtual_policy
+        #: the §8 storage budget in α entries, set by
+        #: ``optimize_memories``: ∞ stores every memory (TREAT), 0 none
+        self.memory_budget = math.inf
         #: the adaptive seek/chain-order planner (cost-driven ordering
         #: and pairwise-vs-multiway algorithm choice, memoized per
         #: cardinality bucket)
@@ -99,25 +95,22 @@ class DiscriminationNetwork:
     # ------------------------------------------------------------------
 
     def add_rule(self, rule: CompiledRule, prime: bool = True) -> None:
-        """Build the rule's memories and optionally prime them."""
+        """Build the rule's memories, its pattern memories stored or
+        virtual under what is left of :attr:`memory_budget`, and
+        optionally prime them."""
         if rule.name in self.rules:
             raise RuleError(f"rule {rule.name!r} already in network")
+        virtual = set()         # ∞ stores every memory: nothing to plan
+        if self.memory_budget < math.inf:
+            left = max(self.memory_budget - self.memory_entry_count(), 0)
+            virtual = {c.var for c in choose_memories(
+                self.catalog, (rule,), left) if not c.materialize}
         self.rules[rule.name] = rule
         pnode = self._pnodes[rule.name] = PNode(rule.name, rule.variables)
         pnode.stats = self.stats
         for var in rule.variables:
-            spec = rule.specs[var]
-            memory = self._make_memory(rule, spec)
-            memory.rule = rule
-            memory.pnode = pnode
-            memory.stats = self.stats
-            if memory.is_virtual:
-                self._virtual_count += 1
-            self._memories[(rule.name, var)] = memory
-            self.selection_index.add(spec.relation,
-                                     spec.analysis.anchor
-                                     if spec.analysis else None,
-                                     memory)
+            self._register(rule, self._make_memory(rule, rule.specs[var],
+                                                   var in virtual))
         if prime:
             self.prime_rule(rule)
 
@@ -127,49 +120,66 @@ class DiscriminationNetwork:
         if rule is None:
             raise RuleError(f"rule {name!r} not in network")
         for var in rule.variables:
-            memory = self._memories.pop((name, var))
-            if memory.is_virtual:
-                self._virtual_count -= 1
-            self.selection_index.remove(memory)
+            self._unregister(self._memories.pop((name, var)))
         del self._pnodes[name]
         self._dirty.pop(name, None)
         self.join_planner.forget(name)
 
-    def _make_memory(self, rule: CompiledRule, spec: VariableSpec):
+    def set_virtual(self, rule_name: str, var: str, virtual: bool) -> bool:
+        """Turn one pattern memory virtual (dropping its entries) or
+        stored (one select pass) in place; returns whether it changed.
+        It holds the same tuples either way (paper §4.2), so P-node,
+        agenda, action plans and stamps stay: only the rule's join
+        orders, costed on the old storage, are forgotten."""
+        old = self._memories.get((rule_name, var))
+        if old is None:
+            raise RuleError(f"no α-memory {rule_name}/{var} in network")
+        if old.is_virtual == virtual:
+            return False
+        spec = old.spec
+        if spec.is_dynamic or spec.is_simple:
+            raise RuleError(f"α-memory {rule_name}/{var} is "
+                            f"{old.kind_name}, not a pattern memory")
+        rule = self.rules[rule_name]
+        new = self._make_memory(rule, spec, virtual)
+        if not virtual:
+            # filled before registering: a swap is not token traffic
+            relation = self.catalog.relation(spec.relation)
+            for tid, values in spec.select(relation):
+                new.insert(MemoryEntry(tid, values))
+        self._unregister(old)
+        self._register(rule, new)
+        self.join_planner.forget(rule_name)
+        return True
+
+    def _make_memory(self, rule: CompiledRule, spec: VariableSpec,
+                     virtual: bool):
         """A virtual memory, or a stored one with a join index on each
         position the rule equi-joins the variable on (a simple memory,
         of a one-variable rule, has none)."""
-        if self._wants_virtual(spec):
+        if virtual:
             return VirtualAlphaMemory(rule.name, spec)
         return AlphaMemory(rule.name, spec, sorted({
             position for _other, _attr, position
             in rule.equijoins_by_var.get(spec.var, ())}))
 
-    def _wants_virtual(self, spec: VariableSpec) -> bool:
-        """Decide stored vs virtual for a pattern (ungated) memory.
+    def _register(self, rule: CompiledRule, memory) -> None:
+        """Enter a memory into the network and its selection index."""
+        spec = memory.spec
+        memory.rule = rule
+        memory.pnode = self._pnodes[rule.name]
+        memory.stats = self.stats
+        if memory.is_virtual:
+            self._virtual_count += 1
+        self._memories[(rule.name, spec.var)] = memory
+        self.selection_index.add(
+            spec.relation, spec.analysis.anchor if spec.analysis else None,
+            memory)
 
-        Virtual nodes only make sense for pattern conditions on
-        multi-variable rules: dynamic memories are tiny and transient,
-        and simple memories store nothing anyway.
-        """
-        if spec.is_dynamic or spec.is_simple:
-            return False
-        policy = self.virtual_policy
-        if callable(policy):
-            return bool(policy(spec))
-        if policy == "never":
-            return False
-        if policy == "always":
-            return True
-        if policy != "auto":
-            raise RuleError(f"unknown virtual policy {policy!r}")
-        stats = self.optimizer.stats
-        rows = stats.cardinality(spec.relation)
-        if rows < _VIRTUAL_MIN_ROWS:
-            return False
-        kept = stats.scan_cardinality(spec.relation, spec.var,
-                                      spec.selection_conjuncts)
-        return kept / rows >= _VIRTUAL_SELECTIVITY
+    def _unregister(self, memory) -> None:
+        if memory.is_virtual:
+            self._virtual_count -= 1
+        self.selection_index.remove(memory)
 
     # ------------------------------------------------------------------
     # priming

@@ -7,12 +7,13 @@ through the remaining α-memories, storing every surviving partial; a
 deletion removes all β partials (and P-node matches) involving the tuple.
 
 The paper notes the virtual-memory technique "could also be used in the
-Rete algorithm": with ``virtual_policy`` enabled, rightward cascade steps
-consult a virtual α by scanning (or index-probing, via constant
-substitution) its base relation, with the same sequential
-ProcessedMemories exclusion protocol as A-TREAT for self-joins.  The β
-state stays materialised either way — that is what distinguishes Rete
-from TREAT, and what the ``ablate-net`` benchmark measures.
+Rete algorithm": under a storage budget (``optimize_memories``),
+rightward cascade steps consult a virtual α by scanning (or
+index-probing, via constant substitution) its base relation, with the
+same sequential ProcessedMemories exclusion protocol as A-TREAT for
+self-joins.  The β state stays materialised either way — that is what
+distinguishes Rete from TREAT, and what the ``ablate-net`` benchmark
+measures.
 
 α-memory handling, selection-index routing, event and transition gating
 are all inherited from the shared base; this class only adds the β
@@ -70,8 +71,8 @@ class _ReteState:
 
 class ReteNetwork(DiscriminationNetwork):
     """Rete with materialised β-memories (α-memories stored or virtual
-    per ``virtual_policy``; the ``Database(network="rete")`` default is
-    all-stored, the classic baseline)."""
+    per the storage budget; by default all stored, the classic
+    baseline)."""
 
     network_name = "Rete"
 

@@ -6,11 +6,12 @@ TREAT (Miranker) keeps only α-memories: when a token enters a rule's
 the P-node.  Negative tokens simply delete from the α-memory and from the
 P-node — no β-memory maintenance at all.
 
-**A-TREAT** is this class with virtual α-memories enabled (the default
-``virtual_policy="auto"``): a virtual node stores no tuples, and the join
-step scans its base relation with the node's selection predicate as a
-filter — sharpened, when a bound equi-join conjunct allows, by
-substituting the token's constant and probing an index (paper §4.2).
+**A-TREAT** is this class with the virtual α-memories the §8 storage
+budget (``optimize_memories``) leaves: a virtual node stores no tuples,
+and the join step scans its base relation with the node's selection
+predicate as a filter — sharpened, when a bound equi-join conjunct
+allows, by substituting the token's constant and probing an index
+(paper §4.2).
 
 Self-join multiplicity (the paper's ProcessedMemories structure): a token
 matching several α-memories of one rule is handed to them in a fixed
@@ -36,7 +37,7 @@ from repro.lang.expr import Bindings
 
 
 class TreatNetwork(DiscriminationNetwork):
-    """The A-TREAT network (plain TREAT with ``virtual_policy="never"``)."""
+    """The A-TREAT network (plain TREAT while every memory is stored)."""
 
     network_name = "A-TREAT"
 

@@ -52,10 +52,11 @@ from repro.txn.transitions import TransitionHooks
 from repro.txn.undo import UndoLog
 from repro.txn.wal import decode_values
 
+#: one class for both names: the storage budget decides what is virtual
 _NETWORKS = {
-    "a-treat": (TreatNetwork, "auto"),
-    "treat": (TreatNetwork, "never"),
-    "rete": (ReteNetwork, "never"),
+    "a-treat": TreatNetwork,
+    "treat": TreatNetwork,
+    "rete": ReteNetwork,
 }
 
 
@@ -103,12 +104,10 @@ class Database:
     Parameters
     ----------
     network:
-        ``"a-treat"`` (default; TREAT with virtual α-memories chosen
-        automatically), ``"treat"`` (all memories stored) or ``"rete"``.
-    virtual_policy:
-        Overrides the network default: ``"auto"``, ``"never"``,
-        ``"always"`` or a callable on
-        :class:`~repro.core.rules.VariableSpec`.
+        ``"a-treat"`` (default; alias ``"treat"``) or ``"rete"``.  Every
+        α-memory is stored until :func:`~repro.core.memory_optimizer
+        .optimize_memories` sets a storage budget (paper §8); what it
+        does not pay for is virtual (A-TREAT, paper §4.2).
     max_firings:
         Bound on rule firings per triggering transition; exceeding it
         raises :class:`~repro.errors.RuleLoopError`.
@@ -145,7 +144,6 @@ class Database:
     """
 
     def __init__(self, network: str = "a-treat",
-                 virtual_policy=None,
                  max_firings: int = 1000,
                  batch_tokens: bool = False,
                  statement_cache_size: int = 128,
@@ -154,7 +152,7 @@ class Database:
                  fsync: str = "commit",
                  checkpoint_every: int = 1000):
         try:
-            network_cls, default_policy = _NETWORKS[network.lower()]
+            network_cls = _NETWORKS[network.lower()]
         except KeyError:
             raise ArielError(
                 f"unknown network {network!r}; expected one of "
@@ -169,7 +167,6 @@ class Database:
         self.optimizer = Optimizer(self.catalog)
         self.manager = RuleManager(
             self.catalog, self.optimizer, network_cls,
-            virtual_policy or default_policy,
             max_rule_cascade=max_firings, stats=self.stats,
             join_mode=join_mode)
         self.deltasets = DeltaSets()
@@ -239,7 +236,8 @@ class Database:
         rule-generated mutation, so re-firing would double them.  Token
         routing during replay re-primes the α-memories and P-nodes;
         the final state equals a fresh database that executed only the
-        durably-committed prefix of history.
+        durably-committed prefix of history.  The storage budget is not
+        checkpointed: every α-memory comes back stored.
         """
         db = cls(**database_kwargs)
         manager = DurabilityManager(

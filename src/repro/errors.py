@@ -15,7 +15,8 @@ and the rule system.
     ├── PlanError             query optimizer
     ├── ExecutionError        plan interpretation
     ├── RuleError             rule system
-    │   └── RuleLoopError     recognize-act cascade guard
+    │   ├── RuleLoopError     recognize-act cascade guard
+    │   └── MemoryBudgetError negative / NaN α-memory budget
     ├── TransactionError      transaction / block misuse
     ├── DatabaseClosedError   use of a closed database handle
     ├── ServiceError          concurrent-serving layer (repro.serve)
@@ -93,6 +94,10 @@ class RuleLoopError(RuleError):
     rule); Ariel bounds the cycle so a run-away rule set surfaces as an error
     instead of a hang.
     """
+
+
+class MemoryBudgetError(RuleError):
+    """Raised for an α-memory storage budget that is negative or NaN."""
 
 
 class TransactionError(ArielError):

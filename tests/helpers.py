@@ -1,15 +1,34 @@
 """Test harness: a minimal engine (no rule system) for planner/executor
-tests, plus shared schema builders for the paper's example relations."""
+tests, shared schema builders for the paper's example relations, and
+databases under an α-memory storage budget."""
 
 from __future__ import annotations
 
+import math
+
+from repro import Database
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
+from repro.core.memory_optimizer import optimize_memories
 from repro.executor.executor import ExecutionContext, Executor
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse_command
 from repro.lang.semantic import SemanticAnalyzer
 from repro.planner.optimizer import Optimizer
+
+#: the storage budgets the property axes draw, named by how often they
+#: leave a pattern memory virtual: never (∞, TREAT), always (0), and
+#: auto — a finite budget the knapsack spends on some memories and not
+#: others (the worthy ones on small relations, indexed ones on empty)
+BUDGETS = {"never": math.inf, "always": 0, "auto": 40}
+
+
+def budgeted(budget, **kwargs) -> Database:
+    """A Database whose rules plan their pattern α-memories under
+    ``budget`` stored entries (a :data:`BUDGETS` name or a number)."""
+    db = Database(**kwargs)
+    optimize_memories(db, BUDGETS.get(budget, budget))
+    return db
 
 
 class MiniEngine:

@@ -98,7 +98,7 @@ def build(rules, durable_path=None, fsync="commit", checkpoint_every=0):
     if durable_path is not None:
         kwargs = dict(durable_path=durable_path, fsync=fsync,
                       checkpoint_every=checkpoint_every)
-    db = Database(virtual_policy="never", **kwargs)
+    db = Database(**kwargs)
     for ddl in SCHEMA:
         db.execute(ddl)
     for rule in rules:
@@ -159,7 +159,7 @@ def run_crash_case(point, fsync, ops, rules, crash_after, torn=None,
         if not crashed:
             db.faults.disarm()
             db.close()
-        recovered = Database.recover(path, virtual_policy="never")
+        recovered = Database.recover(path)
         reference = build(rules)
         for command in completed:
             reference.execute(command)
@@ -233,7 +233,7 @@ def test_commit_crash_loses_whole_transaction(fsync, prefix, txn,
         db.faults.arm("txn.commit", crash=True)
         with pytest.raises(SimulatedCrash):
             db.commit()
-        recovered = Database.recover(path, virtual_policy="never")
+        recovered = Database.recover(path)
         reference = build(rules)
         for command in prefix_commands[:split]:
             reference.execute(command)

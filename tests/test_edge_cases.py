@@ -6,6 +6,8 @@ from repro import Database
 from repro.errors import (
     CatalogError, ExecutionError, SemanticError)
 
+from tests.helpers import budgeted
+
 
 @pytest.fixture
 def db():
@@ -101,7 +103,7 @@ class TestSchemaRuleInteractions:
             db.execute("define rule r if nope.a > 5 then delete nope")
 
     def test_index_created_after_rule_used_by_virtual_memory(self):
-        db = Database(virtual_policy="always")
+        db = budgeted(0)
         db.execute("create big (a = int4, k = int4)")
         db.execute("create small (k = int4)")
         db.execute("create log (a = int4)")

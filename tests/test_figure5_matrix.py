@@ -19,7 +19,7 @@ def db_with_rule(condition_clause, multi_var=False):
     is a real (non-simple) α-memory; the u relation holds one matching
     row so joins succeed.
     """
-    db = Database(virtual_policy="never")
+    db = Database()
     db.execute("create t (a = int4, k = int4)")
     db.execute("create u (k = int4)")
     db.execute("create log (a = int4)")

@@ -9,7 +9,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro import Database
+from tests.helpers import budgeted
 
 _VARS = ("a", "b", "c")
 _PERMUTATIONS = list(itertools.permutations(("b", "c")))
@@ -22,8 +22,8 @@ def _matches(db, rule_name):
         for m in db.network.pnode(rule_name).matches())
 
 
-def _build(order_index, policy, a_rows, b_rows, c_rows, extra):
-    db = Database(virtual_policy=policy)
+def _build(order_index, budget, a_rows, b_rows, c_rows, extra):
+    db = budgeted(budget)
     db.execute_script("""
         create a (x = int4, y = int4)
         create b (x = int4, z = int4)
@@ -64,19 +64,19 @@ _extra = st.lists(
 
 @settings(max_examples=40, deadline=None)
 @given(a_rows=_a_rows, b_rows=_b_rows, c_rows=_c_rows, extra=_extra,
-       policy=st.sampled_from(["never", "always", "auto"]))
+       budget=st.sampled_from(["never", "always", "auto"]))
 def test_any_join_order_same_matches(a_rows, b_rows, c_rows, extra,
-                                     policy):
+                                     budget):
     reference = None
     for index in range(len(_PERMUTATIONS)):
-        db = _build(index, policy, a_rows, b_rows, c_rows, extra)
+        db = _build(index, budget, a_rows, b_rows, c_rows, extra)
         found = _matches(db, "r")
         if reference is None:
             reference = found
         else:
             assert found == reference, (
-                f"permutation {_PERMUTATIONS[index]} under policy "
-                f"{policy!r} changed the match set")
+                f"permutation {_PERMUTATIONS[index]} under budget "
+                f"{budget!r} changed the match set")
 
 
 def test_forced_permutations_exhaustive_small_case():
@@ -86,8 +86,8 @@ def test_forced_permutations_exhaustive_small_case():
     c_rows = [(5,), (6,)]
     extra = [("a", (1, 9)), ("b", (2, 6)), ("c", (5,))]
     results = [
-        _matches(_build(i, policy, a_rows, b_rows, c_rows, extra), "r")
-        for policy in ("never", "always")
+        _matches(_build(i, budget, a_rows, b_rows, c_rows, extra), "r")
+        for budget in ("never", "always")
         for i in range(len(_PERMUTATIONS))]
     assert all(r == results[0] for r in results)
     assert results[0]      # the case is non-trivial: matches exist

@@ -5,6 +5,8 @@ import pytest
 
 from repro import Database
 
+from tests.helpers import budgeted
+
 
 def _fill(db, relation, rows):
     db.bulk_append(relation, rows)
@@ -18,7 +20,7 @@ def db():
     order from seed ``s`` would visit ``big`` first; a cost-driven
     planner must visit ``tiny`` first.
     """
-    database = Database(virtual_policy="never")
+    database = Database()
     database.execute_script("""
         create s (bk = int4, tk = int4)
         create big (bk = int4, pad = int4)
@@ -117,7 +119,7 @@ class TestSeekOrdering:
         500 define → remove cycles (fresh names, as rules come and go on
         a live engine, and one name redefined) keep the cache bounded by
         the rules in the network."""
-        db = Database(virtual_policy="always")
+        db = budgeted(0)
         db.execute_script("""
             create a (k = int4, v = int4)
             create b (k = int4)
@@ -199,13 +201,13 @@ class TestJoinIndexesFromJoinGraph:
         "solo": ("if r.k > 3", {"r": []}),
     }
 
-    CONFIGS = [{"network": "a-treat", "virtual_policy": "never"},
+    CONFIGS = [{"network": "a-treat", "budget": "never"},
                {"network": "treat"},
                {"network": "rete"}]
     CONFIG_IDS = ["a-treat-never", "treat", "rete"]
 
-    def _db(self, **config):
-        db = Database(**config)
+    def _db(self, budget="never", **config):
+        db = budgeted(budget, **config)
         db.execute_script("""
             create l (k = int4, j = int4)
             create r (k = int4, pad = int4)
@@ -237,7 +239,7 @@ class TestJoinIndexesFromJoinGraph:
         assert db.network.memory("solo", "r").spec.is_simple
 
     def test_virtual_memories_carry_no_index(self):
-        db = self._db(network="a-treat", virtual_policy="always")
+        db = self._db(network="a-treat", budget="always")
         virtual = 0
         for name, (_, expected) in self.RULES.items():
             for var in expected:
@@ -245,7 +247,7 @@ class TestJoinIndexesFromJoinGraph:
                 if memory.is_virtual:
                     virtual += 1
                     assert not hasattr(memory, "join_index_positions")
-                else:       # dynamic or simple: stored whatever the policy
+                else:       # dynamic or simple: stored whatever the budget
                     assert memory.spec.is_dynamic or memory.spec.is_simple
         assert virtual == 15
 

@@ -18,6 +18,8 @@ from repro.core.leapfrog import (
     build_join_classes, equijoin_graph_is_cyclic, leapfrog_intersection)
 from repro.errors import RuleError
 
+from tests.helpers import budgeted
+
 TRIANGLE = (
     "define rule triangle "
     "if r.a = s.b and s.c = t.c and t.a = r.a "
@@ -75,7 +77,7 @@ class TestLeapfrogIntersection:
 # ----------------------------------------------------------------------
 
 def _memory_with_index():
-    db = Database(network="a-treat", virtual_policy="never")
+    db = Database()
     db.execute("create t (a = int4, k = int4)")
     db.execute("create u (b = int4, k = int4)")
     db.execute("create log (tag = text)")
@@ -109,7 +111,7 @@ class TestSortedJoinKeys:
         assert memory.sorted_join_keys(position) == [1, 5, 9]
 
     def test_null_and_nan_keys_are_excluded(self):
-        db = Database(network="a-treat", virtual_policy="never")
+        db = Database()
         db.execute("create t (a = float8, k = int4)")
         db.execute("create u (b = float8, k = int4)")
         db.execute("create log (tag = text)")
@@ -152,7 +154,7 @@ def _compile(db, name, text):
 
 
 def _triangle_db():
-    db = Database(network="a-treat", virtual_policy="never")
+    db = Database()
     db.execute_script("""
         create r (a = int4, b = int4)
         create s (b = int4, c = int4)
@@ -180,7 +182,7 @@ class TestJoinGraphAnalysis:
         assert equijoin_graph_is_cyclic(rule)
 
     def test_chain_is_acyclic(self):
-        db = Database(network="a-treat", virtual_policy="never")
+        db = Database()
         db.execute("create t (a = int4, k = int4)")
         db.execute("create u (b = int4, k = int4)")
         db.execute("create v (c = int4, k = int4)")
@@ -234,8 +236,7 @@ class TestPlannerDecision:
         assert sorted(db.relation_rows("log")) == [("tri",)]
 
     def test_pairwise_mode_never_plans_multiway(self):
-        db = Database(network="a-treat", virtual_policy="never",
-                      join_mode="pairwise")
+        db = Database(join_mode="pairwise")
         db.execute_script("""
             create r (a = int4, b = int4)
             create s (b = int4, c = int4)
@@ -252,8 +253,7 @@ class TestPlannerDecision:
     def test_uncovered_variable_falls_back_with_counter(self):
         # w reaches no equi-join: candidate (cyclic core) but
         # ineligible, so the planner records a fallback
-        db = Database(network="a-treat", virtual_policy="never",
-                      join_mode="multiway")
+        db = Database(join_mode="multiway")
         db.execute_script("""
             create r (a = int4, b = int4)
             create s (b = int4, c = int4)
@@ -276,8 +276,7 @@ class TestPlannerDecision:
         assert sorted(db.relation_rows("log")) == [("lop",)]
 
     def test_two_variable_rules_stay_pairwise(self):
-        db = Database(network="a-treat", virtual_policy="never",
-                      join_mode="multiway")
+        db = Database(join_mode="multiway")
         db.execute("create t (a = int4, k = int4)")
         db.execute("create u (b = int4, k = int4)")
         db.execute("create log (tag = text)")
@@ -296,8 +295,7 @@ class TestPlannerDecision:
 class TestDescribeMultiway:
 
     def test_plan_text_shows_trie_and_sources(self):
-        db = Database(network="a-treat", virtual_policy="never",
-                      join_mode="multiway")
+        db = Database(join_mode="multiway")
         db.execute_script("""
             create r (a = int4, b = int4)
             create s (b = int4, c = int4)
@@ -315,7 +313,7 @@ class TestDescribeMultiway:
         assert "mode=multiway" in text
 
     def test_pairwise_rule_reports_shape_only(self):
-        db = Database(network="a-treat", virtual_policy="never")
+        db = Database()
         db.execute("create t (a = int4, k = int4)")
         db.execute("create u (b = int4, k = int4)")
         db.execute("create log (tag = text)")
@@ -335,11 +333,10 @@ def _pnode_values(db, name):
         for m in db.network.pnode(name).matches())
 
 
-def _triangle_pair(network, policy):
+def _triangle_pair(network, budget):
     out = []
     for mode in ("pairwise", "multiway"):
-        db = Database(network=network, virtual_policy=policy,
-                      join_mode=mode)
+        db = budgeted(budget, network=network, join_mode=mode)
         db.execute_script("""
             create r (a = int4, b = int4)
             create s (b = int4, c = int4)
@@ -352,7 +349,7 @@ def _triangle_pair(network, policy):
     return out
 
 
-@pytest.mark.parametrize("network,policy", [
+@pytest.mark.parametrize("network,budget", [
     ("a-treat", "never"), ("a-treat", "always"),
     ("rete", "never"), ("rete", "always"),
 ])
@@ -368,16 +365,16 @@ class TestMultiwayEquivalence:
         for i in range(6):
             db.execute(f"append r(a = {i % 3}, b = {i % 3})")
 
-    def test_insert_equivalence(self, network, policy):
-        pairwise, multiway = _triangle_pair(network, policy)
+    def test_insert_equivalence(self, network, budget):
+        pairwise, multiway = _triangle_pair(network, budget)
         self._load(pairwise)
         self._load(multiway)
         assert _pnode_values(multiway, "triangle") \
             == _pnode_values(pairwise, "triangle")
         assert _pnode_values(multiway, "triangle")
 
-    def test_delete_equivalence(self, network, policy):
-        pairwise, multiway = _triangle_pair(network, policy)
+    def test_delete_equivalence(self, network, budget):
+        pairwise, multiway = _triangle_pair(network, budget)
         for db in (pairwise, multiway):
             self._load(db)
             db.execute("delete r where r.a = 1")
@@ -391,10 +388,9 @@ class TestMultiwayEquivalence:
             == _pnode_values(pairwise, "triangle")
         assert _pnode_values(multiway, "triangle")
 
-    def test_nan_never_joins(self, network, policy):
+    def test_nan_never_joins(self, network, budget):
         for mode in ("pairwise", "multiway"):
-            db = Database(network=network, virtual_policy=policy,
-                          join_mode=mode)
+            db = budgeted(budget, network=network, join_mode=mode)
             db.execute_script("""
                 create r (a = float8, b = float8)
                 create s (b = float8, c = float8)
@@ -421,9 +417,8 @@ def test_self_join_multiplicity_multiway():
     times (the paper's ProcessedMemories invariant) under multiway."""
     results = {}
     for mode in ("pairwise", "multiway"):
-        for policy in ("never", "always"):
-            db = Database(network="a-treat", virtual_policy=policy,
-                          join_mode=mode)
+        for budget in ("never", "always"):
+            db = budgeted(budget, join_mode=mode)
             db.execute("create t (a = int4, k = int4)")
             db.execute("create log (tag = text)")
             db._rules_suspended = True
@@ -434,7 +429,7 @@ def test_self_join_multiplicity_multiway():
                 'then append to log(tag = "cyc")')
             for i in range(4):
                 db.execute(f"append t(a = {i % 2}, k = {i})")
-            results[(mode, policy)] = _pnode_values(db, "cyc")
+            results[(mode, budget)] = _pnode_values(db, "cyc")
     reference = results[("pairwise", "never")]
     assert reference
     for key, value in results.items():

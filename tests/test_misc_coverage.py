@@ -82,7 +82,8 @@ class TestDatabaseSurface:
         for knob in ({"parallel_workers": 2},
                      {"parallel_backend": "thread"},
                      {"join_index_policy": "eager"},
-                     {"selection_index": None}):
+                     {"selection_index": None},
+                     {"virtual_policy": "never"}):
             with pytest.raises(TypeError):
                 Database(**knob)
         db = Database()
@@ -165,14 +166,3 @@ class TestNetworkSurface:
         db = Database()
         with pytest.raises(RuleError):
             db.network.remove_rule("ghost")
-
-    def test_bad_virtual_policy_rejected(self):
-        from repro.errors import RuleError
-        db = Database(virtual_policy="sometimes")
-        db.execute("create t (a = int4)")
-        db.execute("create u (a = int4)")
-        for i in range(20):
-            db.execute(f"append t(a = {i})")
-        with pytest.raises(RuleError):
-            db.execute("define rule r if t.a >= 0 and t.a = u.a "
-                       "then delete t")

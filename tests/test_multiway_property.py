@@ -23,8 +23,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from repro import Database
-
+from tests.helpers import budgeted
 from tests.test_network_equivalence import (
     alpha_snapshot, firing_sequence, pnode_snapshot)
 
@@ -52,7 +51,7 @@ MULTIWAY_RULES = [
      'then append to log(tag = "trans")'),
 ]
 
-#: (network, virtual_policy, durable)
+#: (network, storage budget, durable)
 CONFIGS = [
     ("a-treat", "auto", False),
     ("a-treat", "never", False),
@@ -72,9 +71,9 @@ _op = st.one_of(
 
 
 def _build(join_mode, config, rules, durable_path):
-    network, policy, durable = config
-    db = Database(network=network, virtual_policy=policy,
-                  batch_tokens=True, join_mode=join_mode,
+    network, budget, durable = config
+    db = budgeted(budget, network=network, batch_tokens=True,
+                  join_mode=join_mode,
                   durable_path=durable_path if durable else None,
                   fsync="never")
     db.execute("create t (a = int4, k = int4)")

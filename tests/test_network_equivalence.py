@@ -1,10 +1,10 @@
 """DESIGN.md invariant 2: the three networks are observationally equal.
 
-For random rule sets and random update sequences, A-TREAT (all-virtual
-and auto policies), plain TREAT (all stored) and Rete must leave
-identical P-node contents and fire identically — the paper's section 4.2
-claim that a virtual α-memory "implicitly contains exactly the same set
-of tokens as a stored α-memory node".
+For random rule sets and random update sequences, A-TREAT under a zero
+and a mixed storage budget, plain TREAT (budget ∞, all stored) and Rete
+must leave identical P-node contents and fire identically — the paper's
+section 4.2 claim that a virtual α-memory "implicitly contains exactly
+the same set of tokens as a stored α-memory node".
 
 Rule firing is disabled here (rules write to inert log tables and we
 compare the logs) — the point is condition testing equivalence, including
@@ -13,7 +13,7 @@ self-join multiplicities.
 
 from hypothesis import given, settings, strategies as st
 
-from repro import Database
+from tests.helpers import budgeted
 
 
 RULES = [
@@ -41,13 +41,16 @@ RULES = [
 ]
 
 
-def build(network, policy, rules, batch_tokens=False):
-    db = Database(network=network, virtual_policy=policy,
-                  batch_tokens=batch_tokens)
+def build(network, budget, rules, batch_tokens=False):
+    db = budgeted(budget, network=network, batch_tokens=batch_tokens)
     db.execute("create t (a = int4, k = int4)")
     db.execute("create u (b = int4, k = int4)")
     db.execute("create v (c = int4, k = int4)")
     db.execute("create log (tag = text)")
+    # an index on a join attribute is what a finite budget stores on
+    # empty relations: under "auto" the u memories are stored, the rest
+    # virtual
+    db.execute("define index u_b on u (b) using hash")
     for i, rule in enumerate(rules):
         db.execute(rule)
     return db
@@ -164,11 +167,11 @@ def test_batched_propagation_equivalent(ops, rule_indexes, config):
     transition routed through ``process_tokens`` at the boundary) is
     observationally identical to per-mutation routing: same relation
     contents, same firing count, same firing log — for every network
-    kind and virtual-memory policy."""
-    network, policy = config
+    kind and storage budget."""
+    network, budget = config
     rules = [RULES[i] for i in sorted(rule_indexes)]
-    per_token = build(network, policy, rules, batch_tokens=False)
-    batched = build(network, policy, rules, batch_tokens=True)
+    per_token = build(network, budget, rules, batch_tokens=False)
+    batched = build(network, budget, rules, batch_tokens=True)
     for db in (per_token, batched):
         apply_ops(db, ops)
     assert sorted(batched.relation_rows("log")) == \
@@ -188,9 +191,9 @@ def test_batched_pnodes_match_per_token(ops, config):
     consumed), batched and per-token propagation build identical P-node
     contents — the strongest form of the equivalence, below the level
     rule firing could mask."""
-    network, policy = config
-    per_token = build(network, policy, RULES, batch_tokens=False)
-    batched = build(network, policy, RULES, batch_tokens=True)
+    network, budget = config
+    per_token = build(network, budget, RULES, batch_tokens=False)
+    batched = build(network, budget, RULES, batch_tokens=True)
     for db in (per_token, batched):
         db._rules_suspended = True
         apply_ops(db, ops)
@@ -201,7 +204,7 @@ def test_batched_pnodes_match_per_token(ops, config):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(_op, min_size=1, max_size=12),
        st.sampled_from(["always", "never", "auto"]))
-def test_pnodes_match_fresh_rematch(ops, policy):
+def test_pnodes_match_fresh_rematch(ops, budget):
     """DESIGN.md invariant 3: after arbitrary updates, a pure-pattern
     rule's incrementally maintained P-node equals what activating the
     same rule from scratch over the final data computes.
@@ -209,12 +212,12 @@ def test_pnodes_match_fresh_rematch(ops, policy):
     Firing is suspended so P-nodes accumulate instead of being consumed.
     """
     rules = [RULES[1], RULES[2], RULES[3], RULES[7]]   # pattern only
-    db = build("a-treat", policy, rules)
+    db = build("a-treat", budget, rules)
     db._rules_suspended = True
     apply_ops(db, ops)
     incremental = pnode_snapshot(db)
 
-    fresh = Database(network="a-treat", virtual_policy=policy)
+    fresh = budgeted(budget)
     fresh._rules_suspended = True
     fresh.execute("create t (a = int4, k = int4)")
     fresh.execute("create u (b = int4, k = int4)")

@@ -6,14 +6,21 @@ virtual middle node, the modified action of Figure 7, and a Figure-8
 style plan for an action command.
 """
 
+import math
+
 from repro import Database
 from repro.core.action_planner import modified_action_text
 from repro.core.introspect import describe_rule
 from repro.planner.plans import explain, plan_operators
 
+from tests.helpers import budgeted
 
-def build_salesclerk_db(virtual_policy):
-    db = Database(virtual_policy=virtual_policy)
+#: room for the one-tuple dept and job memories, not for emp's 34
+FIGURE4_BUDGET = 2
+
+
+def build_salesclerk_db(budget):
+    db = budgeted(budget)
     db.execute_script("""
         create emp (name = text, age = int4, sal = float8,
                     dno = int4, jno = int4)
@@ -44,7 +51,7 @@ class TestFigure3TreatNetwork:
     """Figure 3: the plain TREAT network — three stored α-memories."""
 
     def test_structure(self):
-        db = build_salesclerk_db("never")
+        db = build_salesclerk_db(math.inf)
         for var in ("emp", "dept", "job"):
             memory = db.network.memory("SalesClerkRule", var)
             assert not memory.is_virtual
@@ -55,7 +62,7 @@ class TestFigure3TreatNetwork:
         assert len(db.network.memory("SalesClerkRule", "emp")) == 34
 
     def test_selection_anchors(self):
-        db = build_salesclerk_db("never")
+        db = build_salesclerk_db(math.inf)
         rule = db.network.rules["SalesClerkRule"]
         assert rule.specs["emp"].analysis.anchor.attr == "sal"
         assert rule.specs["dept"].analysis.anchor.attr == "name"
@@ -67,7 +74,7 @@ class TestFigure3TreatNetwork:
 
     def test_figure5_memory_count(self):
         """Three tuple variables -> three α-memories, one P-node."""
-        db = build_salesclerk_db("never")
+        db = build_salesclerk_db(math.inf)
         assert len([1 for (name, _) in db.network._memories
                     if name == "SalesClerkRule"]) == 3
 
@@ -75,24 +82,27 @@ class TestFigure3TreatNetwork:
 class TestFigure4ATreatNetwork:
     """Figure 4: identical, except alpha2 (emp, sal>30000) is virtual —
     'if the predicate sal>30000 is not very selective, then making
-    alpha2 be virtual may be a reasonable choice'."""
+    alpha2 be virtual may be a reasonable choice'.  The §8 budget makes
+    that choice: two entries pay for the dept and job memories, not for
+    emp's."""
 
-    def test_auto_policy_reproduces_figure4(self):
-        db = build_salesclerk_db("auto")
+    def test_budget_reproduces_figure4(self):
+        db = build_salesclerk_db(FIGURE4_BUDGET)
         assert db.network.memory("SalesClerkRule", "emp").is_virtual
         assert not db.network.memory("SalesClerkRule", "dept").is_virtual
         assert not db.network.memory("SalesClerkRule", "job").is_virtual
+        assert db.network.memory_entry_count() == FIGURE4_BUDGET
 
     def test_storage_saved_is_the_emp_fraction(self):
-        stored = build_salesclerk_db("never")
-        atreat = build_salesclerk_db("auto")
+        stored = build_salesclerk_db(math.inf)
+        atreat = build_salesclerk_db(FIGURE4_BUDGET)
         saved = (stored.network.memory_entry_count("SalesClerkRule")
                  - atreat.network.memory_entry_count("SalesClerkRule"))
         assert saved == 34       # exactly the emp α-memory's contents
 
     def test_same_network_same_matches(self):
-        stored = build_salesclerk_db("never")
-        atreat = build_salesclerk_db("auto")
+        stored = build_salesclerk_db(math.inf)
+        atreat = build_salesclerk_db(FIGURE4_BUDGET)
         stored.execute('append emp(name="x", age=1, sal=50000, dno=99, '
                        'jno=99)')
         atreat.execute('append emp(name="x", age=1, sal=50000, dno=99, '

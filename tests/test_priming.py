@@ -5,10 +5,11 @@
 just-loaded memories through the network's own join step.  Checked here:
 
 * the property — every way a rule gets activated (``define``,
-  ``deactivate`` + ``activate``, an ``optimize_memories`` flip, a
-  ``persist`` round trip, ``Database.recover``) leaves exactly the state
-  a reference database leaves whose network primes by running the
-  planned query the paper describes (the oracle lives in this file
+  ``deactivate`` + ``activate``, each under the storage budget an
+  interleaved ``optimize_memories`` left, which also swaps memories in
+  place; a ``persist`` round trip, ``Database.recover``) leaves exactly
+  the state a reference database leaves whose network primes by running
+  the planned query the paper describes (the oracle lives in this file
   only), and ``check_network`` — an independent from-scratch evaluation
   — agrees;
 * the cost — ``network.prime_tuples_examined`` is one pass per stored
@@ -37,6 +38,8 @@ from repro.core.pnode import Match
 from repro.core.validate import check_network
 from repro.executor.executor import ExecutionContext
 from repro.lang.expr import Bindings
+
+from tests.helpers import budgeted
 
 
 # ----------------------------------------------------------------------
@@ -159,6 +162,8 @@ def _rule_text(name):
     return f"define rule {name} {condition} " + _LOG.format(name, n)
 
 
+#: (network, storage budget — see tests.helpers.BUDGETS, join mode,
+#: batch_tokens)
 CONFIGS = list(itertools.product(
     ("a-treat", "treat", "rete"), ("auto", "always", "never"),
     ("pairwise", "auto"), (False, True)))
@@ -187,10 +192,9 @@ _COLUMN = {"t": "a", "u": "b", "v": "c"}
 
 
 def _build(config, rows, root, oracle):
-    network, policy, join_mode, batch = config
-    db = Database(network=network, virtual_policy=policy,
-                  join_mode=join_mode, batch_tokens=batch,
-                  durable_path=root)
+    network, budget, join_mode, batch = config
+    db = budgeted(budget, network=network, join_mode=join_mode,
+                  batch_tokens=batch, durable_path=root)
     if oracle:
         _use_query_priming(db)
     db.execute_script(SCHEMA)
@@ -361,9 +365,10 @@ def test_network_priming_equals_query_priming(rows, ops, config):
             # and so does recovery (checkpoint script + WAL replay)
             db.close()
             reference.close()
-            network, policy, join_mode, batch = config
-            kwargs = dict(network=network, virtual_policy=policy,
-                          join_mode=join_mode, batch_tokens=batch)
+            # the budget is not checkpointed: both come back all-stored
+            network, _budget, join_mode, batch = config
+            kwargs = dict(network=network, join_mode=join_mode,
+                          batch_tokens=batch)
             recovered = Database.recover(tmp / "new", **kwargs)
             with _query_priming_everywhere():
                 ref_recovered = Database.recover(tmp / "ref", **kwargs)
@@ -492,8 +497,13 @@ def test_primed_match_order_is_seed_memory_order():
 # (b) cost: one pass per stored variable, whatever the relation size
 # ----------------------------------------------------------------------
 
-def _company(rows, network="a-treat"):
-    db = Database(network=network)
+#: a finite budget the knapsack does not run out of: it stores what
+#: saves probe work and leaves the rest virtual (A-TREAT)
+_ROOMY = 10 ** 6
+
+
+def _company(rows, budget=_ROOMY):
+    db = budgeted(budget)
     db.execute_script("""
         create emp (id = int4, sal = float8, dno = int4, jno = int4)
         create dept (dno = int4, name = text)
@@ -537,8 +547,10 @@ def test_activation_examines_each_stored_relation_once(rows):
         rule = db.network.rules[name]
         stored = [v for v in rule.variables
                   if not db.network.memory(name, v).is_virtual]
-        # dept and job keep every row, so A-TREAT makes them virtual:
-        # the stored emp memory (the seed) is the only relation read
+        # dept and job keep every row and answer a join probe through
+        # their dno/jno index as cheaply as a stored scan, so the budget
+        # leaves them virtual: the stored emp memory (the seed) is the
+        # only relation read
         assert stored == ["emp"]
         budget = sum(len(db.catalog.relation(rule.specs[v].relation))
                      for v in stored)
@@ -595,9 +607,10 @@ def test_prime_counters_respect_the_stats_switch():
     assert db.stats.get("network.prime_tuples_examined") == 0
 
 
-@pytest.mark.parametrize("network", ["a-treat", "treat"])
-def test_priming_does_not_feed_probe_feedback(network):
-    db = _company(600, network)
+@pytest.mark.parametrize("budget", [_ROOMY, math.inf],
+                         ids=["a-treat", "treat"])
+def test_priming_does_not_feed_probe_feedback(budget):
+    db = _company(600, budget)
     for variables in (2, 3):
         db.execute(f"define rule r{variables} if {_SHAPES[variables]} "
                    f"{_ACTION}")

@@ -29,7 +29,7 @@ DEFINE_X = ('define rule x if emp.sal < 0.0 and emp.dno = dept.dno '
 
 
 def company() -> Database:
-    db = Database(virtual_policy="never")
+    db = Database()
     db.execute_script("""
         create emp (id = int4, name = text, sal = float8, dno = int4,
                     jno = int4)

@@ -8,6 +8,8 @@ import pytest
 from repro import Database
 from repro.lang.expr import Bindings, compile_expr, is_true
 
+from tests.helpers import budgeted
+
 
 def naive_matches(db, rule_name):
     """Recompute a pattern rule's matches from scratch, directly."""
@@ -47,11 +49,11 @@ def network_matches(db, rule_name):
         for match in db.network.pnode(rule_name).matches())
 
 
-@pytest.mark.parametrize("network,policy", [
+@pytest.mark.parametrize("network,budget", [
     ("a-treat", "auto"), ("a-treat", "always"), ("rete", "never")])
-def test_incremental_equals_naive_at_scale(network, policy):
+def test_incremental_equals_naive_at_scale(network, budget):
     rng = random.Random(1992)
-    db = Database(network=network, virtual_policy=policy)
+    db = budgeted(budget, network=network)
     db._rules_suspended = True     # accumulate matches, don't fire
     db.execute("create emp (sal = float8, dno = int4, k = int4)")
     db.execute("create dept (dno = int4, size = int4)")

@@ -1,12 +1,15 @@
 """Network-level tests: virtual α-memories, storage accounting, the
 selection-index routing, and dynamic flushing."""
 
-from repro import Database
+import math
+
 from repro.core.alpha import VirtualAlphaMemory
 
+from tests.helpers import budgeted
 
-def make_db(policy="always", network="a-treat"):
-    db = Database(network=network, virtual_policy=policy)
+
+def make_db(budget=0, network="a-treat"):
+    db = budgeted(budget, network=network)
     db.execute_script("""
         create emp (name = text, sal = float8, dno = int4)
         create dept (dno = int4, name = text)
@@ -26,32 +29,34 @@ JOIN_RULE = ('define rule big if emp.sal > 5000 and emp.dno = dept.dno '
 
 class TestVirtualMemories:
     def test_always_policy_uses_virtual(self):
-        db = make_db("always")
+        db = make_db(0)         # a zero budget: always virtual
         db._rules_suspended = True
         db.execute(JOIN_RULE)
         assert db.network.memory("big", "emp").is_virtual
         assert db.network.memory("big", "dept").is_virtual
 
     def test_never_policy_uses_stored(self):
-        db = make_db("never")
+        db = make_db(math.inf)  # the default budget: never virtual
         db._rules_suspended = True
         db.execute(JOIN_RULE)
         assert not db.network.memory("big", "emp").is_virtual
 
-    def test_auto_policy_picks_by_selectivity(self):
-        db = make_db("auto")
+    def test_mixed_budget_stores_what_fits(self):
+        db = make_db(10)
         db._rules_suspended = True
-        # emp.sal > 5000 keeps 24/30 = 80% -> virtual;
-        # dept.name = "d1" keeps 1/3 but dept has < 10 rows -> stored
+        # dept.name = "d1" keeps 1 of 3 rows: one entry saves a 3-row
+        # scan per probe -> stored; emp.sal > 5000 keeps 24 of 30 rows,
+        # which the 9 entries left cannot hold -> virtual
         db.execute(JOIN_RULE)
         assert db.network.memory("big", "emp").is_virtual
         assert not db.network.memory("big", "dept").is_virtual
+        assert db.network.memory_entry_count() == 1
 
     def test_virtual_saves_storage(self):
-        stored = make_db("never")
+        stored = make_db(math.inf)
         stored._rules_suspended = True
         stored.execute(JOIN_RULE)
-        virtual = make_db("always")
+        virtual = make_db(0)
         virtual._rules_suspended = True
         virtual.execute(JOIN_RULE)
         assert stored.network.memory_entry_count("big") > 0
@@ -59,8 +64,8 @@ class TestVirtualMemories:
 
     def test_same_matches_either_way(self):
         results = []
-        for policy in ("always", "never"):
-            db = make_db(policy)
+        for budget in (0, math.inf):
+            db = make_db(budget)
             db._rules_suspended = True
             db.execute(JOIN_RULE)
             pnode = db.network.pnode("big")
@@ -70,7 +75,7 @@ class TestVirtualMemories:
         assert results[0]       # non-empty: e7, e10, ... with dno 1
 
     def test_virtual_join_uses_index_when_available(self):
-        db = make_db("always")
+        db = make_db(0)
         db.execute("define index empdno on emp (dno) using hash")
         db._rules_suspended = True
         db.execute(JOIN_RULE)
@@ -79,20 +84,6 @@ class TestVirtualMemories:
         memory = db.network.memory("big", "emp")
         assert isinstance(memory, VirtualAlphaMemory)
         assert memory.scan_count >= 1
-
-    def test_callable_policy(self):
-        calls = []
-
-        def policy(spec):
-            calls.append(spec.var)
-            return spec.var == "emp"
-
-        db = make_db(policy)
-        db._rules_suspended = True
-        db.execute(JOIN_RULE)
-        assert db.network.memory("big", "emp").is_virtual
-        assert not db.network.memory("big", "dept").is_virtual
-        assert set(calls) == {"emp", "dept"}
 
 
 class TestTokenRouting:
@@ -137,7 +128,7 @@ class TestDynamicFlush:
         assert len(db.network.pnode("ev")) == 0
 
     def test_pattern_memory_not_flushed(self):
-        db = make_db("never")
+        db = make_db(math.inf)
         db._rules_suspended = True
         db.execute(JOIN_RULE)
         before = db.network.memory_entry_count("big")
@@ -147,13 +138,13 @@ class TestDynamicFlush:
 
 class TestReteSpecifics:
     def test_beta_entries_exist(self):
-        db = make_db(network="rete", policy="never")
+        db = make_db(network="rete", budget=math.inf)
         db._rules_suspended = True
         db.execute(JOIN_RULE)
         assert db.network.beta_entry_count("big") > 0
 
     def test_beta_cleaned_on_delete(self):
-        db = make_db(network="rete", policy="never")
+        db = make_db(network="rete", budget=math.inf)
         db._rules_suspended = True
         db.execute(JOIN_RULE)
         before = db.network.beta_entry_count("big")
@@ -161,7 +152,7 @@ class TestReteSpecifics:
         assert db.network.beta_entry_count("big") < before
 
     def test_rete_default_is_stored(self):
-        db = make_db(network="rete", policy="never")
+        db = make_db(network="rete", budget=math.inf)
         db._rules_suspended = True
         db.execute(JOIN_RULE)
         assert not db.network.memory("big", "emp").is_virtual
@@ -169,7 +160,7 @@ class TestReteSpecifics:
     def test_rete_supports_virtual_alphas(self):
         """The paper: the virtual-memory technique 'could also be used in
         the Rete algorithm'."""
-        db = make_db(network="rete", policy="always")
+        db = make_db(network="rete", budget=0)
         db._rules_suspended = True
         db.execute(JOIN_RULE)
         assert db.network.memory("big", "emp").is_virtual
@@ -179,8 +170,8 @@ class TestReteSpecifics:
 
     def test_rete_virtual_matches_stored(self):
         results = []
-        for policy in ("always", "never"):
-            db = make_db(policy, network="rete")
+        for budget in (0, math.inf):
+            db = make_db(budget, network="rete")
             db._rules_suspended = True
             db.execute(JOIN_RULE)
             pnode = db.network.pnode("big")

@@ -3,16 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Database
 from repro.core.alpha import MemoryEntry
 from repro.core.validate import assert_consistent, check_network
 from repro.storage.tuples import TupleId
 
+from tests.helpers import budgeted
 from tests.test_network_equivalence import RULES, apply_ops, _op
 
 
-def build(policy="auto"):
-    db = Database(virtual_policy=policy)
+def build(budget="auto"):
+    db = budgeted(budget)
     db.execute("create t (a = int4, k = int4)")
     db.execute("create u (b = int4, k = int4)")
     db.execute("create v (c = int4, k = int4)")
@@ -50,7 +50,7 @@ class TestCleanStates:
 
 class TestFaultInjection:
     def test_corrupt_alpha_extra_detected(self):
-        db = build(policy="never")
+        db = build("never")
         db.execute(RULES[1])
         db.execute("append t(a = 5, k = 1)")
         memory = db.network.memory("r_join", "t")
@@ -59,7 +59,7 @@ class TestFaultInjection:
         assert any(p.kind == "alpha-extra" for p in problems)
 
     def test_corrupt_alpha_missing_detected(self):
-        db = build(policy="never")
+        db = build("never")
         db.execute(RULES[1])
         db.execute("append t(a = 5, k = 1)")
         memory = db.network.memory("r_join", "t")
@@ -69,7 +69,7 @@ class TestFaultInjection:
         assert any(p.kind == "alpha-missing" for p in problems)
 
     def test_corrupt_pnode_detected(self):
-        db = build(policy="never")
+        db = build("never")
         db._rules_suspended = True
         db.execute(RULES[1])
         db.execute("append t(a = 5, k = 1)")
@@ -80,7 +80,7 @@ class TestFaultInjection:
 
     def test_phantom_pnode_match_detected(self):
         from repro.core.pnode import Match
-        db = build(policy="never")
+        db = build("never")
         db.execute(RULES[1])
         db.network.pnode("r_join").insert(Match.of({
             "t": MemoryEntry(TupleId("t", 77), (1, 1)),
@@ -89,7 +89,7 @@ class TestFaultInjection:
         assert any(p.kind == "pnode-extra" for p in problems)
 
     def test_assert_consistent_raises_with_report(self):
-        db = build(policy="never")
+        db = build("never")
         db.execute(RULES[1])
         memory = db.network.memory("r_join", "t")
         memory.insert(MemoryEntry(TupleId("t", 999), (1, 2)))
@@ -108,10 +108,11 @@ class TestFaultInjection:
        st.sets(st.integers(0, len(RULES) - 1), min_size=1, max_size=4),
        st.sampled_from(["auto", "always", "never"]))
 def test_network_consistent_after_random_workloads(ops, rule_indexes,
-                                                   policy):
-    """The self-check holds after arbitrary workloads on every policy —
-    the strongest standing invariant of the whole system."""
-    db = build(policy)
+                                                   budget):
+    """The self-check holds after arbitrary workloads under every
+    storage budget — the strongest standing invariant of the whole
+    system."""
+    db = build(budget)
     for i in sorted(rule_indexes):
         db.execute(RULES[i])
     apply_ops(db, ops)
