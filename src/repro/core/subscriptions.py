@@ -91,6 +91,11 @@ class SubscriptionHub:
     def active(self) -> bool:
         return bool(self._subscriptions)
 
+    @property
+    def pending(self) -> bool:
+        """Whether notifications await :meth:`deliver`."""
+        return bool(self._queue)
+
     # ------------------------------------------------------------------
 
     def record_firing(self, sequence: int, rule_name: str,

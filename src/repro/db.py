@@ -178,7 +178,7 @@ class Database:
         self.hooks.trace = self.trace
         self.hooks.network = self.manager.network
         self.context = ExecutionContext(self.catalog, self.hooks)
-        self.executor = Executor(self.context, self.optimizer)
+        self.executor = Executor(self.context)
         self.action_planner = self.manager.action_planner
         #: rule firings since construction (diagnostics)
         self.firings = 0
@@ -793,16 +793,22 @@ class Database:
 
     def _execute_planned(self, planned, params: dict[str, object] | None):
         """Run a cached plan as one transition (the prepared-statement
-        execution path: no parse/analyze/plan work)."""
+        execution path: no parse/analyze/plan work).  With no token
+        generated, an empty agenda and nothing to deliver, the
+        recognize-act cycle would be a no-op and is skipped."""
         self._require_open()
         if not _read_only_command(planned.command):
             self._require_writable("execute a mutating command")
+        hooks = self.hooks
         with self._recovery_scope():
+            generated = hooks.tokens_generated
             result = self.executor.run(planned, params)
             self._note_plan_executed(planned)
-            self.hooks.flush_tokens()
+            hooks.flush_tokens()
             self.deltasets.clear()
-            self._run_rule_cycle()
+            if (hooks.tokens_generated != generated or self.manager.agenda
+                    or self.subscriptions.pending):
+                self._run_rule_cycle()
         return result
 
     def bulk_append(self, relation: str, rows) -> int:

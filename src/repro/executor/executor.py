@@ -22,14 +22,17 @@ update processing" (paper abstract).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
 from repro.errors import ExecutionError
 from repro.lang import ast_nodes as ast
 from repro.lang.expr import Bindings, compile_expr
-from repro.planner.optimizer import Optimizer, PlannedCommand
 from repro.storage.tuples import TupleId
+
+if TYPE_CHECKING:
+    from repro.planner.optimizer import PlannedCommand
 
 
 class MutationHooks:
@@ -115,10 +118,8 @@ class DmlResult:
 class Executor:
     """Runs planned DML commands against an execution context."""
 
-    def __init__(self, context: ExecutionContext,
-                 optimizer: Optimizer | None = None):
+    def __init__(self, context: ExecutionContext):
         self.context = context
-        self.optimizer = optimizer or Optimizer(context.catalog)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -126,6 +127,9 @@ class Executor:
 
     def run(self, planned: PlannedCommand,
             params: dict[str, object] | None = None):
+        kernel = planned.kernel
+        if kernel is not None:
+            return kernel(self.context, params)
         command = planned.command
         if isinstance(command, ast.Retrieve):
             return self.run_retrieve(planned, params)
@@ -138,12 +142,6 @@ class Executor:
         raise ExecutionError(
             f"executor cannot run {type(command).__name__}")
 
-    @staticmethod
-    def _root(params: dict[str, object] | None) -> Bindings:
-        """The root bindings of one execution: empty except for the
-        prepared-statement parameter vector."""
-        return Bindings(params=params) if params else Bindings()
-
     # ------------------------------------------------------------------
     # retrieve
     # ------------------------------------------------------------------
@@ -151,19 +149,16 @@ class Executor:
     def run_retrieve(self, planned: PlannedCommand,
                      params: dict[str, object] | None = None) -> ResultSet:
         command: ast.Retrieve = planned.command
-        if any(_contains_aggregate(col.expr) for col in command.targets):
-            return self._run_retrieve_aggregated(planned, command, params)
-        columns = []
-        evaluators = []
-        for i, col in enumerate(command.targets):
-            columns.append(self._result_name(col, i))
-            evaluators.append(compile_expr(col.expr))
-        sort_evaluators = [(compile_expr(k.expr), k.ascending)
-                           for k in command.sort_keys]
+        compiled = planned.evaluators
+        if compiled is None:          # compiled once per plan, not per run
+            compiled = planned.evaluators = compile_retrieve(command)
+        columns, evaluators, sort_evaluators = compiled
+        if evaluators is None:
+            return self._run_retrieve_aggregated(planned, columns, params)
         rows = []
         keyed = []
-        for bound in planned.plan.rows(self.context, self._root(params),
-                                       reuse=True):
+        for bound in planned.plan.rows(self.context,
+                                       Bindings(params=params), reuse=True):
             row = tuple(ev(bound) for ev in evaluators)
             if sort_evaluators:
                 keyed.append((row, [ev(bound)
@@ -192,18 +187,17 @@ class Executor:
                     seen.add(row)
                     deduped.append(row)
             rows = deduped
-        result = ResultSet(tuple(columns), rows)
+        result = ResultSet(columns, rows)
         if command.into is not None:
             self._materialize_into(command.into, result)
         return result
 
     def _run_retrieve_aggregated(
-            self, planned: PlannedCommand, command: ast.Retrieve,
+            self, planned: PlannedCommand, columns: tuple[str, ...],
             params: dict[str, object] | None = None) -> ResultSet:
         """Aggregated retrieve with POSTQUEL implicit grouping: the
         aggregate-free targets are the group keys."""
-        columns = [self._result_name(col, i)
-                   for i, col in enumerate(command.targets)]
+        command: ast.Retrieve = planned.command
         key_targets: list[tuple[int, object]] = []     # (pos, evaluator)
         agg_targets: list[tuple[int, object]] = []     # (pos, post-eval)
         aggregates: list[_Accumulator] = []
@@ -216,8 +210,8 @@ class Executor:
                 key_targets.append((i, compile_expr(col.expr)))
 
         groups: dict[tuple, list] = {}
-        for bound in planned.plan.rows(self.context, self._root(params),
-                                       reuse=True):
+        for bound in planned.plan.rows(self.context,
+                                       Bindings(params=params), reuse=True):
             key = tuple(ev(bound) for _, ev in key_targets)
             states = groups.get(key)
             if states is None:
@@ -243,7 +237,7 @@ class Executor:
             seen = set()
             rows = [r for r in rows
                     if r not in seen and not seen.add(r)]
-        result = ResultSet(tuple(columns), rows)
+        result = ResultSet(columns, rows)
         if command.into is not None:
             self._materialize_into(command.into, result)
         return result
@@ -272,22 +266,12 @@ class Executor:
                    params: dict[str, object] | None = None) -> DmlResult:
         command: ast.Append = planned.command
         relation = self.context.catalog.relation(command.relation)
-        schema = relation.schema
-        named = command.targets and command.targets[0].name is not None
-        evaluators = planned.evaluators
-        if evaluators is None:        # compiled once per plan, not per run
-            evaluators = planned.evaluators = [
-                (col.name, compile_expr(col.expr))
-                for col in command.targets]
-        new_tuples = []
-        for bound in planned.plan.rows(self.context, self._root(params),
-                                       reuse=True):
-            if named:
-                by_name = {name: ev(bound) for name, ev in evaluators}
-                values = tuple(by_name.get(attr.name) for attr in schema)
-            else:
-                values = tuple(ev(bound) for _, ev in evaluators)
-            new_tuples.append(values)
+        row = planned.evaluators
+        if row is None:               # compiled once per plan, not per run
+            row = planned.evaluators = compile_append(command,
+                                                      relation.schema)
+        new_tuples = [row(bound) for bound in planned.plan.rows(
+            self.context, Bindings(params=params), reuse=True)]
         for values in new_tuples:
             self.context.hooks.insert(command.relation, values)
         return DmlResult(len(new_tuples))
@@ -298,72 +282,37 @@ class Executor:
 
     def run_delete(self, planned: PlannedCommand,
                    params: dict[str, object] | None = None) -> DmlResult:
-        command: ast.Delete = planned.command
         relation_name = self._target_relation(planned)
-        tids = self._collect_target_tids(planned, command.target_var,
-                                         params)
+        tids = [tid for tid, _ in self._targets(planned, params)]
         relation = self.context.catalog.relation(relation_name)
-        applied = 0
-        for tid in tids:
-            # A tuple may have vanished between qualification and apply
-            # (another qualifying row deleted it, or a P-node entry went
-            # stale); skip it silently, as the paper's delete' does.
-            if relation.contains(tid):
-                self.context.hooks.delete(relation_name, tid)
-                applied += 1
-        return DmlResult(applied)
+        return apply_deletes(self.context.hooks, relation, tids)
 
     def run_replace(self, planned: PlannedCommand,
                     params: dict[str, object] | None = None) -> DmlResult:
-        command: ast.Replace = planned.command
-        relation_name = self._target_relation(planned)
-        relation = self.context.catalog.relation(relation_name)
-        schema = relation.schema
+        relation = self.context.catalog.relation(
+            self._target_relation(planned))
         evaluators = planned.evaluators
         if evaluators is None:        # compiled once per plan, not per run
-            evaluators = planned.evaluators = [
-                (schema.position(col.name), compile_expr(col.expr))
-                for col in command.assignments]
-        updates: list[tuple[TupleId, list[tuple[int, object]]]] = []
-        seen: set[TupleId] = set()
-        for bound in planned.plan.rows(self.context, self._root(params),
-                                       reuse=True):
-            tid = bound.tids.get(command.target_var)
-            if tid is None:
-                raise ExecutionError(
-                    f"no TID bound for replace target "
-                    f"{command.target_var!r}")
-            if tid in seen:
-                continue
-            seen.add(tid)
-            updates.append(
-                (tid, [(pos, ev(bound)) for pos, ev in evaluators]))
-        applied = 0
-        for tid, assignments in updates:
-            if not relation.contains(tid):
-                continue
-            old = list(relation.get(tid))
-            for pos, value in assignments:
-                old[pos] = value
-            self.context.hooks.replace(relation_name, tid, tuple(old))
-            applied += 1
-        return DmlResult(applied)
+            evaluators = planned.evaluators = compile_assignments(
+                planned.command, relation.schema)
+        return apply_replaces(self.context.hooks, relation, [
+            (tid, [(pos, ev(bound)) for pos, ev in evaluators])
+            for tid, bound in self._targets(planned, params)])
 
-    def _collect_target_tids(
-            self, planned: PlannedCommand, target_var: str,
-            params: dict[str, object] | None = None) -> list[TupleId]:
-        tids: list[TupleId] = []
+    def _targets(self, planned: PlannedCommand,
+                 params: dict[str, object] | None):
+        """Yield ``(tid, bindings)`` once per distinct target tuple."""
+        target_var = planned.command.target_var
         seen: set[TupleId] = set()
-        for bound in planned.plan.rows(self.context, self._root(params),
-                                       reuse=True):
+        for bound in planned.plan.rows(self.context,
+                                       Bindings(params=params), reuse=True):
             tid = bound.tids.get(target_var)
             if tid is None:
                 raise ExecutionError(
                     f"no TID bound for target variable {target_var!r}")
             if tid not in seen:
                 seen.add(tid)
-                tids.append(tid)
-        return tids
+                yield tid, bound
 
     def _target_relation(self, planned: PlannedCommand) -> str:
         command = planned.command
@@ -373,15 +322,81 @@ class Executor:
                 f"unresolved target variable {command.target_var!r}")
         return relation
 
-    @staticmethod
-    def _result_name(col: ast.ResultColumn, position: int) -> str:
-        if col.name is not None:
-            return col.name
-        if isinstance(col.expr, ast.AttrRef):
-            return col.expr.attr
-        if isinstance(col.expr, ast.AggregateCall):
-            return col.expr.func
-        return f"column{position + 1}"
+
+def apply_deletes(hooks: MutationHooks, relation, tids) -> DmlResult:
+    """Delete the collected target TIDs that are still live."""
+    applied = 0
+    for tid in tids:
+        # A tuple may have vanished between qualification and apply
+        # (another qualifying row deleted it, or a P-node entry went
+        # stale); skip it silently, as the paper's delete' does.
+        if relation.contains(tid):
+            hooks.delete(relation.name, tid)
+            applied += 1
+    return DmlResult(applied)
+
+
+def apply_replaces(hooks: MutationHooks, relation, updates) -> DmlResult:
+    """Apply collected ``(tid, [(position, value), ...])`` updates to the
+    TIDs that are still live."""
+    applied = 0
+    for tid, assignments in updates:
+        if not relation.contains(tid):
+            continue
+        old = list(relation.get(tid))
+        for pos, value in assignments:
+            old[pos] = value
+        hooks.replace(relation.name, tid, tuple(old))
+        applied += 1
+    return DmlResult(applied)
+
+
+def result_name(col: ast.ResultColumn, position: int) -> str:
+    """The name of a retrieve result column."""
+    if col.name is not None:
+        return col.name
+    if isinstance(col.expr, ast.AttrRef):
+        return col.expr.attr
+    if isinstance(col.expr, ast.AggregateCall):
+        return col.expr.func
+    return f"column{position + 1}"
+
+
+def compile_retrieve(command: ast.Retrieve):
+    """``(columns, target evaluators, sort evaluators)``; the target
+    evaluators are None for an aggregated retrieve, whose
+    post-evaluators fold each execution's parameters."""
+    columns = tuple(result_name(col, i)
+                    for i, col in enumerate(command.targets))
+    if any(_contains_aggregate(col.expr) for col in command.targets):
+        return columns, None, None
+    return (columns, [compile_expr(col.expr) for col in command.targets],
+            [(compile_expr(k.expr), k.ascending) for k in command.sort_keys])
+
+
+def compile_append(command: ast.Append, schema: Schema):
+    """``row(bound)``: the value tuple an append inserts.  Named targets
+    land by name — a later duplicate wins, an absent attribute is null."""
+    evaluators = [compile_expr(col.expr) for col in command.targets]
+    order = None                       # positional: the targets' order
+    if command.targets and command.targets[0].name is not None:
+        last = {col.name: i for i, col in enumerate(command.targets)}
+        order = [last.get(attr.name) for attr in schema]
+        if order == list(range(len(evaluators))):
+            order = None
+
+    def row(bound: Bindings) -> tuple:
+        values = [ev(bound) for ev in evaluators]
+        if order is None:
+            return tuple(values)
+        return tuple([None if i is None else values[i] for i in order])
+    return row
+
+
+def compile_assignments(command: ast.Replace, schema: Schema) -> list:
+    """A replace's ``(position, evaluator)`` pairs."""
+    return [(schema.position(col.name), compile_expr(col.expr))
+            for col in command.assignments]
 
 
 # ----------------------------------------------------------------------

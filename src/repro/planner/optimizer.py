@@ -20,9 +20,11 @@ is constructed as usual by the query optimizer" (paper section 5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.catalog.catalog import Catalog
 from repro.errors import PlanError
+from repro.executor.kernel import compile_kernel
 from repro.lang import ast_nodes as ast
 from repro.lang.expr import (
     Bindings, compile_expr, contains_params, is_true, variables_of)
@@ -45,8 +47,11 @@ class PlannedCommand:
     command: ast.Command
     plan: Plan
     scope: dict[str, str]
-    #: the executor's compiled target list, built on the first run
-    evaluators: list | None = None
+    #: the executor's compiled target lists, built on the first run
+    evaluators: object = None
+    #: the statement kernel's closure (None: the iterator tree runs);
+    #: built with the plan, so whatever re-plans rebuilds it
+    kernel: Callable | None = None
 
 
 @dataclass
@@ -105,7 +110,9 @@ class Optimizer:
                 f"cannot plan {type(command).__name__}")
         plan = self.plan_variables(sorted(needed), command.where, scope,
                                    seed=seed, seed_rows=seed_rows)
-        return PlannedCommand(command, plan, scope)
+        planned = PlannedCommand(command, plan, scope)
+        planned.kernel = compile_kernel(planned, self.catalog)
+        return planned
 
     def plan_variables(self, variables: list[str],
                        where: ast.Expr | None,

@@ -212,6 +212,21 @@ class IndexProbe(Plan):
             if residual is None or is_true(residual(bound)):
                 yield bound
 
+    def qualifying(self, ctx, bound: Bindings) -> Iterator:
+        """The statement kernel's :meth:`rows`: yield each qualifying
+        TID with ``bound.current[var]`` set, in place, to its values
+        (apart from :meth:`rows`, the reference it is tested against)."""
+        key = self._key(bound)
+        if _unordered(key):
+            return
+        relation = ctx.catalog.relation(self.relation)
+        tids = _index(relation, self.index_name).search(key)
+        residual, current, var = self._residual, bound.current, self.var
+        for tid, values in relation.lookup(tids):
+            current[var] = values
+            if residual is None or residual(bound) is True:
+                yield tid
+
     def label(self) -> str:
         text = (f"IndexProbe {self.relation} as {self.var} "
                 f"using {self.index_name} on {deparse(self.key_expr)}")

@@ -109,6 +109,7 @@ class Prepared:
                 f"only retrieve/append/delete/replace can be prepared")
         self.signature: tuple[str, ...] = tuple(
             getattr(command, "param_signature", ()) or ())
+        self._names = frozenset(self.signature)
         self._command = command
         self._planned = db.optimizer.plan_command(command)
         self._version = db.catalog.schema_version
@@ -155,6 +156,8 @@ class Prepared:
         """``params`` (None = none) if it names exactly the statement's
         parameters; :class:`~repro.errors.ExecutionError` otherwise."""
         params = params or {}
+        if isinstance(params, dict) and params.keys() == self._names:
+            return params               # the common case: exactly those
         missing = [name for name in self.signature if name not in params]
         if missing:
             raise ExecutionError(

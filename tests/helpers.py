@@ -39,7 +39,7 @@ class MiniEngine:
         self.analyzer = SemanticAnalyzer(self.catalog)
         self.optimizer = Optimizer(self.catalog)
         self.context = ExecutionContext(self.catalog)
-        self.executor = Executor(self.context, self.optimizer)
+        self.executor = Executor(self.context)
 
     def run(self, text: str):
         command = self.analyzer.analyze(parse_command(text))

@@ -494,8 +494,9 @@ class TestShellMetaCommands:
 
 
 class TestTargetListCompiledOnce:
-    """The executor compiles an append / replace target list once per
-    planned command, not once per execution."""
+    """An append / replace target list is compiled once per planned
+    command — by the statement kernel when the plan is built, else by
+    the executor on the first run — not once per execution."""
 
     @staticmethod
     def _count_compiles(monkeypatch):
@@ -512,10 +513,10 @@ class TestTargetListCompiledOnce:
 
     def test_prepared_append_and_replace(self, monkeypatch):
         db = small_db()
+        calls = self._count_compiles(monkeypatch)
         app = db.prepare("append emp(id = $id, name = $name, sal = $sal)")
         rep = db.prepare("replace emp (sal = emp.sal + $d) "
                          "where emp.id = $id")
-        calls = self._count_compiles(monkeypatch)
         for i in range(20, 25):
             app.execute(id=i, name=f"e{i}", sal=1.0)
             rep.execute(id=i, d=float(i))

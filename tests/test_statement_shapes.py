@@ -6,10 +6,14 @@ plan with the text's literals as parameters.  The property here runs
 the same stream of literal-varying texts on a default database and on
 ``Database(statement_cache_size=0)`` — the full parse → analyze → plan
 pipeline for every text — and demands the same observable behaviour;
-the count-based tests pin what the cache saves.
+the count-based tests pin what the cache saves.  At the end, the same
+kind of oracle for the statement kernel: kernel against iterator.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +22,11 @@ from hypothesis import strategies as st
 import repro.prepared
 from repro import Database
 from repro.errors import ArielError, SemanticError
+from repro.executor.executor import ResultSet
 from repro.lang.expr import Bindings, compile_expr, is_true
 from repro.lang.lexer import tokenize
 from repro.lang.parser import parse_command
+from repro.planner.plans import AnalyzedPlan
 from repro.prepared import shape_of
 
 # ----------------------------------------------------------------------
@@ -609,3 +615,223 @@ def test_one_plan_whichever_path(text, plan):
     full pipeline (its literals constants)."""
     lifted, full = company(128).explain(text), company(0).explain(text)
     assert lifted == full == plan
+
+
+# ----------------------------------------------------------------------
+# the statement kernel: the same outcomes as the iterator executor
+# ----------------------------------------------------------------------
+
+#: kernel-shaped statements: point probes on a hash index (non-unique on
+#: dno), B-tree equality (sal), residuals, replaces that move the key
+#: they were found by, and appends whose values may not coerce
+KERNEL_STATEMENTS = {
+    "get": "retrieve (emp.name, emp.sal, x = emp.sal * 2 + $c) "
+           "where emp.id = $k",
+    "by_dno": "retrieve (emp.id, emp.name) where emp.dno = $k "
+              "and emp.sal > $lo",
+    "by_sal": "retrieve (emp.id) where emp.sal = $k",
+    "move_id": "replace emp (id = emp.id + $d) where emp.id = $k",
+    "move_sal": "replace emp (sal = $s, dno = $d) where emp.sal = $k",
+    "raise": "replace emp (sal = emp.sal + $x) where emp.dno = $k "
+             "and emp.id > $lo",
+    "drop": "delete emp where emp.dno = $k",
+    "drop_one": "delete emp where emp.id = $k and emp.sal < $s",
+    "hire": "append emp(id = $i, name = $n, sal = $s, dno = $d)",
+    "open": "append dept(dno = $d, name = $n, floor = $f)",
+    "note": "append log($n, $s, 2.5)",
+}
+
+#: rule actions of the kernel's append shape: 1, 2 and 3 variables,
+#: ``previous`` values, constants, arithmetic, named targets out of
+#: schema order with one attribute left null, positional targets
+KERNEL_RULES = [
+    "define rule up on replace emp(sal) if emp.sal > previous emp.sal "
+    "then append to log(tag = emp.name, v = emp.sal - previous emp.sal, "
+    "w = 1.5)",
+    'define rule gone on delete emp '
+    'then append to log(v = emp.sal, tag = "gone")',
+    "define rule moved on replace emp(dno) if emp.dno = dept.dno "
+    "then append to log(tag = dept.name, v = previous emp.dno, "
+    "w = emp.dno * 10)",
+    "define rule trio if e1.dno = d.dno and e2.dno = d.dno "
+    "and e1.id < e2.id and d.floor > 1 from e1 in emp, e2 in emp, "
+    "d in dept then append to log(d.name, e1.id + e2.id, d.floor)",
+]
+
+#: keys and values: stored ids, departments and salaries, duplicates,
+#: absent keys, null, NaN, and types the attribute does not hold
+KERNEL_VALUES = st.one_of(
+    st.integers(-1, 12),
+    st.integers(0, 11).map(lambda i: 100.0 * (i % 8)),
+    st.sampled_from([None, float("nan"), 0.5, 99, "x", "e1"]))
+
+
+def kernel_op():
+    """``(statement name, parameter vector)``."""
+    return st.one_of(*[
+        st.tuples(st.just(name), st.fixed_dictionaries(
+            {param: KERNEL_VALUES
+             for param in dict.fromkeys(re.findall(r"\$(\w+)", text))}))
+        for name, text in KERNEL_STATEMENTS.items()])
+
+
+def kernel_company(kernel: bool):
+    """The same database either way; ``kernel=False`` runs every plan
+    it builds — statements and rule actions — through the iterator
+    executor, on a copy of each PlannedCommand with ``kernel`` cleared.
+    Returns the database, its prepared statements and its token log."""
+    db = Database()
+    if not kernel:
+        plan_command = db.optimizer.plan_command
+        db.optimizer.plan_command = lambda *args, **kwargs: \
+            dataclasses.replace(plan_command(*args, **kwargs), kernel=None)
+    db.execute_script("""
+        create emp (id = int4, name = text, sal = float8, dno = int4)
+        create dept (dno = int4, name = text, floor = int4)
+        create log (tag = text, v = float8, w = float8)
+        define index emp_id on emp (id) using hash
+        define index emp_dno on emp (dno) using hash
+        define index emp_sal on emp (sal) using btree
+    """)
+    for rule in KERNEL_RULES:
+        db.execute(rule)
+    db.bulk_append("dept", [(d, f"d{d}", d) for d in range(4)])
+    db.bulk_append("emp", [(i, f"e{i}", 100.0 * (i % 8), i % 3)
+                           for i in range(10)])
+    tokens = []
+    route = db.hooks.route_tokens
+
+    def recording(batch):
+        tokens.extend((t.kind.name, t.relation, t.tid.slot, repr(t.values),
+                       repr(t.old_values)) for t in batch)
+        route(batch)
+    db.hooks.route_tokens = recording
+    prepared = {name: db.prepare(text)
+                for name, text in KERNEL_STATEMENTS.items()}
+    return db, prepared, tokens
+
+
+def kernel_outcome(prepared, params):
+    try:
+        result = prepared.execute_with(params)
+    except Exception as exc:      # a mistyped key's TypeError too
+        return type(exc).__name__, str(exc)
+    if isinstance(result, ResultSet):
+        return result.columns, [repr(row) for row in result.rows]
+    return "count", result.count
+
+
+def heap_digest(db):
+    """Every relation's (slot, values) in slot order, every P-node, and
+    the firing log."""
+    return ({name: [(s.tid.slot, repr(s.values))
+                    for s in db.catalog.relation(name).scan()]
+             for name in ("emp", "dept", "log")},
+            {name: sorted(map(repr, db.network.pnode(name).matches()))
+             for name in db.network.rules},
+            [(r.sequence, r.rule_name, r.match_count)
+             for r in db.firing_log])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(kernel_op(), min_size=1, max_size=20),
+       st.lists(kernel_op(), max_size=10))
+def test_kernel_equals_iterator(committed, aborted):
+    (fast, fast_sql, fast_tokens), (slow, slow_sql, slow_tokens) = \
+        kernel_company(True), kernel_company(False)
+    for name, params in committed:
+        assert kernel_outcome(fast_sql[name], params) \
+            == kernel_outcome(slow_sql[name], params), (name, params)
+        assert heap_digest(fast) == heap_digest(slow), (name, params)
+        assert fast_tokens == slow_tokens, (name, params)
+    before = heap_digest(fast)
+    for db in (fast, slow):
+        db.begin()
+    for name, params in aborted:
+        assert kernel_outcome(fast_sql[name], params) \
+            == kernel_outcome(slow_sql[name], params), (name, params)
+    for db in (fast, slow):
+        db.abort()
+    assert fast_tokens == slow_tokens
+    assert heap_digest(fast) == heap_digest(slow)
+    assert heap_digest(fast)[:2] == before[:2]      # heap and P-nodes
+
+
+def test_kernel_runs_every_statement_and_action_of_the_oracle():
+    """The oracle compares the kernel with something: every statement
+    above and every rule action compiles to one, and only where asked."""
+    for kernel in (True, False):
+        db, prepared, _ = kernel_company(kernel)
+        for statement in prepared.values():
+            assert (statement.current_plan().kernel is not None) is kernel
+        ran = []
+        run = db.executor.run
+
+        def spying(planned, params=None, ran=ran, run=run):
+            ran.append(planned.kernel is not None)
+            return run(planned, params)
+        db.executor.run = spying
+        firings = db.firings
+        db.execute('append dept(dno = 1, name = "d1b", floor = 3)')
+        db.execute("replace emp (sal = emp.sal + 1.0, dno = emp.dno + 1) "
+                   "where emp.id = 4")
+        db.execute("delete emp where emp.id = 5")
+        # three statements and every action they fired (trio, up,
+        # moved, trio, gone)
+        assert db.firings - firings == len(ran) - 3 == 5
+        assert set(ran) == {kernel}
+
+
+def test_matches_left_by_a_halt_fire_on_the_next_statement():
+    """An empty transition skips the recognize-act cycle only while the
+    agenda is empty: a halting firing leaves another rule's match
+    pending, and a retrieve that makes no token still fires it."""
+    db = Database()
+    db.execute_script("""
+        create t (id = int4, a = int4)
+        create log (a = int4)
+        define index t_id on t (id) using hash
+        define rule stop priority 9 if t.a > 5 then halt
+        define rule note priority 1 if t.a > 5 then append to log(a = t.a)
+    """)
+    db.execute("append t(id = 1, a = 7)")
+    assert db.relation_rows("log") == [] and len(db.manager.agenda) == 1
+    get = db.prepare("retrieve (t.a) where t.id = $id")
+    tokens = db.hooks.tokens_generated
+    assert get.execute(id=1).rows == [(7,)]
+    assert db.hooks.tokens_generated == tokens
+    assert db.relation_rows("log") == [(7,)]
+    # the agenda is empty now: the next retrieve runs no cycle at all
+    selections = db.stats.get("agenda.selections")
+    assert get.execute(id=1).rows == [(7,)]
+    assert db.stats.get("agenda.selections") == selections
+
+
+@pytest.mark.parametrize("text, plan", [
+    ("retrieve (emp.name, x = emp.sal + 1) where emp.id = 3",
+     "IndexProbe emp as emp using emp_id on 3"),
+    ("retrieve (emp.id) where emp.sal = 700 and emp.dno > 0",
+     "IndexProbe emp as emp using emp_sal on 700 [emp.dno > 0]"),
+    ("replace emp (sal = emp.sal * 2) where emp.id = 3",
+     "IndexProbe emp as emp using emp_id on 3"),
+    ("delete emp where emp.id = 3 and emp.sal < 3500.5",
+     "IndexProbe emp as emp using emp_id on 3 [emp.sal < 3500.5]"),
+    ('append emp(id = 30, name = "n", sal = 2.5, dno = 1)', "Singleton"),
+])
+def test_kernel_shapes_explain_and_analyze_the_plan(text, plan):
+    """``explain`` prints the plan whatever runs it, and ``explain
+    analyze`` instruments the iterator tree: its copy has no kernel."""
+    db = company(128)
+    assert db.explain(text) == company(0).explain(text) == plan
+    assert db.statement_cache.lookup(shape(text)[0]) \
+        .current_plan().kernel is not None
+    ran = []
+    run = db.executor.run
+
+    def spying(planned, params=None):
+        ran.append(planned)
+        return run(planned, params)
+    db.executor.run = spying
+    analyzed = db.explain(text, analyze=True)
+    assert ran[0].kernel is None and isinstance(ran[0].plan, AnalyzedPlan)
+    assert analyzed.startswith(plan + " (") and "loops=1" in analyzed
