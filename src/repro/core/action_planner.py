@@ -13,56 +13,26 @@ At rule *fire* time, :class:`ActionPlanner` builds an execution plan for
 each action command: commands referencing shared variables are planned
 with a :class:`~repro.planner.plans.PnodeScan` seed binding all of them
 at once, and "the rest of the query plan is constructed as usual by the
-query optimizer" (section 5.2 / Figure 8).  The paper's Ariel **always
-reoptimizes** — plans are rebuilt at every firing — because a
-pre-planned action (section 5.3) can go stale.  Here a plan is kept per
-(rule, command) with the schema version it was built at, rebuilt after
-DDL and dropped when its rule leaves the network, which removes that
-hazard; :attr:`ActionPlanner.cache_plans` switches the reuse off so the
-ablation benchmark can still measure always-reoptimize.
+query optimizer" (section 5.2 / Figure 8).  An action is thus a prepared
+statement whose one parameter is the set of matches its firing consumed:
+the firing runs the plan with those matches under
+:data:`~repro.planner.plans.PNODE` in the parameter vector.  The paper's
+Ariel **always reoptimizes** — plans are rebuilt at every firing —
+because a pre-planned action (section 5.3) can go stale.  Here each plan
+lives on its :class:`~repro.core.rules.ActionCommand` with the schema
+version it was built at: DDL makes it rebuild, and deactivating the rule
+drops the compiled rule and its plans with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.catalog.catalog import Catalog
-from repro.core.pnode import FrozenMatches, Match
+from repro.core.pnode import Match
 from repro.core.rules import ActionCommand, CompiledRule
 from repro.lang import ast_nodes as ast
 from repro.lang.ast_nodes import deparse
 from repro.planner.optimizer import Optimizer, PlannedCommand
 from repro.planner.plans import PnodeScan
-
-
-@dataclass
-class PlannedAction:
-    """One action command ready to execute, or a halt marker."""
-
-    planned: PlannedCommand | None     # None for halt
-    is_halt: bool = False
-
-
-class _MatchesHolder:
-    """A stable P-node facade whose matches are swapped per firing.
-
-    Cached plans keep a PnodeScan over this holder; re-binding the
-    consumed matches here lets the same plan object serve every firing.
-    """
-
-    def __init__(self, rule_name: str, variables: list[str]):
-        self.rule_name = rule_name
-        self.variables = list(variables)
-        self._matches: list[Match] = []
-
-    def set(self, matches: list[Match]) -> None:
-        self._matches = matches
-
-    def matches(self) -> list[Match]:
-        return self._matches
-
-    def __len__(self) -> int:
-        return len(self._matches)
 
 
 class ActionPlanner:
@@ -71,84 +41,35 @@ class ActionPlanner:
     def __init__(self, catalog: Catalog, optimizer: Optimizer):
         self.catalog = catalog
         self.optimizer = optimizer
-        #: reuse a plan until the schema version moves; False is the
-        #: paper's always-reoptimize (kept for the §5.3 ablation)
-        self.cache_plans = True
-        self._holders: dict[str, _MatchesHolder] = {}
-        #: (rule, command index) -> (plan, schema version it was built at)
-        self._cache: dict[tuple[str, int], tuple[PlannedAction, int]] = {}
         #: diagnostics: how many times the optimizer ran for actions
         self.plans_built = 0
 
-    def plan_firing(self, rule: CompiledRule,
-                    matches: FrozenMatches) -> list[PlannedAction]:
-        """Plans for every command of the rule action, bound to the
-        matches consumed by this firing.
-
-        Cached plans carry the schema version they were built against
-        and are rebuilt lazily whenever the schema has changed since —
-        the same invalidation mechanism the prepared-statement cache
-        uses, so no caller needs to notify the planner of DDL.
-        """
-        holder = self._holders.get(rule.name)
-        if holder is None:
-            holder = _MatchesHolder(rule.name, rule.variables)
-            self._holders[rule.name] = holder
-        holder.set(matches.matches())
+    def plan_firing(self, rule: CompiledRule, matches: list[Match]
+                    ) -> list[PlannedCommand | None]:
+        """The plan of every command of the rule action (None for
+        ``halt``), built on first use and again whenever the schema
+        version has moved since — the prepared statements' invalidation
+        rule.  ``matches`` sizes the P-node seed of a new plan."""
         version = self.catalog.schema_version
-        out: list[PlannedAction] = []
-        for i, entry in enumerate(rule.actions):
-            key = (rule.name, i)
-            if self.cache_plans:
-                cached = self._cache.get(key)
-                if cached is not None and cached[1] == version:
-                    out.append(cached[0])
-                    continue
-            planned = self._plan_one(rule, entry, holder, len(matches))
-            if self.cache_plans:
-                self._cache[key] = (planned, version)
-            out.append(planned)
+        out: list[PlannedCommand | None] = []
+        for entry in rule.actions:
+            if isinstance(entry.command, ast.Halt):
+                out.append(None)
+                continue
+            if entry.schema_version != version:
+                entry.planned = self._plan_one(rule, entry, len(matches))
+                entry.schema_version = version
+            out.append(entry.planned)
         return out
 
-    def invalidate(self, rule_name: str | None = None) -> None:
-        """Drop cached plans explicitly.
-
-        Version tracking already invalidates plans made stale by DDL;
-        this is for a rule that left the network (removed or
-        deactivated), whose plans and match holder would otherwise stay
-        — and serve a redefinition under the same name.
-        """
-        if rule_name is None:
-            self._cache.clear()
-            self._holders.clear()
-            return
-        self._holders.pop(rule_name, None)
-        for key in [k for k in self._cache if k[0] == rule_name]:
-            del self._cache[key]
-
-    def end_firing(self, rule_name: str) -> None:
-        """Let go of the matches a finished firing consumed (a cached
-        plan keeps its holder, which would otherwise keep them)."""
-        holder = self._holders.get(rule_name)
-        if holder is not None:
-            holder.set([])
-
-    # ------------------------------------------------------------------
-
     def _plan_one(self, rule: CompiledRule, entry: ActionCommand,
-                  holder: _MatchesHolder, match_count: int
-                  ) -> PlannedAction:
-        if isinstance(entry.command, ast.Halt):
-            return PlannedAction(None, is_halt=True)
+                  match_count: int) -> PlannedCommand:
         self.plans_built += 1
         if entry.shared_vars:
-            seed = PnodeScan(holder)
-            planned = self.optimizer.plan_command(
-                entry.command, seed=seed,
+            return self.optimizer.plan_command(
+                entry.command, seed=PnodeScan(rule.name, rule.variables),
                 seed_rows=float(max(match_count, 1)))
-        else:
-            planned = self.optimizer.plan_command(entry.command)
-        return PlannedAction(planned)
+        return self.optimizer.plan_command(entry.command)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.catalog.catalog import Catalog
 from repro.core.action_planner import ActionPlanner
 from repro.core.agenda import Agenda
 from repro.core.network import DiscriminationNetwork
-from repro.core.pnode import FrozenMatches
+from repro.core.pnode import Match
 from repro.core.rules import CompiledRule
 from repro.core.tokens import Token
 from repro.core.treat import TreatNetwork
@@ -78,7 +78,7 @@ class RuleManager:
                  join_mode: str = "auto"):
         self.catalog = catalog
         self.optimizer = optimizer or Optimizer(catalog)
-        #: rule-action plans; a rule leaving the network drops its own
+        #: rule-action plans (each lives on its rule's ActionCommand)
         self.action_planner = ActionPlanner(catalog, self.optimizer)
         self.stats = stats or NULL_STATS
         self.agenda = Agenda()
@@ -122,7 +122,6 @@ class RuleManager:
             raise RuleError(f"rule {name!r} is not active")
         self.network.remove_rule(name)
         self.agenda.discard(name)
-        self.action_planner.invalidate(name)
         record.compiled = None
 
     def remove(self, name: str) -> None:
@@ -155,12 +154,11 @@ class RuleManager:
         """Conflict resolution: the next rule to fire, if any."""
         return self.agenda.select(self.network.rules, self.network.pnode)
 
-    def consume_matches(self, rule: CompiledRule) -> FrozenMatches:
+    def consume_matches(self, rule: CompiledRule) -> list[Match]:
         """Take the rule's whole P-node for a set-oriented firing."""
-        pnode = self.network.pnode(rule.name)
-        matches = pnode.take_all()
+        matches = self.network.pnode(rule.name).take_all()
         self.agenda.discard(rule.name)
-        return FrozenMatches(rule.name, rule.variables, matches)
+        return matches
 
     def end_of_rule_processing(self) -> None:
         """Once a transition's recognize-act processing completes,

@@ -138,25 +138,3 @@ class PNode:
 
     def __repr__(self) -> str:
         return f"PNode({self.rule_name}, {len(self)} matches)"
-
-
-class FrozenMatches:
-    """A consumed set of matches, presented with the P-node interface the
-    :class:`~repro.planner.plans.PnodeScan` operator expects.
-
-    Rule actions run against the matches consumed at fire time, not the
-    live P-node, so an action's own updates cannot re-trigger binding
-    within the same firing.
-    """
-
-    def __init__(self, rule_name: str, variables: list[str],
-                 matches: list[Match]):
-        self.rule_name = rule_name
-        self.variables = list(variables)
-        self._matches = matches
-
-    def matches(self) -> list[Match]:
-        return self._matches
-
-    def __len__(self) -> int:
-        return len(self._matches)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import le, lt
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.catalog.catalog import Catalog
 from repro.errors import RuleError
@@ -27,6 +27,9 @@ from repro.lang.predicates import (
     SelectionAnalysis, analyze_selection, build_condition_graph, conjoin,
     equijoin_of_conjunct)
 from repro.storage.tuples import TupleId
+
+if TYPE_CHECKING:
+    from repro.planner.optimizer import PlannedCommand
 
 
 @dataclass
@@ -191,6 +194,10 @@ class ActionCommand:
     #: True when the command's replace/delete target is a shared variable
     #: (the paper's replace' / delete')
     targets_pnode: bool = False
+    #: the command's plan (the action planner's) and the schema version
+    #: it was built at; it goes with the compiled rule
+    planned: PlannedCommand | None = None
+    schema_version: int = -1
 
 
 class CompiledRule:

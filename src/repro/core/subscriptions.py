@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.pnode import FrozenMatches
+from repro.core.pnode import Match
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class SubscriptionHub:
     # ------------------------------------------------------------------
 
     def record_firing(self, sequence: int, rule_name: str,
-                      matches: FrozenMatches) -> None:
+                      matches: list[Match]) -> None:
         """Queue a firing for delivery (called inside the cycle)."""
         if not any(s.rule_name in (None, rule_name)
                    for s in self._subscriptions):
@@ -111,7 +111,7 @@ class SubscriptionHub:
                 previous={var: entry.old_values
                           for var, entry in match.bindings
                           if entry.old_values is not None})
-            for match in matches.matches())
+            for match in matches)
         self._queue.append(Notification(sequence, rule_name, snapshots))
 
     def deliver(self) -> int:

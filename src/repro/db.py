@@ -44,7 +44,7 @@ from repro.lang.parser import parse_command, parse_script
 from repro.lang.semantic import SemanticAnalyzer
 from repro.observe import EngineStats, TraceHub
 from repro.planner.optimizer import Optimizer, PlannedCommand
-from repro.planner.plans import explain as explain_plan, instrument
+from repro.planner.plans import PNODE, explain as explain_plan, instrument
 from repro.prepared import (
     Prepared, StatementCache, is_cacheable, shape_of)
 from repro.txn.durability import DurabilityManager
@@ -854,7 +854,7 @@ class Database:
         """One act step: consume the P-node and run the action as a
         transition of its own."""
         matches = self.manager.consume_matches(rule)
-        if not len(matches):
+        if not matches:
             return
         self.faults.hit("rule.fire")
         self.firings += 1
@@ -883,12 +883,13 @@ class Database:
         if undo_scope:
             self.undo.begin()
         try:
-            for action in self.action_planner.plan_firing(rule, matches):
-                if action.is_halt:
+            params = {PNODE: matches}
+            for planned in self.action_planner.plan_firing(rule, matches):
+                if planned is None:
                     self.manager.halt()
                     break
-                self.executor.run(action.planned)
-                self._note_plan_executed(action.planned, rule=rule.name)
+                self.executor.run(planned, params)
+                self._note_plan_executed(planned, rule=rule.name)
             self.hooks.flush_tokens()
             self.deltasets.clear()
         except BaseException:
@@ -898,8 +899,6 @@ class Database:
         else:
             if undo_scope:
                 self.undo.commit()
-        finally:
-            self.action_planner.end_firing(rule.name)
 
     def _recover_firing(self) -> None:
         """Roll back a failed rule action (see :meth:`_fire`): route the

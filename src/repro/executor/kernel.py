@@ -18,7 +18,7 @@ from repro.executor.executor import (
     compile_assignments, compile_retrieve)
 from repro.lang import ast_nodes as ast
 from repro.lang.expr import Bindings
-from repro.planner.plans import IndexProbe, PnodeScan, SingletonPlan
+from repro.planner.plans import PNODE, IndexProbe, PnodeScan, SingletonPlan
 
 
 def compile_kernel(planned, catalog):
@@ -31,7 +31,7 @@ def compile_kernel(planned, catalog):
                 or shape is PnodeScan and plan.predicate_expr is None):
             return _append(command.relation, compile_append(
                 command, catalog.relation(command.relation).schema),
-                plan.pnode if shape is PnodeScan else None)
+                shape is PnodeScan)
         return None
     if shape is not IndexProbe:
         return None
@@ -67,18 +67,18 @@ def compile_kernel(planned, catalog):
     return replace
 
 
-def _append(name: str, row, pnode):
-    """An append of one row (``pnode`` None) or of one row per match a
+def _append(name: str, row, per_match: bool):
+    """An append of one row, or (``per_match``) of one row per match a
     rule firing consumed."""
     def append(ctx, params):
         ctx.catalog.relation(name)
         bound = Bindings(params=params)
-        if pnode is None:
+        if not per_match:
             rows = [row(bound)]
         else:
             current, previous = bound.current, bound.previous
             rows = []
-            for match in pnode.matches():
+            for match in params[PNODE]:
                 for var, entry in match.bindings:
                     current[var] = entry.values
                     if entry.old_values is None:

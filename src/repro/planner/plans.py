@@ -235,31 +235,39 @@ class IndexProbe(Plan):
         return text
 
 
+#: the parameter-vector key a rule firing binds its consumed matches
+#: under; not a string, so no ``$name`` can collide with it
+PNODE = object()
+
+
 class PnodeScan(Plan):
     """Scan of a rule's P-node, binding every shared tuple variable.
 
     "The Ariel query processor provides an operator called PnodeScan which
     can scan a P-node and optionally apply a selection predicate to it"
-    (paper section 5.2).
+    (paper section 5.2).  The matches are the execution's parameter
+    ``params[PNODE]``: a rule action is a prepared statement whose one
+    parameter is the set of matches its firing consumed.
     """
 
-    def __init__(self, pnode, predicate: ast.Expr | None = None):
-        self.pnode = pnode
+    def __init__(self, rule_name: str, variables,
+                 predicate: ast.Expr | None = None):
+        self.rule_name = rule_name
         self.predicate_expr = predicate
         self._predicate = _compile_optional(predicate)
-        self.vars = frozenset(pnode.variables)
+        self.vars = frozenset(variables)
 
     def rows(self, ctx, outer: Bindings,
              reuse: bool = False) -> Iterator[Bindings]:
         # match.extend always copies, so the reuse flag has no effect.
         predicate = self._predicate
-        for match in self.pnode.matches():
+        for match in outer.params[PNODE]:
             bound = match.extend(outer)
             if predicate is None or is_true(predicate(bound)):
                 yield bound
 
     def label(self) -> str:
-        text = (f"PnodeScan P({self.pnode.rule_name}) "
+        text = (f"PnodeScan P({self.rule_name}) "
                 f"binding {', '.join(sorted(self.vars))}")
         if self.predicate_expr is not None:
             text += f" [{deparse(self.predicate_expr)}]"

@@ -263,11 +263,12 @@ class StatementCache:
     def lookup(self, key: tuple) -> Prepared | None:
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
+            if entry is None:
+                self.misses += 1
+            else:
                 self._entries.move_to_end(key)
                 self.hits += 1
         if entry is None:
-            self.misses += 1
             self.stats.bump("stmt_cache.misses")
             return None
         self.stats.bump("stmt_cache.hits")

@@ -1,9 +1,13 @@
 """Tests for query modification display and rule-action planning."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import Database
 from repro.core.action_planner import modified_action_text
+from repro.errors import ExecutionError
 
 
 @pytest.fixture
@@ -124,32 +128,77 @@ class TestActionPlans:
 
 
 class TestPlanCaching:
-    def make(self, cache):
+    def make(self):
         db = Database()
-        db.action_planner.cache_plans = cache
         db.execute("create t (a = int4)")
         db.execute("create log (a = int4)")
         db.execute("define rule r on append t "
                    "then append to log(a = t.a)")
         return db
 
-    def test_always_reoptimize_builds_each_firing(self):
-        db = self.make(cache=False)
-        db.execute("append t(a = 1)")
-        db.execute("append t(a = 2)")
-        assert db.action_planner.plans_built == 2
-
     def test_cached_builds_once(self):
-        db = self.make(cache=True)
+        db = self.make()
         db.execute("append t(a = 1)")
         db.execute("append t(a = 2)")
         assert db.action_planner.plans_built == 1
         assert sorted(db.relation_rows("log")) == [(1,), (2,)]
 
     def test_cache_invalidated_on_index_change(self):
-        db = self.make(cache=True)
+        db = self.make()
         db.execute("append t(a = 1)")
         db.execute("define index ta on t (a)")
         db.execute("append t(a = 2)")
         assert db.action_planner.plans_built == 2
         assert sorted(db.relation_rows("log")) == [(1,), (2,)]
+
+
+class TestPlanOwnership:
+    """An action plan lives on its rule's ActionCommand and runs with the
+    consumed matches as its parameter, so nothing outlives a firing or a
+    rule."""
+
+    make = TestPlanCaching.make
+
+    def test_failing_action_is_rolled_back_and_frees_its_matches(self):
+        db = self.make()
+        db.execute("create log2 (a = int4)")
+        db.execute("define rule half on append t then do "
+                   "append to log2(a = t.a) "
+                   "append to log2(a = 10 / (t.a - t.a)) end")
+        consumed = []
+        consume = db.manager.consume_matches
+
+        def spying(rule):
+            matches = consume(rule)
+            consumed.extend(weakref.ref(match) for match in matches)
+            return matches
+        db.manager.consume_matches = spying
+        with pytest.raises(ExecutionError):
+            db.execute("append t(a = 1)")
+        assert db.relation_rows("log2") == []     # first command undone
+        assert consumed
+        gc.collect()
+        assert [ref() for ref in consumed] == [None] * len(consumed)
+        db.manager.consume_matches = consume
+        db.execute("remove rule half")
+        db.execute("append t(a = 2)")             # the engine carries on
+        assert (2,) in db.relation_rows("log")
+
+    def test_deactivate_activate_rebuilds_the_plan(self):
+        db = self.make()
+        db.execute("append t(a = 1)")
+        assert db.action_planner.plans_built == 1
+        db.execute("deactivate rule r")
+        db.execute("activate rule r")
+        db.execute("append t(a = 2)")
+        assert db.action_planner.plans_built == 2
+        assert sorted(db.relation_rows("log")) == [(1,), (2,)]
+
+    def test_redefined_rule_runs_its_new_action(self):
+        db = self.make()
+        db.execute("append t(a = 1)")
+        db.execute("remove rule r")
+        db.execute("define rule r on append t "
+                   "then append to log(a = t.a * 10)")
+        db.execute("append t(a = 2)")
+        assert sorted(db.relation_rows("log")) == [(1,), (20,)]

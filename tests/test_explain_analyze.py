@@ -6,14 +6,14 @@ import re
 import pytest
 
 from repro import Database
-from repro.core.pnode import FrozenMatches, Match, PNode
+from repro.core.pnode import Match, PNode
 from repro.core.alpha import MemoryEntry
 from repro.errors import SemanticError
 from repro.lang import ast_nodes as ast
 from repro.lang.expr import Bindings
 from repro.lang.parser import parse_command
 from repro.planner.plans import (
-    AnalyzedPlan, FilterPlan, HashJoin, PnodeScan, SeqScan,
+    PNODE, AnalyzedPlan, FilterPlan, HashJoin, PnodeScan, SeqScan,
     SortMergeJoin, instrument)
 from repro.storage.tuples import TupleId
 from tests.helpers import MiniEngine
@@ -198,9 +198,9 @@ class TestInstrumentUnit:
         for i in range(3):
             entry = MemoryEntry(TupleId("l", i), (i, i))
             pnode.insert(Match.of({"t": entry}), stamp=i)
-        holder = FrozenMatches("r1", ["t"], pnode.take_all())
-        root = instrument(PnodeScan(holder))
-        out = list(root.rows(engine.context, Bindings()))
+        root = instrument(PnodeScan("r1", ["t"]))
+        out = list(root.rows(engine.context,
+                             Bindings(params={PNODE: pnode.take_all()})))
         assert len(out) == 3
         assert root.rows_out == 3
         assert "PnodeScan" in root.label()

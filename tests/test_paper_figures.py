@@ -11,7 +11,7 @@ import math
 from repro import Database
 from repro.core.action_planner import modified_action_text
 from repro.core.introspect import describe_rule
-from repro.planner.plans import explain, plan_operators
+from repro.planner.plans import PNODE, explain, plan_operators
 
 from tests.helpers import budgeted
 
@@ -172,12 +172,16 @@ class TestFigure8ActionPlan:
         rule = db.manager.rule("cap").compiled
         matches = db.manager.consume_matches(rule)
         plans = db.action_planner.plan_firing(rule, matches)
-        ops = plan_operators(plans[0].planned.plan)
+        ops = plan_operators(plans[0].plan)
         assert "PnodeScan" in ops
         # the dept side is an index probe or scan joined to the P-node
         assert any(op in ops for op in
                    ("IndexProbe", "IndexScan", "SeqScan"))
         assert any(op in ops for op in
                    ("NestedLoopJoin", "HashJoin", "SortMergeJoin"))
-        text = explain(plans[0].planned.plan)
+        text = explain(plans[0].plan)
         assert "P(cap)" in text
+        # the plan is the firing's prepared statement: its parameter is
+        # the consumed matches
+        db.executor.run(plans[0], {PNODE: matches})
+        assert db.query("retrieve (emp.sal)").rows == [(30000.0,)]

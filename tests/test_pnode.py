@@ -1,7 +1,7 @@
 """Tests for P-nodes and matches."""
 
 from repro.core.alpha import MemoryEntry
-from repro.core.pnode import FrozenMatches, Match, PNode
+from repro.core.pnode import Match, PNode
 from repro.lang.expr import Bindings
 from repro.storage.tuples import TupleId
 
@@ -99,12 +99,3 @@ class TestPNode:
         pnode.insert(match(emp=entry("emp", 0, "A"),
                            dept=entry("dept", 0, "D")), 1)
         assert pnode
-
-
-class TestFrozenMatches:
-    def test_interface(self):
-        matches = [match(emp=entry("emp", 0, "A"))]
-        frozen = FrozenMatches("r", ["emp"], matches)
-        assert len(frozen) == 1
-        assert frozen.matches() == matches
-        assert frozen.variables == ["emp"]

@@ -89,7 +89,7 @@ def test_a_lifecycle_op_replans_its_own_rule():
                'jno = 0)')
     plans = db.action_planner.plans_built
     db.execute("deactivate rule mine")
-    assert not any(key[0] == "mine" for key in db.action_planner._cache)
+    assert db.manager.rule("mine").compiled is None   # plans went too
     db.execute("activate rule mine")      # primes: fires on id 998
     assert db.action_planner.plans_built == plans + 1
 

@@ -4,6 +4,7 @@ gating — plus the regressions this layer found (StatementCache under
 threads, Database close idempotence, the wal_info pending accessor).
 """
 
+import sys
 import threading
 import time
 
@@ -340,6 +341,38 @@ def test_statement_cache_survives_concurrent_hammering():
         thread.join(timeout=30.0)
     assert not failures
     assert len(cache) <= 8
+    db.close()
+
+
+def test_statement_cache_counts_every_concurrent_lookup():
+    """``hits + misses`` equals the lookups made, however the threads
+    interleave (pre-fix: ``misses`` was counted outside the lock, and a
+    racing increment could be lost)."""
+    db = Database()
+    db.execute("create t (a = int4)")
+    cache = StatementCache(capacity=4)
+    texts = [f"retrieve (t.a) where t.a > {i}" for i in range(8)]
+    for text in texts[:4]:
+        cache.store(text, Prepared(db, text))
+    threads, lookups = 4, 20_000
+
+    def worker(seed):
+        for i in range(lookups):
+            cache.lookup(texts[(i + seed) % len(texts)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=worker, args=(n,))
+                for n in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert cache.hits + cache.misses == threads * lookups
+    assert cache.hits == cache.misses == threads * lookups // 2
     db.close()
 
 
