@@ -9,13 +9,14 @@ next variable using **live** cardinalities — ``len(memory)`` for stored
 virtual ones — and strongly prefers variables reachable through a bound
 equi-join conjunct (a hash-bucket or index probe) over unfiltered scans.
 
-Planning stays off the hot path by memoizing the chosen order per
-``(rule, seed variable, cardinality-bucket signature)``: the signature
-buckets each memory's cardinality by its bit length, so an order is
-re-planned only when some memory's size changes by ~2x; the whole
-cache is invalidated when the catalog's schema version moves (relation
-or index DDL), and a rule leaving the network drops only its own
-entries (:meth:`JoinPlanner.forget`).
+Planning stays off the hot path by memoizing per cardinality-bucket
+signature: the signature buckets each memory's cardinality by its bit
+length, so a plan is re-made only when some memory's size changes by
+~2x.  The memo is the rule's own (``CompiledRule.join_memo``, with the
+``schema_version`` it was built at, like an action plan): relation or
+index DDL empties it on the next access, and it leaves with the
+compiled rule when the rule leaves the network.  The planner itself
+holds no per-rule state.
 
 The same machinery plans the Rete β-chain order
 (:meth:`JoinPlanner.chain_order`), recomputed whenever a rule's chain
@@ -27,9 +28,8 @@ pairwise order enumerates a superlinear intermediate — it can route the
 step to the worst-case-optimal leapfrog triejoin of
 :mod:`repro.core.leapfrog` (:meth:`JoinPlanner.seek_plan` for TREAT,
 :meth:`JoinPlanner.chain_plan` for Rete).  The choice is cost-driven,
-memoized per cardinality-bucket signature with the same schema-version
-invalidation, and overridable per Database via ``join_mode``: ``auto``
-(default), ``pairwise``, or ``multiway``.
+memoized with the orders, and overridable per Database via
+``join_mode``: ``auto`` (default), ``pairwise``, or ``multiway``.
 """
 
 from __future__ import annotations
@@ -85,7 +85,8 @@ class JoinPlanner:
     """Cost-driven seek ordering over a discrimination network.
 
     Owned by the network; consulted by the TREAT seek
-    (:meth:`order`) and the Rete β-chain rebuild (:meth:`chain_order`).
+    (:meth:`seek_plan`) and the Rete β-chain rebuild (:meth:`chain_plan`).
+    What it plans for a rule is memoized on that rule (:meth:`memo`).
     """
 
     def __init__(self, network, mode: str = "auto"):
@@ -97,48 +98,17 @@ class JoinPlanner:
         #: property test and the static-baseline benchmark use it);
         #: forcing an order also forces the pairwise algorithm
         self.forced = None
-        self._orders: dict[tuple, list[str]] = {}
-        self._chains: dict[tuple, list[str]] = {}
-        # algorithm decisions and compiled multiway plans, memoized like
-        # the orders (per cardinality-bucket signature)
-        self._seek_plans: dict[tuple, tuple] = {}
-        self._chain_plans: dict[tuple, tuple] = {}
-        self._multiway_plans: dict[tuple, object] = {}
-        self._shapes: dict[str, _MultiwayShape] = {}
-        # (rule, var, relation-cardinality bucket) -> estimated rows a
-        # virtual memory's selection keeps (Statistics calls are not
-        # hot-path cheap, so they are cached alongside the orders)
-        self._virtual_rows: dict[tuple, float] = {}
-        self._version: int | None = None
 
-    # ------------------------------------------------------------------
-    # cache lifecycle
-    # ------------------------------------------------------------------
-
-    def invalidate(self) -> None:
-        """Drop every memoized order, plan and estimate."""
-        self._orders.clear()
-        self._chains.clear()
-        self._seek_plans.clear()
-        self._chain_plans.clear()
-        self._multiway_plans.clear()
-        self._shapes.clear()
-        self._virtual_rows.clear()
-
-    def forget(self, rule_name: str) -> None:
-        """Drop one rule's cached plans and estimates (it left)."""
-        for cache in (self._orders, self._chains, self._seek_plans,
-                      self._chain_plans, self._multiway_plans,
-                      self._virtual_rows):
-            for key in [k for k in cache if k[0] == rule_name]:
-                del cache[key]
-        self._shapes.pop(rule_name, None)
-
-    def _sync(self) -> None:
+    def memo(self, rule: CompiledRule) -> dict:
+        """The rule's join-planning memo — seek orders, β chains,
+        algorithm decisions, multiway plans, its multiway shape and
+        virtual-row estimates — emptied first if the catalog's schema
+        version moved since it was built."""
         version = self.network.catalog.schema_version
-        if version != self._version:
-            self.invalidate()
-            self._version = version
+        if rule.join_memo_version != version:
+            rule.join_memo = {}
+            rule.join_memo_version = version
+        return rule.join_memo
 
     # ------------------------------------------------------------------
     # the planning entry points
@@ -149,34 +119,35 @@ class JoinPlanner:
         variables, cheapest-next-first under current cardinalities."""
         if self.forced is not None:
             return list(self.forced(rule, seed_var))
-        self._sync()
-        key = (rule.name, seed_var, self._signature(rule))
-        order = self._orders.get(key)
-        stats = self.network.stats
+        memo = self.memo(rule)
+        key = ("order", seed_var, self._signature(rule))
+        order = memo.get(key)
         if order is not None:
-            if stats.enabled:
-                counters = stats.counters
-                counters["joins.order_cache_hits"] = \
-                    counters.get("joins.order_cache_hits", 0) + 1
+            self._order_hit()
             return order
-        order = self._greedy(rule, {seed_var})
-        self._orders[key] = order
-        if stats.enabled:
-            stats.bump("joins.orders_planned")
+        order = memo[key] = self._greedy(rule, {seed_var})
+        if self.network.stats.enabled:
+            self.network.stats.bump("joins.orders_planned")
         return order
+
+    def _order_hit(self) -> None:
+        stats = self.network.stats
+        if stats.enabled:
+            counters = stats.counters
+            counters["joins.order_cache_hits"] = \
+                counters.get("joins.order_cache_hits", 0) + 1
 
     def chain_order(self, rule: CompiledRule) -> list[str]:
         """A full variable order for the Rete β chain: the cheapest
         start variable, then the greedy extension order."""
-        self._sync()
-        key = (rule.name, self._signature(rule))
-        chain = self._chains.get(key)
+        memo = self.memo(rule)
+        key = ("chain", self._signature(rule))
+        chain = memo.get(key)
         if chain is not None:
             return chain
         start = min(rule.variables,
-                    key=lambda v: (self._rows(rule, v), v))
-        chain = [start] + self._greedy(rule, {start})
-        self._chains[key] = chain
+                    key=lambda v: (self.rows(rule, v), v))
+        chain = memo[key] = [start] + self._greedy(rule, {start})
         if self.network.stats.enabled:
             self.network.stats.bump("joins.chains_planned")
         return chain
@@ -191,78 +162,83 @@ class JoinPlanner:
         ``("multiway", MultiwayPlan)``.  Pairwise is the default — and
         the only choice for 2-variable rules, forced orders, and
         ``join_mode="pairwise"`` — so acyclic small rules keep the
-        exact PR 4 seek path."""
-        if self.forced is not None or self.mode == "pairwise" \
-                or len(rule.variables) < 3:
+        plain pairwise seek path.  A memoized pairwise plan counts as
+        an order cache hit."""
+        if self.forced is not None:
             return ("pairwise", self.order(rule, seed_var))
-        self._sync()
-        key = (rule.name, seed_var, self._signature(rule))
-        decision = self._seek_plans.get(key)
-        if decision is None:
-            decision = self._seek_plans[key] = self._decide(rule,
-                                                            seed_var)
-        if decision[0] == "pairwise":
-            return ("pairwise", self.order(rule, seed_var))
-        return decision
+        memo = self.memo(rule)
+        key = ("seek", seed_var, self._signature(rule))
+        plan = memo.get(key)
+        if plan is None:
+            multiway = self._decide(rule, seed_var)
+            plan = memo[key] = (
+                ("pairwise", self.order(rule, seed_var)) if multiway is None
+                else ("multiway", multiway))
+        elif plan[0] == "pairwise":
+            self._order_hit()
+        return plan
 
     def chain_plan(self, rule: CompiledRule) -> tuple[str, object]:
         """The Rete analogue of :meth:`seek_plan`, decided whenever the
         β chain is rebuilt: ``("pairwise", chain_order)`` keeps the β
         chain; ``("multiway", MultiwayPlan)`` (the seedless full plan)
         bypasses β state entirely for this rule."""
-        if self.forced is not None or self.mode == "pairwise" \
-                or len(rule.variables) < 3:
+        if self.forced is not None:
             return ("pairwise", self.chain_order(rule))
-        self._sync()
-        key = (rule.name, self._signature(rule))
-        decision = self._chain_plans.get(key)
-        if decision is None:
-            decision = self._chain_plans[key] = self._decide(rule, None)
-        if decision[0] == "pairwise":
-            return ("pairwise", self.chain_order(rule))
-        return decision
+        memo = self.memo(rule)
+        key = ("chain_plan", self._signature(rule))
+        plan = memo.get(key)
+        if plan is None:
+            multiway = self._decide(rule, None)
+            plan = memo[key] = (
+                ("pairwise", self.chain_order(rule)) if multiway is None
+                else ("multiway", multiway))
+        return plan
 
     def multiway_seek_plan(self, rule: CompiledRule, seed_var: str):
         """The seeded multiway plan for a rule whose Rete state pinned
         multiway at rebuild time — built unconditionally, since the
         algorithm must stay what the β-less state assumes until the
         next rebuild."""
-        self._sync()
-        key = (rule.name, seed_var)
-        plan = self._multiway_plans.get(key)
+        memo = self.memo(rule)
+        key = ("multiway", seed_var)
+        plan = memo.get(key)
         if plan is None:
             shape = self._shape(rule)
-            plan = build_plan(rule, seed_var, shape.classes,
-                              self._class_order(rule, seed_var, shape))
-            self._multiway_plans[key] = plan
+            plan = memo[key] = build_plan(
+                rule, seed_var, shape.classes,
+                self._class_order(rule, seed_var, shape))
         return plan
 
-    def _decide(self, rule: CompiledRule,
-                seed_var: str | None) -> tuple[str, object]:
+    def _decide(self, rule: CompiledRule, seed_var: str | None):
+        """The multiway plan if the rule should take one, else None."""
+        if self.mode == "pairwise" or len(rule.variables) < 3:
+            return None
         shape = self._shape(rule)
         stats = self.network.stats
         if not shape.eligible or (self.mode != "multiway"
                                   and not shape.candidate):
             if shape.candidate and not shape.eligible and stats.enabled:
                 stats.bump("joins.multiway_fallbacks")
-            return ("pairwise", None)
+            return None
         if self.mode != "multiway":
             pairwise_cost = self._pairwise_cost(rule, seed_var)
             multiway_cost = self._multiway_cost(rule, seed_var, shape)
             if multiway_cost >= pairwise_cost * _MULTIWAY_MARGIN:
                 if stats.enabled:
                     stats.bump("joins.multiway_fallbacks")
-                return ("pairwise", None)
+                return None
         plan = build_plan(rule, seed_var, shape.classes,
                           self._class_order(rule, seed_var, shape))
         if stats.enabled:
             stats.bump("joins.multiway_planned")
-        return ("multiway", plan)
+        return plan
 
     def _shape(self, rule: CompiledRule) -> _MultiwayShape:
-        shape = self._shapes.get(rule.name)
+        memo = self.memo(rule)
+        shape = memo.get("shape")
         if shape is None:
-            shape = self._shapes[rule.name] = self._build_shape(rule)
+            shape = memo["shape"] = self._build_shape(rule)
         return shape
 
     def _build_shape(self, rule: CompiledRule) -> _MultiwayShape:
@@ -312,7 +288,7 @@ class JoinPlanner:
                      or seed_var not in cls.positions]
         return [cls.index for cls in sorted(
             remaining,
-            key=lambda cls: (min(self._rows(rule, var)
+            key=lambda cls: (min(self.rows(rule, var)
                                  for var in cls.positions),
                              cls.index))]
 
@@ -323,7 +299,7 @@ class JoinPlanner:
         if seed_var is None:
             order = self.chain_order(rule)
             bound = {order[0]}
-            fanout = max(self._rows(rule, order[0]), 1.0)
+            fanout = max(self.rows(rule, order[0]), 1.0)
             total = fanout
             steps = order[1:]
         else:
@@ -355,7 +331,7 @@ class JoinPlanner:
             cls = shape.classes[class_index]
             ests = []
             for var in sorted(cls.positions):
-                rows = self._rows(rule, var)
+                rows = self.rows(rule, var)
                 if var in constrained:
                     spec = rule.specs[var]
                     attr = self._attr_name(rule, var,
@@ -372,7 +348,7 @@ class JoinPlanner:
                       bound: set[str]) -> float:
         """Expected candidates one pairwise step emits per upstream
         combination."""
-        rows = self._rows(rule, var)
+        rows = self.rows(rule, var)
         equi = self._bound_equijoin(rule, var, bound)
         if equi is not None:
             return self.network.optimizer.stats.equijoin_bucket(
@@ -440,7 +416,7 @@ class JoinPlanner:
             cost += _CARTESIAN_COST
         return cost
 
-    def _rows(self, rule: CompiledRule, var: str) -> float:
+    def rows(self, rule: CompiledRule, var: str) -> float:
         """Live candidate-count estimate of one memory: the stored
         entry count, or the virtual node's filtered-scan estimate."""
         memory = self.network._memories[(rule.name, var)]
@@ -451,13 +427,12 @@ class JoinPlanner:
 
     def _virtual_rows_estimate(self, rule: CompiledRule, var: str,
                                spec, stats) -> float:
-        bucket = stats.cardinality(spec.relation).bit_length()
-        key = (rule.name, var, bucket)
-        rows = self._virtual_rows.get(key)
+        memo = self.memo(rule)
+        key = ("rows", var, stats.cardinality(spec.relation).bit_length())
+        rows = memo.get(key)
         if rows is None:
-            rows = stats.scan_cardinality(spec.relation, var,
-                                          spec.selection_conjuncts)
-            self._virtual_rows[key] = rows
+            rows = memo[key] = stats.scan_cardinality(
+                spec.relation, var, spec.selection_conjuncts)
         return rows
 
     @staticmethod
@@ -502,7 +477,21 @@ class JoinPlanner:
     def describe(self, rule: CompiledRule) -> str:
         """Current join plan of one rule: per-memory storage decision
         and index set, the seek order from every seed, and (for Rete)
-        the β-chain order."""
+        the β-chain order.  Planned on a copy of the rule's memo with
+        the engine counters off: ``\\plan`` is not token traffic, so it
+        moves no ``joins.*`` counter and leaves the memo as it was."""
+        stats = self.network.stats
+        counting = stats.enabled
+        memo, version = rule.join_memo, rule.join_memo_version
+        stats.enabled = False
+        rule.join_memo = dict(memo)
+        try:
+            return self._describe(rule)
+        finally:
+            stats.enabled = counting
+            rule.join_memo, rule.join_memo_version = memo, version
+
+    def _describe(self, rule: CompiledRule) -> str:
         network = self.network
         stats = network.optimizer.stats
         lines = [f"join plan for rule {rule.name} "

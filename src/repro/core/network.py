@@ -69,8 +69,8 @@ class DiscriminationNetwork:
         #: ``optimize_memories``: ∞ stores every memory (TREAT), 0 none
         self.memory_budget = math.inf
         #: the adaptive seek/chain-order planner (cost-driven ordering
-        #: and pairwise-vs-multiway algorithm choice, memoized per
-        #: cardinality bucket)
+        #: and pairwise-vs-multiway algorithm choice, memoized on each
+        #: rule per cardinality bucket)
         self.join_planner = JoinPlanner(self, mode=join_mode)
         self.on_match = on_match or (lambda rule: None)
         self.rules: dict[str, CompiledRule] = {}
@@ -123,14 +123,13 @@ class DiscriminationNetwork:
             self._unregister(self._memories.pop((name, var)))
         del self._pnodes[name]
         self._dirty.pop(name, None)
-        self.join_planner.forget(name)
 
     def set_virtual(self, rule_name: str, var: str, virtual: bool) -> bool:
         """Turn one pattern memory virtual (dropping its entries) or
         stored (one select pass) in place; returns whether it changed.
         It holds the same tuples either way (paper §4.2), so P-node,
         agenda, action plans and stamps stay: only the rule's join
-        orders, costed on the old storage, are forgotten."""
+        memo, costed on the old storage, is emptied."""
         old = self._memories.get((rule_name, var))
         if old is None:
             raise RuleError(f"no α-memory {rule_name}/{var} in network")
@@ -149,7 +148,7 @@ class DiscriminationNetwork:
                 new.insert(MemoryEntry(tid, values))
         self._unregister(old)
         self._register(rule, new)
-        self.join_planner.forget(rule_name)
+        rule.join_memo = {}
         return True
 
     def _make_memory(self, rule: CompiledRule, spec: VariableSpec,

@@ -298,6 +298,11 @@ class CompiledRule:
 
         self.actions: list[ActionCommand] = self._compile_actions()
         self._validate_previous_in_actions()
+        #: the join planner's memo for this rule (seek orders, β chains,
+        #: algorithm decisions, estimates) and the schema version it was
+        #: built at; it goes with the compiled rule
+        self.join_memo: dict = {}
+        self.join_memo_version = -1
 
     # ------------------------------------------------------------------
 

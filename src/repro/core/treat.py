@@ -59,7 +59,7 @@ class TreatNetwork(DiscriminationNetwork):
         if rule.has_dynamic_variable:
             return        # only data bound during a transition matches
         memories = self._memories
-        rows = self.join_planner._rows
+        rows = self.join_planner.rows
         seed_var = min(rule.variables, key=lambda var: (
             memories[(rule.name, var)].is_virtual, rows(rule, var), var))
         memory = memories[(rule.name, seed_var)]
@@ -72,7 +72,7 @@ class TreatNetwork(DiscriminationNetwork):
         stats = self.stats
         counting = stats.enabled
         # Priming is not token propagation: the joins.* / alpha.* /
-        # virtual.* counters and the planner's memo (forgotten below)
+        # virtual.* counters and the rule's join memo (emptied below)
         # see token traffic only.
         stats.enabled = False
         try:
@@ -82,7 +82,7 @@ class TreatNetwork(DiscriminationNetwork):
                 self._seek(rule, seed_var, entry, (), None, plan)
         finally:
             stats.enabled = counting
-            self.join_planner.forget(rule.name)
+            rule.join_memo = {}
         primed = len(self._pnodes[rule.name])
         if primed:
             stats.bump("pnode.inserts", primed)

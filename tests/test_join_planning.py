@@ -1,9 +1,13 @@
 """Tests for adaptive join planning: cost-driven seek ordering, and the
 α-memory join indexes the rule's join graph decides at activation."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import Database
+from repro.core.introspect import describe_join_plan
 
 from tests.helpers import budgeted
 
@@ -76,11 +80,11 @@ class TestSeekOrdering:
         rule = db.network.rules["j3"]
         planner = db.network.join_planner
         planner.order(rule, "s")
-        assert planner._orders
+        assert rule.join_memo
         db.catalog.bump_version()
         planned = db.stats.get("joins.orders_planned")
-        planner.order(rule, "s")   # triggers _sync
-        assert planner._version == db.catalog.schema_version
+        planner.order(rule, "s")   # the stale memo is emptied first
+        assert rule.join_memo_version == db.catalog.schema_version
         assert db.stats.get("joins.orders_planned") == planned + 1
 
     def test_forced_hook_overrides_planning(self, db):
@@ -111,14 +115,21 @@ class TestSeekOrdering:
         rule = db.network.rules["j3"]
         planner = db.network.join_planner
         planner.order(rule, "s")
+        assert rule.join_memo
         db.execute("remove rule j3")
-        assert not any(k[0] == "j3" for k in planner._orders)
+        # the orders lived on the compiled rule, and it is gone
+        assert set(vars(planner)) == {"network", "mode", "forced"}
+        db.execute("define rule j3 if s.bk = big.bk "
+                   "then append to log(bk = s.bk)")
+        assert db.network.rules["j3"] is not rule
+        assert db.network.rules["j3"].join_memo == {}
 
     def test_removed_rules_leave_no_virtual_estimates(self):
         """A rule's virtual-memory row estimates leave with the rule:
-        500 define → remove cycles (fresh names, as rules come and go on
-        a live engine, and one name redefined) keep the cache bounded by
-        the rules in the network."""
+        after 500 define → remove cycles (fresh names, as rules come and
+        go on a live engine, and one name redefined) every removed
+        compiled rule, memo and all, is collected, and the planner holds
+        nothing per rule."""
         db = budgeted(0)
         db.execute_script("""
             create a (k = int4, v = int4)
@@ -128,18 +139,49 @@ class TestSeekOrdering:
         db.bulk_append("a", ((i % 10, i) for i in range(40)))
         db.bulk_append("b", ((i,) for i in range(10)))
         db._rules_suspended = True
-        planner = db.network.join_planner
-        sizes = []
+        removed = []
         for i in range(500):
             name = f"dyn{i}" if i % 2 else "same"
             db.execute(f"define rule {name} if a.k = b.k and a.v > {i % 40}"
                        f" then append to log(k = a.k)")
+            rule = db.network.rules[name]
             # a token seek plans the rule's order, estimating a's rows
             db.execute(f"append b(k = {i % 10})")
-            assert any(k[0] == name for k in planner._virtual_rows)
+            assert any(key[0] == "rows" for key in rule.join_memo)
+            removed.append(weakref.ref(rule))
+            del rule
             db.execute(f"remove rule {name}")
-            sizes.append(len(planner._virtual_rows))
-        assert max(sizes) == 0
+        gc.collect()
+        assert [ref() for ref in removed] == [None] * len(removed)
+        assert set(vars(db.network.join_planner)) == {"network", "mode",
+                                                      "forced"}
+
+
+class TestPlanDescription:
+    def test_plan_moves_no_counter_and_leaves_the_memo(self, db):
+        """``\\plan`` is not token traffic: describing a rule moves no
+        ``joins.*`` counter and leaves the rule's memo as it was, cold
+        or warm, so the first real seek is still a planned one."""
+        rule = db.network.rules["j3"]
+
+        def joins():
+            return {key: value for key, value in db.stats.counters.items()
+                    if key.startswith("joins.")}
+        before = joins()
+        for _ in range(2):
+            text = describe_join_plan(db.manager, "j3")
+            assert "seek from s: s -> tiny -> big" in text
+            assert joins() == before
+            assert rule.join_memo == {}      # priming left it cold
+        db.execute("append s(bk = 1, tk = 2)")
+        assert db.stats.get("joins.orders_planned") == \
+            before.get("joins.orders_planned", 0) + 1
+        assert db.stats.get("joins.order_cache_hits") == \
+            before.get("joins.order_cache_hits", 0)
+        warm, after = dict(rule.join_memo), joins()
+        describe_join_plan(db.manager, "j3")
+        assert rule.join_memo == warm
+        assert joins() == after
 
 
 class TestChainOrdering:

@@ -362,10 +362,10 @@ class TestBudgetContract:
 class TestSwapping:
     def test_swap_reregisters_and_forgets_join_orders(self, db):
         network = db.network
-        planner = network.join_planner
+        rule = network.rules["narrow"]
         db._rules_suspended = False
         db.execute("append big(a = 5, k = 3)")      # plans narrow's seeks
-        assert any(key[0] == "narrow" for key in planner._orders)
+        assert any(key[0] == "order" for key in rule.join_memo)
         registered = len(network.selection_index)
         old = network.memory("narrow", "big")
         assert network.set_virtual("narrow", "big", True) is True
@@ -374,7 +374,7 @@ class TestSwapping:
         assert len(network.selection_index) == registered
         assert new in network.selection_index.probe("big", (5, 3))
         assert old not in network.selection_index.probe("big", (5, 3))
-        assert not any(key[0] == "narrow" for key in planner._orders)
+        assert rule.join_memo == {}
         assert network._virtual_count == 1
         assert network.set_virtual("narrow", "big", True) is False
         assert network.set_virtual("narrow", "big", False) is True

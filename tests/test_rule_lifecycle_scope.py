@@ -1,10 +1,11 @@
 """A rule's lifecycle re-plans only that rule.
 
-The catalog keeps one version, of relations and indexes.  Defining,
-deactivating, activating or removing rule ``x`` drops ``x``'s own action
-plans and join orders (``ActionPlanner.invalidate``,
-``JoinPlanner.forget``) and leaves every other rule's in place; a
-``define index`` still re-plans them all.
+The catalog keeps one version, of relations and indexes.  A rule's
+action plans (``ActionCommand.planned``) and join plans
+(``CompiledRule.join_memo``) live on its compiled rule, so defining,
+deactivating, activating or removing rule ``x`` drops only ``x``'s —
+deactivation drops the compiled rule — and leaves every other rule's in
+place; a ``define index`` still re-plans them all.
 """
 
 import random
@@ -12,6 +13,7 @@ import random
 import pytest
 
 from repro import Database
+from repro.core.introspect import describe_join_plan
 
 STANDING = {
     "one": "if emp.sal > 100.0 "
@@ -102,6 +104,64 @@ def test_define_index_replans_every_rule():
     probe(db)
     assert db.action_planner.plans_built == plans + len(STANDING)
     assert db.stats.get("joins.orders_planned") >= orders + 2
+
+
+def test_a_redefined_rule_owns_its_join_plans():
+    """Rule ``x`` is a cyclic triangle (multiway under ``auto``), then is
+    removed and redefined as an acyclic chain over the same relations:
+    its plan and its firings are the chain's, planned afresh."""
+    db = Database()
+    db.execute_script("""
+        create r (a = int4, b = int4)
+        create s (b = int4, c = int4)
+        create t (c = int4, a = int4)
+        create log (tag = text, v = float8)
+    """)
+    over = "from r in r, s in s, t in t then append to log(tag = "
+    db.execute("define rule x if r.a = s.b and s.c = t.c and t.a = r.a "
+               + over + '"cyclic", v = 0.0)')
+    db.execute("append s(b = 1, c = 2)")
+    db.execute("append t(c = 2, a = 5)")
+    db.execute("append r(a = 1, b = 0)")   # a chain, but no triangle
+    assert db.stats.get("joins.multiway_seeks") >= 1
+    assert "multiway from r" in describe_join_plan(db.manager, "x")
+    assert db.relation_rows("log") == []
+    db.execute("remove rule x")
+    db.execute("define rule x if r.a = s.b and s.c = t.c "
+               + over + '"acyclic", v = 1.0)')
+    assert db.relation_rows("log") == [("acyclic", 1.0)]   # primed
+    text = describe_join_plan(db.manager, "x")
+    assert "acyclic equi-join graph" in text
+    assert "multiway from" not in text
+    assert "seek from r: r -> s -> t" in text
+    multiway, orders = (db.stats.get("joins.multiway_seeks"),
+                        db.stats.get("joins.orders_planned"))
+    db.execute("append r(a = 1, b = 7)")
+    assert db.relation_rows("log") == [("acyclic", 1.0)] * 2
+    assert db.stats.get("joins.multiway_seeks") == multiway
+    assert db.stats.get("joins.orders_planned") == orders + 1
+
+
+def test_deactivate_activate_replans_joins():
+    """Reactivation compiles a new rule with a cold join memo: its next
+    seek plans again while the other rules' orders hit; ``define
+    index`` re-plans every join rule."""
+    db = company()
+    probe(db)
+    rule = db.network.rules["three"]
+    assert rule.join_memo
+    db.execute("deactivate rule three")
+    assert db.manager.rule("three").compiled is None
+    db.execute("activate rule three")
+    fresh = db.network.rules["three"]
+    assert fresh is not rule and fresh.join_memo == {}
+    orders = db.stats.get("joins.orders_planned")
+    probe(db)
+    assert db.stats.get("joins.orders_planned") == orders + 1
+    assert fresh.join_memo
+    db.execute("define index emp_dno on emp (dno) using hash")
+    probe(db)
+    assert db.stats.get("joins.orders_planned") == orders + 3
 
 
 # ----------------------------------------------------------------------
