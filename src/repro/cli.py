@@ -12,7 +12,8 @@ inspect the system:
                stored/virtual decision, the join-index set its
                equi-joins give it, and the seek order from every seed —
                multiway (leapfrog) plans print the trie level
-               sequence with each participant's iterator source
+               sequence with each participant's iterator source —
+               or, under Rete, the β-chain order
 ``\\explain q`` show the plan for a data command; ``\\explain analyze
                q`` executes it and annotates every operator with rows,
                loops and wall time

@@ -69,7 +69,7 @@ def _describe_memory(manager: RuleManager, rule: CompiledRule,
 def describe_join_plan(manager: RuleManager, name: str) -> str:
     """The adaptive join plan of one active rule (the CLI's ``\\plan``):
     per-memory storage decision and join-index set, plus the planner's
-    seek order from every seed variable."""
+    seek plan from every seed variable (TREAT) or the β chain (Rete)."""
     record = manager.rule(name)
     if not record.active:
         return f"rule {name} is not active (no join plan)"

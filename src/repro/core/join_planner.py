@@ -22,14 +22,14 @@ The same machinery plans the Rete β-chain order
 (:meth:`JoinPlanner.chain_order`), recomputed whenever a rule's chain
 is rebuilt from α contents.
 
-Beyond *ordering* the pairwise chain, the planner also decides the join
-**algorithm**: for cyclic or many-variable equi-join graphs — where every
-pairwise order enumerates a superlinear intermediate — it can route the
-step to the worst-case-optimal leapfrog triejoin of
-:mod:`repro.core.leapfrog` (:meth:`JoinPlanner.seek_plan` for TREAT,
-:meth:`JoinPlanner.chain_plan` for Rete).  The choice is cost-driven,
-memoized with the orders, and overridable per Database via
-``join_mode``: ``auto`` (default), ``pairwise``, or ``multiway``.
+Beyond *ordering* the pairwise seek, the planner also decides the TREAT
+join **algorithm** (:meth:`JoinPlanner.seek_plan`): for cyclic or
+many-variable equi-join graphs — where every pairwise order enumerates
+a superlinear intermediate — it can route the step to the
+worst-case-optimal leapfrog triejoin of :mod:`repro.core.leapfrog`.
+The choice is cost-driven, memoized with the orders, and overridable
+per Database via ``join_mode``: ``auto`` (default), ``pairwise``, or
+``multiway``.  Rete always joins pairwise on its β chain.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class JoinPlanner:
     """Cost-driven seek ordering over a discrimination network.
 
     Owned by the network; consulted by the TREAT seek
-    (:meth:`seek_plan`) and the Rete β-chain rebuild (:meth:`chain_plan`).
+    (:meth:`seek_plan`) and the Rete β-chain rebuild (:meth:`chain_order`).
     What it plans for a rule is memoized on that rule (:meth:`memo`).
     """
 
@@ -101,9 +101,9 @@ class JoinPlanner:
 
     def memo(self, rule: CompiledRule) -> dict:
         """The rule's join-planning memo — seek orders, β chains,
-        algorithm decisions, multiway plans, its multiway shape and
-        virtual-row estimates — emptied first if the catalog's schema
-        version moved since it was built."""
+        seek plans, its multiway shape and virtual-row estimates —
+        emptied first if the catalog's schema version moved since it
+        was built."""
         version = self.network.catalog.schema_version
         if rule.join_memo_version != version:
             rule.join_memo = {}
@@ -178,39 +178,7 @@ class JoinPlanner:
             self._order_hit()
         return plan
 
-    def chain_plan(self, rule: CompiledRule) -> tuple[str, object]:
-        """The Rete analogue of :meth:`seek_plan`, decided whenever the
-        β chain is rebuilt: ``("pairwise", chain_order)`` keeps the β
-        chain; ``("multiway", MultiwayPlan)`` (the seedless full plan)
-        bypasses β state entirely for this rule."""
-        if self.forced is not None:
-            return ("pairwise", self.chain_order(rule))
-        memo = self.memo(rule)
-        key = ("chain_plan", self._signature(rule))
-        plan = memo.get(key)
-        if plan is None:
-            multiway = self._decide(rule, None)
-            plan = memo[key] = (
-                ("pairwise", self.chain_order(rule)) if multiway is None
-                else ("multiway", multiway))
-        return plan
-
-    def multiway_seek_plan(self, rule: CompiledRule, seed_var: str):
-        """The seeded multiway plan for a rule whose Rete state pinned
-        multiway at rebuild time — built unconditionally, since the
-        algorithm must stay what the β-less state assumes until the
-        next rebuild."""
-        memo = self.memo(rule)
-        key = ("multiway", seed_var)
-        plan = memo.get(key)
-        if plan is None:
-            shape = self._shape(rule)
-            plan = memo[key] = build_plan(
-                rule, seed_var, shape.classes,
-                self._class_order(rule, seed_var, shape))
-        return plan
-
-    def _decide(self, rule: CompiledRule, seed_var: str | None):
+    def _decide(self, rule: CompiledRule, seed_var: str):
         """The multiway plan if the rule should take one, else None."""
         if self.mode == "pairwise" or len(rule.variables) < 3:
             return None
@@ -279,41 +247,30 @@ class JoinPlanner:
                 return False
         return True
 
-    def _class_order(self, rule: CompiledRule, seed_var: str | None,
+    def _class_order(self, rule: CompiledRule, seed_var: str,
                      shape: _MultiwayShape) -> list[int]:
         """Level order for the classes the seed does not fix: smallest
         estimated participant first, class index as the tie-break."""
         remaining = [cls for cls in shape.classes
-                     if seed_var is None
-                     or seed_var not in cls.positions]
+                     if seed_var not in cls.positions]
         return [cls.index for cls in sorted(
             remaining,
             key=lambda cls: (min(self.rows(rule, var)
                                  for var in cls.positions),
                              cls.index))]
 
-    def _pairwise_cost(self, rule: CompiledRule,
-                       seed_var: str | None) -> float:
-        """Simulated cost of the pairwise chain: each step's access
+    def _pairwise_cost(self, rule: CompiledRule, seed_var: str) -> float:
+        """Simulated cost of the pairwise seek: each step's access
         cost scaled by the expected fan-out of the steps before it."""
-        if seed_var is None:
-            order = self.chain_order(rule)
-            bound = {order[0]}
-            fanout = max(self.rows(rule, order[0]), 1.0)
-            total = fanout
-            steps = order[1:]
-        else:
-            bound = {seed_var}
-            fanout = 1.0
-            total = 0.0
-            steps = self.order(rule, seed_var)
-        for var in steps:
+        bound = {seed_var}
+        fanout, total = 1.0, 0.0
+        for var in self.order(rule, seed_var):
             total += fanout * self._step_cost(rule, var, bound)
             fanout *= max(self._expected_out(rule, var, bound), 0.5)
             bound.add(var)
         return total
 
-    def _multiway_cost(self, rule: CompiledRule, seed_var: str | None,
+    def _multiway_cost(self, rule: CompiledRule, seed_var: str,
                        shape: _MultiwayShape) -> float:
         """Leapfrog cost: per level, every participant's restricted
         view is built (linear in its restricted size, plus a galloping
@@ -321,11 +278,10 @@ class JoinPlanner:
         fan-out — is bounded by the smallest view."""
         stats = self.network.optimizer.stats
         constrained: set[str] = set()
-        if seed_var is not None:
-            for cls in shape.classes:
-                if seed_var in cls.positions:
-                    constrained.update(v for v in cls.positions
-                                       if v != seed_var)
+        for cls in shape.classes:
+            if seed_var in cls.positions:
+                constrained.update(v for v in cls.positions
+                                   if v != seed_var)
         total, fanout = 0.0, 1.0
         for class_index in self._class_order(rule, seed_var, shape):
             cls = shape.classes[class_index]
@@ -476,10 +432,11 @@ class JoinPlanner:
 
     def describe(self, rule: CompiledRule) -> str:
         """Current join plan of one rule: per-memory storage decision
-        and index set, the seek order from every seed, and (for Rete)
-        the β-chain order.  Planned on a copy of the rule's memo with
-        the engine counters off: ``\\plan`` is not token traffic, so it
-        moves no ``joins.*`` counter and leaves the memo as it was."""
+        and index set, then the seek plan from every seed (TREAT) or
+        the β-chain order (Rete).  Planned on a copy of the rule's memo
+        with the engine counters off: ``\\plan`` is not token traffic,
+        so it moves no ``joins.*`` counter and leaves the memo as it
+        was."""
         stats = self.network.stats
         counting = stats.enabled
         memo, version = rule.join_memo, rule.join_memo_version
@@ -516,7 +473,10 @@ class JoinPlanner:
                     f"  {var} in {spec.relation}: stored, "
                     f"{len(memory)} entries, "
                     f"join-index(es) [{indexed}]")
-        if len(rule.variables) > 1:
+        chain = network.beta_chain(rule.name)
+        if len(rule.variables) > 1 and chain is not None:
+            lines.append("  beta chain: " + " -> ".join(chain))
+        elif len(rule.variables) > 1:
             if len(rule.variables) >= 3 and self.mode != "pairwise" \
                     and self.forced is None:
                 shape = self._shape(rule)
@@ -536,15 +496,6 @@ class JoinPlanner:
                 else:
                     lines.append(f"  seek from {seed}: "
                                  + " -> ".join([seed] + payload))
-            states = getattr(network, "_states", None)
-            if states is not None and rule.name in states:
-                state = states[rule.name]
-                if getattr(state, "multiway_plan", None) is not None:
-                    lines.append("  beta chain: bypassed "
-                                 "(multiway join step)")
-                else:
-                    lines.append("  beta chain: "
-                                 + " -> ".join(state.order))
         return "\n".join(lines)
 
     def _describe_multiway(self, rule: CompiledRule, plan) -> str:
@@ -571,7 +522,6 @@ class JoinPlanner:
             parts.append("leapfrog[" + " & ".join(sources) + "]")
         for var, _constraints in plan.prefixed:
             parts.append(f"{var} via restricted probe")
-        seed = plan.seed_var if plan.seed_var is not None else "(all)"
         emit = " -> ".join(plan.emit_order)
         levels = "; ".join(parts) if parts else "seed-fixed"
-        return f"multiway from {seed}: {levels}; emit {emit}"
+        return f"multiway from {plan.seed_var}: {levels}; emit {emit}"

@@ -1,12 +1,13 @@
 """Worst-case-optimal multiway joins: leapfrog triejoin over α-memories.
 
-The pairwise TREAT/Rete join step probes one memory at a time, so cyclic
-or many-variable conditions (triangles, diamonds, stars with cross
-links) degrade superlinearly no matter which seek order the planner
-picks: some intermediate chain enumerates combinations the remaining
-conjuncts will reject.  This module implements the alternative join step
-the :class:`~repro.core.join_planner.JoinPlanner` selects for such rules
-— a leapfrog triejoin (Veldhuizen) walked incrementally per token:
+The pairwise join step probes one memory at a time, so cyclic or
+many-variable conditions (triangles, diamonds, stars with cross links)
+degrade superlinearly no matter which seek order the planner picks: some
+intermediate chain enumerates combinations the remaining conjuncts will
+reject.  This module implements the alternative TREAT join step the
+:class:`~repro.core.join_planner.JoinPlanner` selects for such rules — a
+leapfrog triejoin (Veldhuizen) walked incrementally per token (Rete
+keeps its pairwise β chain):
 
 * the rule's equi-join conjuncts are closed into **join classes** —
   connected components of (variable, attribute-position) endpoints; a
@@ -171,11 +172,8 @@ class Level:
 
 
 class MultiwayPlan:
-    """A compiled leapfrog trie walk for one rule (and optional seed).
-
-    ``seed_var`` is None for the full enumeration used when Rete
-    rebuilds a multiway rule after a flush.
-    """
+    """A compiled leapfrog trie walk for one rule from one seed
+    variable: the walk a token entering ``seed_var``'s memory runs."""
 
     __slots__ = ("rule_name", "seed_var", "n_classes", "seed_positions",
                  "levels", "prefixed", "emit_order", "residual_schedule")
@@ -197,7 +195,7 @@ class MultiwayPlan:
         self.residual_schedule = residual_schedule
 
 
-def build_plan(rule, seed_var: str | None, classes: list[JoinClass],
+def build_plan(rule, seed_var: str, classes: list[JoinClass],
                class_order: list[int]) -> MultiwayPlan:
     """Compile the trie walk: which classes the seed fixes, the level
     sequence for the rest (in the planner-chosen ``class_order``), each
@@ -206,7 +204,7 @@ def build_plan(rule, seed_var: str | None, classes: list[JoinClass],
     seed_positions = []
     fixed_of: dict[str, list] = {}
     for cls in classes:
-        if seed_var is not None and seed_var in cls.positions:
+        if seed_var in cls.positions:
             seed_positions.append((cls.index, cls.positions[seed_var]))
             for var, positions in cls.positions.items():
                 if var != seed_var:
@@ -232,7 +230,7 @@ def build_plan(rule, seed_var: str | None, classes: list[JoinClass],
         if var != seed_var and var not in in_levels and var in fixed_of)
     emit_order = tuple(var for var in rule.variables if var != seed_var)
     residuals = [j for j in rule.joins if j.equijoin is None]
-    bound = {seed_var} if seed_var is not None else set()
+    bound = {seed_var}
     schedule = []
     for var in emit_order:
         bound.add(var)
@@ -306,37 +304,29 @@ class _IndexedView:
 # ----------------------------------------------------------------------
 
 def multiway_seek(network, rule, plan: MultiwayPlan,
-                  seed_entry: MemoryEntry | None, pending_vars,
-                  token) -> bool:
-    """Run one multiway join step; returns True when the P-node gained
-    at least one match.
-
-    With a ``seed_entry`` this finds every new complete combination
-    containing the seed (the TREAT seek / Rete activation for one
-    token); with None it enumerates all complete combinations (the Rete
-    β-less rebuild after priming or a dynamic flush).  Stamp discipline
-    matches the pairwise step exactly: the network stamp advances once
-    per complete combination reaching the P-node.
+                  seed_entry: MemoryEntry, pending_vars, token) -> bool:
+    """Run one multiway join step — the TREAT seek for one token —
+    finding every new complete combination containing ``seed_entry``;
+    returns True when the P-node gained at least one match.  Stamp
+    discipline matches the pairwise step exactly: the network stamp
+    advances once per complete combination reaching the P-node.
     """
     memories = network._memories
     rule_name = rule.name
     pnode = network._pnodes[rule_name]
     fixed: list = [None] * plan.n_classes
-    if seed_entry is not None:
-        values = seed_entry.values
-        for class_index, positions in plan.seed_positions:
-            value = values[positions[0]]
-            if value is None or value != value:
-                return False      # null/NaN never equi-joins
-            for position in positions[1:]:
-                if values[position] != value:
-                    return False
-            fixed[class_index] = value
-    partial: dict[str, MemoryEntry] = {}
+    values = seed_entry.values
+    for class_index, positions in plan.seed_positions:
+        value = values[positions[0]]
+        if value is None or value != value:
+            return False      # null/NaN never equi-joins
+        for position in positions[1:]:
+            if values[position] != value:
+                return False
+        fixed[class_index] = value
+    partial: dict[str, MemoryEntry] = {plan.seed_var: seed_entry}
     bindings = Bindings()
-    if seed_entry is not None:
-        partial[plan.seed_var] = seed_entry
-        _bind(bindings, plan.seed_var, seed_entry)
+    _bind(bindings, plan.seed_var, seed_entry)
     entry_cache: dict = {}
     view_cache: dict = {}
     seeks = [0]

@@ -19,7 +19,8 @@ The network keeps the budget (∞ by default) and plans each activated
 rule under what is left of it.  :func:`optimize_memories` sets it and
 re-plans the whole rule base, swapping memories in place — which no
 P-node, agenda entry or firing notices.  The budget is not checkpointed:
-``persist.loads`` and ``Database.recover`` come back all-stored.
+``persist.loads`` and ``Database.recover`` come back all-stored.  Rete,
+the stored baseline, takes no finite budget.
 
 Probe frequencies are assumed uniform; a ``weights`` mapping lets
 callers bias rules they know fire often.
@@ -134,12 +135,9 @@ def plan_memories(db, budget_entries: float,
                   weights: dict[str, float] | None = None) -> MemoryPlan:
     """Choose which pattern α-memories of the active rules to
     materialize within ``budget_entries`` stored entries; a negative or
-    NaN budget raises :class:`~repro.errors.MemoryBudgetError`."""
-    budget = float(budget_entries)
-    if not budget >= 0:
-        raise MemoryBudgetError(
-            f"memory budget must be a non-negative number of α entries "
-            f"(or inf), not {budget_entries!r}")
+    NaN budget, or a finite one on a stored-only (Rete) network, raises
+    :class:`~repro.errors.MemoryBudgetError`."""
+    budget = _checked_budget(db.network, budget_entries)
     return MemoryPlan(budget, choose_memories(
         db.catalog, db.network.rules.values(), budget, weights))
 
@@ -149,7 +147,7 @@ def apply_plan(db, plan: MemoryPlan) -> int:
     assignment changed (rules no longer active are skipped); returns
     the number of memories swapped."""
     network = db.network
-    network.memory_budget = plan.budget
+    network.memory_budget = _checked_budget(network, plan.budget)
     return sum(network.set_virtual(c.rule_name, c.var, not c.materialize)
                for c in plan.choices if c.rule_name in network.rules)
 
@@ -161,6 +159,19 @@ def optimize_memories(db, budget_entries: float,
     plan = plan_memories(db, budget_entries, weights)
     apply_plan(db, plan)
     return plan
+
+
+def _checked_budget(network, budget_entries) -> float:
+    budget = float(budget_entries)
+    if not budget >= 0:
+        raise MemoryBudgetError(
+            f"memory budget must be a non-negative number of α entries "
+            f"(or inf), not {budget_entries!r}")
+    if network.stored_only and budget < math.inf:
+        raise MemoryBudgetError(
+            f"the {network.network_name} network stores every α-memory: "
+            f"its budget is inf, not {budget_entries!r}")
+    return budget
 
 
 def _indexed_join_attr(relation, rule, var: str) -> str | None:

@@ -36,7 +36,6 @@ from repro.core.alpha import (
     AlphaMemory, MemoryEntry, VirtualAlphaMemory, dispatch,
     residual_memo_key)
 from repro.core.join_planner import JoinPlanner
-from repro.core.leapfrog import multiway_seek
 from repro.core.memory_optimizer import choose_memories
 from repro.core.pnode import Match, PNode
 from repro.core.rules import CompiledRule, VariableSpec
@@ -52,6 +51,9 @@ class DiscriminationNetwork:
 
     #: subclasses override (used in benchmarks / repr)
     network_name = "abstract"
+    #: True when every α-memory must be stored: a finite §8 budget is
+    #: then a :class:`~repro.errors.MemoryBudgetError`
+    stored_only = False
 
     def __init__(self, catalog: Catalog,
                  optimizer: Optimizer | None = None,
@@ -415,17 +417,6 @@ class DiscriminationNetwork:
         already happened.
         """
 
-    def _run_multiway(self, rule: CompiledRule, plan,
-                      seed_entry: MemoryEntry | None, pending_vars,
-                      token: Token | None) -> bool:
-        """Run one leapfrog-triejoin step (see
-        :func:`repro.core.leapfrog.multiway_seek`); returns True when
-        the rule's P-node gained a match."""
-        if self.stats.enabled:
-            self.stats.bump("joins.multiway_seeks")
-        return multiway_seek(self, rule, plan, seed_entry, pending_vars,
-                             token)
-
     def _sorted_probe(self, token: Token, stab_cache: dict | None) -> list:
         candidates = self.selection_index.probe(token.relation,
                                                 token.values, stab_cache)
@@ -542,6 +533,10 @@ class DiscriminationNetwork:
     def beta_partials(self, rule_name: str) -> Iterable[dict]:
         """The rule's materialised β partials (none outside Rete)."""
         return ()
+
+    def beta_chain(self, rule_name: str) -> list[str] | None:
+        """The rule's β-chain variable order (None outside Rete)."""
+        return None
 
     def memory_entry_count(self, rule_name: str | None = None) -> int:
         """Materialised α-memory entries (virtual nodes count zero) —

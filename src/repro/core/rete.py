@@ -1,19 +1,19 @@
-"""A Rete network, optionally with virtual α-memories.
+"""A Rete network: stored α- and β-memories on one pairwise chain.
 
 Rete (Forgy 1982) materialises β-memories — one per prefix of the rule's
-variable list — holding the partial joins.  A token entering α-memory *i*
+chain order — holding the partial joins.  A token entering α-memory *i*
 joins leftward against the level *i−1* β-memory and cascades rightward
 through the remaining α-memories, storing every surviving partial; a
 deletion removes all β partials (and P-node matches) involving the tuple.
 
-The paper notes the virtual-memory technique "could also be used in the
-Rete algorithm": under a storage budget (``optimize_memories``),
-rightward cascade steps consult a virtual α by scanning (or
-index-probing, via constant substitution) its base relation, with the
-same sequential ProcessedMemories exclusion protocol as A-TREAT for
-self-joins.  The β state stays materialised either way — that is what
-distinguishes Rete from TREAT, and what the ``ablate-net`` benchmark
-measures.
+This is the §7 baseline TREAT and A-TREAT are measured against (the
+``ablate-net`` benchmark), so it stays the classic algorithm: every
+α-memory is stored — a finite §8 storage budget raises
+:class:`~repro.errors.MemoryBudgetError` — and every join is a pairwise
+step on the β chain, whose order is the planner's
+:meth:`~repro.core.join_planner.JoinPlanner.chain_order`.  Under Rete
+``join_mode="auto"`` and ``"pairwise"`` both mean the β chain;
+``"multiway"`` raises :class:`~repro.errors.RuleError`.
 
 α-memory handling, selection-index routing, event and transition gating
 are all inherited from the shared base; this class only adds the β
@@ -28,6 +28,7 @@ from repro.core.network import DiscriminationNetwork
 from repro.core.pnode import Match
 from repro.core.rules import CompiledRule, JoinConjunct, VariableSpec
 from repro.core.tokens import Token
+from repro.errors import RuleError
 from repro.lang.expr import Bindings
 from repro.storage.tuples import TupleId
 
@@ -36,11 +37,6 @@ class _ReteState:
     """The β chain of one rule."""
 
     def __init__(self, rule: CompiledRule):
-        #: pinned at :meth:`ReteNetwork._join_memories`: when set, the rule
-        #: runs the leapfrog multiway step and keeps no β state at all
-        #: (the only safe place to flip algorithms — β keys are tid
-        #: tuples over order prefixes, meaningless across a switch)
-        self.multiway_plan = None
         self.set_order(rule, list(rule.variables))
 
     def set_order(self, rule: CompiledRule, order: list[str]) -> None:
@@ -70,14 +66,17 @@ class _ReteState:
 
 
 class ReteNetwork(DiscriminationNetwork):
-    """Rete with materialised β-memories (α-memories stored or virtual
-    per the storage budget; by default all stored, the classic
-    baseline)."""
+    """Rete with stored α-memories and materialised β-memories."""
 
     network_name = "Rete"
+    stored_only = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        if self.join_planner.mode == "multiway":
+            raise RuleError(
+                "the Rete network joins pairwise on its β chain: "
+                "join_mode 'multiway' needs network 'a-treat'")
         self._states: dict[str, _ReteState] = {}
 
     # ------------------------------------------------------------------
@@ -103,25 +102,11 @@ class ReteNetwork(DiscriminationNetwork):
         state.clear()
         if len(rule.variables) == 1:
             return
-        mode, payload = self.join_planner.chain_plan(rule)
-        if mode == "multiway":
-            # β-less: re-derive the P-node by a full (seedless) trie
-            # walk — stamp-count identical to the pairwise re-cascade,
-            # since both advance once per complete combination.
-            state.multiway_plan = payload
-            if self._run_multiway(rule, payload, None, frozenset(), None):
-                self.on_match(rule)
-            return
-        state.multiway_plan = None
-        order = payload
+        order = self.join_planner.chain_order(rule)
         if order != state.order:
             state.set_order(rule, order)
-        first = self._memories[(rule.name, state.order[0])]
-        entries, _ = self._join_candidates(first, state.order[0], {}, [],
-                                           frozenset(), None)
-        for entry in entries:
-            self._cascade(rule, state, 0, {state.order[0]: entry},
-                          pending_vars=frozenset(), token=None)
+        for entry in self._memories[(rule.name, order[0])].entries():
+            self._cascade(rule, state, 0, {order[0]: entry})
 
     # ------------------------------------------------------------------
     # token handling
@@ -130,23 +115,14 @@ class ReteNetwork(DiscriminationNetwork):
     def _handle_insert(self, rule: CompiledRule, spec: VariableSpec,
                        memory, entry: MemoryEntry,
                        pending_vars: set[str], token: Token) -> None:
-        if not memory.is_virtual:
-            if not memory.insert(entry):
-                return
+        if not memory.insert(entry):
+            return
         if len(rule.variables) == 1:
             return            # simple-α routed by the base class
         state = self._states[rule.name]
-        if state.multiway_plan is not None:
-            plan = self.join_planner.multiway_seek_plan(rule, spec.var)
-            if self._run_multiway(rule, plan, entry,
-                                  frozenset(pending_vars), token):
-                self.on_match(rule)
-            return
         i = state.order.index(spec.var)
-        pending = frozenset(pending_vars)
         if i == 0:
-            self._cascade(rule, state, 0, {spec.var: entry}, pending,
-                          token)
+            self._cascade(rule, state, 0, {spec.var: entry})
             return
         bindings = Bindings()
         self._bind_entry(bindings, spec.var, entry)
@@ -157,15 +133,13 @@ class ReteNetwork(DiscriminationNetwork):
                    for j in state.level_conjuncts[i]):
                 partial = dict(left)
                 partial[spec.var] = entry
-                self._cascade(rule, state, i, partial, pending, token)
+                self._cascade(rule, state, i, partial)
             for var in left:
                 bindings.current.pop(var, None)
                 bindings.previous.pop(var, None)
 
     def _cascade(self, rule: CompiledRule, state: _ReteState, level: int,
-                 partial: dict[str, MemoryEntry],
-                 pending_vars: frozenset[str],
-                 token: Token | None) -> None:
+                 partial: dict[str, MemoryEntry]) -> None:
         """Store a surviving partial at ``level`` and extend rightward."""
         key = tuple(partial[v].tid for v in state.order[:level + 1])
         state.betas[level][key] = partial
@@ -183,7 +157,7 @@ class ReteNetwork(DiscriminationNetwork):
         for var, entry in partial.items():
             self._bind_entry(bindings, var, entry)
         candidates, enforced = self._join_candidates(
-            memory, next_var, partial, conjuncts, pending_vars, token)
+            memory, next_var, partial, conjuncts, (), None)
         if enforced is not None:
             # the access path already guarantees the probed equi-join
             # conjunct: evaluate only the residual conjuncts
@@ -193,8 +167,7 @@ class ReteNetwork(DiscriminationNetwork):
             if all(j.evaluate(bindings) is True for j in conjuncts):
                 extended = dict(partial)
                 extended[next_var] = entry
-                self._cascade(rule, state, level + 1, extended,
-                              pending_vars, token)
+                self._cascade(rule, state, level + 1, extended)
             bindings.current.pop(next_var, None)
             bindings.previous.pop(next_var, None)
 
@@ -221,6 +194,9 @@ class ReteNetwork(DiscriminationNetwork):
     def beta_partials(self, rule_name: str):
         for level in self._states[rule_name].betas:
             yield from level.values()
+
+    def beta_chain(self, rule_name: str) -> list[str]:
+        return list(self._states[rule_name].order)
 
     @staticmethod
     def _bind_entry(bindings: Bindings, var: str,

@@ -29,6 +29,7 @@ number of times".
 from __future__ import annotations
 
 from repro.core.alpha import MemoryEntry
+from repro.core.leapfrog import multiway_seek
 from repro.core.network import DiscriminationNetwork
 from repro.core.pnode import Match
 from repro.core.rules import CompiledRule, VariableSpec
@@ -108,8 +109,10 @@ class TreatNetwork(DiscriminationNetwork):
             counters["joins.seeks"] = counters.get("joins.seeks", 0) + 1
         mode, payload = plan or self.join_planner.seek_plan(rule, seed_var)
         if mode == "multiway":
-            if self._run_multiway(rule, payload, seed_entry,
-                                  pending_vars, token):
+            if stats.enabled:
+                stats.bump("joins.multiway_seeks")
+            if multiway_seek(self, rule, payload, seed_entry,
+                             pending_vars, token):
                 self.on_match(rule)
             return
         order = payload

@@ -7,6 +7,8 @@ base relations alone, what every *persistent* structure should contain —
   predicate;
 * each pattern rule's P-node = the join of its (conceptual) α-memory
   contents under the rule's join predicates;
+* (Rete) each level of a pattern rule's β chain = the join of the
+  chain's prefix up to that level, under the conjuncts it binds;
 * the selection index = exactly one registration per α-memory —
 
 and reports every divergence.  Dynamic (event/transition/new) memories
@@ -30,7 +32,8 @@ class Inconsistency:
 
     rule_name: str
     kind: str          # 'alpha-extra' | 'alpha-missing' | 'pnode-extra'
-                       # | 'pnode-missing' | 'index' | 'dynamic-not-empty'
+                       # | 'pnode-missing' | 'beta-extra' | 'beta-missing'
+                       # | 'index' | 'dynamic-not-empty'
                        # | 'dynamic-pnode-not-empty'
                        # | 'dynamic-beta-not-empty'
     detail: str
@@ -82,29 +85,25 @@ def check_network(db, between_transitions: bool = True
                         f"{var}: {tid} stale values"))
         if not rule.has_dynamic_variable:
             out.extend(_check_pnode(db, rule, conceptual))
+            out.extend(_check_beta(network, rule, conceptual))
         elif between_transitions:
             out.extend(_check_flushed(network, rule))
     out.extend(_check_selection_index(db))
     return out
 
 
-def _check_pnode(db, rule, conceptual) -> list[Inconsistency]:
-    """Recompute the P-node for a pure pattern rule and compare.
+def _join(rule, conceptual, variables) -> set[tuple]:
+    """The tid tuples (in ``variables`` order) of a from-scratch
+    nested-loop join of those variables' conceptual α contents under
+    every join conjunct they bind."""
+    out: set[tuple] = set()
+    partial: dict = {}
 
-    The comparison is modulo consumed firings: matches the network holds
-    must be a subset of the true join (soundness) — set-oriented firing
-    legitimately drains true matches, so completeness is only asserted
-    when firing has been suspended (``db._rules_suspended``).
-    """
-    out: list[Inconsistency] = []
-    expected: set[tuple] = set()
-
-    def recurse(i, partial):
-        if i == len(rule.variables):
-            expected.add(tuple(sorted(
-                (v, tid) for v, (tid, _) in partial.items())))
+    def recurse(i):
+        if i == len(variables):
+            out.add(tuple(partial[v][0] for v in variables))
             return
-        var = rule.variables[i]
+        var = variables[i]
         for tid, values in conceptual[var].items():
             partial[var] = (tid, values)
             bindings = Bindings({v: vals
@@ -121,12 +120,27 @@ def _check_pnode(db, rule, conceptual) -> list[Inconsistency]:
                         ok = False
                         break
             if ok:
-                recurse(i + 1, partial)
+                recurse(i + 1)
             del partial[var]
 
-    recurse(0, {})
+    recurse(0)
+    return out
+
+
+def _check_pnode(db, rule, conceptual) -> list[Inconsistency]:
+    """Recompute the P-node for a pure pattern rule and compare.
+
+    The comparison is modulo consumed firings: matches the network holds
+    must be a subset of the true join (soundness) — set-oriented firing
+    legitimately drains true matches, so completeness is only asserted
+    when firing has been suspended (``db._rules_suspended``).
+    """
+    out: list[Inconsistency] = []
+    variables = rule.variables
+    expected = {tuple(zip(variables, tids))
+                for tids in _join(rule, conceptual, variables)}
     actual = {
-        tuple(sorted((v, match.entry(v).tid) for v in rule.variables))
+        tuple((v, match.entry(v).tid) for v in variables)
         for match in db.network.pnode(rule.name).matches()}
     for extra in actual - expected:
         out.append(Inconsistency(rule.name, "pnode-extra", str(extra)))
@@ -134,6 +148,29 @@ def _check_pnode(db, rule, conceptual) -> list[Inconsistency]:
         for missing in expected - actual:
             out.append(Inconsistency(rule.name, "pnode-missing",
                                      str(missing)))
+    return out
+
+
+def _check_beta(network, rule, conceptual) -> list[Inconsistency]:
+    """Recompute every level of a pure pattern rule's β chain (Rete)
+    and compare both ways: β partials are never consumed by firing."""
+    chain = network.beta_chain(rule.name)
+    if chain is None or len(chain) == 1:
+        return []
+    out: list[Inconsistency] = []
+    actual: list[set] = [set() for _ in chain]
+    for partial in network.beta_partials(rule.name):
+        level = len(partial) - 1
+        actual[level].add(tuple(partial[v].tid for v in chain[:level + 1]))
+    for level, held in enumerate(actual):
+        prefix = chain[:level + 1]
+        expected = _join(rule, conceptual, prefix)
+        for extra in held - expected:
+            out.append(Inconsistency(rule.name, "beta-extra",
+                                     f"{prefix}: {extra}"))
+        for missing in expected - held:
+            out.append(Inconsistency(rule.name, "beta-missing",
+                                     f"{prefix}: {missing}"))
     return out
 
 

@@ -107,7 +107,8 @@ class Database:
         ``"a-treat"`` (default; alias ``"treat"``) or ``"rete"``.  Every
         α-memory is stored until :func:`~repro.core.memory_optimizer
         .optimize_memories` sets a storage budget (paper §8); what it
-        does not pay for is virtual (A-TREAT, paper §4.2).
+        does not pay for is virtual (A-TREAT, paper §4.2).  Rete stays
+        all-stored: a finite budget on it raises MemoryBudgetError.
     max_firings:
         Bound on rule firings per triggering transition; exceeding it
         raises :class:`~repro.errors.RuleLoopError`.
@@ -126,7 +127,8 @@ class Database:
         leapfrog multiway step for cyclic/many-variable equi-join
         graphs when its estimated cost wins, ``"pairwise"`` keeps the
         classic probe chain everywhere, ``"multiway"`` forces the
-        leapfrog step wherever it is structurally eligible.
+        leapfrog step wherever it is structurally eligible.  Rete joins
+        only on its β chain: there ``"multiway"`` raises RuleError.
     durable_path:
         Directory for durable state (a checkpoint script plus a
         write-ahead log of committed transitions).  Starts *fresh*: an

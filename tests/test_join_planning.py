@@ -195,8 +195,7 @@ class TestChainOrdering:
         db.bulk_append("b", ((i,) for i in range(5)))
         db._rules_suspended = True
         db.execute("define rule rr if a.k = b.k then delete a")
-        state = db.network._states["rr"]
-        assert state.order[0] == "b"
+        assert db.network.beta_chain("rr") == ["b", "a"]
         assert db.stats.get("joins.chains_planned") >= 1
 
     def test_rete_matches_unaffected_by_reorder(self):

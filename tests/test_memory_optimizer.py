@@ -14,7 +14,7 @@ from repro.core.validate import check_network
 from repro.errors import ArielError, MemoryBudgetError, RuleError
 
 from tests.helpers import budgeted
-from tests.test_network_equivalence import pnode_snapshot
+from tests.test_network_equivalence import alpha_snapshot, pnode_snapshot
 
 
 @pytest.fixture
@@ -260,9 +260,10 @@ _AFTERWARDS = (
 )
 
 
-@pytest.mark.parametrize("budget", [math.inf, 0, 60],
-                         ids=["inf", "zero", "mixed"])
-@pytest.mark.parametrize("network", ["a-treat", "rete"])
+@pytest.mark.parametrize("network,budget", [
+    ("a-treat", math.inf), ("a-treat", 0), ("a-treat", 60),
+    ("rete", math.inf),
+], ids=["a-treat-inf", "a-treat-zero", "a-treat-mixed", "rete-inf"])
 def test_optimizing_after_firings_is_unobservable(network, budget):
     """P-nodes, firings, the firing log and every relation stay what an
     engine that never called ``optimize_memories`` has — at the call,
@@ -277,6 +278,44 @@ def test_optimizing_after_firings_is_unobservable(network, budget):
     swapped = [m for m in db.network._memories.values() if m.is_virtual]
     assert bool(swapped) is (budget != math.inf)
     assert _observed(db) == _observed(reference)
+    for engine in (db, reference):
+        engine._rules_suspended = False
+    for statement in _AFTERWARDS:
+        db.execute(statement)
+        reference.execute(statement)
+        assert _observed(db) == _observed(reference), statement
+    assert check_network(db) == []
+
+
+def _network_state(db):
+    network = db.network
+    return (alpha_snapshot(db), pnode_snapshot(db),
+            {name: {frozenset((var, entry.tid)
+                              for var, entry in partial.items())
+                    for partial in network.beta_partials(name)}
+             for name in network.rules},
+            list(db.manager.agenda._notified), network.memory_budget)
+
+
+@pytest.mark.parametrize("budget", [0, 60], ids=["zero", "mixed"])
+def test_a_finite_budget_under_rete_changes_nothing(budget):
+    """Rete stores every α-memory: a finite budget raises before a
+    memory is swapped, leaving α- and β-memories, P-nodes, the agenda
+    and the budget as they were, and every later statement as on an
+    engine that never asked."""
+    db, reference = _engine("rete"), _engine("rete")
+    for engine in (db, reference):
+        engine._rules_suspended = True      # let matches pile up
+        engine.execute("append big(a = 2, k = 0)")
+    before = _network_state(db)
+    assert db.manager.agenda._notified and any(before[2].values())
+    for call in (plan_memories, optimize_memories):
+        with pytest.raises(MemoryBudgetError, match="Rete"):
+            call(db, budget)
+    with pytest.raises(MemoryBudgetError, match="Rete"):
+        apply_plan(db, plan_memories(budgeted(0), budget))
+    assert _network_state(db) == before
+    assert not any(m.is_virtual for m in db.network._memories.values())
     for engine in (db, reference):
         engine._rules_suspended = False
     for statement in _AFTERWARDS:

@@ -13,9 +13,10 @@ set-equal but identical in every ordering-observable artifact:
 The rule pool is weighted toward shapes the planner actually routes to
 the triejoin — triangles, cyclic self-joins, 4-variable cycles — plus a
 non-equi residue and a transition-gated cycle to exercise the residual
-schedule and Δ-set paths.  Runs across TREAT and Rete, and with
+schedule and Δ-set paths.  Runs across storage budgets and with
 durability on, so the multiway step composes with every other
-propagation layer.
+propagation layer.  Rete has no multiway step: its rows compare Rete's
+pairwise β chain against TREAT's multiway step.
 """
 
 import pathlib
@@ -72,6 +73,8 @@ _op = st.one_of(
 
 def _build(join_mode, config, rules, durable_path):
     network, budget, durable = config
+    if network == "rete" and join_mode == "multiway":
+        network = "a-treat"
     db = budgeted(budget, network=network, batch_tokens=True,
                   join_mode=join_mode,
                   durable_path=durable_path if durable else None,

@@ -137,7 +137,6 @@ def test_networks_equivalent(ops, rule_indexes):
         build("a-treat", "auto", rules),
         build("treat", "never", rules),
         build("rete", "never", rules),
-        build("rete", "always", rules),   # Rete with virtual α-memories
     ]
     for db in databases:
         apply_ops(db, ops)
@@ -154,7 +153,6 @@ NETWORK_CONFIGS = [
     ("a-treat", "auto"),
     ("treat", "never"),
     ("rete", "never"),
-    ("rete", "always"),
 ]
 
 

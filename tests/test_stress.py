@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro import Database
+from repro.core.validate import check_network
 from repro.lang.expr import Bindings, compile_expr, is_true
 
 from tests.helpers import budgeted
@@ -96,6 +97,7 @@ def test_incremental_equals_naive_at_scale(network, budget):
         assert network_matches(db, name) == naive_matches(db, name), name
         checked += 1
     assert checked == 50
+    assert check_network(db) == []
 
 
 def test_large_single_transition_block():

@@ -3,13 +3,18 @@ selection-index routing, and dynamic flushing."""
 
 import math
 
+import pytest
+
+from repro import Database
 from repro.core.alpha import VirtualAlphaMemory
+from repro.core.memory_optimizer import optimize_memories
+from repro.errors import MemoryBudgetError, RuleError
 
 from tests.helpers import budgeted
 
 
-def make_db(budget=0, network="a-treat"):
-    db = budgeted(budget, network=network)
+def make_db(budget=0, network="a-treat", **kwargs):
+    db = budgeted(budget, network=network, **kwargs)
     db.execute_script("""
         create emp (name = text, sal = float8, dno = int4)
         create dept (dno = int4, name = text)
@@ -157,24 +162,34 @@ class TestReteSpecifics:
         db.execute(JOIN_RULE)
         assert not db.network.memory("big", "emp").is_virtual
 
-    def test_rete_supports_virtual_alphas(self):
-        """The paper: the virtual-memory technique 'could also be used in
-        the Rete algorithm'."""
-        db = make_db(network="rete", budget=0)
+    @pytest.mark.parametrize("budget", [0, 10])
+    def test_rete_rejects_a_finite_budget(self, budget):
+        """Rete is the stored baseline: the paper only remarks that
+        virtual memories 'could also be used in the Rete algorithm'."""
+        with pytest.raises(MemoryBudgetError, match="Rete"):
+            make_db(budget, network="rete")
+        db = make_db(math.inf, network="rete")
         db._rules_suspended = True
         db.execute(JOIN_RULE)
-        assert db.network.memory("big", "emp").is_virtual
-        # the β chain is still materialised from the virtual α contents
-        assert db.network.beta_entry_count("big") > 0
-        assert db.network.memory_entry_count("big") == 0
+        with pytest.raises(MemoryBudgetError, match="Rete"):
+            optimize_memories(db, budget)
+        assert db.network.memory_budget == math.inf
+        assert not db.network.memory("big", "emp").is_virtual
 
-    def test_rete_virtual_matches_stored(self):
-        results = []
-        for budget in (0, math.inf):
-            db = make_db(budget, network="rete")
+    def test_rete_rejects_multiway_join_mode(self):
+        """Under Rete "auto" and "pairwise" both mean the β chain, also
+        for a cyclic rule TREAT would route to the leapfrog step."""
+        with pytest.raises(RuleError, match="multiway"):
+            Database(network="rete", join_mode="multiway")
+        matches = []
+        for join_mode in ("auto", "pairwise"):
+            db = make_db(math.inf, network="rete", join_mode=join_mode)
             db._rules_suspended = True
-            db.execute(JOIN_RULE)
-            pnode = db.network.pnode("big")
-            results.append(sorted(
-                m.entry("emp").values[0] for m in pnode.matches()))
-        assert results[0] == results[1] and results[0]
+            db.execute("define rule tri if x.dno = y.dno "
+                       "and y.name = z.name and z.dno = x.dno "
+                       "from x in emp, y in emp, z in emp "
+                       "then append to log(x.name)")
+            assert sorted(db.network.beta_chain("tri")) == ["x", "y", "z"]
+            assert db.stats.get("joins.multiway_planned") == 0
+            matches.append(len(db.network.pnode("tri")))
+        assert matches[0] == matches[1] == 300
