@@ -23,7 +23,6 @@ specifiers, which retract prior assertions.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -160,7 +159,10 @@ class AlphaMemory:
     ``join_positions`` are the attribute positions the rule equi-joins
     this variable on: each gets a hash join-index, built empty here and
     maintained by every insert/remove/flush, so every equality probe of
-    the join step is a bucket lookup.
+    the join step is a bucket lookup.  Like a storage index, a
+    join-index holds no null or NaN key: neither satisfies an equi-join
+    conjunct, so probing one finds nothing.  The leapfrog step groups
+    its sorted views per seek; the memory keeps none.
     """
 
     is_virtual = False
@@ -184,10 +186,6 @@ class AlphaMemory:
         self._join_indexes: dict[int, dict[object,
                                            dict[TupleId, MemoryEntry]]] = {
             position: {} for position in join_positions}
-        # position -> sorted distinct join-key values (the leapfrog
-        # iterator view over the join index); built lazily by
-        # sorted_join_keys and maintained by insert/remove/flush
-        self._sorted_keys: dict[int, list] = {}
 
     @property
     def kind_name(self) -> str:
@@ -220,17 +218,14 @@ class AlphaMemory:
         if self._join_indexes:
             for position, buckets in self._join_indexes.items():
                 if existing is not None:
-                    self._unindex(position, buckets,
-                                  existing.values[position],
-                                  existing.tid)
+                    _unindex(buckets, existing.values[position],
+                             existing.tid)
                 value = entry.values[position]
+                if value is None or value != value:
+                    continue
                 bucket = buckets.get(value)
                 if bucket is None:
                     buckets[value] = {entry.tid: entry}
-                    keys = self._sorted_keys.get(position)
-                    if keys is not None and value is not None \
-                            and value == value:
-                        insort(keys, value)
                 else:
                     bucket[entry.tid] = entry
         return True
@@ -245,8 +240,7 @@ class AlphaMemory:
                 counters["alpha.deletes"] = \
                     counters.get("alpha.deletes", 0) + 1
             for position, buckets in self._join_indexes.items():
-                self._unindex(position, buckets, entry.values[position],
-                              tid)
+                _unindex(buckets, entry.values[position], tid)
         return entry
 
     def get(self, tid: TupleId) -> MemoryEntry | None:
@@ -261,7 +255,6 @@ class AlphaMemory:
         self._entries.clear()
         for buckets in self._join_indexes.values():
             buckets.clear()
-        self._sorted_keys.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -289,47 +282,19 @@ class AlphaMemory:
             return iter(())
         return iter(list(bucket.values()))
 
-    def sorted_join_keys(self, position: int) -> list:
-        """Sorted distinct join-key values of the ``position`` join
-        index — the leapfrog triejoin's iterator view (ascending keys,
-        ``seek`` by bisection).  Lazily materialised on first demand,
-        then maintained incrementally: insert/remove adjust it only
-        when a bucket appears or drains, and :meth:`flush` drops it
-        with the rest of the Δ-set state.  Null and NaN keys are
-        excluded — under three-valued logic they never satisfy an
-        equi-join conjunct.  ``position`` must be one of the memory's
-        join positions.  Callers must treat the list as read-only.
-        """
-        keys = self._sorted_keys.get(position)
-        if keys is None:
-            keys = self._sorted_keys[position] = sorted(
-                key for key in self._join_indexes[position]
-                if key is not None and key == key)
-            if self.stats.enabled:
-                self.stats.bump("alpha.sorted_views_built")
-        return keys
-
-    def sorted_view_positions(self) -> list[int]:
-        """The positions whose sorted iterator view is materialised."""
-        return list(self._sorted_keys)
-
-    def _unindex(self, position: int, buckets, value,
-                 tid: TupleId) -> None:
-        bucket = buckets.get(value)
-        if bucket is not None:
-            bucket.pop(tid, None)
-            if not bucket:
-                del buckets[value]
-                keys = self._sorted_keys.get(position)
-                if keys is not None and value is not None \
-                        and value == value:
-                    i = bisect_left(keys, value)
-                    if i < len(keys) and keys[i] == value:
-                        del keys[i]
-
     def __repr__(self) -> str:
         return (f"AlphaMemory({self.rule_name}/{self.spec.var}, "
                 f"{self.kind_name}, {len(self)} entries)")
+
+
+def _unindex(buckets: dict, value, tid: TupleId) -> None:
+    """Drop ``tid`` from the join-index bucket of ``value``, and the
+    bucket once it drains; a null or NaN value has none."""
+    bucket = buckets.get(value)
+    if bucket is not None:
+        bucket.pop(tid, None)
+        if not bucket:
+            del buckets[value]
 
 
 class VirtualAlphaMemory:

@@ -514,9 +514,7 @@ class JoinPlanner:
                     source = "virtual scan"
                 elif level_var.constraints:
                     source = "restricted probe"
-                elif len(level_var.positions) == 1:
-                    source = "sorted join-index view"
-                else:       # intra-tuple equality: grouped on the fly
+                else:
                     source = "memory scan"
                 sources.append(f"{level_var.var}.{attr} via {source}")
             parts.append("leapfrog[" + " & ".join(sources) + "]")

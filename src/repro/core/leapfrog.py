@@ -17,20 +17,21 @@ keeps its pairwise β chain):
   to, exactly like the paper's §4.2 constant substitution, but for *all*
   of the seed's join attributes at once;
 * each remaining class is one **leapfrog level**: every participating
-  memory exposes a sorted distinct-key view (a stored α-memory's
-  :meth:`~repro.core.alpha.AlphaMemory.sorted_join_keys` over its hash
-  join-index, or a view grouped on the fly from a restricted probe /
-  virtual scan), and the leapfrog intersection of those views — galloped
-  with ``seek(key)`` bisection — enumerates exactly the values every
-  memory can extend;
+  memory exposes a sorted distinct-key view, grouped once per seek from
+  its entries under the classes already fixed (a join-index probe or a
+  sharpened virtual scan), or from the whole memory when none is, and
+  the leapfrog intersection of those views — galloped with
+  ``seek(key)`` bisection — enumerates exactly the values every memory
+  can extend;
 * complete combinations are emitted in the rule's variable order with
   the non-equi residue evaluated as early as its variables are bound, so
   P-node contents, insertion stamps (one per complete combination) and
   hence agenda recency are identical to the pairwise step's.
 
 Null and NaN values never satisfy an equi-join conjunct under
-three-valued logic, so they are excluded from every level — matching the
-pairwise probe guard in ``DiscriminationNetwork._join_candidates``.
+three-valued logic: a seed holding one joins nothing, and grouping
+leaves them out of every view — the rule every join-index and storage
+index applies to the keys it holds.
 """
 
 from __future__ import annotations
@@ -265,38 +266,23 @@ def leapfrog_intersection(key_lists, seek_counter: list):
     iters.sort(key=lambda it: it[0][0])
     count = len(iters)
     at = 0
-    max_key = iters[-1][0][0]
+    largest = iters[-1][0][0]
     while True:
         it = iters[at]
         keys, i, n = it
-        if keys[i] == max_key:
-            yield max_key
+        if keys[i] == largest:
+            yield largest
             i += 1
         else:
-            i = bisect_left(keys, max_key, i + 1, n)
+            i = bisect_left(keys, largest, i + 1, n)
             seek_counter[0] += 1
         if i >= n:
             return
         it[1] = i
-        max_key = keys[i]
+        largest = keys[i]
         at += 1
         if at == count:
             at = 0
-
-
-class _IndexedView:
-    """Group lookup over a stored memory's live hash join-index —
-    the unrestricted participant's view, paired with the memory's
-    persistent :meth:`sorted_join_keys` list."""
-
-    __slots__ = ("memory", "position")
-
-    def __init__(self, memory, position: int):
-        self.memory = memory
-        self.position = position
-
-    def __getitem__(self, value):
-        return list(self.memory.join_probe(self.position, value))
 
 
 # ----------------------------------------------------------------------
@@ -375,10 +361,8 @@ def multiway_seek(network, rule, plan: MultiwayPlan,
     def level_view(level_var: LevelVar):
         """The participant's sorted distinct-key view for one level:
         ``(keys, groups)`` where ``groups[key]`` lists the entries
-        carrying that key.  An unrestricted stored participant reuses
-        the memory's persistent sorted iterator; everything else is
-        grouped on the fly from the restricted entries (and memoized
-        per seek)."""
+        carrying that key, grouped from the restricted entries and
+        memoized per seek."""
         var = level_var.var
         positions = level_var.positions
         constraints = level_var.constraints
@@ -387,27 +371,21 @@ def multiway_seek(network, rule, plan: MultiwayPlan,
         view = view_cache.get(cache_key)
         if view is not None:
             return view
-        memory = memories[(rule_name, var)]
-        if not constraints and len(positions) == 1 and not memory.is_virtual:
-            view = (memory.sorted_join_keys(positions[0]),
-                    _IndexedView(memory, positions[0]))
-        else:
-            entries = restricted_entries(var, constraints)
-            first = positions[0]
-            rest = positions[1:]
-            groups: dict = {}
-            for entry in entries:
-                value = entry.values[first]
-                if value is None or value != value:
-                    continue
-                if rest and any(entry.values[p] != value for p in rest):
-                    continue
-                group = groups.get(value)
-                if group is None:
-                    groups[value] = [entry]
-                else:
-                    group.append(entry)
-            view = (sorted(groups), groups)
+        first = positions[0]
+        rest = positions[1:]
+        groups: dict = {}
+        for entry in restricted_entries(var, constraints):
+            value = entry.values[first]
+            if value is None or value != value:
+                continue
+            if rest and any(entry.values[p] != value for p in rest):
+                continue
+            group = groups.get(value)
+            if group is None:
+                groups[value] = [entry]
+            else:
+                group.append(entry)
+        view = (sorted(groups), groups)
         view_cache[cache_key] = view
         return view
 

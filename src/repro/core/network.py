@@ -437,15 +437,13 @@ class DiscriminationNetwork:
         :meth:`_virtual_entries`, whose equality sharpening is exact,
         so the probed conjunct is enforced there too.  Null and NaN
         probe values yield no candidates: under three-valued logic they
-        never satisfy an equi-join conjunct.
+        never satisfy an equi-join conjunct, and no join-index holds one.
         """
         probe = equality_probe(var, partial, conjuncts)
         if not memory.is_virtual:
             if probe is None:
                 return memory.entries(), None
             position, value, conjunct = probe
-            if value is None or value != value:
-                return (), conjunct
             return memory.join_probe(position, value), conjunct
         if probe is None:
             equality, enforced = None, None

@@ -181,7 +181,7 @@ class IndexProbe(Plan):
     """Equality probe: the key is computed from the outer bindings on
     every call — a literal or parameter bound, or the outer side's join
     attribute (the inner side of an index nested-loop join).  A null or
-    NaN key produces no rows."""
+    NaN key produces no rows: no index holds one."""
 
     def __init__(self, relation: str, var: str, index_name: str,
                  key: ast.Expr, residual: ast.Expr | None = None):
@@ -197,8 +197,6 @@ class IndexProbe(Plan):
     def rows(self, ctx, outer: Bindings,
              reuse: bool = False) -> Iterator[Bindings]:
         key = self._key(outer)
-        if _unordered(key):
-            return
         relation = ctx.catalog.relation(self.relation)
         index = _index(relation, self.index_name)
         residual = self._residual
@@ -217,8 +215,6 @@ class IndexProbe(Plan):
         TID with ``bound.current[var]`` set, in place, to its values
         (apart from :meth:`rows`, the reference it is tested against)."""
         key = self._key(bound)
-        if _unordered(key):
-            return
         relation = ctx.catalog.relation(self.relation)
         tids = _index(relation, self.index_name).search(key)
         residual, current, var = self._residual, bound.current, self.var

@@ -2,8 +2,10 @@
 
 Both index kinds map a single attribute value to the set of
 :class:`~repro.storage.tuples.TupleId` of tuples holding that value.
-``None`` (null) values are not indexed; an equality probe for ``None``
-returns nothing, matching SQL's three-valued treatment of nulls.
+Null (``None``) and NaN keys are never indexed: ``insert`` and ``delete``
+skip one and ``search`` of one returns nothing.  Under three-valued
+logic no comparison with either is true, so no equality or range probe
+may find them — and a B-tree could order NaN nowhere.
 
 The B-tree is realised as a sorted ``(key, tid)`` list maintained with
 ``bisect`` — logarithmic search, linear insert.  For the in-memory data
@@ -15,7 +17,7 @@ is what the planner depends on, not the node layout.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.errors import StorageError
 from repro.storage.tuples import TupleId
@@ -74,13 +76,13 @@ class HashIndex(Index):
         self._count = 0
 
     def insert(self, key, tid: TupleId) -> None:
-        if key is None:
+        if key is None or key != key:
             return
         self._buckets.setdefault(key, {})[tid] = None
         self._count += 1
 
     def delete(self, key, tid: TupleId) -> None:
-        if key is None:
+        if key is None or key != key:
             return
         bucket = self._buckets.get(key)
         if bucket is None or tid not in bucket:
@@ -92,8 +94,7 @@ class HashIndex(Index):
         self._count -= 1
 
     def search(self, key) -> Iterator[TupleId]:
-        if key is None:
-            return iter(())
+        # no bucket holds a null or NaN key, so neither finds one
         return iter(self._buckets.get(key, ()))
 
     def __len__(self) -> int:
@@ -119,14 +120,8 @@ class BTreeIndex(Index):
         self._keys: list = []
         self._tids: list[TupleId] = []
 
-    @staticmethod
-    def _order_key(key):
-        # bool sorts with ints naturally; mixed str/number raises TypeError
-        # at bisect time which we convert to StorageError in insert().
-        return key
-
     def insert(self, key, tid: TupleId) -> None:
-        if key is None:
+        if key is None or key != key:
             return
         try:
             # Among duplicates order by tid slot for determinism.
@@ -139,7 +134,7 @@ class BTreeIndex(Index):
         self._tids.insert(pos, tid)
 
     def delete(self, key, tid: TupleId) -> None:
-        if key is None:
+        if key is None or key != key:
             return
         lo = bisect.bisect_left(self._keys, key)
         hi = bisect.bisect_right(self._keys, key, lo=lo)
@@ -152,7 +147,7 @@ class BTreeIndex(Index):
             f"index {self.name}: delete of absent entry {key!r}/{tid}")
 
     def search(self, key) -> Iterator[TupleId]:
-        if key is None:
+        if key is None or key != key:
             return iter(())
         lo = bisect.bisect_left(self._keys, key)
         hi = bisect.bisect_right(self._keys, key, lo=lo)
@@ -179,14 +174,6 @@ class BTreeIndex(Index):
             hi = bisect.bisect_left(self._keys, high)
         return iter(self._tids[lo:hi])
 
-    def min_key(self):
-        """Smallest indexed key, or None if the index is empty."""
-        return self._keys[0] if self._keys else None
-
-    def max_key(self):
-        """Largest indexed key, or None if the index is empty."""
-        return self._keys[-1] if self._keys else None
-
     def __len__(self) -> int:
         return len(self._keys)
 
@@ -202,9 +189,3 @@ def make_index(kind: str, name: str, relation: str, attribute: str,
             f"unknown index kind {kind!r}; expected one of "
             f"{sorted(kinds)}") from None
     return cls(name, relation, attribute, position)
-
-
-def bulk_load(index: Index, rows: Iterable[tuple]) -> None:
-    """Load ``(values, tid)`` pairs into a fresh index."""
-    for values, tid in rows:
-        index.insert(index.key_of(values), tid)

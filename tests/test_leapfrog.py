@@ -1,13 +1,13 @@
 """The worst-case-optimal multiway join step (leapfrog triejoin).
 
 Covers the layer stack bottom-up: the leapfrog intersection primitive,
-the sorted iterator views maintained on α-memory join indexes, join-
-class / cyclicity analysis of the equi-join graph, the planner's
-algorithm decision (mode resolution, eligibility gates, fallback
-counters), introspection output, and end-to-end equivalence of the
-multiway step with the pairwise chain on concrete triangle workloads —
-including Rete's β chain (budget ∞) against TREAT's multiway step at
-every budget.
+the null/NaN key rule of the α-memory join index the views are grouped
+from, join-class / cyclicity analysis of the equi-join graph, the
+planner's algorithm decision (mode resolution, eligibility gates,
+fallback counters), introspection output, and end-to-end equivalence
+of the multiway step with the pairwise chain on concrete triangle and
+4-cycle workloads — including Rete's β chain (budget ∞) against TREAT's
+multiway step at every budget.
 """
 
 import pytest
@@ -20,12 +20,19 @@ from repro.core.leapfrog import (
 from repro.errors import RuleError
 
 from tests.helpers import budgeted
+from tests.test_network_equivalence import firing_sequence
 
 TRIANGLE = (
     "define rule triangle "
     "if r.a = s.b and s.c = t.c and t.a = r.a "
     "from r in r, s in s, t in t "
     'then append to log(tag = "tri")')
+#: a 4-variable cycle over three relations (t twice, as t and w)
+FOUR = (
+    "define rule four "
+    "if t.a = u.b and u.k = v.c and v.k = w.k and w.a = t.a "
+    "from t in t, u in u, v in v, w in t "
+    'then append to log(tag = "four")')
 
 
 # ----------------------------------------------------------------------
@@ -74,42 +81,12 @@ class TestLeapfrogIntersection:
 
 
 # ----------------------------------------------------------------------
-# sorted iterator views on the α-memory join index
+# the keys the α-memory join index holds
 # ----------------------------------------------------------------------
 
-def _memory_with_index():
-    db = Database()
-    db.execute("create t (a = int4, k = int4)")
-    db.execute("create u (b = int4, k = int4)")
-    db.execute("create log (tag = text)")
-    db.execute('define rule rj if t.a = u.b '
-               'then append to log(tag = "j")')
-    memory = db.network._memories[("rj", "t")]
-    assert memory.join_index_positions() == [0]     # position of t.a
-    return db, memory
-
-
 class TestSortedJoinKeys:
-
-    def test_lazy_build_and_incremental_maintenance(self):
-        db, memory = _memory_with_index()
-        position = memory.join_index_positions()[0]
-        for value in (5, 1, 9, 5):
-            db.execute(f"append t(a = {value}, k = {value})")
-        assert memory.sorted_join_keys(position) == [1, 5, 9]
-        assert memory.sorted_view_positions() == [position]
-        # new distinct key lands in sorted position
-        db.execute("append t(a = 3, k = 30)")
-        assert memory.sorted_join_keys(position) == [1, 3, 5, 9]
-        # duplicate key: bucket grows, view unchanged
-        db.execute("append t(a = 3, k = 31)")
-        assert memory.sorted_join_keys(position) == [1, 3, 5, 9]
-        # draining one of two bucket entries keeps the key ...
-        db.execute("delete t where t.k = 31")
-        assert memory.sorted_join_keys(position) == [1, 3, 5, 9]
-        # ... draining the bucket removes it
-        db.execute("delete t where t.k = 30")
-        assert memory.sorted_join_keys(position) == [1, 5, 9]
+    """Leapfrog groups its sorted key views per seek from the α
+    join-index, which holds no null or NaN key."""
 
     def test_null_and_nan_keys_are_excluded(self):
         db = Database()
@@ -124,24 +101,14 @@ class TestSortedJoinKeys:
         db.execute("append t(a = null, k = 2)")
         db.execute("append t(a = nan, k = 3)")
         db.execute("append t(a = 1.0, k = 4)")
-        assert memory.sorted_join_keys(position) == [1.0, 2.0]
-
-    def test_flush_drops_views(self):
-        db, memory = _memory_with_index()
-        position = memory.join_index_positions()[0]
-        db.execute("append t(a = 7, k = 1)")
-        assert memory.sorted_join_keys(position) == [7]
-        memory.flush()
-        assert memory.sorted_view_positions() == []
-
-    def test_view_build_counter(self):
-        db, memory = _memory_with_index()
-        position = memory.join_index_positions()[0]
-        before = db.network.stats.get("alpha.sorted_views_built")
-        memory.sorted_join_keys(position)
-        memory.sorted_join_keys(position)      # cached: no second build
-        assert db.network.stats.get("alpha.sorted_views_built") \
-            == before + 1
+        assert len(memory) == 4
+        assert sorted(memory._join_indexes[position]) == [1.0, 2.0]
+        assert list(memory.join_probe(position, None)) == []
+        assert list(memory.join_probe(position, float("nan"))) == []
+        db.execute("delete t where t.k = 2")
+        db.execute("delete t where t.k = 3")
+        assert sorted(memory._join_indexes[position]) == [1.0, 2.0]
+        assert len(memory) == 2
 
 
 # ----------------------------------------------------------------------
@@ -421,6 +388,64 @@ class TestMultiwayEquivalence:
             assert _pnode_values(db, "ftri") == []
             db.execute("append r(a = 1.0, b = 1.0)")
             assert len(_pnode_values(db, "ftri")) == 1
+
+
+    def test_four_cycle_with_an_unconstrained_participant(
+            self, network, budget):
+        """Seeded from t, v joins no seed-fixed class: its first level
+        view is grouped from the whole memory."""
+        sides = []
+        for network, budget, mode in _sides(network, budget):
+            db = budgeted(budget, network=network, join_mode=mode)
+            db.execute_script("""
+                create t (a = int4, k = int4)
+                create u (b = int4, k = int4)
+                create v (c = int4, k = int4)
+                create log (tag = text)
+            """)
+            db.execute(FOUR)
+            db.execute("define rule tri "
+                       "if t.a = u.b and u.k = v.c and v.k = t.k "
+                       'then append to log(tag = "tri")')
+            sides.append(db)
+        pairwise, multiway = sides
+        plan = describe_join_plan(multiway.manager, "four")
+        seed_t = next(line for line in plan.splitlines()
+                      if line.strip().startswith("seek from t:"))
+        if budget == "never":
+            assert "[u.k via restricted probe & v.c via memory scan]" \
+                in seed_t, plan
+        else:
+            assert "[u.k via virtual scan & v.c via virtual scan]" \
+                in seed_t, plan
+        for db in sides:
+            db.execute_script("""
+                do
+                append u(b = 0, k = 1)
+                append u(b = 1, k = 2)
+                append u(b = 2, k = 0)
+                append u(b = 0, k = 2)
+                end
+            """)
+            for i in range(6):
+                db.execute(f"append v(c = {i % 3}, k = {i % 4})")
+            for i in range(8):
+                db.execute(f"append t(a = {i % 3}, k = {i % 4})")
+            db.execute("replace v (k = 3) where v.c = 1")
+            db.execute("delete u where u.b = 2")
+            db.execute("append u(b = 2, k = 1)")
+            db._rules_suspended = True
+            db.execute("append t(a = 1, k = 3)")
+            db.execute("append v(c = 2, k = 0)")
+        assert multiway.network.stats.get("joins.multiway_seeks") > 0
+        assert firing_sequence(multiway) == firing_sequence(pairwise)
+        assert len(firing_sequence(pairwise)) > 4
+        for name in ("four", "tri"):
+            assert _pnode_values(multiway, name) \
+                == _pnode_values(pairwise, name)
+        assert _pnode_values(pairwise, "four")
+        assert multiway.relation_rows("log") \
+            == pairwise.relation_rows("log")
 
 
 def test_self_join_multiplicity_multiway():

@@ -7,21 +7,7 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
 from repro.errors import ArielError, CatalogError
 from repro.storage.heap import HeapRelation
-from repro.storage.indexes import BTreeIndex, bulk_load
-from repro.storage.tuples import TupleId
-
-
-class TestBulkLoad:
-    def test_bulk_load_matches_incremental(self):
-        rows = [((i % 5, f"v{i}"), TupleId("t", i)) for i in range(20)]
-        loaded = BTreeIndex("b", "t", "k", 0)
-        bulk_load(loaded, rows)
-        incremental = BTreeIndex("b2", "t", "k", 0)
-        for values, tid in rows:
-            incremental.insert(values[0], tid)
-        for key in range(5):
-            assert sorted(loaded.search(key), key=lambda t: t.slot) == \
-                sorted(incremental.search(key), key=lambda t: t.slot)
+from repro.storage.indexes import BTreeIndex
 
 
 class TestCatalogSecondary:

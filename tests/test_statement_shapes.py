@@ -99,7 +99,16 @@ RULES = [
 ]
 
 
-def company(cache_size: int) -> Database:
+#: the stored salaries: 700 × id
+SALARIES = [700.0 * i for i in range(12)]
+#: the same with the values no index holds: NaN at ids 2, 5 and 9,
+#: null at ids 4 and 10
+ODD_SALARIES = [float("nan") if i in (2, 5, 9) else
+                None if i in (4, 10) else sal
+                for i, sal in enumerate(SALARIES)]
+
+
+def company(cache_size: int, salaries: list = SALARIES) -> Database:
     db = Database(statement_cache_size=cache_size)
     db.execute_script("""
         create emp (id = int4, name = text, sal = float8, dno = int4)
@@ -111,8 +120,8 @@ def company(cache_size: int) -> Database:
     for rule in RULES:
         db.execute(rule)
     db.bulk_append("dept", [(d, f"d{d}", d + 1) for d in range(4)])
-    db.bulk_append("emp", [(i, f"e{i}", 700.0 * i, i % 4)
-                           for i in range(12)])
+    db.bulk_append("emp", [(i, f"e{i}", sal, i % 4)
+                           for i, sal in enumerate(salaries)])
     return db
 
 
@@ -571,14 +580,15 @@ def nested_loop(db: Database, where: str) -> list:
 @settings(max_examples=150, deadline=None)
 @given(where_clauses())
 def test_where_clauses_mean_what_a_nested_loop_says(where):
-    for cache_size in (128, 0):
-        db = company(cache_size)
+    for cache_size, salaries in ((128, SALARIES), (0, SALARIES),
+                                 (128, ODD_SALARIES), (0, ODD_SALARIES)):
+        db = company(cache_size, salaries)
         expected = nested_loop(db, where)
         rows = db.execute(f"retrieve (emp.id) where {where}").rows
         assert sorted(row[0] for row in rows) == expected, \
-            (cache_size, where)
+            (cache_size, salaries, where)
         assert db.execute(f"delete emp where {where}").count \
-            == len(expected), (cache_size, where)
+            == len(expected), (cache_size, salaries, where)
         assert nested_loop(db, where) == []
         assert len(db.relation_rows("emp")) == 12 - len(expected)
 

@@ -162,9 +162,17 @@ class TestHashIndex:
 
     def test_none_not_indexed(self):
         idx = HashIndex("i", "emp", "dno", 3)
+        nan = float("nan")
         idx.insert(None, TupleId("emp", 0))
-        assert len(idx) == 0
-        assert set(idx.search(None)) == set()
+        idx.insert(nan, TupleId("emp", 1))
+        idx.insert(2.0, TupleId("emp", 2))
+        assert len(idx) == 1
+        assert idx.distinct_keys() == 1
+        assert list(idx.search(None)) == []
+        assert list(idx.search(nan)) == []
+        idx.delete(None, TupleId("emp", 0))
+        idx.delete(nan, TupleId("emp", 1))
+        assert list(idx.search(2.0)) == [TupleId("emp", 2)]
 
     def test_delete(self):
         idx = HashIndex("i", "emp", "dno", 3)
@@ -213,11 +221,19 @@ class TestBTreeIndex:
         assert len(list(idx.range_search(5, None))) == 5
         assert len(list(idx.range_search(None, None))) == 10
 
-    def test_min_max(self):
-        idx = self.build([7, 2, 9])
-        assert idx.min_key() == 2
-        assert idx.max_key() == 9
-        assert BTreeIndex("e", "emp", "age", 1).min_key() is None
+    def test_null_and_nan_not_indexed(self):
+        nan = float("nan")
+        idx = self.build([1.0, 1.0, nan, None, 3.0])
+        assert len(idx) == 3
+        assert list(idx.search(nan)) == []
+        assert list(idx.search(None)) == []
+        assert list(idx.search(1.0)) == [TupleId("emp", 0),
+                                         TupleId("emp", 1)]
+        assert list(idx.range_search(1.0, None)) == [
+            TupleId("emp", 0), TupleId("emp", 1), TupleId("emp", 4)]
+        idx.delete(nan, TupleId("emp", 2))
+        idx.delete(None, TupleId("emp", 3))
+        assert len(idx) == 3
 
     def test_delete(self):
         idx = self.build([5, 5])
