@@ -51,23 +51,6 @@ class MemoryOp:
     tid: TupleId | None = None
 
 
-def residual_memo_key(spec: VariableSpec, entry: MemoryEntry) -> tuple:
-    """The batch residual-memo key for one (memory, entry) pair.
-
-    Keys on the projection of the values the residual actually reads,
-    so tuples differing only in untested columns (unique keys) share
-    one evaluation.  Key shapes differ by length, so the one-position
-    fast path cannot collide with the general form.
-    """
-    cur_pos, prev_pos = spec.residual_positions
-    old = entry.old_values
-    if old is None and len(cur_pos) == 1:
-        return (id(spec), entry.values[cur_pos[0]])
-    return (id(spec),
-            tuple(entry.values[p] for p in cur_pos),
-            None if old is None else tuple(old[p] for p in prev_pos))
-
-
 def dispatch(spec: VariableSpec, token: Token) -> MemoryOp | None:
     """The Figure-5 action table, parameterised by the variable's gates.
 

@@ -12,11 +12,11 @@ The shared machinery of the TREAT/A-TREAT and Rete networks:
   :func:`~repro.core.alpha.dispatch` action, and hand insertions to the
   subclass's join step;
 * routing a *batch* of tokens (:meth:`DiscriminationNetwork
-  .process_tokens`): a whole transition Δ-set is propagated with one
-  selection-index probe per distinct (relation, values), memoized
-  residual verification, and — so that virtual α-memories answer joins
-  exactly as the per-token path would — a batch overlay that masks
-  not-yet-propagated heap mutations from base-relation scans;
+  .process_tokens`): a whole transition Δ-set goes token by token down
+  the same path, one selection-index probe each, with — so that virtual
+  α-memories answer joins exactly as a lone token would see them — a
+  batch overlay that masks not-yet-propagated heap mutations from
+  base-relation scans;
 * priming at rule activation — where the paper runs one one-variable
   query per tuple variable "plus … a query equivalent to the entire rule
   condition to load the P-node" (section 6), one selection pass loads
@@ -33,8 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.core.alpha import (
-    AlphaMemory, MemoryEntry, VirtualAlphaMemory, dispatch,
-    residual_memo_key)
+    AlphaMemory, MemoryEntry, VirtualAlphaMemory, dispatch)
 from repro.core.join_planner import JoinPlanner
 from repro.core.memory_optimizer import choose_memories
 from repro.core.pnode import Match, PNode
@@ -63,10 +62,9 @@ class DiscriminationNetwork:
         self.catalog = catalog
         self.optimizer = optimizer or Optimizer(catalog)
         self.selection_index = SelectionIndex()
-        #: engine counter registry, shared with the selection index and
-        #: every memory / P-node built by :meth:`add_rule`
+        #: engine counter registry, shared with every memory / P-node
+        #: built by :meth:`add_rule`
         self.stats = stats or NULL_STATS
-        self.selection_index.stats = self.stats
         #: the §8 storage budget in α entries, set by
         #: ``optimize_memories``: ∞ stores every memory (TREAT), 0 none
         self.memory_budget = math.inf
@@ -230,30 +228,28 @@ class DiscriminationNetwork:
     # ------------------------------------------------------------------
 
     def process_token(self, token: Token) -> None:
-        """Route one token through the network (paper Figure 5).
-
-        A thin wrapper over the batched path: one token, no caches."""
-        self._process_one(token, None)
+        """Route one token through the network (paper Figure 5)."""
+        self.tokens_processed += 1
+        self.stats.note_tokens_routed()
+        self._process_one(token)
 
     def process_tokens(self, tokens: Sequence[Token]) -> None:
         """Route a transition Δ-set through the network as one batch.
 
-        Semantically identical to calling :meth:`process_token` on each
-        token in order against the per-token heap states, but
-        set-oriented: the selection index is probed once per distinct
-        (relation, values), residual verification is memoized, and
-        virtual α-memories answer joins through a batch overlay that
-        reconstructs the heap state each token would have seen had its
-        mutation been routed immediately (tuples asserted by later
-        tokens are masked out; tuples they retract or overwrite are
-        restored).
+        Identical to calling :meth:`process_token` on each token in
+        order against the per-token heap states: every token takes the
+        same path, and virtual α-memories answer joins through a batch
+        overlay that reconstructs the heap state each token would have
+        seen had its mutation been routed immediately (tuples asserted
+        by later tokens are masked out; tuples they retract or overwrite
+        are restored).
         """
         if not isinstance(tokens, (list, tuple)):
             tokens = list(tokens)
         if not tokens:
             return
         if len(tokens) == 1:
-            self._process_one(tokens[0], None)
+            self.process_token(tokens[0])
             return
         self.batches_processed += 1
         self.tokens_processed += len(tokens)
@@ -270,43 +266,21 @@ class DiscriminationNetwork:
                 advance = batch.advance
                 for token in tokens:
                     advance(token)
-                    process_one(token, batch)
+                    process_one(token)
             else:
                 for token in tokens:
-                    process_one(token, batch)
+                    process_one(token)
         finally:
             self._batch = None
-            if stats.enabled:
-                if batch.memo_hits:
-                    stats.bump("selection.probe_memo_hits",
-                               batch.memo_hits)
-                if batch.pnode_inserts:
-                    stats.bump("pnode.inserts", batch.pnode_inserts)
+            if stats.enabled and batch.pnode_inserts:
+                stats.bump("pnode.inserts", batch.pnode_inserts)
 
-    def _process_one(self, token: Token,
-                     batch: _BatchState | None) -> None:
-        if batch is None:
-            self.tokens_processed += 1
-            self.stats.note_tokens_routed()
-            candidates = self._sorted_probe(token, None)
-        else:
-            # Key on the anchored attribute values only: tuples differing
-            # just in unanchored columns share one probe + sort.
-            positions = self.selection_index.anchor_positions.get(
-                token.relation)
-            if not positions:
-                anchor_vals: tuple = ()
-            elif len(positions) == 1:
-                anchor_vals = (token.values[positions[0]],)
-            else:
-                anchor_vals = tuple(token.values[p] for p in positions)
-            probe_key = (token.relation, anchor_vals)
-            candidates = batch.probe_cache.get(probe_key)
-            if candidates is None:
-                candidates = batch.probe_cache[probe_key] = \
-                    self._sorted_probe(token, batch.stab_cache)
-            else:
-                batch.memo_hits += 1
+    def _process_one(self, token: Token) -> None:
+        candidates = self.selection_index.probe(token.relation,
+                                                token.values)
+        # Deterministic processing order defines the sequential
+        # "ProcessedMemories" semantics for self-joins.
+        candidates.sort(key=_memory_order)
         # The ProcessedMemories bookkeeping only matters when this token
         # reaches more than one memory; the common single-candidate case
         # skips it entirely.
@@ -344,20 +318,9 @@ class DiscriminationNetwork:
                     continue
                 entry = op.entry
             # insertion: verify the residual before accepting
-            if spec.residual is not None:
-                if batch is None or spec.residual_positions is None:
-                    accepted = spec.residual_matches(entry.values,
-                                                     entry.old_values)
-                else:
-                    key = residual_memo_key(spec, entry)
-                    residual_cache = batch.residual_cache
-                    accepted = residual_cache.get(key)
-                    if accepted is None:
-                        accepted = residual_cache[key] = \
-                            spec.residual_matches(entry.values,
-                                                  entry.old_values)
-                if not accepted:
-                    continue
+            if spec.residual is not None and not spec.residual_matches(
+                    entry.values, entry.old_values):
+                continue
             if rule.has_dynamic_variable:
                 # registered before the memory / P-node is touched, so
                 # a failure further down is still flushed
@@ -416,14 +379,6 @@ class DiscriminationNetwork:
         Called once per (rule, token); α-memory and P-node cleanup has
         already happened.
         """
-
-    def _sorted_probe(self, token: Token, stab_cache: dict | None) -> list:
-        candidates = self.selection_index.probe(token.relation,
-                                                token.values, stab_cache)
-        # Deterministic processing order defines the sequential
-        # "ProcessedMemories" semantics for self-joins.
-        candidates.sort(key=_memory_order)
-        return candidates
 
     def _join_candidates(self, memory, var: str, partial: dict,
                          conjuncts, pending_vars, token: Token | None):
@@ -559,7 +514,7 @@ _ABSENT = object()
 
 
 class _BatchState:
-    """Per-batch caches plus the heap-state overlay.
+    """One batch's heap-state overlay and P-node insertion count.
 
     Token streams are a faithful heap diff (``+``/``Δ+`` assert a tuple
     value, ``−``/``Δ−`` retract one; insertion tokens close each
@@ -571,18 +526,12 @@ class _BatchState:
     drops out once its last token is processed.
     """
 
-    __slots__ = ("probe_cache", "stab_cache", "residual_cache",
-                 "memo_hits", "pnode_inserts", "_remaining", "_overlay")
+    __slots__ = ("pnode_inserts", "_remaining", "_overlay")
 
     def __init__(self, tokens: Sequence[Token], track_overlay: bool = True):
-        self.probe_cache: dict = {}
-        self.stab_cache: dict = {}
-        self.residual_cache: dict = {}
-        #: probe-cache hits and P-node insertions, aggregated into
-        #: ``selection.probe_memo_hits`` / ``pnode.inserts`` once per
+        #: P-node insertions, aggregated into ``pnode.inserts`` once per
         #: batch — a per-event EngineStats.bump() would dominate the
         #: counter overhead budget on large batches
-        self.memo_hits = 0
         self.pnode_inserts = 0
         if not track_overlay:
             self._remaining = None

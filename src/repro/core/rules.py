@@ -21,8 +21,7 @@ from repro.errors import RuleError
 from repro.intervals.interval import NEG_INF, POS_INF, key_eq
 from repro.lang import ast_nodes as ast
 from repro.lang.expr import (
-    Bindings, attr_positions_of, compile_expr, previous_variables_of,
-    variables_of)
+    Bindings, compile_expr, previous_variables_of, variables_of)
 from repro.lang.predicates import (
     SelectionAnalysis, analyze_selection, build_condition_graph, conjoin,
     equijoin_of_conjunct)
@@ -64,11 +63,6 @@ class VariableSpec:
     analysis: SelectionAnalysis | None = None
     #: compiled residual predicate (anchor excluded); None = always true
     residual: Callable[[Bindings], object] | None = None
-    #: (current, previous) value positions the residual reads — the key
-    #: projection for batch-level residual memoization; None when the
-    #: residual exists but is not projectable (new()/aggregate/whole-tuple)
-    residual_positions: tuple[tuple[int, ...], tuple[int, ...]] | None \
-        = None
     #: compiled full selection predicate; None = always true
     full_selection: Callable[[Bindings], object] | None = None
 
@@ -264,9 +258,6 @@ class CompiledRule:
                 analysis=analysis,
                 residual=(compile_expr(analysis.residual)
                           if analysis.residual is not None else None),
-                residual_positions=(
-                    attr_positions_of(analysis.residual, var)
-                    if analysis.residual is not None else None),
                 full_selection=(compile_expr(full)
                                 if full is not None else None),
             )

@@ -16,12 +16,9 @@ one-attribute-per-relation case runs with no dedup bookkeeping at all —
 a target is registered under exactly one anchor, so a single stab can
 never produce duplicates.
 
-The network's set-oriented token propagation calls
-:meth:`SelectionIndex.probe` with a batch-owned ``stab_cache`` that
-memoizes attribute-value stabs across the batch, and caches whole probe
-results by the tuple's anchored values (what :meth:`anchor_key`
-projects).  :meth:`probe_many`, a self-contained batch form, is not on
-that path.
+Every routed token probes the index once, alone or inside a Δ-set.  A
+null or NaN value satisfies no anchor (it compares false to every
+bound), so a probe skips that attribute's interval index outright.
 
 The interval index defaults to the interval skip list; the IBS tree or
 the naive :class:`LinearIntervalIndex` can be substituted (the
@@ -35,7 +32,6 @@ from typing import Callable, Hashable, Iterable
 from repro.intervals.interval import Interval
 from repro.intervals.skiplist import IntervalSkipList
 from repro.lang.predicates import AttrInterval
-from repro.observe import NULL_STATS
 
 
 class LinearIntervalIndex:
@@ -79,18 +75,10 @@ class _AttrIndex:
 class SelectionIndex:
     """Routes tuple values to the α-memories whose anchors they satisfy."""
 
-    #: engine counter registry (``selection.*``); the owning network
-    #: replaces the shared disabled default with the Database's registry
-    stats = NULL_STATS
-
     def __init__(self, index_factory: Callable[[], object] | None = None):
         self._factory = index_factory or IntervalSkipList
         # relation -> {attribute -> _AttrIndex}
         self._relations: dict[str, dict[str, _AttrIndex]] = {}
-        #: relation -> anchored tuple positions.  Read-only for callers;
-        #: the batched token path reads it directly to build anchor keys
-        #: without a method call per token.
-        self.anchor_positions: dict[str, tuple[int, ...]] = {}
         # relation -> unanchored targets (always candidates)
         self._unanchored: dict[str, list] = {}
         # target -> how it was registered, for removal
@@ -114,8 +102,6 @@ class SelectionIndex:
         if slot is None:
             slot = _AttrIndex(self._factory(), anchor.position)
             attr_indexes[anchor.attr] = slot
-            self.anchor_positions[relation] = tuple(
-                s.position for s in attr_indexes.values())
         interval = Interval(anchor.interval.low, anchor.interval.high,
                             anchor.interval.low_closed,
                             anchor.interval.high_closed,
@@ -124,8 +110,8 @@ class SelectionIndex:
         self._registered[key] = (relation, anchor.attr, interval, target)
 
     def remove(self, target) -> None:
-        """Unregister a target, dropping the interval index, anchor
-        positions and unanchored list it leaves empty (unwatched again)."""
+        """Unregister a target, dropping the interval index and
+        unanchored list it leaves empty (unwatched again)."""
         key = id(target)
         try:
             relation, attr, interval, kept = self._registered.pop(key)
@@ -143,12 +129,8 @@ class SelectionIndex:
         slot.index.remove(interval)
         if not len(slot.index):
             del attr_indexes[attr]
-            positions = tuple(s.position for s in attr_indexes.values())
-            if positions:
-                self.anchor_positions[relation] = positions
-            else:
+            if not attr_indexes:
                 del self._relations[relation]
-                del self.anchor_positions[relation]
 
     def watches(self, relation: str) -> bool:
         """Whether any target is registered on ``relation``."""
@@ -158,60 +140,10 @@ class SelectionIndex:
     # probing
     # ------------------------------------------------------------------
 
-    def probe(self, relation: str, values: tuple,
-              stab_cache: dict | None = None) -> list:
+    def probe(self, relation: str, values: tuple) -> list:
         """Every registered target whose anchor accepts ``values``, plus
-        the relation's unanchored targets.  Null attribute values never
-        satisfy an anchor (SQL comparison semantics).
-
-        ``stab_cache`` (a plain dict owned by the caller) memoizes
-        attribute-value stabs across probes of one batch — tuples that
-        repeat an attribute value skip the interval-index walk entirely.
-        """
-        return self._probe(relation, values, stab_cache)
-
-    def anchor_key(self, relation: str, values: tuple) -> tuple:
-        """The projection of ``values`` onto the relation's anchored
-        attribute positions — everything a probe's result can depend on.
-        Two tuples with equal anchor keys get identical candidate lists,
-        which is what makes batch-level probe caching effective even when
-        every tuple carries a unique key column.
-        """
-        positions = self.anchor_positions.get(relation)
-        if not positions:
-            return ()
-        if len(positions) == 1:
-            return (values[positions[0]],)
-        return tuple(values[p] for p in positions)
-
-    def probe_many(self, items: Iterable[tuple[str, tuple]]) -> list[list]:
-        """Probe a batch of ``(relation, values)`` pairs.
-
-        Returns one candidate list per item, in order.  Repeated probes
-        are answered from a batch-local cache, and individual attribute
-        stabs are memoized across probes that share a value — the
-        amortisation the set-oriented token path relies on.  Callers must
-        not mutate the returned lists (repeats share them).
-        """
-        probe_cache: dict[tuple[str, tuple], list] = {}
-        stab_cache: dict[tuple[int, object], list] = {}
-        out: list[list] = []
-        for relation, values in items:
-            key = (relation, self.anchor_key(relation, values))
-            got = probe_cache.get(key)
-            if got is None:
-                got = probe_cache[key] = self._probe(relation, values,
-                                                     stab_cache)
-            out.append(got)
-        return out
-
-    def _probe(self, relation: str, values: tuple,
-               stab_cache: dict | None) -> list:
-        stats = self.stats
-        if stats.enabled:
-            counters = stats.counters
-            counters["selection.probes"] = \
-                counters.get("selection.probes", 0) + 1
+        the relation's unanchored targets.  Null and NaN attribute
+        values never satisfy an anchor (SQL comparison semantics)."""
         attr_indexes = self._relations.get(relation)
         unanchored = self._unanchored.get(relation)
         if not attr_indexes:
@@ -222,25 +154,17 @@ class SelectionIndex:
         out: list = []
         for slot in attr_indexes.values():
             value = values[slot.position]
-            if value is None:
+            if value is None or value != value:
                 continue
-            if stab_cache is None:
-                refs = slot.index.stab_payloads(value)
-            else:
-                cache_key = (id(slot.index), value)
-                refs = stab_cache.get(cache_key)
-                if refs is None:
-                    refs = stab_cache[cache_key] = \
-                        slot.index.stab_payloads(value)
-                elif stats.enabled:
-                    counters = stats.counters
-                    counters["selection.stab_memo_hits"] = \
-                        counters.get("selection.stab_memo_hits", 0) + 1
-            for ref in refs:
+            for ref in slot.index.stab_payloads(value):
                 out.append(ref.target)
         if unanchored:
             out.extend(unanchored)
         return out
+
+    def probe_many(self, items: Iterable[tuple[str, tuple]]) -> list[list]:
+        """One :meth:`probe` per ``(relation, values)`` pair, in order."""
+        return [self.probe(relation, values) for relation, values in items]
 
     # ------------------------------------------------------------------
 

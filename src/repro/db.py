@@ -115,8 +115,9 @@ class Database:
     batch_tokens:
         Defer token routing to transition boundaries and propagate each
         transition's whole Δ-set through the network as one batch
-        (observationally identical to per-mutation routing; the batched
-        path amortises selection-index probes and residual checks).
+        (observationally identical to per-mutation routing, down the
+        same one-probe-per-token path).  Kept only until the settings
+        move into one configuration object; no workload shows it a win.
     statement_cache_size:
         Capacity of the transparent LRU plan cache inside
         :meth:`execute` (0 disables it).  Explicitly prepared statements

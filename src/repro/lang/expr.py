@@ -287,41 +287,6 @@ def _collect_vars(expr: ast.Expr, out: set[str]) -> None:
         _collect_vars(expr.argument, out)
 
 
-def attr_positions_of(expr: ast.Expr, var: str) \
-        -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The value-tuple positions ``expr`` reads from ``var``, split into
-    (current, previous) reference positions.
-
-    Returns None when the expression reads anything besides plain
-    resolved attribute references of ``var`` (whole-tuple references,
-    ``new()``, aggregates, other variables) — callers use the projection
-    to memoize predicate results, and None means "results cannot be
-    keyed by a projection of the value tuple".
-    """
-    current: set[int] = set()
-    previous: set[int] = set()
-    if not _collect_positions(expr, var, current, previous):
-        return None
-    return (tuple(sorted(current)), tuple(sorted(previous)))
-
-
-def _collect_positions(expr: ast.Expr, var: str, current: set[int],
-                       previous: set[int]) -> bool:
-    if isinstance(expr, ast.AttrRef):
-        if expr.var != var or expr.position is None:
-            return False
-        (previous if expr.previous else current).add(expr.position)
-        return True
-    if isinstance(expr, ast.BinOp):
-        return (_collect_positions(expr.left, var, current, previous)
-                and _collect_positions(expr.right, var, current, previous))
-    if isinstance(expr, ast.UnaryOp):
-        return _collect_positions(expr.operand, var, current, previous)
-    if isinstance(expr, (ast.AllRef, ast.NewCall, ast.AggregateCall)):
-        return False
-    return True
-
-
 def previous_variables_of(expr: ast.Expr) -> set[str]:
     """Variables referenced with the ``previous`` keyword."""
     out: set[str] = set()

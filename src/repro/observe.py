@@ -20,7 +20,7 @@ Counter taxonomy (dotted names, grouped by layer — see
 docs/ARCHITECTURE.md, "Observing the engine"):
 
 =====================  ==================================================
-``selection.*``        top-level predicate index (probes, stab memo hits)
+``selection.*``        top-level predicate index (probes)
 ``alpha.*``            α-memory maintenance and join-index probes
 ``virtual.*``          virtual α-memory base-relation scans
 ``pnode.*``            P-node match insertions / retractions
@@ -99,7 +99,9 @@ class EngineStats:
 
         The single bookkeeping point shared by the per-token and
         batched propagation paths, so both count identically (a no-op
-        while disabled).
+        while disabled).  Every routed token probes the selection index
+        exactly once, so ``selection.probes`` is counted here too: one
+        bump per batch, not per probe.
         """
         if self.enabled:
             counters = self.counters
@@ -108,6 +110,8 @@ class EngineStats:
             if batches:
                 counters["tokens.batches"] = \
                     counters.get("tokens.batches", 0) + batches
+            counters["selection.probes"] = \
+                counters.get("selection.probes", 0) + n
 
     def observe_max(self, key: str, value: int) -> None:
         """Track a high-water mark (e.g. deepest rule cascade seen)."""

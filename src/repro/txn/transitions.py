@@ -10,14 +10,14 @@ condition testing with query and update processing the paper emphasises.
 Steps (3) and (4) are skipped for a relation no rule condition names
 (no α-memory is registered on it): its tokens could reach nothing.
 
-Token routing is set-oriented: each mutation's token group is handed to
-the network's batched :meth:`~repro.core.network.DiscriminationNetwork
-.process_tokens` entry point, and with ``defer_routing`` enabled the
-groups of a whole transition accumulate and flush as one batch at the
-transition boundary (``Database(batch_tokens=True)``), which is where
-the per-relation probe dispatch and batch memoization pay off.
-:meth:`TransitionHooks.insert_many` is the bulk-append fast path: it
-applies every heap insert first and routes the combined Δ-set once.
+Each mutation's token group is handed to the network's
+:meth:`~repro.core.network.DiscriminationNetwork.process_tokens` entry
+point, which routes it token by token down the one path a lone token
+takes.  With ``defer_routing`` enabled (``Database(batch_tokens=True)``)
+the groups of a whole transition accumulate and flush as one Δ-set at
+the transition boundary.  :meth:`TransitionHooks.insert_many` is the
+bulk-append fast path: it applies every heap insert first and routes
+the combined Δ-set once.
 """
 
 from __future__ import annotations
@@ -163,13 +163,6 @@ class TransitionHooks(MutationHooks):
         if self._buffer:
             buffered, self._buffer = self._buffer, []
             self._dispatch(buffered)
-
-    def take_buffered_tokens(self) -> list[Token]:
-        """Detach and return the deferred-token buffer without routing
-        it (benchmark/diagnostic hook: lets a caller replay a captured
-        Δ-set through an alternative propagation path)."""
-        buffered, self._buffer = self._buffer, []
-        return buffered
 
     def _watched(self, relation_name: str) -> bool:
         """An α-memory watches the relation, or a ``token_routed``

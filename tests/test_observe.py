@@ -71,6 +71,7 @@ class TestEngineStats:
         stats.note_tokens_routed(5, batches=1)
         assert stats.get("tokens.routed") == 6
         assert stats.get("tokens.batches") == 1
+        assert stats.get("selection.probes") == 6
 
     def test_note_tokens_routed_disabled(self):
         stats = EngineStats(enabled=False)

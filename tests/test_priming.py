@@ -185,7 +185,8 @@ _op = st.one_of(
     st.tuples(st.sampled_from(("define", "define", "deactivate",
                                "activate", "remove")), _rule),
     st.tuples(st.just("optimize"), st.integers(0, 40)),
-    st.tuples(st.just("insert"), st.sampled_from("tuv"), _int),
+    st.tuples(st.just("insert"), st.sampled_from("tuv"), _int,
+              st.sampled_from(("half", "null", "nan"))),
     st.tuples(st.just("delete"), st.sampled_from("tuv"), _int),
     st.tuples(st.just("modify"), st.sampled_from("tuv"), _int, _int),
 )
@@ -284,8 +285,10 @@ class _Driver:
         col = _COLUMN[rel]
         if kind == "insert":
             self.next_key += 1
+            # a float drawn after rules exist: k.5, null or NaN
+            value = f"{op[2]}.5" if op[3] == "half" else op[3]
             extra = ", ".join(
-                f"{name} = {op[2]}.5" for name in ("x", "y")
+                f"{name} = {value}" for name in ("x", "y")
                 if name in [a.name for a in
                             db.catalog.relation(rel).schema])
             db.execute(f"append {rel}({col} = {op[2]}, "

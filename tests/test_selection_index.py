@@ -64,6 +64,27 @@ class TestSelectionIndex:
                                 Interval.everything()), memory)
         assert index.probe("emp", (None,)) == []
 
+    @pytest.mark.parametrize("factory", [
+        IntervalSkipList, IBSTree, LinearIntervalIndex])
+    def test_nan_probe_reaches_only_unanchored_targets(self, factory):
+        """NaN compares false to every bound, so no anchor accepts it,
+        whichever interval index holds the anchors (stabbed with NaN,
+        each accepts it for some of these shapes)."""
+        index = SelectionIndex(index_factory=factory)
+        intervals = [Interval.at_most(10.0),
+                     Interval.at_most(10.0, closed=False),
+                     Interval.at_least(0.0),
+                     Interval.at_least(0.0, closed=False),
+                     Interval.point(5.0), Interval(0.0, 10.0),
+                     Interval.everything()]
+        for i, interval in enumerate(intervals):
+            index.add("emp", anchor("sal", 1, interval),
+                      _FakeMemory(f"m{i}"))
+        residual = _FakeMemory("resid")
+        index.add("emp", None, residual)
+        assert index.probe("emp", ("Ann", float("nan"))) == [residual]
+        assert len(index.probe("emp", ("Ann", 5.0))) == 8
+
     def test_null_still_reaches_unanchored(self):
         index = SelectionIndex()
         memory = _FakeMemory("m")
@@ -88,7 +109,7 @@ class TestSelectionIndex:
     def test_removing_the_last_target_leaves_nothing_to_stab(self):
         """Once a relation's last target goes, a probe of it touches no
         interval index and the relation is unwatched; an attribute whose
-        last anchor goes drops out of the anchor positions."""
+        last anchor goes is stabbed no more."""
         stabs = []
 
         class CountingIndex(IntervalSkipList):
@@ -102,19 +123,15 @@ class TestSelectionIndex:
         index.add("emp", anchor("sal", 2, Interval.at_least(0)), by_sal)
         index.add("emp", anchor("age", 1, Interval.at_least(0)), by_age)
         index.add("emp", None, residual)
-        assert index.anchor_positions["emp"] == (2, 1)
         index.remove(by_age)
-        assert index.anchor_positions["emp"] == (2,)
         assert index.probe("emp", ("Ann", 30, 5)) == [by_sal, residual]
         assert stabs == [5]
         index.remove(by_sal)
-        assert "emp" not in index.anchor_positions
         assert index.watches("emp")
         assert index.probe("emp", ("Ann", 30, 5)) == [residual]
         index.remove(residual)
         assert not index.watches("emp")
         assert index.probe("emp", ("Ann", 30, 5)) == []
-        assert index.anchor_key("emp", ("Ann", 30, 5)) == ()
         assert stabs == [5]
 
     def test_rule_removal_unwatches_its_relations(self):
@@ -129,7 +146,6 @@ class TestSelectionIndex:
         assert index.watches("emp") and not index.watches("log")
         db.execute("remove rule r")
         assert not index.watches("emp")
-        assert "emp" not in index.anchor_positions
 
     def test_remove_unregistered(self):
         with pytest.raises(ValueError):
@@ -214,3 +230,32 @@ class TestLinearIntervalIndex:
         linear.remove(iv)
         assert linear.stab(5) == set()
         assert len(linear) == 0
+
+
+@pytest.mark.parametrize("network", ["a-treat", "rete"])
+@pytest.mark.parametrize("join", [False, True], ids=["one-var", "two-var"])
+@pytest.mark.parametrize("op", ["<", "<="])
+def test_nan_satisfies_no_upper_bound_anchor(op, join, network):
+    """A NaN salary fails ``emp.sal < 10.0`` and ``emp.sal <= 10.0``: the
+    rule fires exactly for what the same condition retrieves, and no
+    α-memory holds the NaN row."""
+    from repro import Database
+    from repro.core.validate import check_network
+
+    condition = f"emp.sal {op} 10.0" + (" and dept.x = emp.sal"
+                                         if join else "")
+    db = Database(network=network)
+    db.execute("create emp (id = int4, sal = float8)")
+    db.execute("create dept (x = float8)")
+    db.execute("create log (id = int4)")
+    db.execute(f"define rule r if {condition} "
+               f"then append to log(id = emp.id)")
+    db.execute("append dept(x = 5.0)")
+    db.execute("append dept(x = nan)")
+    db.execute("append emp(id = 1, sal = nan)")
+    db.execute("append emp(id = 2, sal = 5.0)")
+    db.execute("append emp(id = 3, sal = 20.0)")
+    db.execute("replace emp(sal = nan) where emp.id = 3")
+    expected = db.execute(f"retrieve (emp.id) where {condition}").rows
+    assert sorted(db.relation_rows("log")) == sorted(expected) == [(2,)]
+    assert check_network(db) == []
