@@ -9,7 +9,9 @@ budget: with counters *enabled*, the batch-token propagation workload
 ``MAX_OVERHEAD`` of the same workload with counters *disabled*.
 
 Medians of ``REPEATS`` fresh runs on both sides (perf-gate policy in
-``common.py``); under CI the bar is relaxed because shared runners make
+``common.py``), run in alternating pairs — the side that goes first
+alternates too — and timed in process CPU time, so drift of the host
+and of the other processes on it falls on both sides alike.  Under CI the bar is relaxed because shared runners make
 single-digit-percent comparisons noisy.  The run also emits the final
 counter snapshot via :meth:`EngineStats.to_json` into
 ``BENCH_observe.json``, alongside the other BENCH artifacts.
@@ -57,9 +59,9 @@ def _measure(rows, counters_enabled):
     """(seconds to flush the batch, final counter snapshot)."""
     db = _prepared_database(counters_enabled)
     db.hooks.insert_many("emp", rows)
-    start = time.perf_counter()
+    start = time.process_time()
     db.hooks.flush_tokens()
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     pnode_total = sum(len(db.network.pnode(name))
                       for name in db.network.rules)
     return elapsed, pnode_total, db.stats
@@ -70,8 +72,12 @@ def test_observe_overhead(benchmark):
     holder = {}
 
     def run():
-        enabled = [_measure(rows, True) for _ in range(REPEATS)]
-        disabled = [_measure(rows, False) for _ in range(REPEATS)]
+        enabled, disabled = [], []
+        for pair in range(REPEATS):
+            first = pair % 2 == 0       # counters on first, then off first
+            for counters_enabled in (first, not first):
+                side = enabled if counters_enabled else disabled
+                side.append(_measure(rows, counters_enabled))
         holder["enabled"] = median_time([t for t, _, _ in enabled])
         holder["disabled"] = median_time([t for t, _, _ in disabled])
         totals = {total for _, total, _ in enabled + disabled}

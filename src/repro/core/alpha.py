@@ -19,12 +19,17 @@ DESIGN.md: at an ``on delete`` memory, a ``−`` token whose specifier is
 ``delete`` *asserts* the event (inserts the tuple) so the rule can bind
 the deleted data; the figure's "delete t" row applies to the other
 specifiers, which retract prior assertions.
+
+The network records on each memory the two verdicts its gates alone fix
+(``inserts_plus``: a ``+``/``Δ+`` inserts ``MemoryEntry(tid, values)``;
+``deletes_minus``: a ``−`` deletes by tid); every other pair asks
+:func:`dispatch`, the one definition of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.core.rules import VariableSpec
 from repro.core.tokens import Token, TokenKind
@@ -33,8 +38,7 @@ from repro.observe import NULL_STATS
 from repro.storage.tuples import TupleId
 
 
-@dataclass(frozen=True)
-class MemoryEntry:
+class MemoryEntry(NamedTuple):
     """One tuple (or transition pair) held by an α-memory."""
 
     tid: TupleId

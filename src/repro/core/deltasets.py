@@ -34,6 +34,9 @@ from repro.core.tokens import EventSpecifier, Token
 from repro.lang.ast_nodes import EventKind
 from repro.storage.tuples import TupleId
 
+#: the specifiers without a target list, shared by every token
+_APPEND = EventSpecifier(EventKind.APPEND)
+_DELETE = EventSpecifier(EventKind.DELETE)
 
 @dataclass
 class _InsertedEntry:
@@ -73,20 +76,17 @@ class DeltaSets:
                       values: tuple) -> list[Token]:
         """A tuple was physically inserted."""
         self._inserted[tid] = _InsertedEntry(values)
-        event = EventSpecifier(EventKind.APPEND)
-        return [tok.plus(relation, tid, values, event)]
+        return [tok.plus(relation, tid, values, _APPEND)]
 
     def record_insert_many(self, relation: str,
                            pairs) -> list[Token]:
         """Bulk variant of :meth:`record_insert` for ``(tid, values)``
-        pairs: same I-set entries and ``+`` tokens, one shared append
-        event specifier."""
+        pairs: same I-set entries and ``+`` tokens."""
         inserted = self._inserted
-        event = EventSpecifier(EventKind.APPEND)
         out: list[Token] = []
         for tid, values in pairs:
             inserted[tid] = _InsertedEntry(values)
-            out.append(tok.plus(relation, tid, values, event))
+            out.append(tok.plus(relation, tid, values, _APPEND))
         return out
 
     def record_modify(self, relation: str, tid: TupleId,
@@ -97,9 +97,8 @@ class DeltaSets:
             # Case 1: modification of a tuple inserted this transition.
             # Net effect stays "insert": retract the old inserted value
             # and assert the new one, both as append events.
-            event = EventSpecifier(EventKind.APPEND)
-            out = [tok.minus(relation, tid, inserted.values, event),
-                   tok.plus(relation, tid, new_values, event)]
+            out = [tok.minus(relation, tid, inserted.values, _APPEND),
+                   tok.plus(relation, tid, new_values, _APPEND)]
             inserted.values = new_values
             return out
         modified = self._modified.get(tid)
@@ -131,8 +130,7 @@ class DeltaSets:
             # Case 2: inserted then deleted within the transition — net
             # effect nothing.  The final delete generates an insert −
             # (append specifier), which must NOT match on-delete rules.
-            event = EventSpecifier(EventKind.APPEND)
-            return [tok.minus(relation, tid, inserted.values, event)]
+            return [tok.minus(relation, tid, inserted.values, _APPEND)]
         modified = self._modified.pop(tid, None)
         if modified is not None:
             # Case 4: retract the transition pair, then assert the delete
@@ -142,11 +140,9 @@ class DeltaSets:
                 self._replace_event(relation, modified.original,
                                     modified.current))
             return [retract,
-                    tok.minus(relation, tid, last_values,
-                              EventSpecifier(EventKind.DELETE))]
+                    tok.minus(relation, tid, last_values, _DELETE)]
         # Plain deletion of an untouched tuple.
-        return [tok.minus(relation, tid, last_values,
-                          EventSpecifier(EventKind.DELETE))]
+        return [tok.minus(relation, tid, last_values, _DELETE)]
 
     # ------------------------------------------------------------------
     # inspection / lifecycle

@@ -8,9 +8,9 @@ The shared machinery of the TREAT/A-TREAT and Rete networks:
   .SelectionIndex` — stored or virtual as the §8 storage budget
   decides (:mod:`repro.core.memory_optimizer`);
 * routing a token: probe the selection index with the token's values,
-  verify each candidate memory's residual predicate, apply the Figure-5
-  :func:`~repro.core.alpha.dispatch` action, and hand insertions to the
-  subclass's join step;
+  take each candidate memory's Figure-5 verdict (fixed at registration,
+  or :func:`~repro.core.alpha.dispatch`'s), verify the residual
+  predicate of an insertion, and hand it to the subclass's join step;
 * routing a *batch* of tokens (:meth:`DiscriminationNetwork
   .process_tokens`): a whole transition Δ-set goes token by token down
   the same path, one selection-index probe each, with — so that virtual
@@ -41,6 +41,7 @@ from repro.core.rules import CompiledRule, VariableSpec
 from repro.core.selection_index import SelectionIndex
 from repro.core.tokens import Token, TokenKind
 from repro.errors import RuleError
+from repro.lang.ast_nodes import EventKind
 from repro.observe import EngineStats, NULL_STATS
 from repro.planner.optimizer import Optimizer
 
@@ -163,11 +164,16 @@ class DiscriminationNetwork:
             in rule.equijoins_by_var.get(spec.var, ())}))
 
     def _register(self, rule: CompiledRule, memory) -> None:
-        """Enter a memory into the network and its selection index."""
+        """Enter a memory into the network and its selection index,
+        with the Figure-5 verdicts its gates fix."""
         spec = memory.spec
         memory.rule = rule
         memory.pnode = self._pnodes[rule.name]
         memory.stats = self.stats
+        event = spec.event
+        memory.inserts_plus = event is None and not spec.is_transition
+        memory.deletes_minus = not spec.is_transition and (
+            event is None or event.kind is not EventKind.DELETE)
         if memory.is_virtual:
             self._virtual_count += 1
         self._memories[(rule.name, spec.var)] = memory
@@ -244,6 +250,9 @@ class DiscriminationNetwork:
         by later tokens are masked out; tuples they retract or overwrite
         are restored).
         """
+        if isinstance(tokens, Token):     # a Token is a tuple itself
+            raise TypeError("process_tokens takes a sequence of tokens; "
+                            "route one token with process_token")
         if not isinstance(tokens, (list, tuple)):
             tokens = list(tokens)
         if not tokens:
@@ -278,13 +287,11 @@ class DiscriminationNetwork:
     def _process_one(self, token: Token) -> None:
         candidates = self.selection_index.probe(token.relation,
                                                 token.values)
-        # Deterministic processing order defines the sequential
-        # "ProcessedMemories" semantics for self-joins.
-        candidates.sort(key=_memory_order)
-        # The ProcessedMemories bookkeeping only matters when this token
-        # reaches more than one memory; the common single-candidate case
-        # skips it entirely.
         if len(candidates) > 1:
+            # Deterministic processing order defines the sequential
+            # "ProcessedMemories" semantics for self-joins; a token that
+            # reaches one memory needs neither.
+            candidates.sort(key=_memory_order)
             pending: dict[str, set[str]] | None = {}
             for memory in candidates:
                 pending.setdefault(memory.rule_name, set()).add(
@@ -292,22 +299,24 @@ class DiscriminationNetwork:
         else:
             pending = None
         deleted_rules: set[str] = set()
-        # A + token means "insert (tid, values)" at every pattern-gated
-        # memory (Figure 5, first column): build that entry once and skip
-        # the dispatch-table walk for this overwhelmingly common case.
+        # what a +/Δ+ inserts wherever its verdict is fixed (Figure 5)
         plus_entry = (MemoryEntry(token.tid, token.values)
-                      if token.kind is TokenKind.PLUS else None)
+                      if token.kind.is_insertion else None)
+        deleting = token.kind is TokenKind.MINUS
         for memory in candidates:
             rule = memory.rule
             spec = memory.spec
             if pending is None:
                 pending_vars: set[str] | tuple = ()
             else:
-                pending[rule.name].discard(spec.var)
                 pending_vars = pending[rule.name]
-            if plus_entry is not None and spec.event is None \
-                    and not spec.is_transition:
+                pending_vars.discard(spec.var)
+            # the Figure-5 verdicts fixed at registration skip the table
+            if plus_entry is not None and memory.inserts_plus:
                 entry = plus_entry
+            elif deleting and memory.deletes_minus:
+                self._apply_delete(rule, memory, token.tid, deleted_rules)
+                continue
             else:
                 op = dispatch(spec, token)
                 if op is None:
@@ -341,11 +350,14 @@ class DiscriminationNetwork:
     def _apply_delete(self, rule: CompiledRule, memory, tid,
                       deleted_rules: set[str]) -> None:
         """Apply one delete-kind memory op: drop the entry from a
-        stored memory, and — once per (rule, token) — purge the
-        P-node and run the subclass delete hook."""
-        if not memory.is_virtual and not memory.spec.is_simple:
-            memory.remove(tid)
-        if rule.name not in deleted_rules:
+        stored memory, and — once per (rule, token) — purge the P-node
+        and run the subclass delete hook.  A delete that removes no
+        entry, at a memory whose P-node is empty, does nothing more: no
+        match and no β partial can hold a tuple no α-memory of the rule
+        holds."""
+        removed = (not memory.is_virtual and not memory.spec.is_simple
+                   and memory.remove(tid) is not None)
+        if (removed or memory.pnode) and rule.name not in deleted_rules:
             deleted_rules.add(rule.name)
             memory.pnode.delete_by_tid(tid)
             self._handle_delete(rule, tid)
@@ -553,8 +565,6 @@ class _BatchState:
 
     def advance(self, token: Token) -> None:
         """Apply one token's heap effect before it is routed."""
-        if self._remaining is None:
-            return
         key = (token.relation, token.tid)
         left = self._remaining[key] - 1
         relation_overlay = self._overlay[token.relation]

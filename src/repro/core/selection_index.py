@@ -16,9 +16,11 @@ one-attribute-per-relation case runs with no dedup bookkeeping at all —
 a target is registered under exactly one anchor, so a single stab can
 never produce duplicates.
 
-Every routed token probes the index once, alone or inside a Δ-set.  A
-null or NaN value satisfies no anchor (it compares false to every
-bound), so a probe skips that attribute's interval index outright.
+Every routed token probes the index once, alone or inside a Δ-set, and
+reads each candidate straight off the interval index's ``stab`` result.
+A null or NaN value satisfies no anchor (it compares false to every
+bound): a probe skips a null attribute's interval index outright, and
+every interval index answers a NaN stab empty.
 
 The interval index defaults to the interval skip list; the IBS tree or
 the naive :class:`LinearIntervalIndex` can be substituted (the
@@ -27,7 +29,7 @@ the naive :class:`LinearIntervalIndex` can be substituted (the
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Iterable
 
 from repro.intervals.interval import Interval
 from repro.intervals.skiplist import IntervalSkipList
@@ -53,10 +55,6 @@ class LinearIntervalIndex:
 
     def stab(self, value) -> set[Interval]:
         return {iv for iv in self._intervals if iv.contains_value(value)}
-
-    def stab_payloads(self, value) -> set[Hashable]:
-        return {iv.payload for iv in self._intervals
-                if iv.contains_value(value)}
 
     def __len__(self) -> int:
         return len(self._intervals)
@@ -143,7 +141,8 @@ class SelectionIndex:
     def probe(self, relation: str, values: tuple) -> list:
         """Every registered target whose anchor accepts ``values``, plus
         the relation's unanchored targets.  Null and NaN attribute
-        values never satisfy an anchor (SQL comparison semantics)."""
+        values never satisfy an anchor (SQL comparison semantics): a
+        null is not stabbed, and a NaN stab is empty."""
         attr_indexes = self._relations.get(relation)
         unanchored = self._unanchored.get(relation)
         if not attr_indexes:
@@ -154,10 +153,10 @@ class SelectionIndex:
         out: list = []
         for slot in attr_indexes.values():
             value = values[slot.position]
-            if value is None or value != value:
+            if value is None:
                 continue
-            for ref in slot.index.stab_payloads(value):
-                out.append(ref.target)
+            for interval in slot.index.stab(value):
+                out.append(interval.payload.target)
         if unanchored:
             out.extend(unanchored)
         return out

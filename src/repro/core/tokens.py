@@ -14,12 +14,16 @@ Every token may carry an *event specifier* — ``append``, ``delete`` or
 tuple carries none (paper §4.3.1 case 3).  "On-conditions in the
 top-level discrimination network are the only conditions that ever
 examine the event-specifier on a token."
+
+:class:`Token` is a named tuple that still rejects a Δ kind without
+``old_values`` and a plain kind with them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.lang.ast_nodes import EventKind
 from repro.storage.tuples import TupleId
@@ -61,15 +65,8 @@ class EventSpecifier:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class Token:
-    """One change notification.
-
-    ``values`` is the tuple value the token carries (the *new* half for Δ
-    tokens); ``old_values`` is the value at the beginning of the
-    transition, present only on Δ tokens.  ``event`` is the event
-    specifier, or None for the plain ``−`` of case 3/4.
-    """
+class _TokenFields(NamedTuple):
+    """Token's fields: a NamedTuple class cannot define ``__new__``."""
 
     kind: TokenKind
     relation: str
@@ -78,16 +75,29 @@ class Token:
     old_values: tuple | None = None
     event: EventSpecifier | None = None
 
-    def __post_init__(self):
-        kind = self.kind
-        delta = (kind is TokenKind.DELTA_PLUS
-                 or kind is TokenKind.DELTA_MINUS)
-        if delta:
-            if self.old_values is None:
+
+class Token(_TokenFields):
+    """One change notification.
+
+    ``values`` is the tuple value the token carries (the *new* half for Δ
+    tokens); ``old_values`` is the value at the beginning of the
+    transition, present only on Δ tokens.  ``event`` is the event
+    specifier, or None for the plain ``−`` of case 3/4.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: TokenKind, relation: str, tid: TupleId,
+                values: tuple, old_values: tuple | None = None,
+                event: EventSpecifier | None = None):
+        if kind is TokenKind.DELTA_PLUS or kind is TokenKind.DELTA_MINUS:
+            if old_values is None:
                 raise ValueError(f"{kind.value} token needs old_values")
-        elif self.old_values is not None:
+        elif old_values is not None:
             raise ValueError(
                 f"{kind.value} token must not carry old_values")
+        return tuple.__new__(cls, (kind, relation, tid, values,
+                                   old_values, event))
 
     def __str__(self) -> str:
         event = f" on {self.event}" if self.event else ""

@@ -116,30 +116,45 @@ class TreatNetwork(DiscriminationNetwork):
                 self.on_match(rule)
             return
         order = payload
+        key = ("steps", seed_var, *order)
+        steps = rule.join_memo.get(key)
+        if steps is None:
+            steps = rule.join_memo[key] = self._steps(rule, seed_var, order)
         partial: dict[str, MemoryEntry] = {seed_var: seed_entry}
         bindings = Bindings()
         self._bind(bindings, seed_var, seed_entry)
-        matched = self._extend(rule, order, 0, partial, bindings,
+        matched = self._extend(rule, steps, 0, partial, bindings,
                                pending_vars, token)
         if matched:
             self.on_match(rule)
 
-    def _extend(self, rule: CompiledRule, order: list[str], depth: int,
+    def _steps(self, rule: CompiledRule, seed_var: str,
+               order: list[str]) -> list[tuple]:
+        """Per depth of the pairwise seek: the variable, its memory and
+        the join conjuncts first evaluable there (memoized in the
+        rule's join memo, which memory swaps and priming empty)."""
+        steps = []
+        bound = {seed_var}
+        for var in order:
+            before = set(bound)
+            bound.add(var)
+            steps.append((var, self._memories[(rule.name, var)],
+                          [j for j in rule.joins
+                           if j.variables <= bound
+                           and not j.variables <= before]))
+        return steps
+
+    def _extend(self, rule: CompiledRule, steps: list[tuple], depth: int,
                 partial: dict[str, MemoryEntry], bindings: Bindings,
                 pending_vars: set[str], token: Token) -> bool:
-        if depth == len(order):
+        if depth == len(steps):
             self._stamp += 1
             if not self._pnodes[rule.name].insert(
                     Match.of(dict(partial)), self._stamp):
                 return False
             self._note_pnode_insert()
             return True
-        var = order[depth]
-        bound = set(partial) | {var}
-        conjuncts = [j for j in rule.joins
-                     if j.variables <= bound
-                     and not j.variables <= set(partial)]
-        memory = self._memories[(rule.name, var)]
+        var, memory, conjuncts = steps[depth]
         candidates, enforced = self._join_candidates(
             memory, var, partial, conjuncts, pending_vars, token)
         if enforced is not None:
@@ -151,7 +166,7 @@ class TreatNetwork(DiscriminationNetwork):
             self._bind(bindings, var, entry)
             if all(j.evaluate(bindings) is True for j in conjuncts):
                 partial[var] = entry
-                if self._extend(rule, order, depth + 1, partial, bindings,
+                if self._extend(rule, steps, depth + 1, partial, bindings,
                                 pending_vars, token):
                     matched = True
                 del partial[var]

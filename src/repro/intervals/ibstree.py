@@ -29,7 +29,7 @@ the IBS tree and performs as well" — implementing both lets the
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable
+from typing import Iterable
 
 from repro.intervals.interval import Interval, key_eq, key_lt
 
@@ -95,9 +95,11 @@ class IBSTree:
             self._rebuild()
 
     def stab(self, value) -> set[Interval]:
-        """Every stored interval containing ``value``."""
+        """Every stored interval containing ``value`` (none for NaN)."""
         if value is None:
             raise ValueError("cannot stab with a null value")
+        if value != value:
+            return set()
         result: set[Interval] = set()
         node = self._root
         while node is not None:
@@ -111,10 +113,6 @@ class IBSTree:
                 result |= node.right_span
                 node = node.right
         return result
-
-    def stab_payloads(self, value) -> set[Hashable]:
-        """Payloads of every interval containing ``value``."""
-        return {iv.payload for iv in self.stab(value)}
 
     def __contains__(self, interval: Interval) -> bool:
         return interval in self._intervals
@@ -261,7 +259,8 @@ class IBSTree:
                 stack.append(node.left)
             if node.right:
                 stack.append(node.right)
-        live_nodes.sort(key=lambda n: _SortKey(n.key))
+        # sentinel keys order themselves, reflected or not
+        live_nodes.sort(key=lambda n: n.key)
         counts = [n.owner_count for n in live_nodes]
         keys = [n.key for n in live_nodes]
 
@@ -280,18 +279,3 @@ class IBSTree:
         self._dead_count = sum(1 for c in counts if c == 0)
         for iv in self._intervals:
             self._place(self._root, None, None, iv, add=True)
-
-
-class _SortKey:
-    """Adapter making extended keys (with sentinels) sortable via key_lt."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        return key_lt(self.value, other.value)
-
-    def __eq__(self, other) -> bool:
-        return key_eq(self.value, other.value)

@@ -131,7 +131,10 @@ class Interval:
         return cls(NEG_INF, POS_INF, False, False, payload)
 
     def contains_value(self, value) -> bool:
-        """True if ``value`` lies inside this interval."""
+        """True if ``value`` lies inside this interval.  NaN lies in
+        none: it compares false to every bound."""
+        if value != value:
+            return False
         if key_lt(value, self.low) or key_lt(self.high, value):
             return False
         if key_eq(value, self.low) and not self.low_closed:

@@ -9,6 +9,10 @@ to its right endpoint node; a node additionally holds ``I`` in its
 ``K`` then simply walks the ordinary skip-list search path: every marker on
 a traversed "drop" edge contains ``K``, and if the search lands exactly on
 a node with key ``K`` that node's ``eq_markers`` is the complete answer.
+The walk compares keys with native ``<``/``==``: an infinity sentinel
+answers through its own methods, directly or reflected.  Like
+every index of the engine, the list matches no NaN: ``stab(nan)`` is
+empty, where the walk would otherwise collect every ``<``/``<=`` marker.
 
 Marker *placement* follows Hanson's ``placeMarkers`` (ascend to the highest
 contained edges, then descend to the right endpoint).  For marker
@@ -28,7 +32,7 @@ is immaterial at the rule counts the paper evaluates (25–200).
 from __future__ import annotations
 
 import random
-from typing import Hashable, Iterable
+from typing import Iterable
 
 from repro.intervals.interval import Interval, key_eq, key_lt
 
@@ -108,33 +112,18 @@ class IntervalSkipList:
                 self._delete_node(node)
 
     def stab(self, value) -> set[Interval]:
-        """Every stored interval containing ``value``.
+        """Every stored interval containing ``value`` (none for NaN).
 
         ``value`` must be an actual attribute value (not None and not an
         infinity sentinel).
         """
         if value is None:
             raise ValueError("cannot stab with a null value")
-        result: set[Interval] = set()
-        x = self._header
-        for lvl in range(self._level - 1, -1, -1):
-            nxt = x.forward[lvl]
-            while nxt is not None and key_lt(nxt.key, value):
-                x = nxt
-                nxt = x.forward[lvl]
-            if nxt is not None and key_eq(nxt.key, value):
-                # Landed exactly on a node: its eq_markers is the complete
-                # set of intervals containing the key.
-                result |= nxt.eq_markers
-                return result
-            # Drop edge (x, nxt) at lvl: x.key < value < nxt.key, so every
-            # marker on the edge contains value.
-            result |= x.markers[lvl]
-        return result
-
-    def stab_payloads(self, value) -> set[Hashable]:
-        """Payloads of every interval containing ``value``."""
-        return {iv.payload for iv in self.stab(value)}
+        if value != value:
+            # NaN compares false to every key: the walk would collect
+            # the markers of every `<`/`<=` interval it passes
+            return set()
+        return self._stab(value)
 
     def __contains__(self, interval: Interval) -> bool:
         return interval in self._intervals
@@ -225,7 +214,7 @@ class IntervalSkipList:
         candidate = update[0].forward[0]
         if candidate is not None and key_eq(candidate.key, key):
             return candidate
-        affected = list(self.stab_raw(key))
+        affected = list(self._stab(key))
         for iv in affected:
             self._remove_markers(self._find_node(iv.low), iv)
         level = self._random_level()
@@ -256,18 +245,27 @@ class IntervalSkipList:
         for iv in affected:
             self._place_markers(self._find_node(iv.low), iv)
 
-    def stab_raw(self, key) -> set[Interval]:
-        """Stab allowing sentinel keys (used for internal maintenance)."""
+    def _stab(self, key) -> set[Interval]:
+        """The stabbing walk, for a value or a sentinel endpoint key.
+
+        Node keys are compared natively as the left operand: a sentinel
+        node key answers through its own ``__lt__``/``__eq__``, and a
+        sentinel ``key`` through the reflected ones.
+        """
         result: set[Interval] = set()
         x = self._header
         for lvl in range(self._level - 1, -1, -1):
             nxt = x.forward[lvl]
-            while nxt is not None and key_lt(nxt.key, key):
+            while nxt is not None and nxt.key < key:
                 x = nxt
                 nxt = x.forward[lvl]
-            if nxt is not None and key_eq(nxt.key, key):
+            if nxt is not None and nxt.key == key:
+                # Landed exactly on a node: its eq_markers is the complete
+                # set of intervals containing the key.
                 result |= nxt.eq_markers
                 return result
+            # Drop edge (x, nxt) at lvl: x.key < key < nxt.key, so every
+            # marker on the edge contains key.
             result |= x.markers[lvl]
         return result
 

@@ -6,15 +6,19 @@ tuples to update "by using tuple identifiers that are part of tuples in the
 P-node, rather than by performing a scan" (paper section 5.1).  TIDs are
 stable for the lifetime of a tuple: ``replace`` updates a tuple in place
 and keeps its TID.
+
+A :class:`TupleId` is a named tuple (built and hashed in C; its hash is
+that of ``(relation, slot)``, as the frozen dataclass's was).
+:class:`StoredTuple` is not: its ``__getitem__`` indexes the values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class TupleId:
+class TupleId(NamedTuple):
     """Stable identifier of a stored tuple: (relation name, slot number)."""
 
     relation: str

@@ -10,6 +10,10 @@ and assert the resulting memory and P-node state.  Scenarios marked
 import pytest
 
 from repro import Database
+from repro.core.alpha import MemoryEntry, MemoryOp, dispatch
+from repro.core.tokens import EventSpecifier, Token, TokenKind
+from repro.lang.ast_nodes import EventKind
+from repro.storage.tuples import TupleId
 
 
 def db_with_rule(condition_clause, multi_var=False):
@@ -259,3 +263,147 @@ class TestSimpleMemories:
         assert pnode_len(db) == 1
         db.execute("delete t")
         assert pnode_len(db) == 0
+
+
+# ----------------------------------------------------------------------
+# the verdicts fixed at registration agree with the dispatch table
+# ----------------------------------------------------------------------
+
+GATINGS = {
+    "pattern": "if t.a > 5",
+    "on append": "on append t if t.a > 5",
+    "on delete": "on delete t if t.a > 5",
+    "on replace": "on replace t if t.a > 5",
+    "on replace(attr)": "on replace t(a) if t.a > 5",
+    "transition": "if t.a > previous t.a",
+}
+
+EVENTS = {
+    "none": None,
+    "append": EventSpecifier(EventKind.APPEND),
+    "delete": EventSpecifier(EventKind.DELETE),
+    "replace": EventSpecifier(EventKind.REPLACE),
+    "replace(a)": EventSpecifier(EventKind.REPLACE, ("a",)),
+    "replace(k)": EventSpecifier(EventKind.REPLACE, ("k",)),
+}
+
+#: one tuple of t, as tokens carry it: (a, k) now and at transition start
+NEW, OLD = (20, 1), (10, 1)
+
+#: per gating, a token the table asserts (so the memory holds the tuple)
+ASSERTING = {
+    "pattern": (TokenKind.PLUS, "append"),
+    "on append": (TokenKind.PLUS, "append"),
+    "on delete": (TokenKind.MINUS, "delete"),
+    "on replace": (TokenKind.DELTA_PLUS, "replace(a)"),
+    "on replace(attr)": (TokenKind.DELTA_PLUS, "replace(a)"),
+    "transition": (TokenKind.DELTA_PLUS, "replace(a)"),
+}
+
+
+def make_token(kind, event):
+    tid = TupleId("t", 0)
+    old = OLD if kind.is_delta else None
+    return Token(kind, "t", tid, NEW, old, EVENTS[event])
+
+
+def observed(db):
+    """(the t memory's entries by tid, the tids in the rule's P-node)."""
+    memory = db.network.memory("r", "t")
+    entries = {} if memory.is_virtual else {
+        entry.tid: entry for entry in memory.entries()}
+    tids = {entry.tid for match in db.network.pnode("r").matches()
+            for _var, entry in match.bindings}
+    return entries, tids - {TupleId("u", 0)}
+
+
+@pytest.mark.parametrize("multi_var", [False, True],
+                         ids=["simple", "stored"])
+@pytest.mark.parametrize("gating", sorted(GATINGS))
+def test_fixed_verdicts_do_what_dispatch_says(gating, multi_var):
+    """Every memory gating × token kind × event specifier, from an empty
+    memory and from one holding the tuple: the network's verdict — the
+    one fixed at registration or the table's — leaves the α-memory and
+    the P-node exactly as :func:`dispatch` says it must."""
+    for kind in TokenKind:
+        for event in EVENTS:
+            for asserted in (False, True):
+                db = db_with_rule(GATINGS[gating], multi_var=multi_var)
+                memory = db.network.memory("r", "t")
+                if asserted:
+                    db.network.process_token(
+                        make_token(*ASSERTING[gating]))
+                token = make_token(kind, event)
+                op = dispatch(memory.spec, token)
+                if kind in (TokenKind.PLUS, TokenKind.DELTA_PLUS) \
+                        and memory.inserts_plus:
+                    assert op == MemoryOp("insert",
+                                          MemoryEntry(token.tid, NEW))
+                if kind is TokenKind.MINUS and memory.deletes_minus:
+                    assert op == MemoryOp("delete", tid=token.tid)
+                entries, tids = observed(db)
+                assert tids == set(entries) or not multi_var
+                if op is not None and op.op == "insert":
+                    tids.add(token.tid)
+                    if multi_var:
+                        entries[token.tid] = op.entry
+                elif op is not None:
+                    tids.discard(op.tid)
+                    entries.pop(op.tid, None)
+                db.network.process_token(token)
+                assert observed(db) == (entries, tids), (
+                    gating, kind, event, asserted)
+
+
+def test_a_minus_token_that_reaches_nothing_changes_nothing():
+    """A − token for a tuple no memory holds — an ``on append`` memory
+    emptied by the last transition's flush, a stored memory whose
+    residual kept the tuple out, a virtual memory of a rule with an
+    empty P-node — moves no α-memory, P-node, ``alpha.deletes`` or
+    ``pnode.deletes``, while it is still probed and counted."""
+    from repro.core.memory_optimizer import optimize_memories
+
+    db = Database()
+    db.execute_script("""
+        create t (a = int4, k = int4)
+        create u (k = int4)
+        create log (a = int4)
+        append u(k = 1)
+        define rule onapp on append t if t.a > 5 and t.k = u.k
+            then append to log(a = t.a)
+        define rule resid if t.a > 5 and t.a != 20 and t.k = u.k
+            then append to log(a = t.a)
+        define rule virt if t.a > 5 and t.k = u.k and u.k > 50
+            then append to log(a = t.a)
+    """)
+    optimize_memories(db, 1)
+    assert db.network.memory("virt", "t").is_virtual
+    db.execute("append t(a = 20, k = 1)")
+    network = db.network
+
+    def state():
+        memories = {(rule, var): sorted(
+            (e.tid, e.values) for e in
+            network.memory(rule, var).entries())
+            for rule in network.rules for var in network.rules[rule].variables
+            if not network.memory(rule, var).is_virtual}
+        pnodes = {rule: network.pnode(rule).matches()
+                  for rule in network.rules}
+        return memories, pnodes
+
+    before = state()
+    held = [tid for entries in before[0].values() for tid, _ in entries
+            if tid.relation == "t"]
+    assert held == []
+    assert all(not pnode for pnode in before[1].values())
+    counters = {name: db.stats.get(name) for name in (
+        "alpha.deletes", "pnode.deletes", "selection.probes",
+        "tokens.generated")}
+    db.execute("delete t where t.a = 20")
+    assert state() == before
+    assert db.stats.get("alpha.deletes") == counters["alpha.deletes"]
+    assert db.stats.get("pnode.deletes") == counters["pnode.deletes"]
+    assert db.stats.get("selection.probes") == \
+        counters["selection.probes"] + 1
+    assert db.stats.get("tokens.generated") == \
+        counters["tokens.generated"] + 1

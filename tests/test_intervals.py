@@ -186,7 +186,7 @@ class TestIndexBasics:
         idx.insert(a)
         idx.insert(b)
         assert idx.stab(3) == {a, b}
-        assert idx.stab_payloads(3) == {"x", "y"}
+        assert {iv.payload for iv in idx.stab(3)} == {"x", "y"}
 
     def test_duplicate_interval_rejected(self, index_cls):
         idx = index_cls()

@@ -113,9 +113,9 @@ class TestSelectionIndex:
         stabs = []
 
         class CountingIndex(IntervalSkipList):
-            def stab_payloads(self, value):
+            def stab(self, value):
                 stabs.append(value)
-                return super().stab_payloads(value)
+                return super().stab(value)
 
         index = SelectionIndex(index_factory=CountingIndex)
         by_sal, by_age = _FakeMemory("sal"), _FakeMemory("age")
@@ -259,3 +259,33 @@ def test_nan_satisfies_no_upper_bound_anchor(op, join, network):
     expected = db.execute(f"retrieve (emp.id) where {condition}").rows
     assert sorted(db.relation_rows("log")) == sorted(expected) == [(2,)]
     assert check_network(db) == []
+
+
+_SHAPES = {
+    "point": Interval.point(5.0),
+    "closed": Interval(0.0, 10.0),
+    "open": Interval(0.0, 10.0, False, False),
+    "at_most": Interval.at_most(10.0),
+    "at_least": Interval.at_least(0.0),
+    "everything": Interval.everything(),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@pytest.mark.parametrize("factory", [
+    IntervalSkipList, IBSTree, LinearIntervalIndex])
+def test_nan_stab_is_empty(factory, shape):
+    """No index matches a NaN key: NaN compares false to every bound, so
+    no interval contains it and every index kind answers its stab
+    empty — alone and beside intervals of every other shape."""
+    nan = float("nan")
+    interval = _SHAPES[shape]
+    assert not interval.contains_value(nan)
+    alone = factory()
+    alone.insert(interval)
+    assert alone.stab(nan) == set()
+    assert alone.stab(5.0) == {interval}
+    every = factory()
+    for other in _SHAPES.values():
+        every.insert(other)
+    assert every.stab(nan) == set()

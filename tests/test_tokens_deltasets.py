@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.catalog.schema import Schema
 from repro.core import tokens as tok
+from repro.core.alpha import MemoryEntry
 from repro.core.deltasets import DeltaSets
 from repro.core.tokens import EventSpecifier, Token, TokenKind
 from repro.lang.ast_nodes import EventKind
@@ -34,6 +35,49 @@ class TestTokenBasics:
                                EventSpecifier(EventKind.REPLACE, ("name",)))
         text = str(token)
         assert "Δ+" in text and "replace(name)" in text
+
+    def test_delta_minus_requires_old(self):
+        with pytest.raises(ValueError):
+            Token(TokenKind.DELTA_MINUS, "emp", TID, ("A",))
+
+    def test_keyword_construction_is_validated_too(self):
+        with pytest.raises(ValueError):
+            Token(kind=TokenKind.MINUS, relation="emp", tid=TID,
+                  values=("A",), old_values=("B",))
+        token = Token(kind=TokenKind.DELTA_MINUS, relation="emp", tid=TID,
+                      values=("B",), old_values=("A",))
+        assert token == tok.delta_minus("emp", TID, ("B",), ("A",))
+
+    @pytest.mark.parametrize("value", [
+        tok.plus("emp", TID, ("Ann", 1.0)),
+        MemoryEntry(TID, ("Ann", 1.0)),
+        TID,
+    ], ids=["Token", "MemoryEntry", "TupleId"])
+    def test_value_types_are_immutable(self, value):
+        """Tokens, α entries and tuple ids are shared between memories,
+        P-nodes and Δ-sets: none of their fields can be reassigned."""
+        field = type(value)._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_process_tokens_does_not_iterate_a_bare_token(self):
+        """A Token is a (named) tuple; handing one to process_tokens
+        must not route its six fields as six 'tokens'."""
+        from repro import Database
+        db = Database()
+        db.execute("create emp (name = text, sal = float8)")
+        db.execute("define rule r if emp.sal > 0 "
+                   "then append to emp(name = \"x\", sal = 0.0)")
+        token = tok.plus("emp", TupleId("emp", 0), ("Ann", 1.0))
+        routed = db.network.tokens_processed
+        with pytest.raises(TypeError):
+            db.network.process_tokens(token)
+        assert db.network.tokens_processed == routed
+        db.network.process_tokens([token])
+        assert db.network.tokens_processed == routed + 1
+        assert len(db.network.pnode("r")) == 1
 
     def test_event_specifier_str(self):
         assert str(EventSpecifier(EventKind.APPEND)) == "append"
