@@ -11,11 +11,17 @@ no slower, with P-node contents identical.
 
 Workload: ``N_ROWS`` tuples appended to a relation watched by
 ``N_RULES`` single-variable rules, each with an anchored salary interval
-plus a residual age conjunct, on a default ``Database()``.  Each side is
-the median of ``REPEATS`` fresh runs, the two sides interleaved (see the
-perf-gate policy in ``common.py``); the bar is relaxed under CI.
+plus a residual age conjunct, on a default ``Database()``.  The gate is
+the median, over ``PAIRS`` alternating pairs of fresh runs (the side
+that goes first alternates too), of each pair's ratio of process CPU
+times.  A full garbage collection runs before each timed side, so a
+collection the other side's allocations made due cannot land in it;
+drift of the host falls on both halves of a pair alike.  The bar is
+relaxed under CI.
 """
 
+import gc
+import statistics
 import time
 
 from common import emit, median_time, speedup_bar
@@ -24,7 +30,9 @@ from repro import Database
 N_RULES = 64
 N_ROWS = 10_000
 DISTINCT_SALARIES = 32
-REPEATS = 3
+#: alternating (per-row, bulk) pairs the gate takes the median pair
+#: ratio of
+PAIRS = 12
 MIN_SPEEDUP = speedup_bar(1.0)
 
 
@@ -52,15 +60,17 @@ def _prepared_database():
 
 
 def _measure(rows, bulk):
-    """Seconds to append ``rows`` (heap, Δ-sets and token routing)."""
+    """CPU seconds to append ``rows`` (heap, Δ-sets and token
+    routing)."""
     db = _prepared_database()
-    start = time.perf_counter()
+    gc.collect()
+    start = time.process_time()
     if bulk:
         db.hooks.insert_many("emp", rows)
     else:
         for values in rows:
             db.hooks.insert("emp", values)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert db.network.batches_processed == (1 if bulk else 0)
     total = sum(len(db.network.pnode(name)) for name in db.network.rules)
     return elapsed, total
@@ -72,9 +82,13 @@ def test_batch_tokens(benchmark):
 
     def run():
         per_row, bulk = [], []
-        for _ in range(REPEATS):
-            per_row.append(_measure(rows, bulk=False))
-            bulk.append(_measure(rows, bulk=True))
+        for pair in range(PAIRS):
+            first = pair % 2 == 0       # bulk first, then per-row first
+            for is_bulk in (first, not first):
+                side = bulk if is_bulk else per_row
+                side.append(_measure(rows, bulk=is_bulk))
+        holder["ratio"] = statistics.median(
+            row / many for (row, _), (many, _) in zip(per_row, bulk))
         holder["per_row"] = median_time([t for t, _ in per_row])
         holder["bulk"] = median_time([t for t, _ in bulk])
         totals = {total for _, total in per_row + bulk}
@@ -83,12 +97,13 @@ def test_batch_tokens(benchmark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    speedup = holder["per_row"] / holder["bulk"]
+    speedup = holder["ratio"]
     text = "\n".join([
         f"Bulk append vs per-row appends ({N_ROWS} tuples, "
         f"{N_RULES} rules)",
         f"per-row {holder['per_row']:.4f}s | "
-        f"bulk {holder['bulk']:.4f}s | {speedup:.2f}x",
+        f"bulk {holder['bulk']:.4f}s | "
+        f"median pair ratio {speedup:.2f}x over {PAIRS} pairs",
         f"P-node entries either way: {holder['pnode_total']}",
     ])
     emit("batch_tokens", text, {
@@ -96,7 +111,7 @@ def test_batch_tokens(benchmark):
         "rules": N_RULES,
         "rows": N_ROWS,
         "distinct_salaries": DISTINCT_SALARIES,
-        "repeats": REPEATS,
+        "pairs": PAIRS,
         "per_row_append_s": holder["per_row"],
         "bulk_append_s": holder["bulk"],
         "bulk_speedup": speedup,

@@ -20,10 +20,12 @@ DESIGN.md: at an ``on delete`` memory, a ``−`` token whose specifier is
 the deleted data; the figure's "delete t" row applies to the other
 specifiers, which retract prior assertions.
 
-The network records on each memory the two verdicts its gates alone fix
+The network records on each memory the verdicts its gates alone fix
 (``inserts_plus``: a ``+``/``Δ+`` inserts ``MemoryEntry(tid, values)``;
-``deletes_minus``: a ``−`` deletes by tid); every other pair asks
-:func:`dispatch`, the one definition of the table.
+``inserts_append``: so does a ``+`` with an ``append`` specifier, at a
+pattern or ``on append`` memory; ``deletes_minus``: a ``−`` deletes by
+tid); every other pair asks :func:`dispatch`, the one definition of the
+table.
 """
 
 from __future__ import annotations

@@ -39,14 +39,6 @@ _APPEND = EventSpecifier(EventKind.APPEND)
 _DELETE = EventSpecifier(EventKind.DELETE)
 
 @dataclass
-class _InsertedEntry:
-    """I-set entry: a tuple inserted this transition, with its current
-    value (updated as in-transition modifications land)."""
-
-    values: tuple
-
-
-@dataclass
 class _ModifiedEntry:
     """M-set entry: a pre-existing tuple's value at transition start and
     its current value."""
@@ -64,7 +56,9 @@ class DeltaSets:
     """
 
     def __init__(self, schemas: dict[str, Schema] | None = None):
-        self._inserted: dict[TupleId, _InsertedEntry] = {}
+        #: I: tid -> the current value of a tuple inserted this
+        #: transition (updated as in-transition modifications land)
+        self._inserted: dict[TupleId, tuple] = {}
         self._modified: dict[TupleId, _ModifiedEntry] = {}
         self._schemas = schemas or {}
 
@@ -75,19 +69,17 @@ class DeltaSets:
     def record_insert(self, relation: str, tid: TupleId,
                       values: tuple) -> list[Token]:
         """A tuple was physically inserted."""
-        self._inserted[tid] = _InsertedEntry(values)
+        self._inserted[tid] = values
         return [tok.plus(relation, tid, values, _APPEND)]
 
-    def record_insert_many(self, relation: str,
-                           pairs) -> list[Token]:
-        """Bulk variant of :meth:`record_insert` for ``(tid, values)``
-        pairs: same I-set entries and ``+`` tokens."""
-        inserted = self._inserted
-        out: list[Token] = []
-        for tid, values in pairs:
-            inserted[tid] = _InsertedEntry(values)
-            out.append(tok.plus(relation, tid, values, _APPEND))
-        return out
+    def record_insert_many(self, relation: str, tids,
+                           values_of) -> list[Token]:
+        """Bulk variant of :meth:`record_insert` for parallel lists of
+        tids and values: same I-set entries and ``+`` tokens."""
+        self._inserted.update(zip(tids, values_of))
+        plus = tok.plus
+        return [plus(relation, tid, values, _APPEND)
+                for tid, values in zip(tids, values_of)]
 
     def record_modify(self, relation: str, tid: TupleId,
                       old_values: tuple, new_values: tuple) -> list[Token]:
@@ -97,10 +89,9 @@ class DeltaSets:
             # Case 1: modification of a tuple inserted this transition.
             # Net effect stays "insert": retract the old inserted value
             # and assert the new one, both as append events.
-            out = [tok.minus(relation, tid, inserted.values, _APPEND),
-                   tok.plus(relation, tid, new_values, _APPEND)]
-            inserted.values = new_values
-            return out
+            self._inserted[tid] = new_values
+            return [tok.minus(relation, tid, inserted, _APPEND),
+                    tok.plus(relation, tid, new_values, _APPEND)]
         modified = self._modified.get(tid)
         if modified is not None:
             # Case 3, later modifications: swap the transition pair.
@@ -130,7 +121,7 @@ class DeltaSets:
             # Case 2: inserted then deleted within the transition — net
             # effect nothing.  The final delete generates an insert −
             # (append specifier), which must NOT match on-delete rules.
-            return [tok.minus(relation, tid, inserted.values, _APPEND)]
+            return [tok.minus(relation, tid, inserted, _APPEND)]
         modified = self._modified.pop(tid, None)
         if modified is not None:
             # Case 4: retract the transition pair, then assert the delete
@@ -143,6 +134,15 @@ class DeltaSets:
                     tok.minus(relation, tid, last_values, _DELETE)]
         # Plain deletion of an untouched tuple.
         return [tok.minus(relation, tid, last_values, _DELETE)]
+
+    def forget(self, tids) -> None:
+        """Tuples were physically deleted and no memory can see their
+        retractions: drop them from the sets, build no token."""
+        inserted, modified = self._inserted, self._modified
+        if inserted or modified:
+            for tid in tids:
+                if inserted.pop(tid, None) is None:
+                    modified.pop(tid, None)
 
     # ------------------------------------------------------------------
     # inspection / lifecycle

@@ -120,7 +120,7 @@ class JoinPlanner:
         if self.forced is not None:
             return list(self.forced(rule, seed_var))
         memo = self.memo(rule)
-        key = ("order", seed_var, self._signature(rule))
+        key = ("order", seed_var, self._signature(rule, memo))
         order = memo.get(key)
         if order is not None:
             self._order_hit()
@@ -141,7 +141,7 @@ class JoinPlanner:
         """A full variable order for the Rete β chain: the cheapest
         start variable, then the greedy extension order."""
         memo = self.memo(rule)
-        key = ("chain", self._signature(rule))
+        key = ("chain", self._signature(rule, memo))
         chain = memo.get(key)
         if chain is not None:
             return chain
@@ -167,7 +167,7 @@ class JoinPlanner:
         if self.forced is not None:
             return ("pairwise", self.order(rule, seed_var))
         memo = self.memo(rule)
-        key = ("seek", seed_var, self._signature(rule))
+        key = ("seek", seed_var, self._signature(rule, memo))
         plan = memo.get(key)
         if plan is None:
             multiway = self._decide(rule, seed_var)
@@ -410,21 +410,23 @@ class JoinPlanner:
     # signatures
     # ------------------------------------------------------------------
 
-    def _signature(self, rule: CompiledRule) -> tuple[int, ...]:
+    def _signature(self, rule: CompiledRule, memo: dict
+                   ) -> tuple[int, ...]:
         """Cardinality-bucket signature: one log2 bucket per variable,
         so memoized orders survive small size drift but re-plan when a
-        memory roughly doubles or halves."""
-        memories = self.network._memories
-        catalog = self.network.catalog
-        sig = []
-        for var in rule.variables:
-            memory = memories[(rule.name, var)]
-            if memory.is_virtual:
-                n = len(catalog.relation(memory.spec.relation))
-            else:
-                n = len(memory)
-            sig.append(n.bit_length())
-        return tuple(sig)
+        memory roughly doubles or halves.  The rule's memories are
+        looked up once per memo (a memory swap empties it)."""
+        memories = memo.get("memories")
+        if memories is None:
+            network_memories = self.network._memories
+            memories = memo["memories"] = [
+                network_memories[(rule.name, var)]
+                for var in rule.variables]
+        relation = self.network.catalog.relation
+        return tuple([
+            (len(relation(memory.spec.relation)) if memory.is_virtual
+             else len(memory)).bit_length()
+            for memory in memories])
 
     # ------------------------------------------------------------------
     # introspection (the CLI's ``\plan``)

@@ -86,6 +86,7 @@ class RuleManager:
         self.network = network_cls(
             catalog, self.optimizer,
             on_match=self.agenda.notify,
+            on_drain=self.agenda.drained,
             stats=self.stats,
             join_mode=join_mode)
         self.halted = False
@@ -152,7 +153,8 @@ class RuleManager:
 
     def select_rule(self) -> CompiledRule | None:
         """Conflict resolution: the next rule to fire, if any."""
-        return self.agenda.select(self.network.rules, self.network.pnode)
+        return self.agenda.select(self.network.rules,
+                                  self.network._pnodes.__getitem__)
 
     def consume_matches(self, rule: CompiledRule) -> list[Match]:
         """Take the rule's whole P-node for a set-oriented firing."""
@@ -184,8 +186,10 @@ class RuleManager:
         trace.append(rule.name)
         stats = self.stats
         if stats.enabled:
-            stats.bump("rules.fired")
-            stats.observe_max("rules.max_cascade_depth", len(trace))
+            counters = stats.counters
+            counters["rules.fired"] = counters.get("rules.fired", 0) + 1
+            if len(trace) > counters.get("rules.max_cascade_depth", 0):
+                counters["rules.max_cascade_depth"] = len(trace)
         if len(trace) > self.max_rule_cascade:
             cycling = ", ".join(self.cycling_rules())
             raise RuleLoopError(

@@ -28,7 +28,9 @@ The shared machinery of the TREAT/A-TREAT and Rete networks:
 
 from __future__ import annotations
 
+import functools
 import math
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from repro.catalog.catalog import Catalog
@@ -58,6 +60,7 @@ class DiscriminationNetwork:
     def __init__(self, catalog: Catalog,
                  optimizer: Optimizer | None = None,
                  on_match: Callable[[CompiledRule], None] | None = None,
+                 on_drain: Callable[[str], None] | None = None,
                  stats: EngineStats | None = None,
                  join_mode: str = "auto"):
         self.catalog = catalog
@@ -74,6 +77,9 @@ class DiscriminationNetwork:
         #: rule per cardinality bucket)
         self.join_planner = JoinPlanner(self, mode=join_mode)
         self.on_match = on_match or (lambda rule: None)
+        #: told a rule's name when a retraction or a flush empties its
+        #: P-node (the agenda re-validates the rule at its next select)
+        self.on_drain = on_drain or (lambda name: None)
         self.rules: dict[str, CompiledRule] = {}
         self._memories: dict[tuple[str, str],
                              AlphaMemory | VirtualAlphaMemory] = {}
@@ -81,6 +87,9 @@ class DiscriminationNetwork:
         #: rules with a dynamic variable that accepted a token since the
         #: last :meth:`flush_dynamic` (name -> rule, in accept order)
         self._dirty: dict[str, CompiledRule] = {}
+        #: relation -> how many of its memories can act on a retraction
+        #: (see :meth:`sees_retractions`)
+        self._retraction_seers: dict[str, int] = {}
         self._stamp = 0
         #: the in-flight batch, or None on the per-token path
         self._batch: _BatchState | None = None
@@ -169,13 +178,20 @@ class DiscriminationNetwork:
         spec = memory.spec
         memory.rule = rule
         memory.pnode = self._pnodes[rule.name]
+        memory.order_key = (rule.name, spec.var)
         memory.stats = self.stats
         event = spec.event
         memory.inserts_plus = event is None and not spec.is_transition
+        memory.inserts_append = (memory.inserts_plus
+                                 or not spec.is_transition
+                                 and event.kind is EventKind.APPEND)
         memory.deletes_minus = not spec.is_transition and (
             event is None or event.kind is not EventKind.DELETE)
         if memory.is_virtual:
             self._virtual_count += 1
+        if _sees_retractions(spec):
+            seers = self._retraction_seers
+            seers[spec.relation] = seers.get(spec.relation, 0) + 1
         self._memories[(rule.name, spec.var)] = memory
         self.selection_index.add(
             spec.relation, spec.analysis.anchor if spec.analysis else None,
@@ -184,7 +200,28 @@ class DiscriminationNetwork:
     def _unregister(self, memory) -> None:
         if memory.is_virtual:
             self._virtual_count -= 1
+        spec = memory.spec
+        if _sees_retractions(spec):
+            seers = self._retraction_seers
+            left = seers[spec.relation] - 1
+            if left:
+                seers[spec.relation] = left
+            else:
+                del seers[spec.relation]
         self.selection_index.remove(memory)
+
+    def sees_retractions(self, relation: str) -> bool:
+        """Whether a delete statement's tokens on ``relation`` can change
+        anything here.  They cannot while every memory on it is the
+        simple memory of an event- or transition-gated rule that a
+        delete does not assert (not ``on delete``) and no rule is dirty:
+        such a P-node is filled only by a token it accepts, accepting
+        one makes the rule dirty, and :meth:`flush_dynamic` empties the
+        P-node before it clears the rule's dirty mark.  O(1): the
+        per-relation count is kept by :meth:`_register` /
+        :meth:`_unregister`."""
+        return relation in self._retraction_seers or bool(
+            self._dirty) and self.selection_index.watches(relation)
 
     # ------------------------------------------------------------------
     # priming
@@ -258,7 +295,9 @@ class DiscriminationNetwork:
         if not tokens:
             return
         if len(tokens) == 1:
-            self.process_token(tokens[0])
+            self.tokens_processed += 1
+            self.stats.note_tokens_routed()
+            self._process_one(tokens[0])
             return
         self.batches_processed += 1
         self.tokens_processed += len(tokens)
@@ -287,22 +326,35 @@ class DiscriminationNetwork:
     def _process_one(self, token: Token) -> None:
         candidates = self.selection_index.probe(token.relation,
                                                 token.values)
+        pending: dict[str, set[str]] | None = None
         if len(candidates) > 1:
             # Deterministic processing order defines the sequential
             # "ProcessedMemories" semantics for self-joins; a token that
-            # reaches one memory needs neither.
-            candidates.sort(key=_memory_order)
-            pending: dict[str, set[str]] | None = {}
-            for memory in candidates:
-                pending.setdefault(memory.rule_name, set()).add(
-                    memory.spec.var)
-        else:
-            pending = None
-        deleted_rules: set[str] = set()
+            # reaches one memory needs neither, and only a virtual
+            # memory asks which variables are still pending.
+            candidates.sort(key=_order_key)
+            if self._virtual_count:
+                pending = {}
+                for memory in candidates:
+                    pending.setdefault(memory.rule_name, set()).add(
+                        memory.spec.var)
         # what a +/Δ+ inserts wherever its verdict is fixed (Figure 5)
-        plus_entry = (MemoryEntry(token.tid, token.values)
-                      if token.kind.is_insertion else None)
-        deleting = token.kind is TokenKind.MINUS
+        kind = token.kind
+        if kind is TokenKind.PLUS:
+            plus_entry = _new_entry((token.tid, token.values, None))
+            event = token.event
+            appended = (event is not None
+                        and event.kind is EventKind.APPEND)
+        elif kind is TokenKind.DELTA_PLUS:
+            plus_entry = _new_entry((token.tid, token.values, None))
+            appended = False
+        else:
+            plus_entry = None
+        # the rules whose P-node this token already purged (an
+        # insertion kind never deletes)
+        deleted_rules: set[str] | None = (set() if plus_entry is None
+                                          else None)
+        deleting = kind is TokenKind.MINUS
         for memory in candidates:
             rule = memory.rule
             spec = memory.spec
@@ -312,7 +364,9 @@ class DiscriminationNetwork:
                 pending_vars = pending[rule.name]
                 pending_vars.discard(spec.var)
             # the Figure-5 verdicts fixed at registration skip the table
-            if plus_entry is not None and memory.inserts_plus:
+            if plus_entry is not None and (
+                    memory.inserts_plus
+                    or appended and memory.inserts_append):
                 entry = plus_entry
             elif deleting and memory.deletes_minus:
                 self._apply_delete(rule, memory, token.tid, deleted_rules)
@@ -359,7 +413,9 @@ class DiscriminationNetwork:
                    and memory.remove(tid) is not None)
         if (removed or memory.pnode) and rule.name not in deleted_rules:
             deleted_rules.add(rule.name)
-            memory.pnode.delete_by_tid(tid)
+            pnode = memory.pnode
+            if pnode.delete_by_tid(tid) and not pnode:
+                self.on_drain(rule.name)
             self._handle_delete(rule, tid)
 
     def _note_pnode_insert(self) -> None:
@@ -481,7 +537,10 @@ class DiscriminationNetwork:
                 continue        # removed or rebuilt since it registered
             for var in rule.dynamic_variables:
                 self._memories[(name, var)].flush()
-            self._pnodes[name].clear()
+            pnode = self._pnodes[name]
+            if pnode:
+                pnode.clear()
+                self.on_drain(name)
             self._join_memories(rule)
         dirty.clear()
 
@@ -517,8 +576,26 @@ class DiscriminationNetwork:
                 f"{self.memory_entry_count()} α entries)")
 
 
-def _memory_order(memory) -> tuple[str, str]:
-    return (memory.rule_name, memory.spec.var)
+def _sees_retractions(spec: VariableSpec) -> bool:
+    """Whether a memory can act on a delete statement's tokens: every
+    kind but the simple memory of an event- or transition-gated rule
+    that a delete does not assert (see
+    :meth:`DiscriminationNetwork.sees_retractions`)."""
+    if not spec.is_simple:
+        return True
+    event = spec.event
+    if event is None:
+        return not spec.is_transition
+    return event.kind is EventKind.DELETE
+
+
+#: a memory's place in the token processing order: (rule, variable)
+_order_key = attrgetter("order_key")
+
+#: ``_new_entry((tid, values, old_values))`` is ``MemoryEntry(...)``
+#: without the named tuple's Python-level constructor, once per routed
+#: insertion token
+_new_entry = functools.partial(tuple.__new__, MemoryEntry)
 
 
 #: overlay sentinel: the tuple is absent at this point of the sequence
@@ -607,16 +684,27 @@ def equality_probe(var: str, partial: dict,
     the step can probe an index or hash bucket — and skip re-evaluating
     the conjunct the probe already enforces.
     """
+    found = bound_equijoin(var, partial, conjuncts)
+    if found is None:
+        return None
+    position, other, other_position, conjunct = found
+    return position, partial[other].values[other_position], conjunct
+
+
+def bound_equijoin(var: str, bound, conjuncts
+                   ) -> tuple[int, str, int, object] | None:
+    """The first equi-join conjunct linking ``var`` to a variable in
+    ``bound``, as (var's position, the bound variable, its position,
+    the conjunct) — what :func:`equality_probe` resolves per call and a
+    planned seek step resolves once."""
     for conjunct in conjuncts:
         equi = conjunct.equijoin
         if equi is None:
             continue
-        if equi.left_var == var and equi.right_var in partial:
-            other = partial[equi.right_var]
-            return (equi.left_position, other.values[equi.right_position],
-                    conjunct)
-        if equi.right_var == var and equi.left_var in partial:
-            other = partial[equi.left_var]
-            return (equi.right_position, other.values[equi.left_position],
-                    conjunct)
+        if equi.left_var == var and equi.right_var in bound:
+            return (equi.left_position, equi.right_var,
+                    equi.right_position, conjunct)
+        if equi.right_var == var and equi.left_var in bound:
+            return (equi.right_position, equi.left_var,
+                    equi.left_position, conjunct)
     return None

@@ -22,9 +22,11 @@ A null or NaN value satisfies no anchor (it compares false to every
 bound): a probe skips a null attribute's interval index outright, and
 every interval index answers a NaN stab empty.
 
-The interval index defaults to the interval skip list; the IBS tree or
-the naive :class:`LinearIntervalIndex` can be substituted (the
-``ablate-isl`` and ``scale`` benchmarks do exactly that).
+The interval index defaults to an interval skip list with a fixed seed,
+so one rule script builds the same node levels, and costs the same stab
+work, on every run; the IBS tree or the naive
+:class:`LinearIntervalIndex` can be substituted (the ``ablate-isl`` and
+``scale`` benchmarks do exactly that).
 """
 
 from __future__ import annotations
@@ -60,6 +62,16 @@ class LinearIntervalIndex:
         return len(self._intervals)
 
 
+#: the default interval skip list's level seed
+SKIP_LIST_SEED = 0
+
+
+def seeded_skip_list() -> IntervalSkipList:
+    """The default interval index: a skip list whose node levels depend
+    only on the order its endpoints arrive in."""
+    return IntervalSkipList(seed=SKIP_LIST_SEED)
+
+
 class _AttrIndex:
     """One relation attribute's interval index plus its tuple position."""
 
@@ -74,7 +86,7 @@ class SelectionIndex:
     """Routes tuple values to the α-memories whose anchors they satisfy."""
 
     def __init__(self, index_factory: Callable[[], object] | None = None):
-        self._factory = index_factory or IntervalSkipList
+        self._factory = index_factory or seeded_skip_list
         # relation -> {attribute -> _AttrIndex}
         self._relations: dict[str, dict[str, _AttrIndex]] = {}
         # relation -> unanchored targets (always candidates)

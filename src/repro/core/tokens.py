@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from repro.lang.ast_nodes import EventKind
@@ -108,16 +109,21 @@ class Token(_TokenFields):
                 f"{self.values}){event}")
 
 
+#: ``Token(...)`` without ``__new__``'s kind check
+_new_token = partial(tuple.__new__, Token)
+_PLUS, _MINUS = TokenKind.PLUS, TokenKind.MINUS
+
+
 def plus(relation: str, tid: TupleId, values: tuple,
          event: EventSpecifier | None = None) -> Token:
-    """A ``+`` token."""
-    return Token(TokenKind.PLUS, relation, tid, values, None, event)
+    """A ``+`` token (its kind needs no ``old_values`` check)."""
+    return _new_token((_PLUS, relation, tid, values, None, event))
 
 
 def minus(relation: str, tid: TupleId, values: tuple,
           event: EventSpecifier | None = None) -> Token:
-    """A ``−`` token."""
-    return Token(TokenKind.MINUS, relation, tid, values, None, event)
+    """A ``−`` token (its kind needs no ``old_values`` check)."""
+    return _new_token((_MINUS, relation, tid, values, None, event))
 
 
 def delta_plus(relation: str, tid: TupleId, new: tuple, old: tuple,

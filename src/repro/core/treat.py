@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from repro.core.alpha import MemoryEntry
 from repro.core.leapfrog import multiway_seek
-from repro.core.network import DiscriminationNetwork
+from repro.core.network import DiscriminationNetwork, bound_equijoin
 from repro.core.pnode import Match
 from repro.core.rules import CompiledRule, VariableSpec
 from repro.core.tokens import Token
@@ -130,18 +130,28 @@ class TreatNetwork(DiscriminationNetwork):
 
     def _steps(self, rule: CompiledRule, seed_var: str,
                order: list[str]) -> list[tuple]:
-        """Per depth of the pairwise seek: the variable, its memory and
-        the join conjuncts first evaluable there (memoized in the
-        rule's join memo, which memory swaps and priming empty)."""
+        """Per depth of the pairwise seek: the variable, its memory, the
+        join conjuncts first evaluable there, and — where a stored
+        memory answers the step from a join index — the equality probe
+        ``(position, bound variable, its position)`` with the conjuncts
+        left once the probe enforces its own (memoized in the rule's
+        join memo, which memory swaps and priming empty)."""
         steps = []
         bound = {seed_var}
         for var in order:
-            before = set(bound)
+            memory = self._memories[(rule.name, var)]
+            conjuncts = [j for j in rule.joins
+                         if var in j.variables and j.variables <= bound
+                         | {var}]
+            probe = None
+            if not memory.is_virtual:
+                found = bound_equijoin(var, bound, conjuncts)
+                if found is not None:
+                    position, other, other_position, enforced = found
+                    probe = (position, other, other_position,
+                             [j for j in conjuncts if j is not enforced])
+            steps.append((var, memory, conjuncts, probe))
             bound.add(var)
-            steps.append((var, self._memories[(rule.name, var)],
-                          [j for j in rule.joins
-                           if j.variables <= bound
-                           and not j.variables <= before]))
         return steps
 
     def _extend(self, rule: CompiledRule, steps: list[tuple], depth: int,
@@ -154,13 +164,20 @@ class TreatNetwork(DiscriminationNetwork):
                 return False
             self._note_pnode_insert()
             return True
-        var, memory, conjuncts = steps[depth]
-        candidates, enforced = self._join_candidates(
-            memory, var, partial, conjuncts, pending_vars, token)
-        if enforced is not None:
-            # the access path (index probe / sharpened scan) already
-            # guarantees the probed conjunct: evaluate only the residue
-            conjuncts = [j for j in conjuncts if j is not enforced]
+        var, memory, conjuncts, probe = steps[depth]
+        if probe is not None:
+            position, other, other_position, conjuncts = probe
+            candidates = memory.join_probe(
+                position, partial[other].values[other_position])
+        elif memory.is_virtual:
+            candidates, enforced = self._join_candidates(
+                memory, var, partial, conjuncts, pending_vars, token)
+            if enforced is not None:
+                # the sharpened scan already guarantees the probed
+                # conjunct: evaluate only the residue
+                conjuncts = [j for j in conjuncts if j is not enforced]
+        else:
+            candidates = memory.entries()
         matched = False
         for entry in candidates:
             self._bind(bindings, var, entry)

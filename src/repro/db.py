@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
@@ -83,8 +83,7 @@ def _read_only_command(command: ast.Command) -> bool:
 FIRING_LOG_KEEP = 1024
 
 
-@dataclass(frozen=True)
-class FiringRecord:
+class FiringRecord(NamedTuple):
     """One entry of the rule-firing trace (``Database.firing_log``)."""
 
     sequence: int
@@ -643,8 +642,11 @@ class Database:
             self.manager.agenda.clear()
             # Rules defined during the transaction (not transactional,
             # hence absent from the snapshot) keep their replayed state.
+            # A rule with a dynamic variable keeps the empty P-node the
+            # flush left: it holds nothing at a transition boundary.
             for name, snap in self._pnode_snapshots.items():
-                if name in self.network.rules:
+                rule = self.network.rules.get(name)
+                if rule is not None and not rule.has_dynamic_variable:
                     self.network.pnode(name).restore(snap)
             self._pnode_snapshots = None
         finally:

@@ -36,7 +36,12 @@ if TYPE_CHECKING:
 
 
 class MutationHooks:
-    """Interface through which all data mutations flow."""
+    """Interface through which all data mutations flow.
+
+    The ``*_many`` methods apply one statement's rows; these versions
+    loop over the per-row methods, and the transition hooks override
+    them to route the statement's tokens as one Δ-set.
+    """
 
     def insert(self, relation_name: str, values: tuple) -> TupleId:
         raise NotImplementedError
@@ -47,6 +52,19 @@ class MutationHooks:
     def replace(self, relation_name: str, tid: TupleId,
                 new_values: tuple) -> tuple:
         raise NotImplementedError
+
+    def insert_many(self, relation_name: str, rows,
+                    coerced: bool = False) -> list[TupleId]:
+        return [self.insert(relation_name, values) for values in rows]
+
+    def delete_many(self, relation_name: str, tids) -> list[tuple]:
+        """Delete live, distinct ``tids``."""
+        return [self.delete(relation_name, tid) for tid in tids]
+
+    def replace_many(self, relation_name: str, updates) -> None:
+        """Overwrite live ``(tid, new values)`` pairs, in order."""
+        for tid, new_values in updates:
+            self.replace(relation_name, tid, new_values)
 
 
 class DirectHooks(MutationHooks):
@@ -323,32 +341,33 @@ class Executor:
         return relation
 
 
-def apply_deletes(hooks: MutationHooks, relation, tids) -> DmlResult:
-    """Delete the collected target TIDs that are still live."""
-    applied = 0
-    for tid in tids:
-        # A tuple may have vanished between qualification and apply
-        # (another qualifying row deleted it, or a P-node entry went
-        # stale); skip it silently, as the paper's delete' does.
-        if relation.contains(tid):
-            hooks.delete(relation.name, tid)
-            applied += 1
-    return DmlResult(applied)
+def apply_deletes(hooks: MutationHooks, relation, tids: list) -> DmlResult:
+    """Delete the collected target TIDs that are still live, as one
+    set-oriented :meth:`MutationHooks.delete_many`.  A tuple that
+    vanished between qualification and apply (a P-node entry went
+    stale) is skipped silently, as the paper's delete' does, and one
+    named twice is deleted once."""
+    contains = relation.contains
+    live = list(dict.fromkeys([tid for tid in tids if contains(tid)]))
+    hooks.delete_many(relation.name, live)
+    return DmlResult(len(live))
 
 
-def apply_replaces(hooks: MutationHooks, relation, updates) -> DmlResult:
+def apply_replaces(hooks: MutationHooks, relation,
+                   updates: list) -> DmlResult:
     """Apply collected ``(tid, [(position, value), ...])`` updates to the
-    TIDs that are still live."""
-    applied = 0
+    TIDs that are still live, in order, as one set-oriented
+    :meth:`MutationHooks.replace_many`."""
+    contains, get = relation.contains, relation.get
+    rows = []
     for tid, assignments in updates:
-        if not relation.contains(tid):
-            continue
-        old = list(relation.get(tid))
-        for pos, value in assignments:
-            old[pos] = value
-        hooks.replace(relation.name, tid, tuple(old))
-        applied += 1
-    return DmlResult(applied)
+        if contains(tid):
+            new = list(get(tid))
+            for pos, value in assignments:
+                new[pos] = value
+            rows.append((tid, tuple(new)))
+    hooks.replace_many(relation.name, rows)
+    return DmlResult(len(rows))
 
 
 def result_name(col: ast.ResultColumn, position: int) -> str:

@@ -26,7 +26,11 @@ docs/ARCHITECTURE.md, "Observing the engine"):
 ``pnode.*``            P-node match insertions / retractions
 ``agenda.*``           conflict-resolution selections and stale pruning
 ``rules.*``            firings, matches consumed, cascade depth
-``tokens.*``           tokens routed, batches propagated
+``tokens.*``           tokens built (``generated``: watched relations
+                       only, less the retractions no memory can see)
+                       and routed; ``batches``: Δ-sets of two or more
+                       tokens routed as one — one per multi-row
+                       statement or rule-action append
 ``network.*``          end-of-transition flush (dynamic rules a
                        transition touched, hence flushed) and rule
                        activation (rules primed, tuples the priming

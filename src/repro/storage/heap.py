@@ -13,12 +13,18 @@ by every mutation.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterator
 
 from repro.catalog.schema import Schema
 from repro.errors import StorageError
 from repro.storage.indexes import Index
 from repro.storage.tuples import StoredTuple, TupleId
+
+
+#: ``new_tid((relation, slot))`` is ``TupleId(relation, slot)`` without
+#: the named tuple's Python-level constructor, for the bulk loops
+new_tid = partial(tuple.__new__, TupleId)
 
 
 class HeapRelation:
@@ -48,32 +54,36 @@ class HeapRelation:
             index.insert(index.key_of(values), tid)
         return tid
 
-    def insert_many(self, rows) -> list[tuple[TupleId, tuple]]:
+    def insert_many(self, rows, coerced: bool = False
+                    ) -> tuple[list[TupleId], list[tuple]]:
         """Bulk append: per-row semantics identical to :meth:`insert`
         (coercion, index maintenance, fresh TIDs) with the loop
-        invariants hoisted; returns ``(tid, stored values)`` pairs so
-        callers need no follow-up fetch.
+        invariants hoisted; returns the new TIDs and the stored values,
+        in row order, so callers need no follow-up fetch.  ``coerced``
+        rows are a list of value tuples a plan proved already
+        stored-typed: they skip coercion.
 
         All-or-nothing: every row is coerced before any is applied, so
         one bad row mid-batch cannot leave earlier rows in the heap
         with their tokens never routed.
         """
-        coerce = self.schema.coerce_values
-        coerced = [coerce(tuple(values)) for values in rows]
+        if not coerced:
+            coerce = self.schema.coerce_values
+            rows = [coerce(tuple(values)) for values in rows]
         slots = self._slots
         indexes = list(self._indexes.values())
         name = self.name
-        out: list[tuple[TupleId, tuple]] = []
+        tids: list[TupleId] = []
         next_slot = self._next_slot
-        for values in coerced:
-            tid = TupleId(name, next_slot)
+        for values in rows:
+            tid = new_tid((name, next_slot))
+            slots[next_slot] = values
             next_slot += 1
-            slots[tid.slot] = values
             for index in indexes:
                 index.insert(index.key_of(values), tid)
-            out.append((tid, values))
+            tids.append(tid)
         self._next_slot = next_slot
-        return out
+        return tids, rows
 
     def delete(self, tid: TupleId) -> tuple:
         """Remove the tuple named by ``tid``; returns its last values."""
@@ -82,6 +92,21 @@ class HeapRelation:
         for index in self._indexes.values():
             index.delete(index.key_of(values), tid)
         return values
+
+    def delete_many(self, tids) -> list[tuple]:
+        """Remove every tuple ``tids`` names (all checked first, so a
+        bad one removes nothing); returns their last values in order."""
+        name, get = self.name, self._slots.get
+        values_of = [get(tid.slot) if tid.relation == name else None
+                     for tid in tids]
+        if None in values_of:
+            self._require(tids[values_of.index(None)])  # the precise error
+        slots, indexes = self._slots, list(self._indexes.values())
+        for tid, values in zip(tids, values_of):
+            del slots[tid.slot]
+            for index in indexes:
+                index.delete(index.key_of(values), tid)
+        return values_of
 
     def replace(self, tid: TupleId, new_values: tuple) -> tuple:
         """Overwrite the tuple in place; returns the old values."""

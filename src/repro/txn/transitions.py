@@ -8,16 +8,21 @@ classify it into the paper's logical-event cases and emit tokens, and
 control returns to the executor.  This is the tight coupling of rule
 condition testing with query and update processing the paper emphasises.
 Steps (3) and (4) are skipped for a relation no rule condition names
-(no α-memory is registered on it): its tokens could reach nothing.
+(no α-memory is registered on it): its tokens could reach nothing.  A
+delete's tokens are not built either while no memory on its relation
+can act on a retraction (:meth:`~repro.core.network
+.DiscriminationNetwork.sees_retractions`); the Δ-sets still record it.
 
-Each mutation's token group is handed to the network's
-:meth:`~repro.core.network.DiscriminationNetwork.process_tokens` entry
-point, which routes it token by token down the one path a lone token
-takes.  With ``defer_routing`` enabled (``Database(batch_tokens=True)``)
-the groups of a whole transition accumulate and flush as one Δ-set at
-the transition boundary.  :meth:`TransitionHooks.insert_many` is the
-bulk-append fast path: it applies every heap insert first and routes
-the combined Δ-set once.
+A statement is set-oriented: :meth:`TransitionHooks.insert_many`,
+:meth:`~TransitionHooks.delete_many` and
+:meth:`~TransitionHooks.replace_many` apply every heap mutation in
+order, each with its undo record and journal entry, and then route the
+statement's tokens as one Δ-set through ``route_tokens`` (the rule
+manager's :meth:`~repro.core.manager.RuleManager.process_tokens`).  A
+row that fails leaves the rows before it applied, and their tokens are
+still routed.  With ``defer_routing`` enabled
+(``Database(batch_tokens=True)``) the Δ-sets of a whole transition
+accumulate and flush as one at the transition boundary.
 """
 
 from __future__ import annotations
@@ -79,23 +84,21 @@ class TransitionHooks(MutationHooks):
                                                      stored))
         return tid
 
-    def insert_many(self, relation_name: str,
-                    rows: Iterable[tuple]) -> list[TupleId]:
-        """Bulk append: apply every heap insert, then route the whole
-        Δ-set through the network as a single batch."""
+    def insert_many(self, relation_name: str, rows: Iterable[tuple],
+                    coerced: bool = False) -> list[TupleId]:
+        """Bulk append: apply every heap insert (all or nothing), then
+        route the whole Δ-set through the network as a single batch."""
         relation = self.catalog.relation(relation_name)
-        pairs = relation.insert_many(rows)
+        tids, stored = relation.insert_many(rows, coerced)
         if self.undo.enabled:
-            record_undo = self.undo.record_insert
-            for tid, stored in pairs:
-                record_undo(relation_name, tid, stored)
+            self.undo.record_inserts(relation_name, tids, stored)
         if self.journal is not None:
-            for _, stored in pairs:
-                self.journal.journal_insert(relation_name, stored)
+            for values in stored:
+                self.journal.journal_insert(relation_name, values)
         if self._watched(relation_name):
             self._route(self.deltasets.record_insert_many(relation_name,
-                                                          pairs))
-        return [tid for tid, _ in pairs]
+                                                          tids, stored))
+        return tids
 
     def delete(self, relation_name: str, tid: TupleId) -> tuple:
         relation = self.catalog.relation(relation_name)
@@ -103,10 +106,39 @@ class TransitionHooks(MutationHooks):
         self.undo.record_delete(relation_name, tid, values)
         if self.journal is not None:
             self.journal.journal_delete(relation_name, values)
-        if self._watched(relation_name):
+        if self._retractions_seen(relation_name):
             self._route(self.deltasets.record_delete(relation_name, tid,
                                                      values))
+        else:
+            self.deltasets.forget((tid,))
         return values
+
+    def delete_many(self, relation_name: str,
+                    tids: Sequence[TupleId]) -> list[tuple]:
+        """A set-oriented delete of live, distinct ``tids``: every heap
+        delete first, then one Δ-set.  One TID takes :meth:`delete`."""
+        if len(tids) == 1:
+            return [self.delete(relation_name, tids[0])]
+        values_of = self.catalog.relation(relation_name).delete_many(tids)
+        undo = self.undo.record_delete if self.undo.enabled else None
+        journal = self.journal
+        if not self._retractions_seen(relation_name):
+            self.deltasets.forget(tids)
+            record = None
+        else:
+            record = self.deltasets.record_delete
+        tokens: list[Token] = []
+        try:
+            for tid, values in zip(tids, values_of):
+                if undo is not None:
+                    undo(relation_name, tid, values)
+                if journal is not None:
+                    journal.journal_delete(relation_name, values)
+                if record is not None:
+                    tokens += record(relation_name, tid, values)
+        finally:
+            self._route(tokens)
+        return values_of
 
     def replace(self, relation_name: str, tid: TupleId,
                 new_values: tuple) -> tuple:
@@ -125,6 +157,39 @@ class TransitionHooks(MutationHooks):
             self._route(self.deltasets.record_modify(relation_name, tid,
                                                      old_values, stored))
         return old_values
+
+    def replace_many(self, relation_name: str,
+                     updates: Sequence[tuple[TupleId, tuple]]) -> None:
+        """A set-oriented replace of live ``(tid, new values)`` pairs:
+        each overwrite in order (a no-op overwrite is skipped, as in
+        :meth:`replace`), then one Δ-set.  One pair takes
+        :meth:`replace`."""
+        if len(updates) == 1:
+            self.replace(relation_name, *updates[0])
+            return
+        relation = self.catalog.relation(relation_name)
+        overwrite, get = relation.replace, relation.get
+        undo = self.undo.record_replace if self.undo.enabled else None
+        journal = self.journal
+        record = (self.deltasets.record_modify
+                  if self._watched(relation_name) else None)
+        tokens: list[Token] = []
+        try:
+            for tid, new_values in updates:
+                old_values = overwrite(tid, new_values)
+                stored = get(tid)
+                if stored == old_values:
+                    continue
+                if undo is not None:
+                    undo(relation_name, tid, old_values, stored)
+                if journal is not None:
+                    journal.journal_replace(relation_name, old_values,
+                                            stored)
+                if record is not None:
+                    tokens += record(relation_name, tid, old_values,
+                                     stored)
+        finally:
+            self._route(tokens)
 
     def restore(self, relation_name: str, tid: TupleId,
                 values: tuple) -> None:
@@ -171,6 +236,18 @@ class TransitionHooks(MutationHooks):
         return (network is None
                 or network.selection_index.watches(relation_name)
                 or trace is not None and trace.wants("token_routed"))
+
+    def _retractions_seen(self, relation_name: str) -> bool:
+        """Whether a delete on the relation must build its tokens: a
+        memory there can act on a retraction, deferred tokens that may
+        make one able to still wait in the buffer, or a
+        ``token_routed`` subscriber wants every token."""
+        network, trace = self.network, self.trace
+        return (network is None
+                or trace is not None and trace.wants("token_routed")
+                or network.sees_retractions(relation_name)
+                or bool(self._buffer)
+                and network.selection_index.watches(relation_name))
 
     def _route(self, tokens: list[Token]) -> None:
         if not tokens:

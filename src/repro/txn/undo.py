@@ -11,13 +11,12 @@ undo replays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.storage.tuples import TupleId
 
 
-@dataclass(frozen=True)
-class UndoRecord:
+class UndoRecord(NamedTuple):
     """One logged mutation: enough to invert it."""
 
     op: str                   # 'insert' | 'delete' | 'replace'
@@ -47,6 +46,13 @@ class UndoLog:
         if self.enabled:
             self._records.append(
                 UndoRecord("insert", relation, tid, None, values))
+
+    def record_inserts(self, relation: str, tids, values_of) -> None:
+        """:meth:`record_insert` for each tid and its values."""
+        if self.enabled:
+            self._records.extend([UndoRecord("insert", relation, tid, None,
+                                             values)
+                                  for tid, values in zip(tids, values_of)])
 
     def record_delete(self, relation: str, tid: TupleId,
                       values: tuple) -> None:

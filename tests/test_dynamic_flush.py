@@ -383,6 +383,22 @@ def test_abort_ends_with_an_empty_registry(batch):
     assert db.firings == fired
 
 
+def test_abort_over_suspended_matches_leaves_dynamic_pnodes_empty():
+    """With firing suspended, an event rule's P-node still holds the
+    match its transition bound when ``begin`` snapshots it; ``abort``
+    flushes it and must not put that match back, since a dynamic P-node
+    is empty at every transition boundary."""
+    db = _mixed_db()
+    db.execute("append t(a = 9, k = 2)")
+    db._rules_suspended = True
+    db.execute("delete t where t.a = 9")      # binds e_del
+    assert len(db.network.pnode("e_del")) == 1
+    db.begin()
+    db.abort()
+    assert _settled(db)
+    assert len(db.network.pnode("e_del")) == 0
+
+
 def test_reload_and_recovery_end_with_an_empty_registry(tmp_path):
     db = _mixed_db(durable_path=tmp_path / "d")
     db.execute("append t(a = 4, k = 1)")

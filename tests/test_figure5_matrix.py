@@ -333,10 +333,16 @@ def test_fixed_verdicts_do_what_dispatch_says(gating, multi_var):
                 if asserted:
                     db.network.process_token(
                         make_token(*ASSERTING[gating]))
+                assert memory.inserts_append == (
+                    gating in ("pattern", "on append"))
                 token = make_token(kind, event)
                 op = dispatch(memory.spec, token)
                 if kind in (TokenKind.PLUS, TokenKind.DELTA_PLUS) \
                         and memory.inserts_plus:
+                    assert op == MemoryOp("insert",
+                                          MemoryEntry(token.tid, NEW))
+                if kind is TokenKind.PLUS and event == "append" \
+                        and memory.inserts_append:
                     assert op == MemoryOp("insert",
                                           MemoryEntry(token.tid, NEW))
                 if kind is TokenKind.MINUS and memory.deletes_minus:

@@ -294,7 +294,7 @@ def _network_state(db):
                               for var, entry in partial.items())
                     for partial in network.beta_partials(name)}
              for name in network.rules},
-            list(db.manager.agenda._notified), network.memory_budget)
+            db.manager.agenda.notified(), network.memory_budget)
 
 
 @pytest.mark.parametrize("budget", [0, 60], ids=["zero", "mixed"])
@@ -308,7 +308,7 @@ def test_a_finite_budget_under_rete_changes_nothing(budget):
         engine._rules_suspended = True      # let matches pile up
         engine.execute("append big(a = 2, k = 0)")
     before = _network_state(db)
-    assert db.manager.agenda._notified and any(before[2].values())
+    assert db.manager.agenda.notified() and any(before[2].values())
     for call in (plan_memories, optimize_memories):
         with pytest.raises(MemoryBudgetError, match="Rete"):
             call(db, budget)

@@ -646,6 +646,7 @@ KERNEL_STATEMENTS = {
              "and emp.id > $lo",
     "drop": "delete emp where emp.dno = $k",
     "drop_one": "delete emp where emp.id = $k and emp.sal < $s",
+    "sweep": "delete emp where emp.name = $n or emp.sal < $s",
     "hire": "append emp(id = $i, name = $n, sal = $s, dno = $d)",
     "open": "append dept(dno = $d, name = $n, floor = $f)",
     "note": "append log($n, $s, 2.5)",
@@ -653,7 +654,8 @@ KERNEL_STATEMENTS = {
 
 #: rule actions of the kernel's append shape: 1, 2 and 3 variables,
 #: ``previous`` values, constants, arithmetic, named targets out of
-#: schema order with one attribute left null, positional targets
+#: schema order with one attribute left null, positional targets, and
+#: rows read straight off one or two matched tuples
 KERNEL_RULES = [
     "define rule up on replace emp(sal) if emp.sal > previous emp.sal "
     "then append to log(tag = emp.name, v = emp.sal - previous emp.sal, "
@@ -663,6 +665,8 @@ KERNEL_RULES = [
     "define rule moved on replace emp(dno) if emp.dno = dept.dno "
     "then append to log(tag = dept.name, v = previous emp.dno, "
     "w = emp.dno * 10)",
+    "define rule paid if emp.dno = dept.dno and dept.floor > 2 "
+    "then append to log(tag = dept.name, v = emp.sal)",
     "define rule trio if e1.dno = d.dno and e2.dno = d.dno "
     "and e1.id < e2.id and d.floor > 1 from e1 in emp, e2 in emp, "
     "d in dept then append to log(d.name, e1.id + e2.id, d.floor)",
@@ -786,9 +790,9 @@ def test_kernel_runs_every_statement_and_action_of_the_oracle():
         db.execute("replace emp (sal = emp.sal + 1.0, dno = emp.dno + 1) "
                    "where emp.id = 4")
         db.execute("delete emp where emp.id = 5")
-        # three statements and every action they fired (trio, up,
-        # moved, trio, gone)
-        assert db.firings - firings == len(ran) - 3 == 5
+        # three statements and every action they fired (trio, paid,
+        # up, trio, moved, gone)
+        assert db.firings - firings == len(ran) - 3 == 6
         assert set(ran) == {kernel}
 
 

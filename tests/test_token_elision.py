@@ -1,13 +1,20 @@
-"""A write to a relation no rule watches makes no tokens.
+"""Tokens nothing can see are not built, and a statement routes one
+Δ-set: neither is observable.
 
 The transition hooks record no Δ-set entry and route no token for a
 relation on which the selection index holds no α-memory: those tokens
-could reach nothing.  The property below compares the default engine
-with :class:`RouteEveryToken` — the engine as it was before, routing the
-tokens of every write — while rules come and go, so relations flip
-between watched and unwatched, over writes from statements and from
-rule actions, ``do … end`` blocks, explicit transactions, a failing
-action, a persist round trip and durable recovery.
+could reach nothing.  A delete builds no token either while every memory
+on its relation is the simple memory of an event- or transition-gated
+rule that a delete does not assert, and no rule is dirty.  A statement
+of several rows, and a rule action's append, route their tokens as one
+Δ-set.  The property below compares the default engine with
+:class:`RouteEveryToken` — hooks that route the tokens of every write,
+row by row, their ``*_many`` methods looping over the per-row ones —
+while rules come and go, so relations flip between watched, blind to
+retractions and unwatched, over writes from statements and from rule
+actions, multi-row deletes and replaces, ``do … end`` blocks, explicit
+transactions, a failing action, a persist round trip and durable
+recovery.
 """
 
 import tempfile
@@ -18,15 +25,28 @@ from hypothesis import example, given, settings, strategies as st
 from repro import Database, persist
 from repro.core.validate import check_network
 from repro.errors import ArielError
+from repro.executor.executor import MutationHooks
+from repro.txn.transitions import TransitionHooks
 
 from tests.test_network_equivalence import pnode_snapshot
 
 
+class PerRowHooks(TransitionHooks):
+    """Transition hooks whose set-oriented methods are the per-row loops
+    of the interface."""
+
+    insert_many = MutationHooks.insert_many
+    delete_many = MutationHooks.delete_many
+    replace_many = MutationHooks.replace_many
+
+
 class RouteEveryToken(Database):
-    """The reference: hooks that route the tokens of every relation."""
+    """The reference: hooks that route the tokens of every relation,
+    row by row."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
+        self.hooks.__class__ = PerRowHooks
         self.hooks.network = None
 
 
@@ -63,6 +83,11 @@ _op = st.one_of(
     st.tuples(st.just("delete"), _relation, _value),
     st.tuples(st.just("replace"), _relation, _value, _value),
     st.tuples(st.just("block"), _value, _value),
+    # several rows at once: a whole relation, or a range of it
+    st.tuples(st.just("wipe"), _relation),
+    st.tuples(st.just("bump"), _relation, _value),
+    # a statement's rows land and leave inside one transition
+    st.tuples(st.just("churn"), _relation, _value, _value),
     st.tuples(st.sampled_from(["begin", "commit", "abort", "persist",
                                "recover"])),
 )
@@ -101,6 +126,19 @@ def statement(op, k: int, db) -> str | None:
         return (f"do {_append('t', a, k)} {_append('log', b, k)} "
                 f"replace u (b = {a}) where u.b = {b} "
                 f"delete aux where aux.x = {a} end")
+    if kind == "wipe":
+        return f"delete {op[1]}"
+    if kind == "bump":
+        _, rel, value = op
+        col = COLUMN[rel]
+        return (f"replace {rel} ({col} = {rel}.{col} + 1) "
+                f"where {rel}.{col} < {value}")
+    if kind == "churn":
+        _, rel, a, b = op
+        col = COLUMN[rel]
+        return (f"do {_append(rel, a, k)} {_append(rel, b, k)} "
+                f"delete {rel} where {rel}.{col} = {a} "
+                f"replace {rel} ({col} = {a}) where {rel}.{col} = {b} end")
     return None
 
 
@@ -198,6 +236,17 @@ class Pair:
           ("delete", "t", 9), ("append", "aux", 4), ("append", "t", 13),
           ("append", "u", 13), ("abort",), ("rule", "r_bad", True),
           ("append", "t", 13), ("persist",)])
+# a log row appended and deleted in one transition: the on-append rule
+# accepted the +, so its − must reach the P-node (a dirty rule)
+@example(["r_log"], [("append", "log", 9), ("churn", "log", 9, 12),
+                     ("churn", "log", 12, 3),
+                     ("wipe", "log"), ("append", "log", 2),
+                     ("begin",), ("wipe", "log"), ("abort",)])
+# u watched only by an on-delete rule: every delete asserts the event
+@example(["r_gone", "r_rise"], [("append", "u", 3), ("append", "u", 3),
+                                ("bump", "u", 5), ("wipe", "u"),
+                                ("rule", "r_gone", True),
+                                ("append", "u", 4), ("delete", "u", 4)])
 def test_elision_is_unobservable(rules, ops):
     with tempfile.TemporaryDirectory() as root:
         pair = Pair(root)
