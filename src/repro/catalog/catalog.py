@@ -49,22 +49,17 @@ class Catalog:
         self._rules: dict[str, object] = {}
         self._rulesets: dict[str, RulesetInfo] = {
             DEFAULT_RULESET: RulesetInfo(DEFAULT_RULESET)}
-        #: monotonic version of relations and indexes.  Cached plans
+        #: monotonic version of relations and indexes (advanced only by
+        #: :meth:`bump_version`): all that a user command's plan, a
+        #: rule-action plan and a join order depend on.  Cached plans
         #: record the version they were built against and are
-        #: invalidated on mismatch.
-        self._schema_version = 0
-
-    @property
-    def schema_version(self) -> int:
-        """Moves on relation and index changes: all that a user command's
-        plan, a rule-action plan and a join order depend on.  Rule
-        lifecycle does not move it — a rule leaving the network drops
-        its own cached plans."""
-        return self._schema_version
+        #: invalidated on mismatch.  Rule lifecycle does not move it —
+        #: a rule leaving the network drops its own cached plans.
+        self.schema_version = 0
 
     def bump_version(self) -> None:
         """Advance the schema version."""
-        self._schema_version += 1
+        self.schema_version += 1
 
     # ------------------------------------------------------------------
     # relations

@@ -9,6 +9,7 @@ language.  We provide the four scalar types the paper's examples use
 from __future__ import annotations
 
 import enum
+from operator import call
 from dataclasses import dataclass
 
 from repro.errors import CatalogError, SemanticError
@@ -209,7 +210,7 @@ class Schema:
         coercers = self._coercers
         if len(values) != len(coercers):
             raise StorageArityError(len(coercers), len(values))
-        return tuple(c(v) for c, v in zip(coercers, values))
+        return tuple(map(call, coercers, values))
 
 
 class StorageArityError(CatalogError):

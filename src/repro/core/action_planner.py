@@ -45,12 +45,15 @@ class ActionPlanner:
         self.plans_built = 0
 
     def plan_firing(self, rule: CompiledRule, matches: list[Match]
-                    ) -> list[PlannedCommand | None]:
+                    ) -> tuple[PlannedCommand | None, ...]:
         """The plan of every command of the rule action (None for
         ``halt``), built on first use and again whenever the schema
         version has moved since — the prepared statements' invalidation
         rule.  ``matches`` sizes the P-node seed of a new plan."""
         version = self.catalog.schema_version
+        cached = rule.firing_plans
+        if cached is not None and cached[0] == version:
+            return cached[1]
         out: list[PlannedCommand | None] = []
         for entry in rule.actions:
             if isinstance(entry.command, ast.Halt):
@@ -60,7 +63,8 @@ class ActionPlanner:
                 entry.planned = self._plan_one(rule, entry, len(matches))
                 entry.schema_version = version
             out.append(entry.planned)
-        return out
+        rule.firing_plans = (version, tuple(out))
+        return rule.firing_plans[1]
 
     def _plan_one(self, rule: CompiledRule, entry: ActionCommand,
                   match_count: int) -> PlannedCommand:

@@ -12,29 +12,26 @@ three orthogonal axes captured here:
 * **transition gate**: the condition uses ``previous var.…`` and only
   Δ tokens bind it.
 
-:func:`dispatch` is the action table: given a variable's gating and a
-token, it returns the memory operation to perform (insert an entry,
-delete by tuple id, or nothing).  One clarification to Figure 5, noted in
-DESIGN.md: at an ``on delete`` memory, a ``−`` token whose specifier is
-``delete`` *asserts* the event (inserts the tuple) so the rule can bind
-the deleted data; the figure's "delete t" row applies to the other
-specifiers, which retract prior assertions.
-
-The network records on each memory the verdicts its gates alone fix
-(``inserts_plus``: a ``+``/``Δ+`` inserts ``MemoryEntry(tid, values)``;
-``inserts_append``: so does a ``+`` with an ``append`` specifier, at a
-pattern or ``on append`` memory; ``deletes_minus``: a ``−`` deletes by
-tid); every other pair asks :func:`dispatch`, the one definition of the
-table.
+:func:`verdict` is the action table: given a variable's gating and a
+token kind, it names the memory operation every such token gets
+(insert an entry, delete by tuple id, or nothing), with the gate on the
+token's event specifier an insertion still has to pass.  The network
+compiles each memory's four verdicts into its token routers once, when
+the memory is registered; :func:`dispatch` applies the same table to a
+single token.  One clarification to Figure 5, noted in DESIGN.md: at an
+``on delete`` memory, a ``−`` token whose specifier is ``delete``
+*asserts* the event (inserts the tuple) so the rule can bind the deleted
+data; the figure's "delete t" row applies to the other specifiers,
+which retract prior assertions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.core.rules import VariableSpec
-from repro.core.tokens import Token, TokenKind
+from repro.core.tokens import EventSpecifier, Token, TokenKind
 from repro.lang.ast_nodes import EventKind, EventSpec
 from repro.observe import NULL_STATS
 from repro.storage.tuples import TupleId
@@ -57,83 +54,92 @@ class MemoryOp:
     tid: TupleId | None = None
 
 
-def dispatch(spec: VariableSpec, token: Token) -> MemoryOp | None:
-    """The Figure-5 action table, parameterised by the variable's gates.
+class Insert(NamedTuple):
+    """An insertion verdict: the entry keeps the token's ``old_values``
+    (a transition pair) or not, and ``gate`` — when not None — decides
+    from the token's event specifier whether the insertion happens."""
 
-    Returns None when the combination is a no-op ("don't care" entries).
-    The caller has already verified the token's values against the
-    memory's selection predicate for insertion-kind results.
-    """
+    keeps_old: bool
+    gate: Callable[[EventSpecifier | None], bool] | None = None
+
+
+#: the deletion verdict: drop the entry with the token's tuple id
+DELETE = "delete"
+
+
+def verdict(spec: VariableSpec, kind: TokenKind) -> Insert | str | None:
+    """The Figure-5 action table, parameterised by the variable's gates:
+    what every token of ``kind`` does at the memory — an :class:`Insert`,
+    :data:`DELETE`, or None for the "don't care" entries.  The caller
+    verifies an insertion's values against the memory's selection
+    predicate."""
     if spec.is_transition:
-        return _dispatch_transition(spec, token)
-    if spec.event is not None:
-        return _dispatch_event(spec, token)
-    return _dispatch_pattern(token)
-
-
-def _dispatch_pattern(token: Token) -> MemoryOp | None:
-    if token.kind is TokenKind.PLUS:
-        return MemoryOp("insert", MemoryEntry(token.tid, token.values))
-    if token.kind is TokenKind.MINUS:
-        return MemoryOp("delete", tid=token.tid)
-    if token.kind is TokenKind.DELTA_PLUS:
-        # "insert newt": project the new half of the pair
-        return MemoryOp("insert", MemoryEntry(token.tid, token.values))
-    return MemoryOp("delete", tid=token.tid)        # Δ−: "delete newt"
-
-
-def _dispatch_transition(spec: VariableSpec,
-                         token: Token) -> MemoryOp | None:
-    if token.kind is TokenKind.DELTA_PLUS:
-        if not _event_matches(spec.event, token):
-            return None
-        return MemoryOp("insert", MemoryEntry(token.tid, token.values,
-                                              token.old_values))
-    if token.kind is TokenKind.DELTA_MINUS:
-        return MemoryOp("delete", tid=token.tid)
-    return None                # plain +/− can never match a transition
-
-
-def _dispatch_event(spec: VariableSpec, token: Token) -> MemoryOp | None:
-    kind = spec.event.kind
-    if kind is EventKind.APPEND:
-        if token.kind is TokenKind.PLUS and token.event is not None \
-                and token.event.kind is EventKind.APPEND:
-            return MemoryOp("insert", MemoryEntry(token.tid, token.values))
-        if token.kind is TokenKind.MINUS:
-            return MemoryOp("delete", tid=token.tid)
-        return None
-    if kind is EventKind.DELETE:
-        if token.kind is TokenKind.MINUS and token.event is not None \
-                and token.event.kind is EventKind.DELETE:
-            # Event assertion: bind the deleted tuple to the rule.
-            return MemoryOp("insert", MemoryEntry(token.tid, token.values))
-        return None
+        if kind is TokenKind.DELTA_PLUS:
+            return Insert(True, _replace_gate(spec.event))
+        return DELETE if kind is TokenKind.DELTA_MINUS else None
+    event = spec.event
+    if event is None:                       # a pattern memory
+        if kind is TokenKind.PLUS or kind is TokenKind.DELTA_PLUS:
+            # Δ+ is "insert newt": project the new half of the pair
+            return _INSERT_NEW
+        return DELETE
+    if event.kind is EventKind.APPEND:
+        if kind is TokenKind.PLUS:
+            return _INSERT_APPENDED
+        return DELETE if kind is TokenKind.MINUS else None
+    if event.kind is EventKind.DELETE:
+        # event assertion: bind the deleted tuple to the rule
+        return _INSERT_DELETED if kind is TokenKind.MINUS else None
     # on replace(target-list)
-    if token.kind is TokenKind.DELTA_PLUS:
-        if not _event_matches(spec.event, token):
-            return None
-        return MemoryOp("insert", MemoryEntry(token.tid, token.values,
-                                              token.old_values))
-    if token.kind in (TokenKind.DELTA_MINUS, TokenKind.MINUS):
-        return MemoryOp("delete", tid=token.tid)
+    if kind is TokenKind.DELTA_PLUS:
+        return Insert(True, _replace_gate(event))
+    if kind is TokenKind.DELTA_MINUS or kind is TokenKind.MINUS:
+        return DELETE
     return None
 
 
-def _event_matches(gate: EventSpec | None, token: Token) -> bool:
-    """Does a Δ+ token's event specifier satisfy an on-replace gate?
+def dispatch(spec: VariableSpec, token: Token) -> MemoryOp | None:
+    """The :func:`verdict` of one token, as the memory operation it
+    performs (None when the table or the insertion's gate says no-op)."""
+    action = verdict(spec, token.kind)
+    if action is None:
+        return None
+    if action is DELETE:
+        return MemoryOp("delete", tid=token.tid)
+    if action.gate is not None and not action.gate(token.event):
+        return None
+    return MemoryOp("insert", MemoryEntry(
+        token.tid, token.values,
+        token.old_values if action.keeps_old else None))
 
-    A gate with an attribute list only fires when the update touched at
-    least one listed attribute (paper section 4.3).  A gate of None (pure
-    transition condition) accepts any Δ+.
-    """
+
+def _is_append(event: EventSpecifier | None) -> bool:
+    return event is not None and event.kind is EventKind.APPEND
+
+
+def _is_delete(event: EventSpecifier | None) -> bool:
+    return event is not None and event.kind is EventKind.DELETE
+
+
+_INSERT_NEW = Insert(False)
+_INSERT_APPENDED = Insert(False, _is_append)
+_INSERT_DELETED = Insert(False, _is_delete)
+
+
+def _replace_gate(gate: EventSpec | None):
+    """The event test of a Δ+ at an on-replace or transition memory
+    (None: a pure transition condition accepts any Δ+).  A gate with an
+    attribute list only fires when the update touched at least one
+    listed attribute (paper section 4.3)."""
     if gate is None:
-        return True
-    if token.event is None or token.event.kind is not EventKind.REPLACE:
-        return False
-    if not gate.attributes:
-        return True
-    return bool(set(gate.attributes) & set(token.event.attributes))
+        return None
+    listed = frozenset(gate.attributes)
+
+    def matches(event: EventSpecifier | None) -> bool:
+        if event is None or event.kind is not EventKind.REPLACE:
+            return False
+        return not listed or not listed.isdisjoint(event.attributes)
+    return matches
 
 
 class AlphaMemory:
@@ -175,6 +181,8 @@ class AlphaMemory:
         self._join_indexes: dict[int, dict[object,
                                            dict[TupleId, MemoryEntry]]] = {
             position: {} for position in join_positions}
+        #: the same, as (position, buckets) pairs for the update loops
+        self._indexed = tuple(self._join_indexes.items())
 
     @property
     def kind_name(self) -> str:
@@ -195,7 +203,9 @@ class AlphaMemory:
     def insert(self, entry: MemoryEntry) -> bool:
         """Add an entry; returns False if the tid was already present
         with the same values (idempotent re-insert)."""
-        existing = self._entries.get(entry.tid)
+        tid = entry.tid
+        entries = self._entries
+        existing = entries.get(tid)
         if existing == entry:
             return False
         stats = self.stats
@@ -203,20 +213,19 @@ class AlphaMemory:
             counters = stats.counters
             counters["alpha.inserts"] = \
                 counters.get("alpha.inserts", 0) + 1
-        self._entries[entry.tid] = entry
-        if self._join_indexes:
-            for position, buckets in self._join_indexes.items():
-                if existing is not None:
-                    _unindex(buckets, existing.values[position],
-                             existing.tid)
-                value = entry.values[position]
-                if value is None or value != value:
-                    continue
-                bucket = buckets.get(value)
-                if bucket is None:
-                    buckets[value] = {entry.tid: entry}
-                else:
-                    bucket[entry.tid] = entry
+        entries[tid] = entry
+        values = entry.values
+        for position, buckets in self._indexed:
+            if existing is not None:
+                _unindex(buckets, existing.values[position], tid)
+            value = values[position]
+            if value is None or value != value:
+                continue
+            bucket = buckets.get(value)
+            if bucket is None:
+                buckets[value] = {tid: entry}
+            else:
+                bucket[tid] = entry
         return True
 
     def remove(self, tid: TupleId) -> MemoryEntry | None:
@@ -228,8 +237,9 @@ class AlphaMemory:
                 counters = stats.counters
                 counters["alpha.deletes"] = \
                     counters.get("alpha.deletes", 0) + 1
-            for position, buckets in self._join_indexes.items():
-                _unindex(buckets, entry.values[position], tid)
+            values = entry.values
+            for position, buckets in self._indexed:
+                _unindex(buckets, values[position], tid)
         return entry
 
     def get(self, tid: TupleId) -> MemoryEntry | None:
@@ -255,6 +265,16 @@ class AlphaMemory:
     def join_index_positions(self) -> list[int]:
         """The attribute positions carrying a join index."""
         return list(self._join_indexes)
+
+    def join_buckets(self, position: int) -> dict:
+        """The join index of ``position`` itself, ``{value: {tid:
+        entry}}``, for a compiled seek step that reads its bucket with
+        no call (it counts ``alpha.join_probes`` itself)."""
+        return self._join_indexes[position]
+
+    def sizer(self) -> Callable[[], int]:
+        """A callable answering ``len(self)`` (the entry dict's own)."""
+        return self._entries.__len__
 
     def join_probe(self, position: int, value) -> Iterator[MemoryEntry]:
         """Entries whose attribute at ``position`` equals ``value`` —

@@ -72,14 +72,17 @@ class DeltaSets:
         self._inserted[tid] = values
         return [tok.plus(relation, tid, values, _APPEND)]
 
+    def record_inserted(self, tids, values_of) -> None:
+        """Enter inserted tuples in the I-set with no token to route
+        (no memory acts on a ``+`` on their relation)."""
+        self._inserted.update(zip(tids, values_of))
+
     def record_insert_many(self, relation: str, tids,
                            values_of) -> list[Token]:
         """Bulk variant of :meth:`record_insert` for parallel lists of
         tids and values: same I-set entries and ``+`` tokens."""
         self._inserted.update(zip(tids, values_of))
-        plus = tok.plus
-        return [plus(relation, tid, values, _APPEND)
-                for tid, values in zip(tids, values_of)]
+        return tok.plus_many(relation, tids, values_of, _APPEND)
 
     def record_modify(self, relation: str, tid: TupleId,
                       old_values: tuple, new_values: tuple) -> list[Token]:

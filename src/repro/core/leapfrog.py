@@ -297,9 +297,6 @@ def multiway_seek(network, rule, plan: MultiwayPlan,
     discipline matches the pairwise step exactly: the network stamp
     advances once per complete combination reaching the P-node.
     """
-    memories = network._memories
-    rule_name = rule.name
-    pnode = network._pnodes[rule_name]
     fixed: list = [None] * plan.n_classes
     values = seed_entry.values
     for class_index, positions in plan.seed_positions:
@@ -310,55 +307,83 @@ def multiway_seek(network, rule, plan: MultiwayPlan,
             if values[position] != value:
                 return False
         fixed[class_index] = value
-    partial: dict[str, MemoryEntry] = {plan.seed_var: seed_entry}
-    bindings = Bindings()
-    _bind(bindings, plan.seed_var, seed_entry)
-    entry_cache: dict = {}
-    view_cache: dict = {}
-    seeks = [0]
-    refined: dict[str, list] = {}
+    walk = _Walk(network, rule, plan, seed_entry, pending_vars, token,
+                 fixed)
+    for var, constraints in plan.prefixed:
+        entries = walk.restricted_entries(var, constraints)
+        if not entries:
+            break
+        walk.refined[var] = entries
+    else:
+        walk.walk(0)
+    if walk.seeks[0] and network.stats.enabled:
+        network.stats.bump("joins.leapfrog_seeks", walk.seeks[0])
+    return walk.matched
 
-    def restricted_entries(var: str, constraints) -> list:
+
+class _Walk:
+    """The state of one multiway seek: the class values fixed so far,
+    the bound entries, and the per-seek caches.  Its methods recurse
+    through the levels; it holds no reference to itself, so a seek
+    leaves no reference cycle for the collector."""
+
+    __slots__ = ("network", "rule", "plan", "pnode", "pending_vars",
+                 "token", "fixed", "partial", "bindings", "entry_cache",
+                 "view_cache", "seeks", "refined", "matched")
+
+    def __init__(self, network, rule, plan, seed_entry, pending_vars,
+                 token, fixed):
+        self.network = network
+        self.rule = rule
+        self.plan = plan
+        self.pnode = network._pnodes[rule.name]
+        self.pending_vars = pending_vars
+        self.token = token
+        self.fixed = fixed
+        self.partial: dict[str, MemoryEntry] = {plan.seed_var: seed_entry}
+        self.bindings = Bindings()
+        _bind(self.bindings, plan.seed_var, seed_entry)
+        self.entry_cache: dict = {}
+        self.view_cache: dict = {}
+        self.seeks = [0]
+        self.refined: dict[str, list] = {}
+        self.matched = False
+
+    def restricted_entries(self, var: str, constraints) -> list:
         """The var's memory contents under the already-fixed equality
         constraints — probed through the hash join-index or the
         sharpened virtual scan, then filtered.  Memoized per seek."""
+        fixed = self.fixed
         flat = []
         for class_index, positions in constraints:
             value = fixed[class_index]
             for position in positions:
                 flat.append((position, value))
         cache_key = (var, tuple(flat))
-        cached = entry_cache.get(cache_key)
+        cached = self.entry_cache.get(cache_key)
         if cached is not None:
             return cached
-        memory = memories[(rule_name, var)]
+        network = self.network
+        memory = network._memories[(self.rule.name, var)]
+        equality = flat[0] if flat else None
         if memory.is_virtual:
-            if flat:
-                position, value = flat[0]
-                entries = network._virtual_entries(
-                    memory, var, partial, (position, value),
-                    pending_vars, token)
-                rest = flat[1:]
-            else:
-                entries = network._virtual_entries(
-                    memory, var, partial, None, pending_vars, token)
-                rest = ()
+            entries = network._virtual_entries(
+                memory, var, self.partial, equality, self.pending_vars,
+                self.token)
         elif flat:
-            position, value = flat[0]
-            entries = memory.join_probe(position, value)
-            rest = flat[1:]
+            entries = memory.join_probe(*equality)
         else:
             entries = memory.entries()
-            rest = ()
+        rest = flat[1:]
         if rest:
             out = [entry for entry in entries
                    if all(entry.values[p] == v for p, v in rest)]
         else:
             out = list(entries)
-        entry_cache[cache_key] = out
+        self.entry_cache[cache_key] = out
         return out
 
-    def level_view(level_var: LevelVar):
+    def level_view(self, level_var: LevelVar):
         """The participant's sorted distinct-key view for one level:
         ``(keys, groups)`` where ``groups[key]`` lists the entries
         carrying that key, grouped from the restricted entries and
@@ -366,15 +391,15 @@ def multiway_seek(network, rule, plan: MultiwayPlan,
         var = level_var.var
         positions = level_var.positions
         constraints = level_var.constraints
-        key_values = tuple(fixed[ci] for ci, _ in constraints)
+        key_values = tuple(self.fixed[ci] for ci, _ in constraints)
         cache_key = (var, positions, key_values)
-        view = view_cache.get(cache_key)
+        view = self.view_cache.get(cache_key)
         if view is not None:
             return view
         first = positions[0]
         rest = positions[1:]
         groups: dict = {}
-        for entry in restricted_entries(var, constraints):
+        for entry in self.restricted_entries(var, constraints):
             value = entry.values[first]
             if value is None or value != value:
                 continue
@@ -386,65 +411,54 @@ def multiway_seek(network, rule, plan: MultiwayPlan,
             else:
                 group.append(entry)
         view = (sorted(groups), groups)
-        view_cache[cache_key] = view
+        self.view_cache[cache_key] = view
         return view
 
-    matched = False
-    emit_order = plan.emit_order
-    schedule = plan.residual_schedule
-    n_emit = len(emit_order)
-
-    def emit(depth: int) -> None:
-        nonlocal matched
-        if depth == n_emit:
+    def emit(self, depth: int) -> None:
+        """Bind the emit-order variable at ``depth`` to each refined
+        entry passing its residual conjuncts; a complete combination
+        goes to the P-node."""
+        plan, partial = self.plan, self.partial
+        if depth == len(plan.emit_order):
+            network = self.network
             network._stamp += 1
-            if pnode.insert(Match.of(dict(partial)), network._stamp):
-                network._note_pnode_insert()
-                matched = True
+            if self.pnode.insert(Match.of(dict(partial)), network._stamp):
+                network._matches_added += 1
+                self.matched = True
             return
-        var = emit_order[depth]
-        conjuncts = schedule[depth]
-        for entry in refined[var]:
+        var = plan.emit_order[depth]
+        conjuncts = plan.residual_schedule[depth]
+        bindings = self.bindings
+        for entry in self.refined[var]:
             _bind(bindings, var, entry)
             if all(j.evaluate(bindings) is True for j in conjuncts):
                 partial[var] = entry
-                emit(depth + 1)
+                self.emit(depth + 1)
                 del partial[var]
             _unbind(bindings, var)
 
-    levels = plan.levels
-    n_levels = len(levels)
-
-    def walk(level_index: int) -> None:
-        if level_index == n_levels:
-            emit(0)
+    def walk(self, level_index: int) -> None:
+        """Intersect one level's views, fixing its class to each common
+        value in turn, then walk the next level (emit after the last)."""
+        levels = self.plan.levels
+        if level_index == len(levels):
+            self.emit(0)
             return
         level = levels[level_index]
         views = []
         for level_var in level.vars:
-            keys, groups = level_view(level_var)
+            keys, groups = self.level_view(level_var)
             if not keys:
                 return
             views.append((level_var.var, keys, groups))
         class_index = level.class_index
-        for value in leapfrog_intersection([v[1] for v in views], seeks):
-            fixed[class_index] = value
+        refined = self.refined
+        for value in leapfrog_intersection([v[1] for v in views],
+                                           self.seeks):
+            self.fixed[class_index] = value
             for var, _, groups in views:
                 refined[var] = groups[value]
-            walk(level_index + 1)
-
-    live = True
-    for var, constraints in plan.prefixed:
-        entries = restricted_entries(var, constraints)
-        if not entries:
-            live = False
-            break
-        refined[var] = entries
-    if live:
-        walk(0)
-    if seeks[0] and network.stats.enabled:
-        network.stats.bump("joins.leapfrog_seeks", seeks[0])
-    return matched
+            self.walk(level_index + 1)
 
 
 def _bind(bindings: Bindings, var: str, entry: MemoryEntry) -> None:

@@ -89,6 +89,8 @@ class RuleManager:
             on_drain=self.agenda.drained,
             stats=self.stats,
             join_mode=join_mode)
+        #: rule name -> its P-node (the agenda validates names with it)
+        self._pnode_of = self.network._pnodes.__getitem__
         self.halted = False
         #: bound on firings per triggering transition (cascade guard)
         self.max_rule_cascade = max_rule_cascade
@@ -153,12 +155,11 @@ class RuleManager:
 
     def select_rule(self) -> CompiledRule | None:
         """Conflict resolution: the next rule to fire, if any."""
-        return self.agenda.select(self.network.rules,
-                                  self.network._pnodes.__getitem__)
+        return self.agenda.select(self.network.rules, self._pnode_of)
 
     def consume_matches(self, rule: CompiledRule) -> list[Match]:
         """Take the rule's whole P-node for a set-oriented firing."""
-        matches = self.network.pnode(rule.name).take_all()
+        matches = self._pnode_of(rule.name).take_all()
         self.agenda.discard(rule.name)
         return matches
 

@@ -7,45 +7,60 @@ The shared machinery of the TREAT/A-TREAT and Rete networks:
   anchor in the top-level :class:`~repro.core.selection_index
   .SelectionIndex` — stored or virtual as the §8 storage budget
   decides (:mod:`repro.core.memory_optimizer`);
-* routing a token: probe the selection index with the token's values,
-  take each candidate memory's Figure-5 verdict (fixed at registration,
-  or :func:`~repro.core.alpha.dispatch`'s), verify the residual
-  predicate of an insertion, and hand it to the subclass's join step;
+* compiling, whenever a memory is registered or unregistered, the
+  **token routers** of its relation: one per token kind, holding the
+  relation's anchor slots and, for every memory the kind acts on, a
+  handler specialised to that memory's Figure-5 verdict
+  (:func:`~repro.core.alpha.verdict`) — the residual test, the dirty
+  mark and the subclass's join step included.  A kind no memory acts
+  on has no router, so its tokens are not built;
+* routing a token: stab the router's anchor slots with the token's
+  values and run the handlers reached, in (rule, variable) order;
 * routing a *batch* of tokens (:meth:`DiscriminationNetwork
   .process_tokens`): a whole transition Δ-set goes token by token down
-  the same path, one selection-index probe each, with — so that virtual
-  α-memories answer joins exactly as a lone token would see them — a
-  batch overlay that masks not-yet-propagated heap mutations from
-  base-relation scans;
+  the same routers, with — so that virtual α-memories answer joins
+  exactly as a lone token would see them — a batch overlay that masks
+  not-yet-propagated heap mutations from base-relation scans;
 * priming at rule activation — where the paper runs one one-variable
   query per tuple variable "plus … a query equivalent to the entire rule
   condition to load the P-node" (section 6), one selection pass loads
   each stored α-memory and the network's own join step the P-node;
 * flushing dynamic memories (and the P-nodes fed by them) after each
   transition's rule processing — only for the rules the transition
-  touched, which the single accept point of token routing registers.
+  touched, which the insert handlers of dynamic rules register.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from operator import attrgetter
+from bisect import insort
 from typing import Callable, Iterable, Sequence
 
 from repro.catalog.catalog import Catalog
-from repro.core.alpha import (
-    AlphaMemory, MemoryEntry, VirtualAlphaMemory, dispatch)
+from repro.core.alpha import AlphaMemory, MemoryEntry, VirtualAlphaMemory
 from repro.core.join_planner import JoinPlanner
 from repro.core.memory_optimizer import choose_memories
 from repro.core.pnode import Match, PNode
+from repro.core.routing import ABSENT, BatchState, Router, compile_handlers
 from repro.core.rules import CompiledRule, VariableSpec
 from repro.core.selection_index import SelectionIndex
 from repro.core.tokens import Token, TokenKind
 from repro.errors import RuleError
-from repro.lang.ast_nodes import EventKind
 from repro.observe import EngineStats, NULL_STATS
 from repro.planner.optimizer import Optimizer
+
+
+class _RouteTable:
+    """One relation's routing state: per token kind, ``[{anchored
+    memory: (order key, handler)}, the unanchored memories' (order key,
+    handler) pairs in order, how many of the kind's handlers act while
+    no rule is dirty]``; and how many of its memories are virtual."""
+
+    __slots__ = ("kinds", "virtual")
+
+    def __init__(self):
+        self.kinds: dict[TokenKind, list] = {}
+        self.virtual = 0
 
 
 class DiscriminationNetwork:
@@ -56,6 +71,9 @@ class DiscriminationNetwork:
     #: True when every α-memory must be stored: a finite §8 budget is
     #: then a :class:`~repro.errors.MemoryBudgetError`
     stored_only = False
+    #: True when the join step keeps state a deletion must purge
+    #: (:meth:`_handle_delete`)
+    keeps_join_state = False
 
     def __init__(self, catalog: Catalog,
                  optimizer: Optimizer | None = None,
@@ -87,12 +105,26 @@ class DiscriminationNetwork:
         #: rules with a dynamic variable that accepted a token since the
         #: last :meth:`flush_dynamic` (name -> rule, in accept order)
         self._dirty: dict[str, CompiledRule] = {}
-        #: relation -> how many of its memories can act on a retraction
-        #: (see :meth:`sees_retractions`)
-        self._retraction_seers: dict[str, int] = {}
+        #: relation -> {token kind's value -> its router} (a ``str`` key
+        #: hashes in C, an ``Enum`` member in Python); a kind no memory on
+        #: the relation acts on has no entry (see :meth:`_compile_routes`)
+        self._routers: dict[str, dict[str, Router]] = {}
+        #: relation -> what :meth:`_compile_routes` builds its routers
+        #: from (kept by :meth:`_enter_routes`)
+        self._route_tables: dict[str, _RouteTable] = {}
         self._stamp = 0
-        #: the in-flight batch, or None on the per-token path
-        self._batch: _BatchState | None = None
+        #: P-node insertions since the last :meth:`_count_matches`
+        #: (one ``pnode.inserts`` bump per routing call, not per match)
+        self._matches_added = 0
+        #: the in-flight batch overlay, or None
+        self._batch: BatchState | None = None
+        #: while a token runs its handlers: the routed rule's variables
+        #: the same token reaches later (the ProcessedMemories protocol)
+        self._pending: set[str] | tuple = ()
+        #: the last (token, rule name) whose P-node a retraction purged,
+        #: for the rules with two variables on one relation (see
+        #: :func:`~repro.core.routing._delete_handler`)
+        self._purged: tuple = (None, None)
         #: virtual α-memories currently in the network (overlay gate)
         self._virtual_count = 0
         #: diagnostics: tokens processed since construction
@@ -173,55 +205,126 @@ class DiscriminationNetwork:
             in rule.equijoins_by_var.get(spec.var, ())}))
 
     def _register(self, rule: CompiledRule, memory) -> None:
-        """Enter a memory into the network and its selection index,
-        with the Figure-5 verdicts its gates fix."""
+        """Enter a memory into the network and its selection index, and
+        recompile its relation's routers with the memory's handlers."""
         spec = memory.spec
         memory.rule = rule
         memory.pnode = self._pnodes[rule.name]
         memory.order_key = (rule.name, spec.var)
         memory.stats = self.stats
-        event = spec.event
-        memory.inserts_plus = event is None and not spec.is_transition
-        memory.inserts_append = (memory.inserts_plus
-                                 or not spec.is_transition
-                                 and event.kind is EventKind.APPEND)
-        memory.deletes_minus = not spec.is_transition and (
-            event is None or event.kind is not EventKind.DELETE)
         if memory.is_virtual:
             self._virtual_count += 1
-        if _sees_retractions(spec):
-            seers = self._retraction_seers
-            seers[spec.relation] = seers.get(spec.relation, 0) + 1
         self._memories[(rule.name, spec.var)] = memory
         self.selection_index.add(
             spec.relation, spec.analysis.anchor if spec.analysis else None,
             memory)
+        memory.handlers = compile_handlers(self, memory)
+        self._enter_routes(memory, 1)
+        self._compile_routes(spec.relation)
 
     def _unregister(self, memory) -> None:
         if memory.is_virtual:
             self._virtual_count -= 1
-        spec = memory.spec
-        if _sees_retractions(spec):
-            seers = self._retraction_seers
-            left = seers[spec.relation] - 1
-            if left:
-                seers[spec.relation] = left
-            else:
-                del seers[spec.relation]
         self.selection_index.remove(memory)
+        self._enter_routes(memory, -1)
+        self._compile_routes(memory.spec.relation)
+
+    def _enter_routes(self, memory, sign: int) -> None:
+        """Add (``sign`` 1) or withdraw (-1) a memory's handlers in its
+        relation's route table."""
+        relation = memory.spec.relation
+        table = self._route_tables.get(relation)
+        if table is None:
+            table = self._route_tables[relation] = _RouteTable()
+        table.virtual += sign * memory.is_virtual
+        analysis = memory.spec.analysis
+        anchored = analysis is not None and analysis.anchor is not None
+        kinds = table.kinds
+        for kind, (function, needs_dirty) in memory.handlers.items():
+            entry = kinds.setdefault(kind, [{}, [], 0])
+            hit = (memory.order_key, function)
+            if anchored and sign > 0:
+                entry[0][memory] = hit
+            elif anchored:
+                del entry[0][memory]
+            elif sign > 0:
+                insort(entry[1], hit)
+            else:
+                entry[1].remove(hit)
+            entry[2] += sign * (not needs_dirty)
+            if not entry[0] and not entry[1]:
+                del kinds[kind]
+        if not kinds:
+            del self._route_tables[relation]
+
+    def _compile_routes(self, relation: str) -> None:
+        """Rebuild the relation's routers (only ever on registration,
+        never on the token path).  A router reads its kind's handler
+        dict and unanchored list live, so a rebuild only re-reads the
+        anchor slots and the flags that pick its shape."""
+        plans = self._route_plans(relation)
+        if plans:
+            self._routers[relation] = {
+                kind: Router(self, plan) for kind, plan in plans.items()}
+        else:
+            self._routers.pop(relation, None)
+
+    def _route_plans(self, relation: str) -> dict:
+        """``{token kind's value: (anchor slots, anchored handlers,
+        unanchored handlers, a memory is virtual, a handler acts while
+        no rule is dirty, the route needs the general shape)}`` for
+        every kind a memory on the relation acts on: what
+        :meth:`_compile_routes` builds the routers from."""
+        table = self._route_tables.get(relation)
+        if table is None:
+            return {}
+        slots = self.selection_index.slots(relation)
+        virtual = table.virtual > 0
+        return {kind._value_: (slots, handlers, unanchored, virtual,
+                               clean > 0, virtual or bool(unanchored))
+                for kind, (handlers, unanchored, clean)
+                in table.kinds.items()}
+
+    def stale_routes(self) -> list[str]:
+        """The relations whose routers differ from what a rebuild
+        would compile now (a registration that skipped
+        :meth:`_compile_routes`); empty in a consistent network."""
+        return sorted(
+            relation for relation
+            in self._routers.keys() | self._route_tables.keys()
+            if {kind: router.plan for kind, router
+                in self._routers.get(relation, {}).items()}
+            != self._route_plans(relation))
+
+    def routes(self, relation: str, kind: TokenKind) -> bool:
+        """Whether a token of ``kind`` on ``relation`` can change
+        anything here — a memory there acts on the kind.  A retraction
+        (``−``/``Δ−``) whose only handlers are at simple event- or
+        transition-gated memories that a delete does not assert can
+        not while no rule is dirty: such a P-node is filled only by a
+        token it accepts, accepting one makes the rule dirty, and
+        :meth:`flush_dynamic` empties the P-node before it clears the
+        rule's dirty mark."""
+        routes = self._routers.get(relation)
+        router = routes.get(kind._value_) if routes is not None else None
+        return router is not None and (router.clean or bool(self._dirty))
 
     def sees_retractions(self, relation: str) -> bool:
-        """Whether a delete statement's tokens on ``relation`` can change
-        anything here.  They cannot while every memory on it is the
-        simple memory of an event- or transition-gated rule that a
-        delete does not assert (not ``on delete``) and no rule is dirty:
-        such a P-node is filled only by a token it accepts, accepting
-        one makes the rule dirty, and :meth:`flush_dynamic` empties the
-        P-node before it clears the rule's dirty mark.  O(1): the
-        per-relation count is kept by :meth:`_register` /
-        :meth:`_unregister`."""
-        return relation in self._retraction_seers or bool(
-            self._dirty) and self.selection_index.watches(relation)
+        """Whether a delete statement's tokens on ``relation`` (``−``,
+        or ``Δ−`` then ``−``) can change anything here."""
+        return (self.routes(relation, TokenKind.MINUS)
+                or self.routes(relation, TokenKind.DELTA_MINUS))
+
+    def _join_step(self, rule: CompiledRule, memory):
+        """Subclass hook: ``join(entry, token)`` finds the new complete
+        combinations an entry accepted at ``memory`` (and stored there
+        unless the memory is virtual) makes.  While it runs,
+        :attr:`_pending` holds
+        this rule's variables the same token reaches later — the
+        ProcessedMemories protocol: the token's own tuple must be
+        excluded when consulting their (virtual) memories, so self-joins
+        count each combination exactly once."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # priming
@@ -255,6 +358,7 @@ class DiscriminationNetwork:
             if pnode:
                 self.stats.bump("pnode.inserts", len(pnode))
                 self.on_match(rule)
+        self._count_matches()
         self.stats.bump("network.rules_primed")
         self.stats.bump("network.prime_tuples_examined", tally[0])
 
@@ -274,14 +378,21 @@ class DiscriminationNetwork:
         """Route one token through the network (paper Figure 5)."""
         self.tokens_processed += 1
         self.stats.note_tokens_routed()
-        self._process_one(token)
+        routes = self._routers.get(token.relation)
+        router = (routes.get(token.kind._value_) if routes is not None
+                  else None)
+        if router is not None:
+            try:
+                router.route(token)
+            finally:
+                self._count_matches()
 
     def process_tokens(self, tokens: Sequence[Token]) -> None:
         """Route a transition Δ-set through the network as one batch.
 
         Identical to calling :meth:`process_token` on each token in
         order against the per-token heap states: every token takes the
-        same path, and virtual α-memories answer joins through a batch
+        same router, and virtual α-memories answer joins through a batch
         overlay that reconstructs the heap state each token would have
         seen had its mutation been routed immediately (tuples asserted
         by later tokens are masked out; tuples they retract or overwrite
@@ -292,160 +403,67 @@ class DiscriminationNetwork:
                             "route one token with process_token")
         if not isinstance(tokens, (list, tuple)):
             tokens = list(tokens)
-        if not tokens:
+        n = len(tokens)
+        if not n:
             return
-        if len(tokens) == 1:
-            self.tokens_processed += 1
+        self.tokens_processed += n
+        if n == 1:
             self.stats.note_tokens_routed()
-            self._process_one(tokens[0])
-            return
-        self.batches_processed += 1
-        self.tokens_processed += len(tokens)
-        stats = self.stats
-        stats.note_tokens_routed(len(tokens), batches=1)
-        # The overlay only matters to virtual-memory base-relation scans;
-        # skip its per-token bookkeeping when no memory is virtual.
-        track_overlay = self._virtual_count > 0
-        batch = _BatchState(tokens, track_overlay=track_overlay)
-        self._batch = batch
-        process_one = self._process_one
+        else:
+            self.batches_processed += 1
+            self.stats.note_tokens_routed(n, batches=1)
+        routers = self._routers
+        # The overlay only matters to virtual-memory base-relation
+        # scans; a batch skips it while no memory is virtual.
+        batch = self._batch = (BatchState(tokens)
+                               if n > 1 and self._virtual_count else None)
         try:
-            if track_overlay:
-                advance = batch.advance
-                for token in tokens:
-                    advance(token)
-                    process_one(token)
-            else:
-                for token in tokens:
-                    process_one(token)
+            for token in tokens:
+                if batch is not None:
+                    batch.advance(token)
+                routes = routers.get(token.relation)
+                if routes is not None:
+                    router = routes.get(token.kind._value_)
+                    if router is not None:
+                        router.route(token)
         finally:
             self._batch = None
-            if stats.enabled and batch.pnode_inserts:
-                stats.bump("pnode.inserts", batch.pnode_inserts)
+            self._count_matches()
 
-    def _process_one(self, token: Token) -> None:
-        candidates = self.selection_index.probe(token.relation,
-                                                token.values)
-        pending: dict[str, set[str]] | None = None
-        if len(candidates) > 1:
-            # Deterministic processing order defines the sequential
-            # "ProcessedMemories" semantics for self-joins; a token that
-            # reaches one memory needs neither, and only a virtual
-            # memory asks which variables are still pending.
-            candidates.sort(key=_order_key)
-            if self._virtual_count:
-                pending = {}
-                for memory in candidates:
-                    pending.setdefault(memory.rule_name, set()).add(
-                        memory.spec.var)
-        # what a +/Δ+ inserts wherever its verdict is fixed (Figure 5)
-        kind = token.kind
-        if kind is TokenKind.PLUS:
-            plus_entry = _new_entry((token.tid, token.values, None))
-            event = token.event
-            appended = (event is not None
-                        and event.kind is EventKind.APPEND)
-        elif kind is TokenKind.DELTA_PLUS:
-            plus_entry = _new_entry((token.tid, token.values, None))
-            appended = False
-        else:
-            plus_entry = None
-        # the rules whose P-node this token already purged (an
-        # insertion kind never deletes)
-        deleted_rules: set[str] | None = (set() if plus_entry is None
-                                          else None)
-        deleting = kind is TokenKind.MINUS
-        for memory in candidates:
-            rule = memory.rule
-            spec = memory.spec
-            if pending is None:
-                pending_vars: set[str] | tuple = ()
-            else:
-                pending_vars = pending[rule.name]
-                pending_vars.discard(spec.var)
-            # the Figure-5 verdicts fixed at registration skip the table
-            if plus_entry is not None and (
-                    memory.inserts_plus
-                    or appended and memory.inserts_append):
-                entry = plus_entry
-            elif deleting and memory.deletes_minus:
-                self._apply_delete(rule, memory, token.tid, deleted_rules)
-                continue
-            else:
-                op = dispatch(spec, token)
-                if op is None:
-                    continue
-                if op.op == "delete":
-                    self._apply_delete(rule, memory, op.tid,
-                                       deleted_rules)
-                    continue
-                entry = op.entry
-            # insertion: verify the residual before accepting
-            if spec.residual is not None and not spec.residual_matches(
-                    entry.values, entry.old_values):
-                continue
-            if rule.has_dynamic_variable:
-                # registered before the memory / P-node is touched, so
-                # a failure further down is still flushed
-                self._dirty[rule.name] = rule
-            if spec.is_simple:
-                # Simple memories pass matching data straight to the
-                # P-node (paper section 4.3.3).
-                self._stamp += 1
-                if memory.pnode.insert(Match(((spec.var, entry),)),
-                                       self._stamp):
-                    self._note_pnode_insert()
-                    self.on_match(rule)
-                continue
-            self._handle_insert(rule, spec, memory, entry,
-                                pending_vars=pending_vars,
-                                token=token)
+    def _route_pending(self, hits: list, token: Token) -> None:
+        """Run a token's handlers with :attr:`_pending` set (a virtual
+        memory is among them): each rule's variables the token has yet
+        to reach."""
+        pending: dict[str, set[str]] = {}
+        for (rule_name, var), _handler in hits:
+            pending.setdefault(rule_name, set()).add(var)
+        try:
+            for (rule_name, var), handler in hits:
+                later = pending[rule_name]
+                later.discard(var)
+                self._pending = later
+                handler(token)
+        finally:
+            self._pending = ()
 
-    def _apply_delete(self, rule: CompiledRule, memory, tid,
-                      deleted_rules: set[str]) -> None:
-        """Apply one delete-kind memory op: drop the entry from a
-        stored memory, and — once per (rule, token) — purge the P-node
-        and run the subclass delete hook.  A delete that removes no
-        entry, at a memory whose P-node is empty, does nothing more: no
-        match and no β partial can hold a tuple no α-memory of the rule
-        holds."""
-        removed = (not memory.is_virtual and not memory.spec.is_simple
-                   and memory.remove(tid) is not None)
-        if (removed or memory.pnode) and rule.name not in deleted_rules:
-            deleted_rules.add(rule.name)
-            pnode = memory.pnode
-            if pnode.delete_by_tid(tid) and not pnode:
-                self.on_drain(rule.name)
-            self._handle_delete(rule, tid)
-
-    def _note_pnode_insert(self) -> None:
-        """Count one accepted P-node insertion: batch-aggregated while
-        a batch is in flight (a per-event bump would dominate the
-        counter budget on large batches), a direct bump otherwise."""
-        batch = self._batch
-        if batch is not None:
-            batch.pnode_inserts += 1
-        elif self.stats.enabled:
-            self.stats.bump("pnode.inserts")
-
-    def _handle_insert(self, rule: CompiledRule, spec: VariableSpec,
-                       memory, entry: MemoryEntry,
-                       pending_vars: set[str], token: Token) -> None:
-        """Subclass hook: store the entry and seek new combinations.
-
-        ``pending_vars`` are this rule's variables that will receive the
-        same token later in the processing order — the ProcessedMemories
-        protocol: the token's own tuple must be excluded when consulting
-        their (virtual) memories, so self-joins count each combination
-        exactly once.
-        """
-        raise NotImplementedError
+    def _count_matches(self) -> None:
+        """Add the P-node insertions since the last call to
+        ``pnode.inserts`` (one bump per routing call: a per-match bump
+        would dominate the counter budget on large batches)."""
+        added = self._matches_added
+        if added:
+            self._matches_added = 0
+            stats = self.stats
+            if stats.enabled:
+                counters = stats.counters
+                counters["pnode.inserts"] = \
+                    counters.get("pnode.inserts", 0) + added
 
     def _handle_delete(self, rule: CompiledRule, tid) -> None:
         """Subclass hook after a deletion (Rete drops β partials here).
 
-        Called once per (rule, token); α-memory and P-node cleanup has
-        already happened.
+        Called once per (rule, token), after the reached memory has
+        dropped its entry and the P-node every match holding ``tid``.
         """
 
     def _join_candidates(self, memory, var: str, partial: dict,
@@ -508,7 +526,7 @@ class DiscriminationNetwork:
         entries = [entry for entry in entries
                    if entry.tid not in overlay and entry.tid != exclude]
         live = [(tid, values) for tid, values in overlay.items()
-                if values is not _ABSENT and tid != exclude]
+                if values is not ABSENT and tid != exclude]
         entries.extend(MemoryEntry(tid, values) for tid, values
                        in memory.spec.matching(live, equality))
         return entries
@@ -523,9 +541,9 @@ class DiscriminationNetwork:
 
         Called after the recognize-act processing of each transition:
         "the binding between the matching data and the condition should be
-        broken" (paper section 4.3.2).  Only rules registered by
-        :meth:`_process_one` can hold such a binding, so the cost is
-        proportional to the transition, not to the rule base.
+        broken" (paper section 4.3.2).  Only rules an insert handler
+        registered can hold such a binding, so the cost is proportional
+        to the transition, not to the rule base.
         """
         dirty = self._dirty
         if not dirty:
@@ -543,6 +561,7 @@ class DiscriminationNetwork:
                 self.on_drain(name)
             self._join_memories(rule)
         dirty.clear()
+        self._count_matches()
 
     # ------------------------------------------------------------------
     # access / diagnostics
@@ -574,106 +593,6 @@ class DiscriminationNetwork:
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({len(self.rules)} rules, "
                 f"{self.memory_entry_count()} α entries)")
-
-
-def _sees_retractions(spec: VariableSpec) -> bool:
-    """Whether a memory can act on a delete statement's tokens: every
-    kind but the simple memory of an event- or transition-gated rule
-    that a delete does not assert (see
-    :meth:`DiscriminationNetwork.sees_retractions`)."""
-    if not spec.is_simple:
-        return True
-    event = spec.event
-    if event is None:
-        return not spec.is_transition
-    return event.kind is EventKind.DELETE
-
-
-#: a memory's place in the token processing order: (rule, variable)
-_order_key = attrgetter("order_key")
-
-#: ``_new_entry((tid, values, old_values))`` is ``MemoryEntry(...)``
-#: without the named tuple's Python-level constructor, once per routed
-#: insertion token
-_new_entry = functools.partial(tuple.__new__, MemoryEntry)
-
-
-#: overlay sentinel: the tuple is absent at this point of the sequence
-_ABSENT = object()
-
-
-class _BatchState:
-    """One batch's heap-state overlay and P-node insertion count.
-
-    Token streams are a faithful heap diff (``+``/``Δ+`` assert a tuple
-    value, ``−``/``Δ−`` retract one; insertion tokens close each
-    mutation's token group), so replaying token effects reconstructs the
-    exact heap state the per-token path would expose to virtual-memory
-    scans at every join point.  ``overlay`` maps, per relation, the tids
-    whose in-sequence state still differs from the final heap state to
-    that in-sequence state (a values tuple, or :data:`_ABSENT`); a tid
-    drops out once its last token is processed.
-    """
-
-    __slots__ = ("pnode_inserts", "_remaining", "_overlay")
-
-    def __init__(self, tokens: Sequence[Token], track_overlay: bool = True):
-        #: P-node insertions, aggregated into ``pnode.inserts`` once per
-        #: batch — a per-event EngineStats.bump() would dominate the
-        #: counter overhead budget on large batches
-        self.pnode_inserts = 0
-        if not track_overlay:
-            self._remaining = None
-            self._overlay = None
-            return
-        remaining: dict[tuple, int] = {}
-        overlay: dict[str, dict] = {}
-        for token in tokens:
-            key = (token.relation, token.tid)
-            count = remaining.get(key)
-            if count is None:
-                remaining[key] = 1
-                overlay.setdefault(token.relation, {})[token.tid] = \
-                    _pre_batch_state(token)
-            else:
-                remaining[key] = count + 1
-        self._remaining = remaining
-        self._overlay = overlay
-
-    def advance(self, token: Token) -> None:
-        """Apply one token's heap effect before it is routed."""
-        key = (token.relation, token.tid)
-        left = self._remaining[key] - 1
-        relation_overlay = self._overlay[token.relation]
-        if left == 0:
-            del self._remaining[key]
-            relation_overlay.pop(token.tid, None)
-        else:
-            self._remaining[key] = left
-            relation_overlay[token.tid] = (
-                token.values if token.kind.is_insertion else _ABSENT)
-
-    def overlay_for(self, relation: str) -> dict | None:
-        if self._overlay is None:
-            return None
-        overlay = self._overlay.get(relation)
-        return overlay if overlay else None
-
-
-def _pre_batch_state(token: Token):
-    """A tuple's heap state just before its first in-batch token.
-
-    ``+`` only ever opens a tid's in-batch history for a fresh insert
-    (case-1 re-assertions always follow their ``−`` within one mutation
-    group); ``−``/``Δ−`` carry the value they retract; a leading ``Δ+``
-    (only possible when an earlier batch already routed the pair's
-    retraction) re-asserts over ``old_values``.
-    """
-    if token.kind is TokenKind.PLUS:
-        return _ABSENT
-    if token.kind is TokenKind.DELTA_PLUS:
-        return token.old_values
-    return token.values
 
 
 def equality_probe(var: str, partial: dict,

@@ -11,19 +11,31 @@ targets by TID (paper §5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.alpha import MemoryEntry
 from repro.lang.expr import Bindings
 from repro.observe import NULL_STATS
 from repro.storage.tuples import TupleId
 
 
-@dataclass(frozen=True)
 class Match:
     """One P-node entry: a full binding of the rule's tuple variables."""
 
-    bindings: tuple[tuple[str, MemoryEntry], ...]   # (var, entry), sorted
+    __slots__ = ("bindings", "__weakref__")
+
+    def __init__(self, bindings: tuple[tuple[str, MemoryEntry], ...]):
+        #: ((var, entry), ...) sorted by variable name
+        self.bindings = bindings
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Match:
+            return NotImplemented
+        return self.bindings == other.bindings
+
+    def __hash__(self) -> int:
+        return hash(self.bindings)
+
+    def __repr__(self) -> str:
+        return f"Match(bindings={self.bindings!r})"
 
     @classmethod
     def of(cls, parts: dict[str, MemoryEntry]) -> "Match":
@@ -59,6 +71,7 @@ def _first(pair):
     return pair[0]
 
 
+
 class PNode:
     """The temporary relation of matches for one rule."""
 
@@ -79,15 +92,16 @@ class PNode:
     def insert(self, match: Match, stamp: int = 0) -> bool:
         """Add a match; returns False if an identical binding existed.
 
-        Callers own the ``pnode.inserts`` counter (batched routing
-        aggregates it per batch); this method stays bump-free so the hot
-        path pays nothing per match.
+        Callers own the ``pnode.inserts`` counter (routing aggregates it
+        per routing call); this method stays bump-free so the hot path
+        pays nothing per match.
         """
-        bindings = match.bindings
-        if len(bindings) == 1:
-            key: tuple = (bindings[0][1].tid,)
-        else:
-            key = tuple(entry.tid for _, entry in bindings)
+        return self.add(tuple([entry.tid for _, entry in match.bindings]),
+                        match, stamp)
+
+    def add(self, key: tuple, match: Match, stamp: int) -> bool:
+        """:meth:`insert` with the match's key — its tuple ids in
+        binding order — already computed (a compiled seek knows them)."""
         existing = self._matches.get(key)
         if existing is not None and existing == match:
             return False
@@ -99,8 +113,7 @@ class PNode:
     def delete_by_tid(self, tid: TupleId) -> int:
         """Remove every match involving a tuple id (a − or Δ− arrived for
         it); returns the number removed."""
-        doomed = [key for key, match in self._matches.items()
-                  if match.involves_tid(tid)]
+        doomed = [key for key in self._matches if tid in key]
         for key in doomed:
             del self._matches[key]
         if doomed and self.stats.enabled:

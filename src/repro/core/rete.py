@@ -26,7 +26,7 @@ from __future__ import annotations
 from repro.core.alpha import MemoryEntry
 from repro.core.network import DiscriminationNetwork
 from repro.core.pnode import Match
-from repro.core.rules import CompiledRule, JoinConjunct, VariableSpec
+from repro.core.rules import CompiledRule, JoinConjunct
 from repro.core.tokens import Token
 from repro.errors import RuleError
 from repro.lang.expr import Bindings
@@ -70,6 +70,7 @@ class ReteNetwork(DiscriminationNetwork):
 
     network_name = "Rete"
     stored_only = True
+    keeps_join_state = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -112,31 +113,35 @@ class ReteNetwork(DiscriminationNetwork):
     # token handling
     # ------------------------------------------------------------------
 
-    def _handle_insert(self, rule: CompiledRule, spec: VariableSpec,
-                       memory, entry: MemoryEntry,
-                       pending_vars: set[str], token: Token) -> None:
-        if not memory.insert(entry):
-            return
-        if len(rule.variables) == 1:
-            return            # simple-α routed by the base class
+    def _join_step(self, rule: CompiledRule, memory):
+        var = memory.spec.var
+
+        def join(entry: MemoryEntry, token: Token) -> None:
+            self._join_left(rule, var, entry)
+        return join
+
+    def _join_left(self, rule: CompiledRule, var: str,
+                   entry: MemoryEntry) -> None:
+        """A new α entry of ``var``: join it leftward against the β
+        level before its chain position, then cascade rightward."""
         state = self._states[rule.name]
-        i = state.order.index(spec.var)
+        i = state.order.index(var)
         if i == 0:
-            self._cascade(rule, state, 0, {spec.var: entry})
+            self._cascade(rule, state, 0, {var: entry})
             return
         bindings = Bindings()
-        self._bind_entry(bindings, spec.var, entry)
+        self._bind_entry(bindings, var, entry)
         for left in list(state.betas[i - 1].values()):
-            for var, left_entry in left.items():
-                self._bind_entry(bindings, var, left_entry)
+            for left_var, left_entry in left.items():
+                self._bind_entry(bindings, left_var, left_entry)
             if all(j.evaluate(bindings) is True
                    for j in state.level_conjuncts[i]):
                 partial = dict(left)
-                partial[spec.var] = entry
+                partial[var] = entry
                 self._cascade(rule, state, i, partial)
-            for var in left:
-                bindings.current.pop(var, None)
-                bindings.previous.pop(var, None)
+            for left_var in left:
+                bindings.current.pop(left_var, None)
+                bindings.previous.pop(left_var, None)
 
     def _cascade(self, rule: CompiledRule, state: _ReteState, level: int,
                  partial: dict[str, MemoryEntry]) -> None:
@@ -147,7 +152,7 @@ class ReteNetwork(DiscriminationNetwork):
             self._stamp += 1
             if self._pnodes[rule.name].insert(Match.of(dict(partial)),
                                               self._stamp):
-                self._note_pnode_insert()
+                self._matches_added += 1
                 self.on_match(rule)
             return
         next_var = state.order[level + 1]

@@ -289,6 +289,10 @@ class CompiledRule:
 
         self.actions: list[ActionCommand] = self._compile_actions()
         self._validate_previous_in_actions()
+        #: ``(schema version, plans)``: the action plans a firing runs,
+        #: as :meth:`~repro.core.action_planner.ActionPlanner
+        #: .plan_firing` last returned them
+        self.firing_plans: tuple | None = None
         #: the join planner's memo for this rule (seek orders, β chains,
         #: algorithm decisions, estimates) and the schema version it was
         #: built at; it goes with the compiled rule

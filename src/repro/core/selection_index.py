@@ -142,6 +142,14 @@ class SelectionIndex:
             if not attr_indexes:
                 del self._relations[relation]
 
+    def slots(self, relation: str) -> tuple:
+        """The relation's anchor slots as ``(attribute position, the
+        interval index's stab)`` pairs, for a compiled token router:
+        every target a probe returns is a payload of one of these stabs
+        or on the relation's unanchored list."""
+        return tuple((slot.position, slot.index.stab)
+                     for slot in self._relations.get(relation, {}).values())
+
     def watches(self, relation: str) -> bool:
         """Whether any target is registered on ``relation``."""
         return relation in self._relations or relation in self._unanchored

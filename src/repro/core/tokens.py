@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 from repro.lang.ast_nodes import EventKind
@@ -118,6 +119,13 @@ def plus(relation: str, tid: TupleId, values: tuple,
          event: EventSpecifier | None = None) -> Token:
     """A ``+`` token (its kind needs no ``old_values`` check)."""
     return _new_token((_PLUS, relation, tid, values, None, event))
+
+
+def plus_many(relation: str, tids, values_of,
+              event: EventSpecifier | None = None) -> list[Token]:
+    """One ``+`` token per parallel (tid, values) pair."""
+    return list(map(_new_token, zip(repeat(_PLUS), repeat(relation), tids,
+                                    values_of, repeat(None), repeat(event))))
 
 
 def minus(relation: str, tid: TupleId, values: tuple,

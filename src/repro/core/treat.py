@@ -28,13 +28,17 @@ number of times".
 
 from __future__ import annotations
 
+from operator import call, itemgetter
+
 from repro.core.alpha import MemoryEntry
 from repro.core.leapfrog import multiway_seek
 from repro.core.network import DiscriminationNetwork, bound_equijoin
 from repro.core.pnode import Match
-from repro.core.rules import CompiledRule, VariableSpec
+from repro.core.rules import CompiledRule
 from repro.core.tokens import Token
 from repro.lang.expr import Bindings
+
+_tid = itemgetter(0)
 
 
 class TreatNetwork(DiscriminationNetwork):
@@ -42,15 +46,8 @@ class TreatNetwork(DiscriminationNetwork):
 
     network_name = "A-TREAT"
 
-    def _handle_insert(self, rule: CompiledRule, spec: VariableSpec,
-                       memory, entry: MemoryEntry,
-                       pending_vars: set[str], token: Token) -> None:
-        if not memory.is_virtual:
-            if not memory.insert(entry):
-                return        # identical entry already present: no-op
-        if len(rule.variables) == 1:
-            return            # single-variable rules are simple-α routed
-        self._seek(rule, spec.var, entry, pending_vars, token)
+    def _join_step(self, rule: CompiledRule, memory):
+        return self._seeker(rule, memory.spec.var)
 
     def _join_memories(self, rule: CompiledRule,
                        tally: list | None = None) -> None:
@@ -72,18 +69,23 @@ class TreatNetwork(DiscriminationNetwork):
             entries = memory.entries()
         stats = self.stats
         counting = stats.enabled
+        added = self._matches_added
         # Priming is not token propagation: the joins.* / alpha.* /
         # virtual.* counters and the rule's join memo (emptied below)
         # see token traffic only.
         stats.enabled = False
         try:
             # no memory changes size while priming: plan the seek once
-            plan = self.join_planner.seek_plan(rule, seed_var)
+            run = self._compile_seek(
+                rule, seed_var, *self.join_planner.seek_plan(rule, seed_var))
+            on_match = self.on_match
             for entry in entries:
-                self._seek(rule, seed_var, entry, (), None, plan)
+                if run((entry,), None):
+                    on_match(rule)
         finally:
             stats.enabled = counting
             rule.join_memo = {}
+            self._matches_added = added
         primed = len(self._pnodes[rule.name])
         if primed:
             stats.bump("pnode.inserts", primed)
@@ -92,41 +94,156 @@ class TreatNetwork(DiscriminationNetwork):
     # the TREAT join step
     # ------------------------------------------------------------------
 
-    def _seek(self, rule: CompiledRule, seed_var: str,
-              seed_entry: MemoryEntry, pending_vars: set[str],
-              token: Token | None, plan: tuple | None = None) -> None:
-        """Find every new complete combination seeded by one entry.
+    def _seeker(self, rule: CompiledRule, seed_var: str):
+        """``seek(entry, token)``: find every new complete combination
+        seeded by one (stored) entry of ``seed_var``'s memory.
 
-        The planner picks the algorithm per (rule, seed): the pairwise
-        probe chain of :meth:`_extend` (the default), or the leapfrog
-        triejoin for cyclic/many-variable conditions.  Both advance the
-        stamp once per complete combination, so agenda recency cannot
-        tell them apart.
-        """
-        stats = self.stats
-        if stats.enabled:
-            counters = stats.counters
-            counters["joins.seeks"] = counters.get("joins.seeks", 0) + 1
-        mode, payload = plan or self.join_planner.seek_plan(rule, seed_var)
-        if mode == "multiway":
+        The seek the planner chose for the rule's current cardinality
+        signature — the pairwise probe chain (the default) or the
+        leapfrog triejoin for cyclic/many-variable conditions — is
+        compiled once (:meth:`_compile_seek`) and memoized in the
+        rule's join memo under ``("run", seed_var, signature)``, so a
+        seek costs one signature and one memo lookup.  Both algorithms
+        advance the stamp once per complete combination, so agenda
+        recency cannot tell them apart."""
+        stats, catalog, planner = self.stats, self.catalog, self.join_planner
+        on_match = self.on_match
+
+        def seek(entry: MemoryEntry, token: Token | None) -> None:
+            memo = rule.join_memo
+            if rule.join_memo_version != catalog.schema_version:
+                memo = planner.memo(rule)
+            sizers = memo.get("sizers")
+            if sizers is None or planner.forced is not None:
+                planned = None
+            else:
+                planned = memo.get(("run", seed_var, tuple(
+                    map(int.bit_length, map(call, sizers)))))
             if stats.enabled:
-                stats.bump("joins.multiway_seeks")
-            if multiway_seek(self, rule, payload, seed_entry,
-                             pending_vars, token):
-                self.on_match(rule)
-            return
-        order = payload
-        key = ("steps", seed_var, *order)
-        steps = rule.join_memo.get(key)
-        if steps is None:
-            steps = rule.join_memo[key] = self._steps(rule, seed_var, order)
-        partial: dict[str, MemoryEntry] = {seed_var: seed_entry}
-        bindings = Bindings()
-        self._bind(bindings, seed_var, seed_entry)
-        matched = self._extend(rule, steps, 0, partial, bindings,
-                               pending_vars, token)
-        if matched:
-            self.on_match(rule)
+                counters = stats.counters
+                counters["joins.seeks"] = counters.get("joins.seeks", 0) + 1
+                if planned is not None and planned[0]:
+                    counters["joins.order_cache_hits"] = \
+                        counters.get("joins.order_cache_hits", 0) + 1
+            if planned is None:
+                planned = self._plan_seek(rule, seed_var)
+            if planned[1]((entry,), token):
+                on_match(rule)
+        return seek
+
+    def _plan_seek(self, rule: CompiledRule, seed_var: str) -> tuple:
+        """Plan and compile the seek from ``seed_var`` for the rule's
+        current cardinality signature, memoized unless a forced order
+        is in effect; ``(pairwise?, run)``."""
+        planner = self.join_planner
+        plan = planner.seek_plan(rule, seed_var)
+        planned = (plan[0] == "pairwise",
+                   self._compile_seek(rule, seed_var, *plan))
+        if planner.forced is None:
+            memo = rule.join_memo
+            sizers = memo.get("sizers")
+            if sizers is None:
+                sizers = memo["sizers"] = self._sizers(rule)
+            memo[("run", seed_var, tuple(
+                map(int.bit_length, map(call, sizers))))] = planned
+        return planned
+
+    def _sizers(self, rule: CompiledRule) -> list:
+        """Per variable, a callable answering the size the planner's
+        cardinality signature buckets: a stored memory's entry count,
+        a virtual memory's relation size."""
+        sizers = []
+        for var in rule.variables:
+            memory = self._memories[(rule.name, var)]
+            sizers.append(
+                self.catalog.relation(memory.spec.relation).__len__
+                if memory.is_virtual else memory.sizer())
+        return sizers
+
+    def _compile_seek(self, rule: CompiledRule, seed_var: str, mode: str,
+                      payload):
+        """``run((entry,), token)``: one planned seek, compiled; True
+        when the P-node gained a match."""
+        if mode == "multiway":
+            network, stats = self, self.stats
+
+            def run_multiway(partial: tuple, token) -> bool:
+                if stats.enabled:
+                    stats.bump("joins.multiway_seeks")
+                return multiway_seek(network, rule, payload, partial[0],
+                                     network._pending, token)
+            return run_multiway
+        names = [seed_var, *payload]
+        binding = sorted(names)
+        arrange = itemgetter(*[names.index(var) for var in binding])
+        step = self._emitter(rule, binding, arrange)
+        steps = self._steps(rule, seed_var, payload)
+        for depth in range(len(steps) - 1, -1, -1):
+            step = self._compile_step(names[:depth + 1], steps[depth],
+                                      step)
+        return step
+
+    def _emitter(self, rule: CompiledRule, binding: list[str], arrange):
+        """The last step: a complete combination, its Match built in
+        binding order with its P-node key, one stamp each."""
+        network, pnode = self, self._pnodes[rule.name]
+
+        def emit(partial: tuple, token) -> bool:
+            network._stamp += 1
+            entries = arrange(partial)
+            if pnode.add(tuple(map(_tid, entries)),
+                         Match(tuple(zip(binding, entries))),
+                         network._stamp):
+                network._matches_added += 1
+                return True
+            return False
+        return emit
+
+    def _compile_step(self, bound: list[str], step: tuple, extend):
+        """One depth of the pairwise seek: ``step(partial, token)``
+        extends the entries bound so far (``partial``, in ``bound``
+        order) by every candidate of the step's variable that passes the
+        conjuncts first evaluable there, calling ``extend`` on each."""
+        var, memory, conjuncts, probe = step
+        stats = self.stats
+        if probe is not None:
+            position, other, other_position, rest = probe
+            buckets = memory.join_buckets(position)
+            at = bound.index(other)
+
+            def probe_step(partial: tuple, token) -> bool:
+                if stats.enabled:
+                    counters = stats.counters
+                    counters["alpha.join_probes"] = \
+                        counters.get("alpha.join_probes", 0) + 1
+                bucket = buckets.get(partial[at].values[other_position])
+                if not bucket:
+                    return False
+                if rest:
+                    return _each(list(bucket.values()), var, bound,
+                                 partial, token, rest, extend)
+                matched = False
+                for entry in list(bucket.values()):
+                    if extend(partial + (entry,), token):
+                        matched = True
+                return matched
+            return probe_step
+        if not memory.is_virtual:
+            def scan_step(partial: tuple, token) -> bool:
+                return _each(memory.entries(), var, bound, partial, token,
+                             conjuncts, extend)
+            return scan_step
+        network = self
+
+        def virtual_step(partial: tuple, token) -> bool:
+            candidates, enforced = network._join_candidates(
+                memory, var, dict(zip(bound, partial)), conjuncts,
+                network._pending, token)
+            checks = conjuncts if enforced is None else [
+                j for j in conjuncts if j is not enforced]
+            return _each(candidates, var, bound, partial, token, checks,
+                         extend)
+        return virtual_step
 
     def _steps(self, rule: CompiledRule, seed_var: str,
                order: list[str]) -> list[tuple]:
@@ -134,8 +251,7 @@ class TreatNetwork(DiscriminationNetwork):
         join conjuncts first evaluable there, and — where a stored
         memory answers the step from a join index — the equality probe
         ``(position, bound variable, its position)`` with the conjuncts
-        left once the probe enforces its own (memoized in the rule's
-        join memo, which memory swaps and priming empty)."""
+        left once the probe enforces its own."""
         steps = []
         bound = {seed_var}
         for var in order:
@@ -154,51 +270,30 @@ class TreatNetwork(DiscriminationNetwork):
             bound.add(var)
         return steps
 
-    def _extend(self, rule: CompiledRule, steps: list[tuple], depth: int,
-                partial: dict[str, MemoryEntry], bindings: Bindings,
-                pending_vars: set[str], token: Token) -> bool:
-        if depth == len(steps):
-            self._stamp += 1
-            if not self._pnodes[rule.name].insert(
-                    Match.of(dict(partial)), self._stamp):
-                return False
-            self._note_pnode_insert()
-            return True
-        var, memory, conjuncts, probe = steps[depth]
-        if probe is not None:
-            position, other, other_position, conjuncts = probe
-            candidates = memory.join_probe(
-                position, partial[other].values[other_position])
-        elif memory.is_virtual:
-            candidates, enforced = self._join_candidates(
-                memory, var, partial, conjuncts, pending_vars, token)
-            if enforced is not None:
-                # the sharpened scan already guarantees the probed
-                # conjunct: evaluate only the residue
-                conjuncts = [j for j in conjuncts if j is not enforced]
-        else:
-            candidates = memory.entries()
-        matched = False
+
+def _each(candidates, var: str, bound: list[str], partial: tuple, token,
+          checks, extend) -> bool:
+    """Extend ``partial`` by every candidate of ``var`` passing
+    ``checks`` (join conjuncts, evaluated over the bound entries)."""
+    matched = False
+    if not checks:
         for entry in candidates:
-            self._bind(bindings, var, entry)
-            if all(j.evaluate(bindings) is True for j in conjuncts):
-                partial[var] = entry
-                if self._extend(rule, steps, depth + 1, partial, bindings,
-                                pending_vars, token):
-                    matched = True
-                del partial[var]
-            self._unbind(bindings, var, entry)
+            if extend(partial + (entry,), token):
+                matched = True
         return matched
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _bind(bindings: Bindings, var: str, entry: MemoryEntry) -> None:
-        bindings.current[var] = entry.values
+    bindings = Bindings()
+    current, previous = bindings.current, bindings.previous
+    for name, entry in zip(bound, partial):
+        current[name] = entry.values
         if entry.old_values is not None:
-            bindings.previous[var] = entry.old_values
-
-    @staticmethod
-    def _unbind(bindings: Bindings, var: str, entry: MemoryEntry) -> None:
-        bindings.current.pop(var, None)
-        bindings.previous.pop(var, None)
+            previous[name] = entry.old_values
+    for entry in candidates:
+        current[var] = entry.values
+        if entry.old_values is None:
+            previous.pop(var, None)
+        else:
+            previous[var] = entry.old_values
+        if all(j.evaluate(bindings) is True for j in checks) \
+                and extend(partial + (entry,), token):
+            matched = True
+    return matched

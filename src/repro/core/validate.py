@@ -9,7 +9,8 @@ base relations alone, what every *persistent* structure should contain —
   contents under the rule's join predicates;
 * (Rete) each level of a pattern rule's β chain = the join of the
   chain's prefix up to that level, under the conjuncts it binds;
-* the selection index = exactly one registration per α-memory —
+* the selection index = exactly one registration per α-memory;
+* each relation's token routers = what its memories compile to now —
 
 and reports every divergence.  Dynamic (event/transition/new) memories
 are transient by design and are only checked for emptiness *between*
@@ -33,7 +34,7 @@ class Inconsistency:
     rule_name: str
     kind: str          # 'alpha-extra' | 'alpha-missing' | 'pnode-extra'
                        # | 'pnode-missing' | 'beta-extra' | 'beta-missing'
-                       # | 'index' | 'dynamic-not-empty'
+                       # | 'index' | 'router' | 'dynamic-not-empty'
                        # | 'dynamic-pnode-not-empty'
                        # | 'dynamic-beta-not-empty'
     detail: str
@@ -204,6 +205,9 @@ def _check_selection_index(db) -> list[Inconsistency]:
             "*", "index",
             f"selection index holds {actual} registrations, "
             f"expected {expected}"))
+    for relation in network.stale_routes():
+        out.append(Inconsistency(
+            "*", "router", f"{relation}: routers not rebuilt"))
     return out
 
 

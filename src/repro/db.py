@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from functools import partial
 from typing import NamedTuple
 
 from repro.catalog.catalog import Catalog
@@ -95,6 +96,11 @@ class FiringRecord(NamedTuple):
         return (f"#{self.sequence} {self.rule_name} "
                 f"(priority {self.priority}, {self.match_count} "
                 f"match(es))")
+
+
+#: ``_new_record((sequence, rule, priority, matches))`` is
+#: ``FiringRecord(...)`` without the named tuple's Python constructor
+_new_record = partial(tuple.__new__, FiringRecord)
 
 
 class Database:
@@ -840,35 +846,76 @@ class Database:
         if self._cycle_running or self._rules_suspended:
             return
         self._cycle_running = True
-        self.manager.begin_cascade()
+        manager = self.manager
+        manager.begin_cascade()
         try:
-            while not self.manager.halted:
-                rule = self.manager.select_rule()
+            select_rule, note_firing = manager.select_rule, manager.note_firing
+            fire = self._fire
+            # Observers are checked once per cycle: while none is set
+            # when it starts, no callback can run to add one mid-cycle.
+            observed = (self.trace.listening or self.subscriptions.active
+                        or self.faults.armed("rule.fire"))
+            while not manager.halted:
+                rule = select_rule()
                 if rule is None:
                     break
-                self.manager.note_firing(rule)
-                self._fire(rule)
-            self.manager.end_of_rule_processing()
+                note_firing(rule)
+                fire(rule, observed)
+            manager.end_of_rule_processing()
         finally:
             self._cycle_running = False
         # Deliver trigger notifications only after the cycle settles, so
         # subscribers always observe a consistent post-cascade state.
         self.subscriptions.deliver()
 
-    def _fire(self, rule: CompiledRule) -> None:
+    def _fire(self, rule: CompiledRule, observed: bool) -> None:
         """One act step: consume the P-node and run the action as a
-        transition of its own."""
+        transition of its own.  ``observed``: an armed ``rule.fire``
+        fault, a trace callback or a subscription may want the step."""
         matches = self.manager.consume_matches(rule)
         if not matches:
             return
-        self.faults.hit("rule.fire")
+        if observed:
+            self.faults.hit("rule.fire")
         self.firings += 1
         if self.trace_firings:
             log = self.firing_log
-            log.append(FiringRecord(
-                self.firings, rule.name, rule.priority, len(matches)))
+            log.append(_new_record(
+                (self.firings, rule.name, rule.priority, len(matches))))
             if len(log) >= 2 * FIRING_LOG_KEEP:
                 del log[:-FIRING_LOG_KEEP]
+        if observed:
+            self._announce_firing(rule, matches)
+        # Undo-backed recovery: outside an explicit transaction (where
+        # the transaction's own undo log already covers the action and
+        # abort() replays it), record this firing's mutations so a
+        # failing action can be rolled back without leaving half its
+        # effects in the heap or the network.
+        undo_scope = not self._in_transaction
+        undo, stats, run = self.undo, self.stats, self.executor.run
+        if undo_scope:
+            undo.begin()
+        try:
+            params = {PNODE: matches}
+            for planned in self.action_planner.plan_firing(rule, matches):
+                if planned is None:
+                    self.manager.halt()
+                    break
+                run(planned, params)
+                if observed or stats.enabled:
+                    self._note_plan_executed(planned, rule=rule.name)
+            self.hooks.flush_tokens()
+            self.deltasets.clear()
+        except BaseException:
+            if undo_scope:
+                self._recover_firing()
+            raise
+        else:
+            if undo_scope:
+                undo.commit()
+
+    def _announce_firing(self, rule: CompiledRule, matches: list) -> None:
+        """Tell the firing's trace callbacks and subscriptions."""
         if self.trace.wants("rule_fired"):
             self.trace.emit("rule_fired", {
                 "sequence": self.firings,
@@ -879,31 +926,6 @@ class Database:
         if self.subscriptions.active:
             self.subscriptions.record_firing(self.firings, rule.name,
                                              matches)
-        # Undo-backed recovery: outside an explicit transaction (where
-        # the transaction's own undo log already covers the action and
-        # abort() replays it), record this firing's mutations so a
-        # failing action can be rolled back without leaving half its
-        # effects in the heap or the network.
-        undo_scope = not self._in_transaction
-        if undo_scope:
-            self.undo.begin()
-        try:
-            params = {PNODE: matches}
-            for planned in self.action_planner.plan_firing(rule, matches):
-                if planned is None:
-                    self.manager.halt()
-                    break
-                self.executor.run(planned, params)
-                self._note_plan_executed(planned, rule=rule.name)
-            self.hooks.flush_tokens()
-            self.deltasets.clear()
-        except BaseException:
-            if undo_scope:
-                self._recover_firing()
-            raise
-        else:
-            if undo_scope:
-                self.undo.commit()
 
     def _recover_firing(self) -> None:
         """Roll back a failed rule action (see :meth:`_fire`): route the

@@ -273,8 +273,7 @@ class Executor:
         notify = getattr(self.context.hooks, "relation_created", None)
         if notify is not None:
             notify(relation_name, schema)
-        for row in result.rows:
-            self.context.hooks.insert(relation_name, row)
+        self.context.hooks.insert_many(relation_name, result.rows)
 
     # ------------------------------------------------------------------
     # append
@@ -290,8 +289,8 @@ class Executor:
                                                       relation.schema)
         new_tuples = [row(bound) for bound in planned.plan.rows(
             self.context, Bindings(params=params), reuse=True)]
-        for values in new_tuples:
-            self.context.hooks.insert(command.relation, values)
+        # one Δ-set, all or nothing on a coercion error
+        self.context.hooks.insert_many(command.relation, new_tuples)
         return DmlResult(len(new_tuples))
 
     # ------------------------------------------------------------------

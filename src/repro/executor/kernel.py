@@ -21,6 +21,8 @@ plan time, and made again whenever the plan is rebuilt.
 
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
+
 from repro.errors import ArielError
 from repro.executor.executor import (
     DmlResult, ResultSet, apply_deletes, apply_replaces, compile_append,
@@ -44,10 +46,10 @@ def compile_kernel(planned, catalog):
         schema = catalog.relation(command.relation).schema
         if shape is SingletonPlan:
             return _append(command.relation, compile_append(command, schema))
-        sources = _typed_sources(command, schema, planned.scope,
-                                 sorted(plan.vars), catalog)
-        if sources is not None:
-            return _append_typed(command.relation, sources)
+        typed = _typed_sources(command, schema, planned.scope,
+                               sorted(plan.vars), catalog)
+        if typed is not None:
+            return _append_typed(command.relation, *typed)
         return _append_per_match(command.relation,
                                  compile_append(command, schema))
     if shape is SeqScan:
@@ -119,37 +121,61 @@ def _append_per_match(name: str, row):
     return append
 
 
-def _append_typed(name: str, sources: list[tuple]):
+def _append_typed(name: str, sources: list[tuple], arities: list[int]):
     """An append whose rows are read off the matches, already typed:
     ``sources`` holds per column ``(constant, -1, 0)`` or ``(None,
-    binding index, attribute position)``."""
+    binding index, attribute position)``, and ``arities`` each bound
+    tuple's width.  A row is one ``itemgetter`` over the constants
+    followed by every bound tuple's values."""
+    constants = tuple(c for c, i, _ in sources if i < 0)
+    starts, offset = [], len(constants)
+    for arity in arities:
+        starts.append(offset)
+        offset += arity
+    positions, k = [], 0
+    for _, i, pos in sources:
+        if i < 0:
+            positions.append(k)
+            k += 1
+        else:
+            positions.append(starts[i] + pos)
+    pick = itemgetter(*positions) if len(positions) > 1 else (
+        lambda flat, p=positions[0]: (flat[p],))
+
     def append(ctx, params):
-        ctx.catalog.relation(name)
-        rows = [tuple([constant if i < 0
-                       else match.bindings[i][1].values[pos]
-                       for constant, i, pos in sources])
+        rows = [pick(sum(map(_values, map(_entry, match.bindings)),
+                         constants))
                 for match in params[PNODE]]
         ctx.hooks.insert_many(name, rows, True)
         return DmlResult(len(rows))
     return append
 
 
+_entry = itemgetter(1)
+_values = attrgetter("values")
+
+
 def _typed_sources(command: ast.Append, schema, scope: dict,
-                   variables: list[str], catalog) -> list[tuple] | None:
+                   variables: list[str], catalog) -> tuple | None:
     """Where each column of a rule action's appended row comes from, if
     no value needs evaluating or coercing: a non-``previous`` attribute
     of a matched tuple whose type is the column's, or a constant the
-    column's coercer returns unchanged (an unnamed column is null).
-    ``variables`` are the P-node's, in :class:`~repro.core.pnode.Match`
-    binding order.  None when any target is something else."""
+    column's coercer returns unchanged (an unnamed column is null) —
+    with the width of every matched tuple.  ``variables`` are the
+    P-node's, in :class:`~repro.core.pnode.Match` binding order.  None
+    when any target is something else, or a variable is out of
+    scope."""
     targets = command.targets
     if targets and targets[0].name is not None:
         last = {col.name: col.expr for col in targets}
         exprs = [last.get(attr.name, ast.Const(None)) for attr in schema]
     else:
         exprs = [col.expr for col in targets]
-    if len(exprs) != len(schema):
+    if len(exprs) != len(schema) or any(var not in scope
+                                        for var in variables):
         return None
+    arities = [len(catalog.relation(scope[var]).schema)
+               for var in variables]
     sources = []
     for attr, expr in zip(schema, exprs):
         if isinstance(expr, ast.Const):
@@ -168,7 +194,7 @@ def _typed_sources(command: ast.Append, schema, scope: dict,
         if source.attributes[expr.position].type is not attr.type:
             return None
         sources.append((None, variables.index(expr.var), expr.position))
-    return sources
+    return sources, arities
 
 
 def _delete_scanned(plan: SeqScan):

@@ -181,6 +181,9 @@ class TraceHub:
     def __init__(self):
         self._by_event: dict[str, dict[int, Callable]] = {}
         self._next_token = 0
+        #: whether any callback is registered (the firing step checks
+        #: this once instead of asking :meth:`wants` per event type)
+        self.listening = False
 
     def on(self, callback: Callable[[str, dict], None],
            events=None) -> int:
@@ -200,6 +203,7 @@ class TraceHub:
         token = self._next_token
         for event in events:
             self._by_event.setdefault(event, {})[token] = callback
+        self.listening = True
         return token
 
     def off(self, token: int) -> bool:
@@ -208,6 +212,7 @@ class TraceHub:
         for listeners in self._by_event.values():
             if listeners.pop(token, None) is not None:
                 removed = True
+        self.listening = any(self._by_event.values())
         return removed
 
     def wants(self, event: str) -> bool:

@@ -14,6 +14,7 @@ by every mutation.
 from __future__ import annotations
 
 from functools import partial
+from itertools import repeat
 from typing import Callable, Iterator
 
 from repro.catalog.schema import Schema
@@ -70,19 +71,16 @@ class HeapRelation:
         if not coerced:
             coerce = self.schema.coerce_values
             rows = [coerce(tuple(values)) for values in rows]
-        slots = self._slots
-        indexes = list(self._indexes.values())
-        name = self.name
-        tids: list[TupleId] = []
-        next_slot = self._next_slot
-        for values in rows:
-            tid = new_tid((name, next_slot))
-            slots[next_slot] = values
-            next_slot += 1
-            for index in indexes:
+        elif not isinstance(rows, list):
+            rows = list(rows)
+        start = self._next_slot
+        numbers = range(start, start + len(rows))
+        tids = list(map(new_tid, zip(repeat(self.name), numbers)))
+        self._slots.update(zip(numbers, rows))
+        self._next_slot = start + len(rows)
+        for index in self._indexes.values():
+            for tid, values in zip(tids, rows):
                 index.insert(index.key_of(values), tid)
-            tids.append(tid)
-        self._next_slot = next_slot
         return tids, rows
 
     def delete(self, tid: TupleId) -> tuple:

@@ -9,9 +9,10 @@ control returns to the executor.  This is the tight coupling of rule
 condition testing with query and update processing the paper emphasises.
 Steps (3) and (4) are skipped for a relation no rule condition names
 (no α-memory is registered on it): its tokens could reach nothing.  A
-delete's tokens are not built either while no memory on its relation
-can act on a retraction (:meth:`~repro.core.network
-.DiscriminationNetwork.sees_retractions`); the Δ-sets still record it.
+token is not built either while no memory on its relation acts on its
+kind (:meth:`~repro.core.network.DiscriminationNetwork.routes`): an
+insert's ``+`` or a delete's retractions; the Δ-sets still record the
+mutation.
 
 A statement is set-oriented: :meth:`TransitionHooks.insert_many`,
 :meth:`~TransitionHooks.delete_many` and
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.core.deltasets import DeltaSets
-from repro.core.tokens import Token
+from repro.core.tokens import Token, TokenKind
 from repro.executor.executor import MutationHooks
 from repro.observe import NULL_STATS
 from repro.storage.tuples import TupleId
@@ -79,9 +80,11 @@ class TransitionHooks(MutationHooks):
         self.undo.record_insert(relation_name, tid, stored)
         if self.journal is not None:
             self.journal.journal_insert(relation_name, stored)
-        if self._watched(relation_name):
+        if self._inserts_routed(relation_name):
             self._route(self.deltasets.record_insert(relation_name, tid,
                                                      stored))
+        elif self._watched(relation_name):
+            self.deltasets.record_inserted((tid,), (stored,))
         return tid
 
     def insert_many(self, relation_name: str, rows: Iterable[tuple],
@@ -95,9 +98,11 @@ class TransitionHooks(MutationHooks):
         if self.journal is not None:
             for values in stored:
                 self.journal.journal_insert(relation_name, values)
-        if self._watched(relation_name):
-            self._route(self.deltasets.record_insert_many(relation_name,
-                                                          tids, stored))
+        if self._inserts_routed(relation_name):
+            self._route(self.deltasets.record_insert_many(
+                relation_name, tids, stored))
+        elif self._watched(relation_name):
+            self.deltasets.record_inserted(tids, stored)
         return tids
 
     def delete(self, relation_name: str, tid: TupleId) -> tuple:
@@ -202,9 +207,11 @@ class TransitionHooks(MutationHooks):
         relation.restore(tid, values)
         if self.journal is not None:
             self.journal.journal_insert(relation_name, values)
-        if self._watched(relation_name):
+        if self._inserts_routed(relation_name):
             self._route(self.deltasets.record_insert(relation_name, tid,
                                                      values))
+        elif self._watched(relation_name):
+            self.deltasets.record_inserted((tid,), (values,))
 
     def relation_created(self, relation_name: str, schema) -> None:
         """A relation came into being outside DDL dispatch (``retrieve
@@ -237,6 +244,15 @@ class TransitionHooks(MutationHooks):
                 or network.selection_index.watches(relation_name)
                 or trace is not None and trace.wants("token_routed"))
 
+    def _inserts_routed(self, relation_name: str) -> bool:
+        """Whether an insert on the relation must build its ``+`` token:
+        a memory there acts on one, or a ``token_routed`` subscriber
+        wants every token."""
+        network, trace = self.network, self.trace
+        return (network is None
+                or network.routes(relation_name, TokenKind.PLUS)
+                or trace is not None and trace.wants("token_routed"))
+
     def _retractions_seen(self, relation_name: str) -> bool:
         """Whether a delete on the relation must build its tokens: a
         memory there can act on a retraction, deferred tokens that may
@@ -253,8 +269,11 @@ class TransitionHooks(MutationHooks):
         if not tokens:
             return
         self.tokens_generated += len(tokens)
-        if self.stats.enabled:
-            self.stats.bump("tokens.generated", len(tokens))
+        stats = self.stats
+        if stats.enabled:
+            counters = stats.counters
+            counters["tokens.generated"] = \
+                counters.get("tokens.generated", 0) + len(tokens)
         if self.defer_routing:
             self._buffer.extend(tokens)
             return

@@ -11,6 +11,8 @@ undo replays.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 from repro.storage.tuples import TupleId
@@ -24,6 +26,11 @@ class UndoRecord(NamedTuple):
     tid: TupleId
     before: tuple | None      # values before (delete/replace)
     after: tuple | None       # values after (insert/replace)
+
+
+#: ``_new_record((op, relation, tid, before, after))`` is
+#: ``UndoRecord(...)`` without the named tuple's Python constructor
+_new_record = partial(tuple.__new__, UndoRecord)
 
 
 class UndoLog:
@@ -50,9 +57,9 @@ class UndoLog:
     def record_inserts(self, relation: str, tids, values_of) -> None:
         """:meth:`record_insert` for each tid and its values."""
         if self.enabled:
-            self._records.extend([UndoRecord("insert", relation, tid, None,
-                                             values)
-                                  for tid, values in zip(tids, values_of)])
+            self._records.extend(map(_new_record, zip(
+                repeat("insert"), repeat(relation), tids, repeat(None),
+                values_of)))
 
     def record_delete(self, relation: str, tid: TupleId,
                       values: tuple) -> None:

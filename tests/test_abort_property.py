@@ -121,9 +121,12 @@ def test_abort_discards_pending_deferred_tokens(prefix, suffix, probe,
             row[name] if row[name] is not None else value
             for name in schema_order))
     if not aborted.hooks._buffer:
-        # writes to a relation no rule names buffer no tokens; every
-        # rule in RULES names t
-        aborted.hooks.insert("t", (danglers[0][1], 999))
+        # writes to a relation no rule names buffer no tokens, nor does
+        # an insert that no memory acts on (a transition rule's); every
+        # rule in RULES names t, so a replace there buffers some
+        tid = aborted.hooks.insert("t", (danglers[0][1], 999))
+        if not aborted.hooks._buffer:
+            aborted.hooks.replace("t", tid, (danglers[0][1], 998))
     assert aborted.hooks._buffer, "test needs pending deferred groups"
     aborted.abort()
     assert not aborted.hooks._buffer

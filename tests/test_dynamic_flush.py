@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Database, persist
 from repro.core.memory_optimizer import (
     apply_plan, optimize_memories, plan_memories)
+from repro.core.pnode import PNode
 from repro.core.validate import check_network
 from repro.db import FIRING_LOG_KEEP
 from repro.errors import ArielError, ExecutionError
@@ -316,13 +317,14 @@ def test_failure_inside_the_join_step_is_flushed(network, monkeypatch):
     stored by a join step that then blows up is still flushed."""
     db = _mixed_db(network)
     db.execute("remove rule e_del")
-    handle_insert = db.network._handle_insert
+    add = PNode.add
 
     def exploding(*args, **kwargs):
-        handle_insert(*args, **kwargs)
+        add(*args, **kwargs)
         raise RuntimeError("join step failed")
 
-    monkeypatch.setattr(db.network, "_handle_insert", exploding)
+    # the join step stores the entry, then fails as its match lands
+    monkeypatch.setattr(PNode, "add", exploding)
     with pytest.raises(RuntimeError):
         db.execute("append t(a = 4, k = 1)")
     monkeypatch.undo()

@@ -10,7 +10,7 @@ and assert the resulting memory and P-node state.  Scenarios marked
 import pytest
 
 from repro import Database
-from repro.core.alpha import MemoryEntry, MemoryOp, dispatch
+from repro.core.alpha import MemoryEntry, MemoryOp, dispatch, verdict
 from repro.core.tokens import EventSpecifier, Token, TokenKind
 from repro.lang.ast_nodes import EventKind
 from repro.storage.tuples import TupleId
@@ -322,9 +322,9 @@ def observed(db):
 @pytest.mark.parametrize("gating", sorted(GATINGS))
 def test_fixed_verdicts_do_what_dispatch_says(gating, multi_var):
     """Every memory gating × token kind × event specifier, from an empty
-    memory and from one holding the tuple: the network's verdict — the
-    one fixed at registration or the table's — leaves the α-memory and
-    the P-node exactly as :func:`dispatch` says it must."""
+    memory and from one holding the tuple: the handler compiled from
+    the memory's verdict leaves the α-memory and the P-node exactly as
+    :func:`dispatch` says it must."""
     for kind in TokenKind:
         for event in EVENTS:
             for asserted in (False, True):
@@ -333,20 +333,15 @@ def test_fixed_verdicts_do_what_dispatch_says(gating, multi_var):
                 if asserted:
                     db.network.process_token(
                         make_token(*ASSERTING[gating]))
-                assert memory.inserts_append == (
-                    gating in ("pattern", "on append"))
                 token = make_token(kind, event)
                 op = dispatch(memory.spec, token)
-                if kind in (TokenKind.PLUS, TokenKind.DELTA_PLUS) \
-                        and memory.inserts_plus:
-                    assert op == MemoryOp("insert",
-                                          MemoryEntry(token.tid, NEW))
-                if kind is TokenKind.PLUS and event == "append" \
-                        and memory.inserts_append:
-                    assert op == MemoryOp("insert",
-                                          MemoryEntry(token.tid, NEW))
-                if kind is TokenKind.MINUS and memory.deletes_minus:
-                    assert op == MemoryOp("delete", tid=token.tid)
+                # the compiled handlers cover exactly the kinds the
+                # table acts on
+                assert set(memory.handlers) == {
+                    k for k in TokenKind
+                    if verdict(memory.spec, k) is not None}
+                if op is not None:
+                    assert kind in memory.handlers
                 entries, tids = observed(db)
                 assert tids == set(entries) or not multi_var
                 if op is not None and op.op == "insert":

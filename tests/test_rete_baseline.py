@@ -160,3 +160,23 @@ def test_check_network_checks_every_beta_level():
     db.execute("delete r where r.a = 1")
     kinds = _kinds(db)
     assert set(kinds) == {"beta-extra"} and kinds["beta-extra"] >= 2
+
+
+def test_a_self_join_purges_once_per_retraction():
+    """Both memories of ``x in t, y in t`` see a deleted ``t`` tuple,
+    but the P-node and the β chain are purged once per (rule, token)."""
+    db = Database(network="rete")
+    db.execute_script("""
+        create t (a = int4, k = int4)
+        create log (v = int4)
+    """)
+    db.execute("define rule self if x.a = y.k from x in t, y in t "
+               "then append to log(v = y.a)")
+    db.bulk_append("t", [(1, 1), (1, 2), (2, 1)])
+    purges = []
+    purge = db.network._handle_delete
+    db.network._handle_delete = lambda rule, tid: (
+        purges.append((rule.name, tid)), purge(rule, tid))
+    db.execute("delete t where t.k = 1")
+    assert len(purges) == 2 == len(set(purges))
+    assert check_network(db) == []

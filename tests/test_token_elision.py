@@ -326,3 +326,45 @@ def test_a_token_routed_subscriber_sees_every_token():
     assert seen == ["log", "t"]
     assert db.hooks.tokens_generated == 2
     assert check_network(db) == []
+
+
+def test_an_append_over_a_join_routes_one_delta_set():
+    """An append over a join or a predicate, and ``retrieve into``,
+    insert their rows as one Δ-set: one routing call carrying every
+    row's token, and the same relations, P-nodes and firings as the
+    route-every-token engine."""
+    dbs = [Database(), RouteEveryToken()]
+    calls = []
+    for db in dbs:
+        db.execute_script(SCHEMA)
+        db.execute(f"define rule r_log {RULES['r_log']}")
+        db.execute(f"define rule r_join {RULES['r_join']}")
+        db.bulk_append("t", [(a, a) for a in range(12)])
+        db.bulk_append("u", [(b, 0) for b in range(0, 12, 2)])
+    route = dbs[0].hooks.route_tokens
+    dbs[0].hooks.route_tokens = lambda tokens: (
+        calls.append([t.relation for t in tokens]), route(tokens))
+    # rows 0, 2, …, 10 of the join, then 9, 10, 11 of the predicate:
+    # each statement's rows are one routed Δ-set (r_log's firings that
+    # append to u follow it)
+    for text, rows in (('append log(tag = "j", v = t.a) where t.a = u.b',
+                        6),
+                       ('append log(tag = "p", v = t.k) where t.a > 8',
+                        3)):
+        del calls[:]
+        for db in dbs:
+            db.execute(text)
+        assert calls[0] == ["log"] * rows
+        assert all(relation == "u" for call in calls[1:]
+                   for relation in call)
+    for db in dbs:
+        db.execute("retrieve into big (w = log.v) where log.v > 8")
+        db.execute("define rule r_big if big.w > 9 "
+                   "then append to aux(x = big.w)")
+    assert sorted(dbs[0].relation_rows("big")) == [
+        (9,), (10,), (10,), (11,)]
+    elided, every = dbs
+    assert check_network(elided) == [] and check_network(every) == []
+    assert observe(elided) == observe(every)
+    assert sorted(elided.relation_rows("aux")) == sorted(
+        every.relation_rows("aux"))
