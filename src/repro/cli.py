@@ -10,10 +10,8 @@ inspect the system:
 ``\\rule name`` describe one rule's network and modified action
 ``\\plan name`` show one rule's adaptive join plan: per-memory
                stored/virtual decision, the join-index set its
-               equi-joins give it, and the seek order from every seed —
-               multiway (leapfrog) plans print the trie level
-               sequence with each participant's iterator source —
-               or, under Rete, the β-chain order
+               equi-joins give it, and the pairwise seek order from
+               every seed — or, under Rete, the β-chain order
 ``\\explain q`` show the plan for a data command; ``\\explain analyze
                q`` executes it and annotates every operator with rows,
                loops and wall time

@@ -156,8 +156,7 @@ class AlphaMemory:
     maintained by every insert/remove/flush, so every equality probe of
     the join step is a bucket lookup.  Like a storage index, a
     join-index holds no null or NaN key: neither satisfies an equi-join
-    conjunct, so probing one finds nothing.  The leapfrog step groups
-    its sorted views per seek; the memory keeps none.
+    conjunct, so probing one finds nothing.
     """
 
     is_virtual = False

@@ -74,8 +74,7 @@ class RuleManager:
                  optimizer: Optimizer | None = None,
                  network_cls: type[DiscriminationNetwork] = TreatNetwork,
                  max_rule_cascade: int = 1000,
-                 stats: EngineStats | None = None,
-                 join_mode: str = "auto"):
+                 stats: EngineStats | None = None):
         self.catalog = catalog
         self.optimizer = optimizer or Optimizer(catalog)
         #: rule-action plans (each lives on its rule's ActionCommand)
@@ -87,8 +86,7 @@ class RuleManager:
             catalog, self.optimizer,
             on_match=self.agenda.notify,
             on_drain=self.agenda.drained,
-            stats=self.stats,
-            join_mode=join_mode)
+            stats=self.stats)
         #: rule name -> its P-node (the agenda validates names with it)
         self._pnode_of = self.network._pnodes.__getitem__
         self.halted = False

@@ -79,8 +79,7 @@ class DiscriminationNetwork:
                  optimizer: Optimizer | None = None,
                  on_match: Callable[[CompiledRule], None] | None = None,
                  on_drain: Callable[[str], None] | None = None,
-                 stats: EngineStats | None = None,
-                 join_mode: str = "auto"):
+                 stats: EngineStats | None = None):
         self.catalog = catalog
         self.optimizer = optimizer or Optimizer(catalog)
         self.selection_index = SelectionIndex()
@@ -90,10 +89,9 @@ class DiscriminationNetwork:
         #: the §8 storage budget in α entries, set by
         #: ``optimize_memories``: ∞ stores every memory (TREAT), 0 none
         self.memory_budget = math.inf
-        #: the adaptive seek/chain-order planner (cost-driven ordering
-        #: and pairwise-vs-multiway algorithm choice, memoized on each
-        #: rule per cardinality bucket)
-        self.join_planner = JoinPlanner(self, mode=join_mode)
+        #: the adaptive seek/chain-order planner (cost-driven ordering,
+        #: memoized on each rule per cardinality bucket)
+        self.join_planner = JoinPlanner(self)
         self.on_match = on_match or (lambda rule: None)
         #: told a rule's name when a retraction or a flush empties its
         #: P-node (the agenda re-validates the rule at its next select)

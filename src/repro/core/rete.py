@@ -11,9 +11,7 @@ This is the §7 baseline TREAT and A-TREAT are measured against (the
 α-memory is stored — a finite §8 storage budget raises
 :class:`~repro.errors.MemoryBudgetError` — and every join is a pairwise
 step on the β chain, whose order is the planner's
-:meth:`~repro.core.join_planner.JoinPlanner.chain_order`.  Under Rete
-``join_mode="auto"`` and ``"pairwise"`` both mean the β chain;
-``"multiway"`` raises :class:`~repro.errors.RuleError`.
+:meth:`~repro.core.join_planner.JoinPlanner.chain_order`.
 
 α-memory handling, selection-index routing, event and transition gating
 are all inherited from the shared base; this class only adds the β
@@ -28,7 +26,6 @@ from repro.core.network import DiscriminationNetwork
 from repro.core.pnode import Match
 from repro.core.rules import CompiledRule, JoinConjunct
 from repro.core.tokens import Token
-from repro.errors import RuleError
 from repro.lang.expr import Bindings
 from repro.storage.tuples import TupleId
 
@@ -74,10 +71,6 @@ class ReteNetwork(DiscriminationNetwork):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        if self.join_planner.mode == "multiway":
-            raise RuleError(
-                "the Rete network joins pairwise on its β chain: "
-                "join_mode 'multiway' needs network 'a-treat'")
         self._states: dict[str, _ReteState] = {}
 
     # ------------------------------------------------------------------

@@ -31,7 +31,6 @@ from __future__ import annotations
 from operator import call, itemgetter
 
 from repro.core.alpha import MemoryEntry
-from repro.core.leapfrog import multiway_seek
 from repro.core.network import DiscriminationNetwork, bound_equijoin
 from repro.core.pnode import Match
 from repro.core.rules import CompiledRule
@@ -77,7 +76,7 @@ class TreatNetwork(DiscriminationNetwork):
         try:
             # no memory changes size while priming: plan the seek once
             run = self._compile_seek(
-                rule, seed_var, *self.join_planner.seek_plan(rule, seed_var))
+                rule, seed_var, self.join_planner.order(rule, seed_var))
             on_match = self.on_match
             for entry in entries:
                 if run((entry,), None):
@@ -98,14 +97,12 @@ class TreatNetwork(DiscriminationNetwork):
         """``seek(entry, token)``: find every new complete combination
         seeded by one (stored) entry of ``seed_var``'s memory.
 
-        The seek the planner chose for the rule's current cardinality
-        signature — the pairwise probe chain (the default) or the
-        leapfrog triejoin for cyclic/many-variable conditions — is
-        compiled once (:meth:`_compile_seek`) and memoized in the
-        rule's join memo under ``("run", seed_var, signature)``, so a
-        seek costs one signature and one memo lookup.  Both algorithms
-        advance the stamp once per complete combination, so agenda
-        recency cannot tell them apart."""
+        The pairwise seek in the order the planner chose for the rule's
+        current cardinality signature is compiled once
+        (:meth:`_compile_seek`) and memoized in the rule's join memo
+        under ``("run", seed_var, signature)``, so a seek costs one
+        signature and one memo lookup; a memoized seek counts as an
+        order cache hit."""
         stats, catalog, planner = self.stats, self.catalog, self.join_planner
         on_match = self.on_match
 
@@ -115,38 +112,37 @@ class TreatNetwork(DiscriminationNetwork):
                 memo = planner.memo(rule)
             sizers = memo.get("sizers")
             if sizers is None or planner.forced is not None:
-                planned = None
+                run = None
             else:
-                planned = memo.get(("run", seed_var, tuple(
+                run = memo.get(("run", seed_var, tuple(
                     map(int.bit_length, map(call, sizers)))))
             if stats.enabled:
                 counters = stats.counters
                 counters["joins.seeks"] = counters.get("joins.seeks", 0) + 1
-                if planned is not None and planned[0]:
+                if run is not None:
                     counters["joins.order_cache_hits"] = \
                         counters.get("joins.order_cache_hits", 0) + 1
-            if planned is None:
-                planned = self._plan_seek(rule, seed_var)
-            if planned[1]((entry,), token):
+            if run is None:
+                run = self._plan_seek(rule, seed_var)
+            if run((entry,), token):
                 on_match(rule)
         return seek
 
-    def _plan_seek(self, rule: CompiledRule, seed_var: str) -> tuple:
+    def _plan_seek(self, rule: CompiledRule, seed_var: str):
         """Plan and compile the seek from ``seed_var`` for the rule's
         current cardinality signature, memoized unless a forced order
-        is in effect; ``(pairwise?, run)``."""
+        is in effect; the compiled ``run``."""
         planner = self.join_planner
-        plan = planner.seek_plan(rule, seed_var)
-        planned = (plan[0] == "pairwise",
-                   self._compile_seek(rule, seed_var, *plan))
+        run = self._compile_seek(rule, seed_var,
+                                 planner.order(rule, seed_var))
         if planner.forced is None:
             memo = rule.join_memo
             sizers = memo.get("sizers")
             if sizers is None:
                 sizers = memo["sizers"] = self._sizers(rule)
             memo[("run", seed_var, tuple(
-                map(int.bit_length, map(call, sizers))))] = planned
-        return planned
+                map(int.bit_length, map(call, sizers))))] = run
+        return run
 
     def _sizers(self, rule: CompiledRule) -> list:
         """Per variable, a callable answering the size the planner's
@@ -160,24 +156,15 @@ class TreatNetwork(DiscriminationNetwork):
                 if memory.is_virtual else memory.sizer())
         return sizers
 
-    def _compile_seek(self, rule: CompiledRule, seed_var: str, mode: str,
-                      payload):
-        """``run((entry,), token)``: one planned seek, compiled; True
-        when the P-node gained a match."""
-        if mode == "multiway":
-            network, stats = self, self.stats
-
-            def run_multiway(partial: tuple, token) -> bool:
-                if stats.enabled:
-                    stats.bump("joins.multiway_seeks")
-                return multiway_seek(network, rule, payload, partial[0],
-                                     network._pending, token)
-            return run_multiway
-        names = [seed_var, *payload]
+    def _compile_seek(self, rule: CompiledRule, seed_var: str,
+                      order: list[str]):
+        """``run((entry,), token)``: the seek from ``seed_var`` through
+        ``order``, compiled; True when the P-node gained a match."""
+        names = [seed_var, *order]
         binding = sorted(names)
         arrange = itemgetter(*[names.index(var) for var in binding])
         step = self._emitter(rule, binding, arrange)
-        steps = self._steps(rule, seed_var, payload)
+        steps = self._steps(rule, seed_var, order)
         for depth in range(len(steps) - 1, -1, -1):
             step = self._compile_step(names[:depth + 1], steps[depth],
                                       step)

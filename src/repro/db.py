@@ -128,13 +128,8 @@ class Database:
         :meth:`execute` (0 disables it).  Explicitly prepared statements
         (:meth:`prepare`) are unaffected by this bound.
     join_mode:
-        Join-algorithm policy for multi-variable rules: ``"auto"``
-        (default) lets the planner pick the worst-case-optimal
-        leapfrog multiway step for cyclic/many-variable equi-join
-        graphs when its estimated cost wins, ``"pairwise"`` keeps the
-        classic probe chain everywhere, ``"multiway"`` forces the
-        leapfrog step wherever it is structurally eligible.  Rete joins
-        only on its β chain: there ``"multiway"`` raises RuleError.
+        Only ``"pairwise"``, the one join algorithm (TREAT's pairwise
+        seek, Rete's β chain); any other value raises ArielError.
     durable_path:
         Directory for durable state (a checkpoint script plus a
         write-ahead log of committed transitions).  Starts *fresh*: an
@@ -155,7 +150,7 @@ class Database:
                  max_firings: int = 1000,
                  batch_tokens: bool = False,
                  statement_cache_size: int = 128,
-                 join_mode: str = "auto",
+                 join_mode: str = "pairwise",
                  durable_path=None,
                  fsync: str = "commit",
                  checkpoint_every: int = 1000):
@@ -165,6 +160,12 @@ class Database:
             raise ArielError(
                 f"unknown network {network!r}; expected one of "
                 f"{sorted(_NETWORKS)}") from None
+        # Accepted only because the benchmark harness's REFERENCE_CONFIG
+        # still passes join_mode="pairwise"; the parameter goes once
+        # the harness drops that key.
+        if join_mode != "pairwise":
+            raise ArielError(f"unknown join mode {join_mode!r}; "
+                             f"the only join mode is 'pairwise'")
         #: engine counter registry (see :mod:`repro.observe`); set
         #: ``stats.enabled = False`` to make every bump a no-op
         self.stats = EngineStats()
@@ -175,8 +176,7 @@ class Database:
         self.optimizer = Optimizer(self.catalog)
         self.manager = RuleManager(
             self.catalog, self.optimizer, network_cls,
-            max_rule_cascade=max_firings, stats=self.stats,
-            join_mode=join_mode)
+            max_rule_cascade=max_firings, stats=self.stats)
         self.deltasets = DeltaSets()
         self.undo = UndoLog()
         self.hooks = TransitionHooks(self.catalog, self.deltasets,

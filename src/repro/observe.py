@@ -35,11 +35,8 @@ docs/ARCHITECTURE.md, "Observing the engine"):
                        transition touched, hence flushed) and rule
                        activation (rules primed, tuples the priming
                        passes examined — one bump per activation)
-``joins.*``            seek planning (orders planned / cache hits,
-                       β chains planned) and the multiway join step
-                       (multiway plans chosen, cost/shape fallbacks to
-                       pairwise, multiway seeks run, leapfrog iterator
-                       seeks)
+``joins.*``            the pairwise seek (seeks run, orders planned /
+                       cache hits) and β chains planned
 ``stmt_cache.*``       transparent statement-cache hits / misses
 ``plan_cache.*``       prepared-statement executions / replans
 ``actions.*``          rule-action plans built

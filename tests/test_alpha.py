@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Database
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Schema
 from repro.core import tokens as tok
@@ -196,6 +197,30 @@ class TestAlphaMemory:
         memory.insert(MemoryEntry(TID, ("Ann", 1.0)))
         memory.flush()
         assert len(memory) == 0
+
+    def test_null_and_nan_keys_are_excluded(self):
+        """A join index holds no null or NaN key — neither satisfies an
+        equi-join conjunct — while the memory holds their entries."""
+        db = Database()
+        db.execute("create t (a = float8, k = int4)")
+        db.execute("create u (b = float8, k = int4)")
+        db.execute("create log (tag = text)")
+        db.execute('define rule rj if t.a = u.b '
+                   'then append to log(tag = "j")')
+        memory = db.network._memories[("rj", "t")]
+        position = 0
+        db.execute("append t(a = 2.0, k = 1)")
+        db.execute("append t(a = null, k = 2)")
+        db.execute("append t(a = nan, k = 3)")
+        db.execute("append t(a = 1.0, k = 4)")
+        assert len(memory) == 4
+        assert sorted(memory._join_indexes[position]) == [1.0, 2.0]
+        assert list(memory.join_probe(position, None)) == []
+        assert list(memory.join_probe(position, float("nan"))) == []
+        db.execute("delete t where t.k = 2")
+        db.execute("delete t where t.k = 3")
+        assert sorted(memory._join_indexes[position]) == [1.0, 2.0]
+        assert len(memory) == 2
 
     @pytest.mark.parametrize("kwargs,expected", [
         (dict(), "stored-α"),

@@ -74,8 +74,8 @@ PATTERN_RULES = [
 
 #: every shape of dynamic rule: simple event / transition / new, mixed
 #: (stored + gated variable, with the stored variable sorting before
-#: and after the gated one), a cyclic mixed rule (multiway under
-#: ``join_mode="auto"``), a cascade, a failing action and a ``halt``
+#: and after the gated one), a cyclic mixed rule, a cascade, a failing
+#: action and a ``halt``
 DYNAMIC_RULES = {
     "e_app": 'on append t if t.a >= 0 then append to log(tag = "app")',
     "e_del": 'on delete t then append to log(tag = "del")',
@@ -95,8 +95,7 @@ DYNAMIC_RULES = {
 }
 RULE_NAMES = sorted(DYNAMIC_RULES)
 
-CONFIGS = list(itertools.product(
-    ("a-treat", "rete"), (False, True), ("pairwise", "auto")))
+CONFIGS = list(itertools.product(("a-treat", "rete"), (False, True)))
 
 _rel = st.sampled_from("tuv")
 _val = st.integers(0, 10)
@@ -178,9 +177,8 @@ class _Driver:
 
 
 def _build(config, initial, full_walk):
-    network, batch, join_mode = config
-    db = Database(network=network, batch_tokens=batch,
-                  join_mode=join_mode)
+    network, batch = config
+    db = Database(network=network, batch_tokens=batch)
     if full_walk:
         _use_full_walk(db)
     db.execute_script(SCHEMA)

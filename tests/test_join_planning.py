@@ -118,7 +118,7 @@ class TestSeekOrdering:
         assert rule.join_memo
         db.execute("remove rule j3")
         # the orders lived on the compiled rule, and it is gone
-        assert set(vars(planner)) == {"network", "mode", "forced"}
+        assert set(vars(planner)) == {"network", "forced"}
         db.execute("define rule j3 if s.bk = big.bk "
                    "then append to log(bk = s.bk)")
         assert db.network.rules["j3"] is not rule
@@ -153,8 +153,7 @@ class TestSeekOrdering:
             db.execute(f"remove rule {name}")
         gc.collect()
         assert [ref() for ref in removed] == [None] * len(removed)
-        assert set(vars(db.network.join_planner)) == {"network", "mode",
-                                                      "forced"}
+        assert set(vars(db.network.join_planner)) == {"network", "forced"}
 
 
 class TestPlanDescription:

@@ -64,6 +64,15 @@ class TestDatabaseSurface:
         with pytest.raises(ArielError):
             Database(network="bogus")
 
+    def test_database_rejects_unknown_mode(self):
+        """The pairwise seek is the one join algorithm: ``join_mode``
+        accepts ``"pairwise"`` and nothing else."""
+        for mode in ("auto", "multiway", "leapfrog", "Pairwise", "", None):
+            with pytest.raises(ArielError, match="'pairwise'"):
+                Database(join_mode=mode)
+        assert Database(join_mode="pairwise").network.network_name \
+            == "A-TREAT"
+
     def test_removed_knobs_fail_loudly(self):
         for knob in ({"parallel_workers": 2},
                      {"parallel_backend": "thread"},

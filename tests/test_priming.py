@@ -162,11 +162,11 @@ def _rule_text(name):
     return f"define rule {name} {condition} " + _LOG.format(name, n)
 
 
-#: (network, storage budget — see tests.helpers.BUDGETS, join mode,
+#: (network, storage budget — see tests.helpers.BUDGETS,
 #: batch_tokens); Rete stores every memory, so only at budget ∞
 CONFIGS = [config for config in itertools.product(
     ("a-treat", "treat", "rete"), ("auto", "always", "never"),
-    ("pairwise", "auto"), (False, True))
+    (False, True))
     if config[0] != "rete" or config[1] == "never"]
 
 _int = st.integers(0, 7)
@@ -194,9 +194,9 @@ _COLUMN = {"t": "a", "u": "b", "v": "c"}
 
 
 def _build(config, rows, root, oracle):
-    network, budget, join_mode, batch = config
-    db = budgeted(budget, network=network, join_mode=join_mode,
-                  batch_tokens=batch, durable_path=root)
+    network, budget, batch = config
+    db = budgeted(budget, network=network, batch_tokens=batch,
+                  durable_path=root)
     if oracle:
         _use_query_priming(db)
     db.execute_script(SCHEMA)
@@ -370,9 +370,8 @@ def test_network_priming_equals_query_priming(rows, ops, config):
             db.close()
             reference.close()
             # the budget is not checkpointed: both come back all-stored
-            network, _budget, join_mode, batch = config
-            kwargs = dict(network=network, join_mode=join_mode,
-                          batch_tokens=batch)
+            network, _budget, batch = config
+            kwargs = dict(network=network, batch_tokens=batch)
             recovered = Database.recover(tmp / "new", **kwargs)
             with _query_priming_everywhere():
                 ref_recovered = Database.recover(tmp / "ref", **kwargs)

@@ -2,11 +2,11 @@
 pairwise chain.
 
 * A fixed insert/delete/replace stream over the cyclic rules of
-  ``test_multiway_property.MULTIWAY_RULES`` leaves the relation
+  ``test_cyclic_join_property.CYCLIC_RULES`` leaves the relation
   contents, firing log and P-node counts pinned below.  They were
   recorded from an engine whose Rete ran two of the three rules with a
-  β-less leapfrog step under ``join_mode="auto"``; the β chain must
-  reproduce them exactly.
+  join step that kept no β state; the β chain must reproduce them
+  exactly.
 * ``\\plan`` describes the β chain Rete runs, not TREAT's seek plans.
 * ``check_network`` recomputes every level of a rule's β chain.
 """
@@ -18,10 +18,10 @@ from repro import Database
 from repro.core.introspect import describe_join_plan
 from repro.core.validate import check_network
 
-from tests.test_multiway_property import MULTIWAY_RULES
+from tests.test_cyclic_join_property import CYCLIC_RULES
 
 #: the triangle, the cyclic self-join and the 4-variable cycle
-PINNED_RULES = [MULTIWAY_RULES[i] for i in (0, 1, 2)]
+PINNED_RULES = [CYCLIC_RULES[i] for i in (0, 1, 2)]
 _COLUMN = {"t": "a", "u": "b", "v": "c"}
 
 
@@ -78,7 +78,7 @@ def test_rete_fixed_stream_is_pinned():
     """Half the stream loads data, the rules are defined (primed over
     it), a quarter more fires them, and the last quarter accumulates in
     the P-nodes with firing suspended."""
-    db = Database(network="rete", join_mode="auto")
+    db = Database(network="rete")
     db.execute_script("""
         create t (a = int4, k = int4)
         create u (b = int4, k = int4)
@@ -128,10 +128,10 @@ def _triangle(**kwargs):
 
 def test_plan_shows_the_beta_chain_rete_runs():
     """Under Rete ``\\plan`` lists the α-memories and the β chain only:
-    no TREAT seek plan, pairwise or multiway, which Rete never runs."""
+    no TREAT seek plan, which Rete never runs."""
     db = _triangle(network="rete")
     text = describe_join_plan(db.manager, "tri")
-    assert "seek from" not in text and "multiway" not in text
+    assert "seek from" not in text
     chain = db.network.beta_chain("tri")
     assert sorted(chain) == ["r", "s", "t"]
     assert text.splitlines()[1:] == [

@@ -107,9 +107,9 @@ def test_define_index_replans_every_rule():
 
 
 def test_a_redefined_rule_owns_its_join_plans():
-    """Rule ``x`` is a cyclic triangle (multiway under ``auto``), then is
-    removed and redefined as an acyclic chain over the same relations:
-    its plan and its firings are the chain's, planned afresh."""
+    """Rule ``x`` is a cyclic triangle, then is removed and redefined as
+    an acyclic chain over the same relations: its join indexes, seek
+    orders and firings are the chain's, planned afresh."""
     db = Database()
     db.execute_script("""
         create r (a = int4, b = int4)
@@ -123,22 +123,27 @@ def test_a_redefined_rule_owns_its_join_plans():
     db.execute("append s(b = 1, c = 2)")
     db.execute("append t(c = 2, a = 5)")
     db.execute("append r(a = 1, b = 0)")   # a chain, but no triangle
-    assert db.stats.get("joins.multiway_seeks") >= 1
-    assert "multiway from r" in describe_join_plan(db.manager, "x")
+    # one seek from each variable, each planning its own order
+    assert db.stats.get("joins.seeks") == 3
+    assert db.stats.get("joins.orders_planned") == 3
+    text = describe_join_plan(db.manager, "x")
+    assert "t in t: stored, 1 entries, join-index(es) [c, a]" in text
+    assert "seek from r: r -> s -> t" in text
+    assert "seek from t: t -> r -> s" in text
     assert db.relation_rows("log") == []
     db.execute("remove rule x")
     db.execute("define rule x if r.a = s.b and s.c = t.c "
                + over + '"acyclic", v = 1.0)')
     assert db.relation_rows("log") == [("acyclic", 1.0)]   # primed
     text = describe_join_plan(db.manager, "x")
-    assert "acyclic equi-join graph" in text
-    assert "multiway from" not in text
+    assert "t in t: stored, 1 entries, join-index(es) [c]" in text
     assert "seek from r: r -> s -> t" in text
-    multiway, orders = (db.stats.get("joins.multiway_seeks"),
-                        db.stats.get("joins.orders_planned"))
+    assert "seek from t: t -> s -> r" in text
+    seeks, orders = (db.stats.get("joins.seeks"),
+                     db.stats.get("joins.orders_planned"))
     db.execute("append r(a = 1, b = 7)")
     assert db.relation_rows("log") == [("acyclic", 1.0)] * 2
-    assert db.stats.get("joins.multiway_seeks") == multiway
+    assert db.stats.get("joins.seeks") == seeks + 1
     assert db.stats.get("joins.orders_planned") == orders + 1
 
 

@@ -3,9 +3,9 @@
 The join step runs per token, so a reference cycle it creates per call
 (a recursive nested closure, say) is garbage only the cyclic collector
 frees — work on every collection, and a collection every few hundred
-tokens.  With the collector off, route tokens through a leapfrog
-(multiway) seek and through compiled pairwise seeks; whatever
-``gc.collect()`` then finds must not come from engine code.
+tokens.  With the collector off, route tokens through the compiled
+seeks of a cyclic rule (the triangle) and of a two-variable rule;
+whatever ``gc.collect()`` then finds must not come from engine code.
 """
 
 import gc
@@ -25,8 +25,8 @@ def _engine_objects(garbage: list) -> list:
     return found
 
 
-def _db(join_mode: str) -> Database:
-    db = Database(join_mode=join_mode)
+def _db() -> Database:
+    db = Database()
     db.execute_script("""
         create r (a = int4, b = int4)
         create s (b = int4, c = int4)
@@ -47,9 +47,8 @@ def _db(join_mode: str) -> Database:
 
 
 def test_seeks_leave_no_reference_cycles():
-    db = _db("multiway")
+    db = _db()
     db.execute("append r(a = 9, b = 9)")       # plan both seeks once
-    multiway = db.stats.get("joins.multiway_seeks")
     seeks = db.stats.get("joins.seeks")
     gc.collect()
     gc.disable()
@@ -63,9 +62,7 @@ def test_seeks_leave_no_reference_cycles():
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
-    # both join algorithms ran: the triangle's leapfrog seek and the
-    # pairwise seek of the two-variable rule, from r each time
-    assert db.stats.get("joins.multiway_seeks") - multiway == 4
+    # both rules sought from r each time
     assert db.stats.get("joins.seeks") - seeks == 8
     assert db.relation_rows("log")
     assert found == []

@@ -1,16 +1,19 @@
 """Network-level tests: virtual α-memories, storage accounting, the
-selection-index routing, and dynamic flushing."""
+selection-index routing, dynamic flushing, and cyclic rules on the
+pairwise seek against Rete's β chain."""
 
 import math
 
 import pytest
 
-from repro import Database
 from repro.core.alpha import VirtualAlphaMemory
+from repro.core.introspect import describe_join_plan
 from repro.core.memory_optimizer import optimize_memories
-from repro.errors import MemoryBudgetError, RuleError
+from repro.core.validate import check_network
+from repro.errors import MemoryBudgetError
 
 from tests.helpers import budgeted
+from tests.test_network_equivalence import firing_sequence
 
 
 def make_db(budget=0, network="a-treat", **kwargs):
@@ -176,20 +179,147 @@ class TestReteSpecifics:
         assert db.network.memory_budget == math.inf
         assert not db.network.memory("big", "emp").is_virtual
 
-    def test_rete_rejects_multiway_join_mode(self):
-        """Under Rete "auto" and "pairwise" both mean the β chain, also
-        for a cyclic rule TREAT would route to the leapfrog step."""
-        with pytest.raises(RuleError, match="multiway"):
-            Database(network="rete", join_mode="multiway")
-        matches = []
-        for join_mode in ("auto", "pairwise"):
-            db = make_db(math.inf, network="rete", join_mode=join_mode)
+
+# ----------------------------------------------------------------------
+# cyclic rules on the pairwise seek, against Rete's β chain
+# ----------------------------------------------------------------------
+
+#: a 4-variable cycle over three relations (t twice, as t and w)
+FOUR = (
+    "define rule four "
+    "if t.a = u.b and u.k = v.c and v.k = w.k and w.a = t.a "
+    "from t in t, u in u, v in v, w in t "
+    'then append to log(tag = "four")')
+
+
+def _pnode_values(db, name):
+    return sorted(
+        tuple(sorted((var, entry.values) for var, entry in m.bindings))
+        for m in db.network.pnode(name).matches())
+
+
+def _treat_and_rete(budget, script):
+    """TREAT under ``budget`` and Rete with every memory stored, each
+    given ``script``."""
+    sides = []
+    for network, side_budget in (("a-treat", budget), ("rete", "never")):
+        db = budgeted(side_budget, network=network)
+        db.execute_script(script)
+        sides.append(db)
+    return sides
+
+
+@pytest.mark.parametrize("network,budget", [
+    ("a-treat", "never"), ("a-treat", "always"),
+    ("rete", "never"), ("rete", "always"),
+])
+class TestNanJoins:
+
+    def test_nan_never_joins(self, network, budget):
+        """Null and NaN satisfy no equi-join conjunct, at any depth of
+        the seek or of the β chain.  Rete stores every memory, so its
+        rows run it with an unbounded budget beside TREAT at ``budget``."""
+        script = """
+            create r (a = float8, b = float8)
+            create s (b = float8, c = float8)
+            create t (c = float8, a = float8)
+            create log (tag = text)
+        """
+        if network == "rete":
+            dbs = _treat_and_rete(budget, script)
+        else:
+            dbs = [budgeted(budget, network=network)]
+            dbs[0].execute_script(script)
+        for db in dbs:
             db._rules_suspended = True
-            db.execute("define rule tri if x.dno = y.dno "
-                       "and y.name = z.name and z.dno = x.dno "
-                       "from x in emp, y in emp, z in emp "
-                       "then append to log(x.name)")
-            assert sorted(db.network.beta_chain("tri")) == ["x", "y", "z"]
-            assert db.stats.get("joins.multiway_planned") == 0
-            matches.append(len(db.network.pnode("tri")))
-        assert matches[0] == matches[1] == 300
+            db.execute(
+                "define rule ftri "
+                "if r.a = s.b and s.c = t.c and t.a = r.a "
+                "from r in r, s in s, t in t "
+                'then append to log(tag = "f")')
+            db.execute("append s(b = 1.0, c = 2.0)")
+            db.execute("append t(c = 2.0, a = 1.0)")
+            db.execute("append r(a = nan, b = nan)")
+            db.execute("append r(a = null, b = 1.0)")
+            db.execute("append s(b = nan, c = 2.0)")
+            assert _pnode_values(db, "ftri") == []
+            db.execute("append r(a = 1.0, b = 1.0)")
+            assert len(_pnode_values(db, "ftri")) == 1
+            assert check_network(db) == []
+
+
+@pytest.mark.parametrize("budget", ["never", "always"])
+class TestCyclicSeeks:
+
+    def test_four_cycle_with_an_unconstrained_participant(self, budget):
+        """Seeded from t, v shares no conjunct with the seed: the seek
+        reaches it only through u or w, and finds what Rete's β chain
+        finds."""
+        treat, rete = _treat_and_rete(budget, """
+            create t (a = int4, k = int4)
+            create u (b = int4, k = int4)
+            create v (c = int4, k = int4)
+            create log (tag = text)
+            """)
+        for db in (treat, rete):
+            db.execute(FOUR)
+            db.execute("define rule tri "
+                       "if t.a = u.b and u.k = v.c and v.k = t.k "
+                       'then append to log(tag = "tri")')
+        plan = describe_join_plan(treat.manager, "four")
+        seed_t = next(line for line in plan.splitlines()
+                      if line.strip().startswith("seek from t:"))
+        order = seed_t.split(":")[1].strip().split(" -> ")
+        assert order[0] == "t" and sorted(order) == ["t", "u", "v", "w"]
+        assert order.index("v") > min(order.index("u"),
+                                      order.index("w")), plan
+        for db in (treat, rete):
+            db.execute_script("""
+                do
+                append u(b = 0, k = 1)
+                append u(b = 1, k = 2)
+                append u(b = 2, k = 0)
+                append u(b = 0, k = 2)
+                end
+            """)
+            for i in range(6):
+                db.execute(f"append v(c = {i % 3}, k = {i % 4})")
+            for i in range(8):
+                db.execute(f"append t(a = {i % 3}, k = {i % 4})")
+            db.execute("replace v (k = 3) where v.c = 1")
+            db.execute("delete u where u.b = 2")
+            db.execute("append u(b = 2, k = 1)")
+            db._rules_suspended = True
+            db.execute("append t(a = 1, k = 3)")
+            db.execute("append v(c = 2, k = 0)")
+            db._rules_suspended = False  # consumed matches are not missing
+            assert check_network(db) == []
+        assert firing_sequence(treat) == firing_sequence(rete)
+        assert len(firing_sequence(rete)) > 4
+        for name in ("four", "tri"):
+            assert _pnode_values(treat, name) == _pnode_values(rete, name)
+        assert _pnode_values(rete, "four")
+        assert treat.relation_rows("log") == rete.relation_rows("log")
+
+    def test_self_join_multiplicity(self, budget):
+        """A token joining to itself does so exactly the right number
+        of times (the paper's ProcessedMemories invariant) on a cyclic
+        self-join."""
+        results = []
+        for db in _treat_and_rete(budget, """
+                create t (a = int4, k = int4)
+                create log (tag = text)
+                """):
+            db._rules_suspended = True
+            db.execute(
+                "define rule cyc "
+                "if x.a = y.a and y.k = z.k and z.a = x.a "
+                "from x in t, y in t, z in t "
+                'then append to log(tag = "cyc")')
+            for i in range(4):
+                db.execute(f"append t(a = {i % 2}, k = {i})")
+            assert check_network(db) == []
+            results.append(_pnode_values(db, "cyc"))
+        treat, rete = results
+        assert rete
+        assert treat == rete
