@@ -44,7 +44,7 @@ def _token_rows():
 
 
 def _prepared_database():
-    db = Database(batch_tokens=True)
+    db = Database()
     db.execute_script("""
         create s (bk = int4, tk = int4)
         create big (bk = int4, pad = int4)

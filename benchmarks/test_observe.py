@@ -4,7 +4,7 @@ The observability layer threads an :class:`~repro.observe.EngineStats`
 registry through every hot path — selection-index probes, α-memory
 maintenance, P-node transitions, token routing, agenda selection.  Each
 bump is a guarded dict increment; this benchmark holds the layer to its
-budget: with counters *enabled*, the batch-token propagation workload
+budget: with counters *enabled*, a bulk append routed as one Δ-set
 (the same shape as ``test_batch_tokens.py``) must run within
 ``MAX_OVERHEAD`` of the same workload with counters *disabled*.
 
@@ -32,7 +32,7 @@ DISTINCT_SALARIES = 32
 #: alternating (counters on, counters off) pairs the gate takes the
 #: median pair ratio of
 PAIRS = 30
-#: counters may cost at most 5% on the batched propagation workload
+#: counters may cost at most 5% on the bulk-append workload
 MAX_OVERHEAD = 1.25 if running_in_ci() else 1.05
 
 
@@ -43,7 +43,7 @@ def _rows():
 
 
 def _prepared_database(counters_enabled):
-    db = Database(network="a-treat", batch_tokens=True)
+    db = Database(network="a-treat")
     db.stats.enabled = counters_enabled
     db.execute_script("""
         create emp (name = text, age = int4, sal = float8,
@@ -61,11 +61,11 @@ def _prepared_database(counters_enabled):
 
 
 def _measure(rows, counters_enabled):
-    """(seconds to flush the batch, final counter snapshot)."""
+    """(seconds to append and route the batch, P-node total, final
+    counters)."""
     db = _prepared_database(counters_enabled)
-    db.hooks.insert_many("emp", rows)
     start = time.process_time()
-    db.hooks.flush_tokens()
+    db.hooks.insert_many("emp", rows)
     elapsed = time.process_time() - start
     pnode_total = sum(len(db.network.pnode(name))
                       for name in db.network.rules)

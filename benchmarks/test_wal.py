@@ -32,7 +32,7 @@ def _build(durable_path=None):
     if durable_path is not None:
         kwargs = dict(durable_path=durable_path, fsync="never",
                       checkpoint_every=0)
-    db = Database(network="a-treat", batch_tokens=True, **kwargs)
+    db = Database(network="a-treat", **kwargs)
     db.execute_script("""
         create emp (name = text, age = int4, sal = float8)
         create bench_log (name = text)

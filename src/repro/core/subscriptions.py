@@ -3,12 +3,15 @@
 The paper's conclusion lists as future work "support for streamlined
 development of applications that can receive data from database triggers
 asynchronously (e.g., safety and integrity alert monitors, stock
-tickers)".  This module implements that: applications register callbacks
-on rule names (or on every rule) and receive a :class:`Notification`
-for each firing — the rule, the firing sequence number, and a read-only
-snapshot of the matched data — decoupled from the recognize-act cycle:
-callbacks are queued during rule processing and delivered after the
-cycle completes, so a subscriber can never observe (or deadlock on) a
+tickers)".  This module implements that as a consumer of the firing
+stream: applications register callbacks on rule names (or on every
+rule) — each one a ``rule_fired`` listener on the database's
+:class:`~repro.observe.TraceHub`, the one listener registry — and
+receive a :class:`Notification` for each firing — the rule, the firing
+sequence number, and a read-only snapshot of the matched data —
+decoupled from the recognize-act cycle: notifications are queued during
+rule processing and delivered after the cycle completes, or dropped if
+it raises, so a subscriber can never observe (or deadlock on) a
 half-finished cascade, and exceptions in subscribers cannot corrupt rule
 processing.
 """
@@ -48,48 +51,21 @@ class Notification:
 Subscriber = Callable[[Notification], None]
 
 
-@dataclass
-class _Subscription:
-    rule_name: str | None           # None = every rule
-    callback: Subscriber
-    token: int
-
-
 class SubscriptionHub:
-    """Registry and delivery queue for firing subscribers."""
+    """The delivery queue for firing subscribers.
+
+    A subscriber is a ``rule_fired`` listener on the database's trace
+    hub (:meth:`listener` builds it): at each firing it filters by rule
+    name and queues a snapshot here.  :meth:`deliver` runs once the
+    recognize-act cycle settles; a cycle that raises drops the queue
+    instead (:meth:`discard`), since its cascade never finished.
+    """
 
     def __init__(self):
-        self._subscriptions: list[_Subscription] = []
-        self._queue: list[Notification] = []
-        self._next_token = 1
+        self._queue: list[tuple[Subscriber, Notification]] = []
         #: exceptions raised by subscribers (delivery never propagates
         #: them into rule processing); newest last
         self.errors: list[tuple[int, Exception]] = []
-
-    # ------------------------------------------------------------------
-
-    def subscribe(self, callback: Subscriber,
-                  rule_name: str | None = None) -> int:
-        """Register a callback; returns a token for unsubscribe.
-
-        ``rule_name`` of None subscribes to every rule's firings.
-        """
-        token = self._next_token
-        self._next_token += 1
-        self._subscriptions.append(
-            _Subscription(rule_name, callback, token))
-        return token
-
-    def unsubscribe(self, token: int) -> bool:
-        """Remove a subscription; returns False if the token is unknown."""
-        before = len(self._subscriptions)
-        self._subscriptions = [s for s in self._subscriptions
-                               if s.token != token]
-        return len(self._subscriptions) != before
-
-    @property
-    def active(self) -> bool:
-        return bool(self._subscriptions)
 
     @property
     def pending(self) -> bool:
@@ -98,21 +74,37 @@ class SubscriptionHub:
 
     # ------------------------------------------------------------------
 
-    def record_firing(self, sequence: int, rule_name: str,
-                      matches: list[Match]) -> None:
-        """Queue a firing for delivery (called inside the cycle)."""
-        if not any(s.rule_name in (None, rule_name)
-                   for s in self._subscriptions):
-            return
-        snapshots = tuple(
-            MatchSnapshot(
-                values={var: entry.values
-                        for var, entry in match.bindings},
-                previous={var: entry.old_values
-                          for var, entry in match.bindings
-                          if entry.old_values is not None})
-            for match in matches)
-        self._queue.append(Notification(sequence, rule_name, snapshots))
+    def listener(self, callback: Subscriber, rule_name: str | None):
+        """A ``rule_fired`` trace listener queueing ``callback``'s
+        notification of every firing of ``rule_name`` (of any rule when
+        None)."""
+        def on_fired(event: str, payload: dict) -> None:
+            if rule_name is None or payload["rule"] == rule_name:
+                self.record_firing(callback, payload["sequence"],
+                                   payload["rule"], payload["bindings"])
+        return on_fired
+
+    def record_firing(self, callback: Subscriber, sequence: int,
+                      rule_name: str, matches: list[Match]) -> None:
+        """Queue a firing for ``callback`` (called inside the cycle);
+        the subscribers of one firing share one snapshot."""
+        queue = self._queue
+        if queue and queue[-1][1].sequence == sequence:
+            notification = queue[-1][1]
+        else:
+            notification = Notification(sequence, rule_name, tuple(
+                MatchSnapshot(
+                    values={var: entry.values
+                            for var, entry in match.bindings},
+                    previous={var: entry.old_values
+                              for var, entry in match.bindings
+                              if entry.old_values is not None})
+                for match in matches))
+        queue.append((callback, notification))
+
+    def discard(self) -> None:
+        """Drop queued notifications (their cycle raised)."""
+        self._queue.clear()
 
     def deliver(self) -> int:
         """Deliver queued notifications; returns how many were sent.
@@ -122,14 +114,10 @@ class SubscriptionHub:
         """
         delivered = 0
         queue, self._queue = self._queue, []
-        for notification in queue:
-            for subscription in list(self._subscriptions):
-                if subscription.rule_name not in (None,
-                                                  notification.rule_name):
-                    continue
-                try:
-                    subscription.callback(notification)
-                    delivered += 1
-                except Exception as exc:      # noqa: BLE001 — isolate
-                    self.errors.append((notification.sequence, exc))
+        for callback, notification in queue:
+            try:
+                callback(notification)
+                delivered += 1
+            except Exception as exc:      # noqa: BLE001 — isolate
+                self.errors.append((notification.sequence, exc))
         return delivered

@@ -118,11 +118,9 @@ class Database:
         Bound on rule firings per triggering transition; exceeding it
         raises :class:`~repro.errors.RuleLoopError`.
     batch_tokens:
-        Defer token routing to transition boundaries and propagate each
-        transition's whole Δ-set through the network as one batch
-        (observationally identical to per-mutation routing, down the
-        same one-probe-per-token path).  Kept only until the settings
-        move into one configuration object; no workload shows it a win.
+        Only ``False``: tokens route when their statement makes them,
+        each statement's Δ-set as one batch; any other value raises
+        ArielError.
     statement_cache_size:
         Capacity of the transparent LRU plan cache inside
         :meth:`execute` (0 disables it).  Explicitly prepared statements
@@ -161,11 +159,14 @@ class Database:
                 f"unknown network {network!r}; expected one of "
                 f"{sorted(_NETWORKS)}") from None
         # Accepted only because the benchmark harness's REFERENCE_CONFIG
-        # still passes join_mode="pairwise"; the parameter goes once
-        # the harness drops that key.
+        # still passes join_mode="pairwise" and batch_tokens=False; both
+        # parameters go once the harness drops those keys.
         if join_mode != "pairwise":
             raise ArielError(f"unknown join mode {join_mode!r}; "
                              f"the only join mode is 'pairwise'")
+        if batch_tokens is not False:
+            raise ArielError(f"batch_tokens={batch_tokens!r}: tokens "
+                             f"always route per statement (only False)")
         #: engine counter registry (see :mod:`repro.observe`); set
         #: ``stats.enabled = False`` to make every bump a no-op
         self.stats = EngineStats()
@@ -180,8 +181,7 @@ class Database:
         self.deltasets = DeltaSets()
         self.undo = UndoLog()
         self.hooks = TransitionHooks(self.catalog, self.deltasets,
-                                     self.manager.process_tokens, self.undo,
-                                     defer_routing=batch_tokens)
+                                     self.manager.process_tokens, self.undo)
         self.hooks.stats = self.stats
         self.hooks.trace = self.trace
         self.hooks.network = self.manager.network
@@ -192,11 +192,10 @@ class Database:
         self.firings = 0
         #: trace of the most recent firings (at least the last
         #: :data:`FIRING_LOG_KEEP`), newest last (clear with
-        #: ``firing_log.clear()``); disable with ``trace_firings=False``
+        #: ``firing_log.clear()``)
         self.firing_log: list[FiringRecord] = []
-        self.trace_firings = True
-        #: asynchronous trigger delivery to applications (paper §8
-        #: future work); see :meth:`subscribe`
+        #: the delivery queue of asynchronous trigger delivery to
+        #: applications (paper §8 future work); see :meth:`subscribe`
         self.subscriptions = SubscriptionHub()
         #: transparent LRU of plans for repeated ad-hoc DML text
         self.statement_cache = StatementCache(statement_cache_size,
@@ -214,8 +213,7 @@ class Database:
         if durable_path is not None:
             self._durability = DurabilityManager(
                 self, durable_path, fsync=fsync,
-                checkpoint_every=checkpoint_every, mode="fresh",
-                quiesce=self.hooks.flush_tokens)
+                checkpoint_every=checkpoint_every, mode="fresh")
             self.hooks.journal = self._durability
 
     @property
@@ -250,8 +248,7 @@ class Database:
         db = cls(**database_kwargs)
         manager = DurabilityManager(
             db, durable_path, fsync=fsync,
-            checkpoint_every=checkpoint_every, mode="recover",
-            quiesce=db.hooks.flush_tokens)
+            checkpoint_every=checkpoint_every, mode="recover")
         try:
             db._apply_recovery(manager.pending_script,
                                manager.pending_replay)
@@ -361,7 +358,6 @@ class Database:
             else:
                 raise WalCorruptError(
                     f"unknown WAL entry kind {kind!r}")
-        self.hooks.flush_tokens()
         self.deltasets.clear()
         self.manager.end_of_rule_processing()
 
@@ -571,7 +567,6 @@ class Database:
         with self._recovery_scope():
             result = self.executor.run(analyzed)
             self._note_plan_executed(analyzed)
-            self.hooks.flush_tokens()
             self.deltasets.clear()
             self._run_rule_cycle()
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -642,7 +637,6 @@ class Database:
         self._rules_suspended = True
         try:
             self._replay_undo()
-            self.hooks.flush_tokens()
             self.deltasets.clear()
             self.manager.end_of_rule_processing()
             self.manager.agenda.clear()
@@ -688,11 +682,11 @@ class Database:
         Completed effects persist (transitions are not atomic outside
         explicit transactions — the triggering tuple of a failed rule
         action stays inserted), so recovery here means *settling*:
-        route whatever tokens are still buffered so the network catches
-        up with the heap, then clear per-transition state.  The failing
-        action's own partial effects are rolled back by the per-firing
-        undo scope in :meth:`_fire` before this scope ever sees the
-        exception.  Inside an explicit transaction the caller owns
+        every token was routed by its statement, so the network is in
+        step with the heap and only per-transition state is cleared.
+        The failing action's own partial effects are rolled back by the
+        per-firing undo scope in :meth:`_fire` before this scope ever
+        sees the exception.  Inside an explicit transaction the caller owns
         recovery via :meth:`abort` instead.
         """
         if self._in_transaction or self._implicit_scope:
@@ -716,7 +710,6 @@ class Database:
         suspended = self._rules_suspended
         self._rules_suspended = True
         try:
-            self.hooks.flush_tokens()
             self.deltasets.clear()
             self.manager.end_of_rule_processing()
         finally:
@@ -797,7 +790,6 @@ class Database:
                 planned = self.optimizer.plan_command(command)
                 result = self.executor.run(planned)
                 self._note_plan_executed(planned)
-            self.hooks.flush_tokens()
             self.deltasets.clear()
             self._run_rule_cycle()
         return result
@@ -805,8 +797,8 @@ class Database:
     def _execute_planned(self, planned, params: dict[str, object] | None):
         """Run a cached plan as one transition (the prepared-statement
         execution path: no parse/analyze/plan work).  With no token
-        generated, an empty agenda and nothing to deliver, the
-        recognize-act cycle would be a no-op and is skipped."""
+        generated and an empty agenda, the recognize-act cycle would be
+        a no-op and is skipped."""
         self._require_open()
         if not _read_only_command(planned.command):
             self._require_writable("execute a mutating command")
@@ -815,10 +807,8 @@ class Database:
             generated = hooks.tokens_generated
             result = self.executor.run(planned, params)
             self._note_plan_executed(planned)
-            hooks.flush_tokens()
             self.deltasets.clear()
-            if (hooks.tokens_generated != generated or self.manager.agenda
-                    or self.subscriptions.pending):
+            if hooks.tokens_generated != generated or self.manager.agenda:
                 self._run_rule_cycle()
         return result
 
@@ -831,7 +821,6 @@ class Database:
         self._require_writable("bulk-append")
         with self._recovery_scope():
             tids = self.hooks.insert_many(relation, rows)
-            self.hooks.flush_tokens()
             self.deltasets.clear()
             self._run_rule_cycle()
         return len(tids)
@@ -853,8 +842,7 @@ class Database:
             fire = self._fire
             # Observers are checked once per cycle: while none is set
             # when it starts, no callback can run to add one mid-cycle.
-            observed = (self.trace.listening or self.subscriptions.active
-                        or self.faults.armed("rule.fire"))
+            observed = self.trace.listening or self.faults.armed("rule.fire")
             while not manager.halted:
                 rule = select_rule()
                 if rule is None:
@@ -862,6 +850,11 @@ class Database:
                 note_firing(rule)
                 fire(rule, observed)
             manager.end_of_rule_processing()
+        except BaseException:
+            # A cascade that raised never finished: its notifications
+            # must not surface at a later statement.
+            self.subscriptions.discard()
+            raise
         finally:
             self._cycle_running = False
         # Deliver trigger notifications only after the cycle settles, so
@@ -871,21 +864,27 @@ class Database:
     def _fire(self, rule: CompiledRule, observed: bool) -> None:
         """One act step: consume the P-node and run the action as a
         transition of its own.  ``observed``: an armed ``rule.fire``
-        fault, a trace callback or a subscription may want the step."""
+        fault or a trace listener (a subscription is one) may want the
+        step."""
         matches = self.manager.consume_matches(rule)
         if not matches:
             return
         if observed:
             self.faults.hit("rule.fire")
         self.firings += 1
-        if self.trace_firings:
-            log = self.firing_log
-            log.append(_new_record(
-                (self.firings, rule.name, rule.priority, len(matches))))
-            if len(log) >= 2 * FIRING_LOG_KEEP:
-                del log[:-FIRING_LOG_KEEP]
-        if observed:
-            self._announce_firing(rule, matches)
+        log = self.firing_log
+        log.append(_new_record(
+            (self.firings, rule.name, rule.priority, len(matches))))
+        if len(log) >= 2 * FIRING_LOG_KEEP:
+            del log[:-FIRING_LOG_KEEP]
+        if observed and self.trace.wants("rule_fired"):
+            self.trace.emit("rule_fired", {
+                "sequence": self.firings,
+                "rule": rule.name,
+                "priority": rule.priority,
+                "matches": len(matches),
+                "bindings": matches,
+            })
         # Undo-backed recovery: outside an explicit transaction (where
         # the transaction's own undo log already covers the action and
         # abort() replays it), record this firing's mutations so a
@@ -904,7 +903,6 @@ class Database:
                 run(planned, params)
                 if observed or stats.enabled:
                     self._note_plan_executed(planned, rule=rule.name)
-            self.hooks.flush_tokens()
             self.deltasets.clear()
         except BaseException:
             if undo_scope:
@@ -914,27 +912,11 @@ class Database:
             if undo_scope:
                 undo.commit()
 
-    def _announce_firing(self, rule: CompiledRule, matches: list) -> None:
-        """Tell the firing's trace callbacks and subscriptions."""
-        if self.trace.wants("rule_fired"):
-            self.trace.emit("rule_fired", {
-                "sequence": self.firings,
-                "rule": rule.name,
-                "priority": rule.priority,
-                "matches": len(matches),
-            })
-        if self.subscriptions.active:
-            self.subscriptions.record_firing(self.firings, rule.name,
-                                             matches)
-
     def _recover_firing(self) -> None:
-        """Roll back a failed rule action (see :meth:`_fire`): route the
-        partial action's buffered tokens, replay its undo records
-        through the hooks (keeping α-memories and P-nodes in step with
-        the heap), and route the inverses too."""
-        self.hooks.flush_tokens()
+        """Roll back a failed rule action (see :meth:`_fire`): replay
+        its undo records through the hooks, keeping α-memories and
+        P-nodes in step with the heap."""
         self._replay_undo()
-        self.hooks.flush_tokens()
         self.deltasets.clear()
 
     def _note_plan_executed(self, planned, rule: str | None = None) -> None:
@@ -955,12 +937,15 @@ class Database:
                   rule_name: str | None = None) -> int:
         """Receive a Notification after each firing of ``rule_name``
         (or of any rule when None).  Delivery happens after the
-        recognize-act cycle settles; returns an unsubscribe token."""
-        return self.subscriptions.subscribe(callback, rule_name)
+        recognize-act cycle settles, never for a cycle that raised.
+        The subscription is a ``rule_fired`` listener on :attr:`trace`;
+        returns its token for :meth:`unsubscribe`."""
+        return self.trace.on(
+            self.subscriptions.listener(callback, rule_name), "rule_fired")
 
     def unsubscribe(self, token: int) -> bool:
         """Cancel a subscription made with :meth:`subscribe`."""
-        return self.subscriptions.unsubscribe(token)
+        return self.trace.off(token)
 
     # ------------------------------------------------------------------
     # trace hooks

@@ -11,10 +11,11 @@ runtime:
   selections, rule firings, cache hit rates).  Counters are plain dict
   bumps guarded by one attribute check, cheap enough to leave on in
   production and off-able wholesale (``stats.enabled = False``).
-* :class:`TraceHub` — a callback registry for discrete engine events
-  (``rule_fired``, ``token_routed``, ``plan_executed``), exposed as
-  ``Database.on_event``.  Emission is gated per event type so an idle
-  hub costs one dict lookup.
+* :class:`TraceHub` — the engine's one listener registry for discrete
+  events (``rule_fired``, ``token_routed``, ``plan_executed``), exposed
+  as ``Database.on_event``; ``Database.subscribe``'s trigger delivery is
+  a ``rule_fired`` listener too.  Emission is gated per event type so
+  an idle hub costs one dict lookup.
 
 Counter taxonomy (dotted names, grouped by layer — see
 docs/ARCHITECTURE.md, "Observing the engine"):
@@ -172,7 +173,9 @@ class TraceHub:
 
     Callbacks receive ``(event_type, payload_dict)``.  Emission sites
     guard with :meth:`wants` so an event with no listener costs one
-    dict lookup and no payload construction.
+    dict lookup and no payload construction.  A ``rule_fired`` payload
+    carries ``sequence``, ``rule``, ``priority``, ``matches`` (how
+    many) and ``bindings`` (the consumed matches; read, never keep).
     """
 
     def __init__(self):
@@ -191,11 +194,12 @@ class TraceHub:
             events = TRACE_EVENTS
         elif isinstance(events, str):
             events = (events,)
+        events = tuple(events)
         unknown = [e for e in events if e not in TRACE_EVENTS]
-        if unknown:
+        if unknown or not events:
             raise ValueError(
-                f"unknown trace event(s) {unknown}; expected a subset "
-                f"of {list(TRACE_EVENTS)}")
+                f"unknown trace event(s) {unknown or 'none given'}; "
+                f"expected a non-empty subset of {list(TRACE_EVENTS)}")
         self._next_token += 1
         token = self._next_token
         for event in events:

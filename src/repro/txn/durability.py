@@ -61,17 +61,8 @@ class DurabilityManager:
     def __init__(self, db, path, *, fsync: str = "commit",
                  checkpoint_every: int = 1000, retry_limit: int = 5,
                  retry_backoff: float = 0.01, sleep=time.sleep,
-                 mode: str = "fresh", quiesce=None):
+                 mode: str = "fresh"):
         self.db = db
-        #: merge-then-flush ordering hook: called at the top of every
-        #: :meth:`flush_boundary`, before the buffered record is
-        #: written.  The database points this at the transition hooks'
-        #: ``flush_tokens`` so any deferred token propagation settles
-        #: *before* the boundary's WAL record goes out.
-        #: Propagation never journals (mutations journal at heap-change
-        #: time, ahead of routing), so the quiesce can only add network
-        #: state, never reorder or extend the record being flushed.
-        self.quiesce = quiesce
         self.dir = pathlib.Path(path)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
@@ -194,13 +185,9 @@ class DurabilityManager:
         self._append([["stmt", text]], sync=sync)
 
     def flush_boundary(self, *, sync: bool = True) -> None:
-        """Write the buffered transition (if any) as one WAL record,
-        after quiescing any deferred token propagation (merge-then-
-        flush; see :attr:`quiesce`)."""
+        """Write the buffered transition (if any) as one WAL record."""
         if self.crashed:
             return
-        if self.quiesce is not None:
-            self.quiesce()
         self._flush_buffer(sync=sync)
 
     def _flush_buffer(self, *, sync: bool) -> None:

@@ -21,9 +21,9 @@ order, each with its undo record and journal entry, and then route the
 statement's tokens as one Δ-set through ``route_tokens`` (the rule
 manager's :meth:`~repro.core.manager.RuleManager.process_tokens`).  A
 row that fails leaves the rows before it applied, and their tokens are
-still routed.  With ``defer_routing`` enabled
-(``Database(batch_tokens=True)``) the Δ-sets of a whole transition
-accumulate and flush as one at the transition boundary.
+still routed.  Tokens route when their statement makes them: nothing is
+buffered past a statement, so the network is settled whenever control
+is back in the transaction layer.
 """
 
 from __future__ import annotations
@@ -57,19 +57,13 @@ class TransitionHooks(MutationHooks):
 
     def __init__(self, catalog: Catalog, deltasets: DeltaSets,
                  route_tokens: Callable[[Sequence[Token]], None],
-                 undo: UndoLog | None = None,
-                 defer_routing: bool = False):
+                 undo: UndoLog | None = None):
         self.catalog = catalog
         self.deltasets = deltasets
         self.route_tokens = route_tokens
         # "undo or UndoLog()" would discard a passed-in empty log, since
         # UndoLog defines __len__ and an empty log is falsy.
         self.undo = undo if undo is not None else UndoLog()
-        #: buffer whole-transition Δ-sets and route them as one batch at
-        #: :meth:`flush_tokens` time (the transaction layer calls it at
-        #: every transition boundary) instead of per mutation
-        self.defer_routing = defer_routing
-        self._buffer: list[Token] = []
         #: diagnostics: tokens generated since construction
         self.tokens_generated = 0
 
@@ -226,15 +220,9 @@ class TransitionHooks(MutationHooks):
     # ------------------------------------------------------------------
 
     def flush_tokens(self) -> None:
-        """Route any deferred tokens (a no-op unless ``defer_routing``).
-
-        Must run before anything reads the network — the transaction
-        layer calls it at every transition boundary, ahead of the
-        recognize-act cycle.
-        """
-        if self._buffer:
-            buffered, self._buffer = self._buffer, []
-            self._dispatch(buffered)
+        """Does nothing: every token is routed by its statement.  Kept
+        only as a target of the benchmark tracer
+        (``benchmarks/e2e/tracer.py``); roadmap item 24a drops it."""
 
     def _watched(self, relation_name: str) -> bool:
         """An α-memory watches the relation, or a ``token_routed``
@@ -255,15 +243,12 @@ class TransitionHooks(MutationHooks):
 
     def _retractions_seen(self, relation_name: str) -> bool:
         """Whether a delete on the relation must build its tokens: a
-        memory there can act on a retraction, deferred tokens that may
-        make one able to still wait in the buffer, or a
-        ``token_routed`` subscriber wants every token."""
+        memory there can act on a retraction, or a ``token_routed``
+        subscriber wants every token."""
         network, trace = self.network, self.trace
         return (network is None
                 or trace is not None and trace.wants("token_routed")
-                or network.sees_retractions(relation_name)
-                or bool(self._buffer)
-                and network.selection_index.watches(relation_name))
+                or network.sees_retractions(relation_name))
 
     def _route(self, tokens: list[Token]) -> None:
         if not tokens:
@@ -274,12 +259,6 @@ class TransitionHooks(MutationHooks):
             counters = stats.counters
             counters["tokens.generated"] = \
                 counters.get("tokens.generated", 0) + len(tokens)
-        if self.defer_routing:
-            self._buffer.extend(tokens)
-            return
-        self._dispatch(tokens)
-
-    def _dispatch(self, tokens: list[Token]) -> None:
         trace = self.trace
         if trace is not None and trace.wants("token_routed"):
             for token in tokens:

@@ -17,8 +17,8 @@ from tests.test_network_equivalence import (
     RULES, apply_ops, _op, pnode_snapshot)
 
 
-def build(rules, **kwargs):
-    db = Database(**kwargs)
+def build(rules):
+    db = Database()
     db.execute("create t (a = int4, k = int4)")
     db.execute("create u (b = int4, k = int4)")
     db.execute("create v (c = int4, k = int4)")
@@ -86,70 +86,13 @@ def test_commit_then_more_work(ops, rule_indexes):
     assert state_of(committed) == state_of(plain)
 
 
-# ----------------------------------------------------------------------
-# abort with batched token routing (``batch_tokens=True``)
-# ----------------------------------------------------------------------
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(_op, min_size=0, max_size=8),
-       st.lists(_op, min_size=1, max_size=8),
-       st.lists(_op, min_size=1, max_size=5),
-       st.sets(st.integers(0, len(RULES) - 1), min_size=1, max_size=3),
-       st.lists(st.tuples(st.sampled_from("tuv"), st.integers(0, 10)),
-                min_size=1, max_size=4))
-def test_abort_discards_pending_deferred_tokens(prefix, suffix, probe,
-                                                rule_indexes, danglers):
-    """Abort while deferred token groups are still pending (the state a
-    failure mid-transition leaves behind under ``batch_tokens=True``)
-    must discard them and leave α-memories and P-nodes equal to a
-    rebuild from the surviving heap."""
-    rules = [RULES[i] for i in sorted(rule_indexes)]
-    aborted = build(rules, batch_tokens=True)
-    apply_ops(aborted, prefix)
-    aborted.begin()
-    apply_ops(aborted, suffix)
-    # mutate through the hooks directly so the mutations' token groups
-    # stay buffered — the shape of a transition interrupted between its
-    # heap writes and its boundary flush
-    for rel, value in danglers:
-        col = {"t": "a", "u": "b", "v": "c"}[rel]
-        row = {"a": None, "b": None, "c": None, "k": 999}
-        row[col] = value
-        schema_order = {"t": ("a", "k"), "u": ("b", "k"),
-                        "v": ("c", "k")}[rel]
-        aborted.hooks.insert(rel, tuple(
-            row[name] if row[name] is not None else value
-            for name in schema_order))
-    if not aborted.hooks._buffer:
-        # writes to a relation no rule names buffer no tokens, nor does
-        # an insert that no memory acts on (a transition rule's); every
-        # rule in RULES names t, so a replace there buffers some
-        tid = aborted.hooks.insert("t", (danglers[0][1], 999))
-        if not aborted.hooks._buffer:
-            aborted.hooks.replace("t", tid, (danglers[0][1], 998))
-    assert aborted.hooks._buffer, "test needs pending deferred groups"
-    aborted.abort()
-    assert not aborted.hooks._buffer
-
-    reference = build(rules, batch_tokens=True)
-    apply_ops(reference, prefix)
-
-    assert state_of(aborted) == state_of(reference)
-    assert pnode_snapshot(aborted) == pnode_snapshot(reference)
-    assert _alpha_values(aborted) == _alpha_values(reference)
-
-    apply_ops(aborted, probe)
-    apply_ops(reference, probe)
-    assert state_of(aborted) == state_of(reference)
-
-
-def test_abort_after_failing_rule_action_with_batched_tokens():
-    """Deterministic shape of the same invariant: a rule action that
-    fails mid-transaction leaves deferred groups pending; abort must
-    still restore the pre-transaction state exactly."""
+def test_abort_after_failing_rule_action_restores_state():
+    """A rule action that fails mid-transaction leaves its firing
+    rolled back and the transaction open; abort must still restore the
+    pre-transaction state — heap, P-nodes and α-memories — exactly."""
     rule = ("define rule bad on append t if t.a = 5 "
             "then append to u(b = t.k / (t.a - t.a), k = 99)")
-    db = build([], batch_tokens=True)
+    db = build([])
     db.execute(rule)
     db.execute("append u(b = 1, k = 1)")
     db.execute("append t(a = 1, k = 1)")
@@ -158,7 +101,7 @@ def test_abort_after_failing_rule_action_with_batched_tokens():
         db.execute("append t(a = 5, k = 2)")
     db.abort()
 
-    reference = build([], batch_tokens=True)
+    reference = build([])
     reference.execute(rule)
     reference.execute("append u(b = 1, k = 1)")
     reference.execute("append t(a = 1, k = 1)")

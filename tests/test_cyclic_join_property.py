@@ -74,8 +74,8 @@ _op = st.one_of(
 
 
 def _build(network, budget, rules, durable_path):
-    db = budgeted(budget, network=network, batch_tokens=True,
-                  durable_path=durable_path, fsync="never")
+    db = budgeted(budget, network=network, durable_path=durable_path,
+                  fsync="never")
     db.execute("create t (a = int4, k = int4)")
     db.execute("create u (b = int4, k = int4)")
     db.execute("create v (c = int4, k = int4)")

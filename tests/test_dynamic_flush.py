@@ -15,7 +15,6 @@ here:
 * ``Database.firing_log`` is a bounded recent history.
 """
 
-import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,7 +94,7 @@ DYNAMIC_RULES = {
 }
 RULE_NAMES = sorted(DYNAMIC_RULES)
 
-CONFIGS = list(itertools.product(("a-treat", "rete"), (False, True)))
+NETWORKS = ("a-treat", "rete")
 
 _rel = st.sampled_from("tuv")
 _val = st.integers(0, 10)
@@ -176,9 +175,8 @@ class _Driver:
             db.execute(f"{kind} rule {op[1]}")
 
 
-def _build(config, initial, full_walk):
-    network, batch = config
-    db = Database(network=network, batch_tokens=batch)
+def _build(network, initial, full_walk):
+    db = Database(network=network)
     if full_walk:
         _use_full_walk(db)
     db.execute_script(SCHEMA)
@@ -204,11 +202,11 @@ def _state(db):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_statement, min_size=1, max_size=24),
        st.sets(st.sampled_from(RULE_NAMES), max_size=6),
-       st.sampled_from(CONFIGS))
-def test_dirty_flush_equals_full_walk(ops, initial, config):
+       st.sampled_from(NETWORKS))
+def test_dirty_flush_equals_full_walk(ops, initial, network):
     initial = sorted(initial)
-    db = _build(config, initial, full_walk=False)
-    reference = _build(config, initial, full_walk=True)
+    db = _build(network, initial, full_walk=False)
+    reference = _build(network, initial, full_walk=True)
     try:
         driver, oracle = _Driver(db), _Driver(reference)
         for op in ops:
@@ -370,9 +368,10 @@ def test_adaptation_rebuild_mid_registration():
     assert _settled(db)
 
 
-@pytest.mark.parametrize("batch", [False, True])
-def test_abort_ends_with_an_empty_registry(batch):
-    db = _mixed_db(batch_tokens=batch)
+@pytest.mark.parametrize("durable", [False, True])
+def test_abort_ends_with_an_empty_registry(durable, tmp_path):
+    kwargs = {"durable_path": tmp_path / "d"} if durable else {}
+    db = _mixed_db(**kwargs)
     db.begin()
     db.execute("append t(a = 4, k = 1)")
     db.abort()              # the undo's − token binds e_del, unfired
@@ -381,6 +380,13 @@ def test_abort_ends_with_an_empty_registry(batch):
     fired = db.firings
     db.execute("retrieve (t.a)")
     assert db.firings == fired
+    if durable:             # the aborted append never reaches the log
+        db.close()
+        restored = Database.recover(tmp_path / "d")
+        assert _settled(restored)
+        assert restored.relation_rows("t") == []
+        assert restored.relation_rows("log") == []
+        restored.close()
 
 
 def test_abort_over_suspended_matches_leaves_dynamic_pnodes_empty():

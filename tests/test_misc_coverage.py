@@ -64,13 +64,19 @@ class TestDatabaseSurface:
         with pytest.raises(ArielError):
             Database(network="bogus")
 
-    def test_database_rejects_unknown_mode(self):
-        """The pairwise seek is the one join algorithm: ``join_mode``
-        accepts ``"pairwise"`` and nothing else."""
-        for mode in ("auto", "multiway", "leapfrog", "Pairwise", "", None):
-            with pytest.raises(ArielError, match="'pairwise'"):
-                Database(join_mode=mode)
-        assert Database(join_mode="pairwise").network.network_name \
+    @pytest.mark.parametrize("knob, accepted, rejected", [
+        ("join_mode", "pairwise",
+         ("auto", "multiway", "leapfrog", "Pairwise", "", None)),
+        ("batch_tokens", False, (True, 1, 0, None, "deferred")),
+    ], ids=["join_mode", "batch_tokens"])
+    def test_database_rejects_unknown_mode(self, knob, accepted, rejected):
+        """One join algorithm (the pairwise seek) and one routing path
+        (per statement): ``join_mode`` accepts ``"pairwise"`` and
+        ``batch_tokens`` ``False``, and nothing else."""
+        for value in rejected:
+            with pytest.raises(ArielError, match=repr(accepted)):
+                Database(**{knob: value})
+        assert Database(**{knob: accepted}).network.network_name \
             == "A-TREAT"
 
     def test_removed_knobs_fail_loudly(self):

@@ -41,8 +41,8 @@ RULES = [
 ]
 
 
-def build(network, budget, rules, batch_tokens=False):
-    db = budgeted(budget, network=network, batch_tokens=batch_tokens)
+def build(network, budget, rules):
+    db = budgeted(budget, network=network)
     db.execute("create t (a = int4, k = int4)")
     db.execute("create u (b = int4, k = int4)")
     db.execute("create v (c = int4, k = int4)")
@@ -146,57 +146,6 @@ def test_networks_equivalent(ops, rule_indexes):
         assert sorted(db.relation_rows("log")) == reference_log
         assert sorted(db.relation_rows("t")) == reference_t
         assert db.firings == databases[0].firings
-
-
-NETWORK_CONFIGS = [
-    ("a-treat", "always"),
-    ("a-treat", "auto"),
-    ("treat", "never"),
-    ("rete", "never"),
-]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(_op, min_size=1, max_size=14),
-       st.sets(st.integers(0, len(RULES) - 1), min_size=1, max_size=4),
-       st.sampled_from(NETWORK_CONFIGS))
-def test_batched_propagation_equivalent(ops, rule_indexes, config):
-    """Batched Δ-set propagation (``batch_tokens=True``, the whole
-    transition routed through ``process_tokens`` at the boundary) is
-    observationally identical to per-mutation routing: same relation
-    contents, same firing count, same firing log — for every network
-    kind and storage budget."""
-    network, budget = config
-    rules = [RULES[i] for i in sorted(rule_indexes)]
-    per_token = build(network, budget, rules, batch_tokens=False)
-    batched = build(network, budget, rules, batch_tokens=True)
-    for db in (per_token, batched):
-        apply_ops(db, ops)
-    assert sorted(batched.relation_rows("log")) == \
-        sorted(per_token.relation_rows("log"))
-    assert sorted(batched.relation_rows("t")) == \
-        sorted(per_token.relation_rows("t"))
-    assert batched.firings == per_token.firings
-    assert [(r.rule_name, r.match_count) for r in batched.firing_log] == \
-        [(r.rule_name, r.match_count) for r in per_token.firing_log]
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(_op, min_size=1, max_size=12),
-       st.sampled_from(NETWORK_CONFIGS))
-def test_batched_pnodes_match_per_token(ops, config):
-    """With firing suspended (P-nodes accumulate instead of being
-    consumed), batched and per-token propagation build identical P-node
-    contents — the strongest form of the equivalence, below the level
-    rule firing could mask."""
-    network, budget = config
-    per_token = build(network, budget, RULES, batch_tokens=False)
-    batched = build(network, budget, RULES, batch_tokens=True)
-    for db in (per_token, batched):
-        db._rules_suspended = True
-        apply_ops(db, ops)
-        db.hooks.flush_tokens()
-    assert pnode_snapshot(batched) == pnode_snapshot(per_token)
 
 
 @settings(max_examples=25, deadline=None)

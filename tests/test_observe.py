@@ -108,9 +108,13 @@ class TestTraceHub:
 
     def test_unknown_event_rejected(self):
         hub = TraceHub()
-        with pytest.raises(ValueError) as err:
-            hub.on(lambda e, p: None, "no_such_event")
-        assert "rule_fired" in str(err.value)
+        # an empty list names no event: registering nothing must not
+        # leave the hub listening
+        for events in ("no_such_event", []):
+            with pytest.raises(ValueError) as err:
+                hub.on(lambda e, p: None, events)
+            assert "rule_fired" in str(err.value)
+            assert len(hub) == 0 and not hub.listening
 
 
 @pytest.fixture
@@ -160,7 +164,7 @@ class TestDatabaseCounters:
         assert db.stats.get("tokens.routed") >= 1
 
     def test_batched_routing_counters(self):
-        db = Database(batch_tokens=True)
+        db = Database()
         db.execute("create t (a = int4)")
         db.execute("create log (a = int4)")
         db.execute("define rule r if t.a > 0 then append to log(t.a)")

@@ -205,15 +205,6 @@ class TestFiringTrace:
         assert record.sequence == 1
         assert "r" in str(record)
 
-    def test_trace_disabled(self):
-        db = Database()
-        db.trace_firings = False
-        db.execute("create t (a = int4)")
-        db.execute("define rule r on append t then delete t")
-        db.execute("append t(a = 1)")
-        assert db.firing_log == []
-        assert db.firings == 1
-
     def test_set_oriented_match_count(self):
         db = Database()
         db.execute("create t (a = int4)")

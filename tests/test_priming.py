@@ -162,11 +162,10 @@ def _rule_text(name):
     return f"define rule {name} {condition} " + _LOG.format(name, n)
 
 
-#: (network, storage budget — see tests.helpers.BUDGETS,
-#: batch_tokens); Rete stores every memory, so only at budget ∞
+#: (network, storage budget — see tests.helpers.BUDGETS); Rete
+#: stores every memory, so only at budget ∞
 CONFIGS = [config for config in itertools.product(
-    ("a-treat", "treat", "rete"), ("auto", "always", "never"),
-    (False, True))
+    ("a-treat", "treat", "rete"), ("auto", "always", "never"))
     if config[0] != "rete" or config[1] == "never"]
 
 _int = st.integers(0, 7)
@@ -194,9 +193,8 @@ _COLUMN = {"t": "a", "u": "b", "v": "c"}
 
 
 def _build(config, rows, root, oracle):
-    network, budget, batch = config
-    db = budgeted(budget, network=network, batch_tokens=batch,
-                  durable_path=root)
+    network, budget = config
+    db = budgeted(budget, network=network, durable_path=root)
     if oracle:
         _use_query_priming(db)
     db.execute_script(SCHEMA)
@@ -370,11 +368,11 @@ def test_network_priming_equals_query_priming(rows, ops, config):
             db.close()
             reference.close()
             # the budget is not checkpointed: both come back all-stored
-            network, _budget, batch = config
-            kwargs = dict(network=network, batch_tokens=batch)
-            recovered = Database.recover(tmp / "new", **kwargs)
+            network = config[0]
+            recovered = Database.recover(tmp / "new", network=network)
             with _query_priming_everywhere():
-                ref_recovered = Database.recover(tmp / "ref", **kwargs)
+                ref_recovered = Database.recover(tmp / "ref",
+                                                 network=network)
             try:
                 _compare(recovered, ref_recovered, "recover")
                 assert _rows_state(recovered) == _rows_state(reference)

@@ -101,8 +101,8 @@ def rebuild_from_heap(db):
 
 
 class TestFailedActionRecovery:
-    def _failing_db(self, **kwargs):
-        db = Database(**kwargs)
+    def _failing_db(self):
+        db = Database()
         db.execute_script("""
             create t (a = int4)
             create log (a = int4)
@@ -113,9 +113,8 @@ class TestFailedActionRecovery:
                    "then append to log(a = t.a / (t.a - t.a))")
         return db
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_network_matches_rebuilt_after_failed_action(self, batch):
-        db = self._failing_db(batch_tokens=batch)
+    def test_network_matches_rebuilt_after_failed_action(self):
+        db = self._failing_db()
         db.execute("append t(a = 1)")
         with pytest.raises(ExecutionError):
             db.execute("append t(a = 99)")

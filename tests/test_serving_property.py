@@ -29,8 +29,7 @@ CLIENT_COUNTS = (1, 2, 4)
 
 
 def _build_db(durable_path) -> Database:
-    db = Database(durable_path=durable_path, fsync="never",
-                  batch_tokens=True)
+    db = Database(durable_path=durable_path, fsync="never")
     db.execute("create t (a = int4, k = int4)")
     db.execute("create u (b = int4, k = int4)")
     db.execute("create log (tag = text)")

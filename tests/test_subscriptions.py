@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database
+from repro.errors import ExecutionError, RuleLoopError
 
 
 @pytest.fixture
@@ -132,3 +133,54 @@ class TestSubscribe:
         db.execute('replace stock (price = 300) '
                    'where stock.symbol = "ACME"')
         assert len(received) == 1
+
+
+class TestRaisingCycle:
+    """A cycle that raises never finished its cascade: its queued
+    notifications are dropped, never delivered at a later statement."""
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_failed_action_leaves_no_notification(self, explicit):
+        db = Database()
+        db.execute_script("""
+            create t (a = int4)
+            create u (a = int4)
+        """)
+        db.execute("define rule bad on append t if t.a > 0 "
+                   "then append to u(a = t.a / (t.a - t.a))")
+        db.execute("define rule ok on append t if t.a < 0 "
+                   "then append to u(a = t.a)")
+        received = []
+        db.subscribe(received.append)
+        if explicit:
+            db.begin()
+        with pytest.raises(ExecutionError):
+            db.execute("append t(a = 1)")
+        assert db.relation_rows("u") == []
+        assert not db.subscriptions.pending
+        db.execute("append u(a = 3)")           # fires no rule
+        assert received == []
+        db.execute("append t(a = -1)")
+        assert [n.rule_name for n in received] == ["ok"]
+        assert received[0].sequence == db.firing_log[-1].sequence
+        if explicit:
+            db.commit()
+
+    def test_rule_loop_leaves_no_notification(self):
+        db = Database(max_firings=5)
+        db.execute_script("""
+            create t (a = int4)
+            create u (a = int4)
+        """)
+        db.execute("define rule loop on append t if t.a < 100 "
+                   "then append to t(a = t.a + 1)")
+        received = []
+        db.subscribe(received.append, "loop")
+        with pytest.raises(RuleLoopError):
+            db.execute("append t(a = 1)")
+        assert not db.subscriptions.pending
+        db.execute("append u(a = 3)")           # fires no rule
+        assert received == []
+        db.execute("append t(a = 99)")          # fires once: 100 stops it
+        assert len(received) == 1
+        assert received[0].sequence == db.firing_log[-1].sequence
