@@ -24,7 +24,7 @@ import gc
 import statistics
 import time
 
-from common import emit, median_time, speedup_bar
+from common import alternating_pairs, emit, median_time, speedup_bar
 from repro import Database
 
 N_RULES = 64
@@ -81,14 +81,11 @@ def test_batch_tokens(benchmark):
     holder = {}
 
     def run():
-        per_row, bulk = [], []
-        for pair in range(PAIRS):
-            first = pair % 2 == 0       # bulk first, then per-row first
-            for is_bulk in (first, not first):
-                side = bulk if is_bulk else per_row
-                side.append(_measure(rows, bulk=is_bulk))
+        pairs = alternating_pairs(lambda is_bulk: _measure(rows, is_bulk),
+                                  PAIRS)
+        bulk, per_row = zip(*pairs)
         holder["ratio"] = statistics.median(
-            row / many for (row, _), (many, _) in zip(per_row, bulk))
+            row / many for (many, _), (row, _) in pairs)
         holder["per_row"] = median_time([t for t, _ in per_row])
         holder["bulk"] = median_time([t for t, _ in bulk])
         totals = {total for _, total in per_row + bulk}

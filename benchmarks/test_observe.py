@@ -23,7 +23,7 @@ import json
 import statistics
 import time
 
-from common import emit, median_time, running_in_ci
+from common import alternating_pairs, emit, median_time, running_in_ci
 from repro import Database
 
 N_RULES = 64
@@ -77,14 +77,10 @@ def test_observe_overhead(benchmark):
     holder = {}
 
     def run():
-        enabled, disabled = [], []
-        for pair in range(PAIRS):
-            first = pair % 2 == 0       # counters on first, then off first
-            for counters_enabled in (first, not first):
-                side = enabled if counters_enabled else disabled
-                side.append(_measure(rows, counters_enabled))
+        pairs = alternating_pairs(lambda on: _measure(rows, on), PAIRS)
+        enabled, disabled = zip(*pairs)
         holder["ratio"] = statistics.median(
-            on / off for (on, _, _), (off, _, _) in zip(enabled, disabled))
+            on / off for (on, _, _), (off, _, _) in pairs)
         holder["enabled"] = median_time([t for t, _, _ in enabled])
         holder["disabled"] = median_time([t for t, _, _ in disabled])
         totals = {total for _, total, _ in enabled + disabled}

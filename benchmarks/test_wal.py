@@ -8,21 +8,26 @@ durable database should track an in-memory one closely on a rule-firing
 transition workload.  This benchmark holds that journaling path to
 ``MAX_OVERHEAD`` of the plain in-memory run.
 
-Medians of ``REPEATS`` fresh runs per side (perf-gate policy in
-``common.py``); CI relaxes the bar for shared-runner noise.  The run
-records the WAL counters and final log size into ``BENCH_wal.json``.
+The gate is the median, over ``PAIRS`` alternating pairs of fresh runs
+(the side that goes first alternates too), of each pair's ratio of
+durable to in-memory time (perf-gate policy in ``common.py``); CI
+relaxes the bar for shared-runner noise.  The run records the WAL
+counters and final log size into ``BENCH_wal.json``.
 """
 
 import os
+import statistics
 import tempfile
 import time
 
-from common import PERF_REPEATS, emit, median_time, running_in_ci
+from common import alternating_pairs, emit, median_time, running_in_ci
 from repro import Database
 
 N_RULES = 16
 N_ROWS = 2_000
-REPEATS = PERF_REPEATS
+#: alternating (durable, in-memory) pairs the gate takes the median
+#: pair ratio of
+PAIRS = 15
 #: journaling with fsync="never" may cost at most 35% on transitions
 MAX_OVERHEAD = 1.75 if running_in_ci() else 1.35
 
@@ -78,8 +83,12 @@ def test_wal_overhead(benchmark):
     holder = {}
 
     def run():
-        plain = [_measure_plain() for _ in range(REPEATS)]
-        durable = [_measure_durable() for _ in range(REPEATS)]
+        pairs = alternating_pairs(
+            lambda durable: (_measure_durable() if durable
+                             else _measure_plain()), PAIRS)
+        durable, plain = zip(*pairs)
+        holder["ratio"] = statistics.median(
+            d / p for (d, _, _), (p, _, _) in pairs)
         holder["plain"] = median_time([t for t, _, _ in plain])
         holder["durable"] = median_time([t for t, _, _ in durable])
         fired = {f for _, f, _ in plain + durable}
@@ -89,7 +98,7 @@ def test_wal_overhead(benchmark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    overhead = holder["durable"] / holder["plain"]
+    overhead = holder["ratio"]
     meta = holder["meta"]
     assert meta["wal_records"] >= N_ROWS   # every append journaled
     assert meta["wal_fsyncs"] == 0         # fsync="never"
@@ -98,7 +107,8 @@ def test_wal_overhead(benchmark):
         f"fsync=never)",
         f"in-memory {holder['plain']:.4f}s | "
         f"durable {holder['durable']:.4f}s | "
-        f"overhead {overhead:.3f}x (bar {MAX_OVERHEAD}x)",
+        f"median pair ratio {overhead:.3f}x over {PAIRS} pairs "
+        f"(bar {MAX_OVERHEAD}x)",
         f"{meta['wal_records']} records, {meta['wal_bytes']} bytes "
         f"logged, {holder['fired']} rule firings",
     ])
@@ -106,7 +116,7 @@ def test_wal_overhead(benchmark):
         "network": "a-treat",
         "rules": N_RULES,
         "rows": N_ROWS,
-        "repeats": REPEATS,
+        "pairs": PAIRS,
         "fsync": "never",
         "plain_s": holder["plain"],
         "durable_s": holder["durable"],

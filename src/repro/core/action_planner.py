@@ -7,7 +7,9 @@ range over the P-node (``V.attr → P.V.attr``) and ``replace``/``delete``
 commands targeting a shared variable become ``replace'``/``delete'`` —
 the primed forms that locate their targets by the tuple identifiers
 stored in the P-node.  The rewritten text is what the rule catalog
-displays, matching the paper's Figure 7.
+displays, matching the paper's Figure 7: it is
+:func:`~repro.lang.ast_nodes.deparse` of each command, with only those
+two rewrites overridden.
 
 At rule *fire* time, :class:`ActionPlanner` builds an execution plan for
 each action command: commands referencing shared variables are planned
@@ -30,7 +32,7 @@ from repro.catalog.catalog import Catalog
 from repro.core.pnode import Match
 from repro.core.rules import ActionCommand, CompiledRule
 from repro.lang import ast_nodes as ast
-from repro.lang.ast_nodes import deparse
+from repro.lang.ast_nodes import Deparser
 from repro.planner.optimizer import Optimizer, PlannedCommand
 from repro.planner.plans import PnodeScan
 
@@ -84,99 +86,42 @@ def modified_action_text(rule: CompiledRule) -> str:
     """The rule action after query modification, as the paper displays it:
     shared variable references become ``P.var.attr`` and commands whose
     target is shared become ``replace'`` / ``delete'``."""
-    lines = [_modified_command(rule, entry) for entry in rule.actions]
+    lines = [_ModifiedDeparser(entry).render(entry.command)
+             for entry in rule.actions]
     if len(lines) == 1:
         return lines[0]
     inner = "\n".join("    " + line for line in lines)
     return f"do\n{inner}\nend"
 
 
-def _modified_command(rule: CompiledRule, entry: ActionCommand) -> str:
-    command = entry.command
-    shared = entry.shared_vars
-    if isinstance(command, ast.Halt):
-        return "halt"
-    if isinstance(command, ast.Append):
-        targets = _render_targets(command.targets, shared)
-        text = f"append to {command.relation} ({targets})"
-        return text + _render_tail(command, shared)
-    if isinstance(command, ast.Delete):
-        name = "delete'" if entry.targets_pnode else "delete"
-        target = _qualify_var(command.target_var, shared)
-        return f"{name} {target}" + _render_tail(command, shared)
-    if isinstance(command, ast.Replace):
-        name = "replace'" if entry.targets_pnode else "replace"
-        target = _qualify_var(command.target_var, shared)
-        assignments = _render_targets(command.assignments, shared)
-        return (f"{name} {target} ({assignments})"
-                + _render_tail(command, shared))
-    if isinstance(command, ast.Retrieve):
-        targets = _render_targets(command.targets, shared)
-        into = f" into {command.into}" if command.into else ""
-        return f"retrieve{into} ({targets})" + _render_tail(command,
-                                                            shared)
-    return deparse(command)
+class _ModifiedDeparser(Deparser):
+    """:func:`~repro.lang.ast_nodes.deparse` of one action command, with
+    its shared variables ranging over the P-node."""
 
+    def __init__(self, entry: ActionCommand):
+        self.shared = entry.shared_vars
+        self.targets_pnode = entry.targets_pnode
 
-def _qualify_var(var: str, shared: frozenset[str]) -> str:
-    return f"P.{var}" if var in shared else var
+    def _render_AttrRef(self, node: ast.AttrRef) -> str:
+        prefix = "previous " if node.previous else ""
+        return f"{prefix}{self._qualify(node.var)}.{node.attr}"
 
+    def _render_AllRef(self, node: ast.AllRef) -> str:
+        return f"{self._qualify(node.var)}.all"
 
-def _render_targets(columns, shared: frozenset[str]) -> str:
-    parts = []
-    for col in columns:
-        text = _render_expr(col.expr, shared)
-        parts.append(f"{col.name} = {text}" if col.name else text)
-    return ", ".join(parts)
+    def _render_Delete(self, node: ast.Delete) -> str:
+        return self._primed(super()._render_Delete(node))
 
+    def _render_Replace(self, node: ast.Replace) -> str:
+        return self._primed(super()._render_Replace(node))
 
-def _render_tail(command, shared: frozenset[str]) -> str:
-    text = ""
-    if command.from_items:
-        items = ", ".join(f"{f.var} in {f.relation}"
-                          for f in command.from_items)
-        text += f" from {items}"
-    if command.where is not None:
-        text += f" where {_render_expr(command.where, shared)}"
-    return text
+    def _qualify(self, var: str) -> str:
+        return f"P.{var}" if var in self.shared else var
 
-
-def _render_expr(expr: ast.Expr, shared: frozenset[str]) -> str:
-    if isinstance(expr, ast.AttrRef):
-        prefix = "previous " if expr.previous else ""
-        var = _qualify_var(expr.var, shared)
-        return f"{prefix}{var}.{expr.attr}"
-    if isinstance(expr, ast.AllRef):
-        return f"{_qualify_var(expr.var, shared)}.all"
-    if isinstance(expr, ast.BinOp):
-        left = _render_operand(expr.left, expr.op, shared, is_right=False)
-        right = _render_operand(expr.right, expr.op, shared,
-                                is_right=True)
-        return f"{left} {expr.op} {right}"
-    if isinstance(expr, ast.UnaryOp):
-        operand = _render_expr(expr.operand, shared)
-        if isinstance(expr.operand, ast.BinOp):
-            operand = f"({operand})"
-        return (f"not {operand}" if expr.op == "not"
-                else f"{expr.op}{operand}")
-    return deparse(expr)
-
-
-_PRECEDENCE = {
-    "or": 1, "and": 2,
-    "=": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-    "+": 4, "-": 4, "*": 5, "/": 5,
-}
-
-
-def _render_operand(child: ast.Expr, parent_op: str,
-                    shared: frozenset[str], is_right: bool) -> str:
-    text = _render_expr(child, shared)
-    if not isinstance(child, ast.BinOp):
-        return text
-    child_prec = _PRECEDENCE[child.op]
-    parent_prec = _PRECEDENCE[parent_op]
-    if child_prec < parent_prec or (child_prec == parent_prec
-                                    and is_right):
-        return f"({text})"
-    return text
+    def _primed(self, text: str) -> str:
+        """``delete emp …`` becomes ``delete' P.emp …`` when the target is
+        a condition variable."""
+        if not self.targets_pnode:
+            return text
+        verb, _, rest = text.partition(" ")
+        return f"{verb}' P.{rest}"

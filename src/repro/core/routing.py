@@ -298,12 +298,8 @@ def _pre_batch_state(token: Token):
 
     ``+`` only ever opens a tid's in-batch history for a fresh insert
     (case-1 re-assertions always follow their ``−`` within one mutation
-    group); ``−``/``Δ−`` carry the value they retract; a leading ``Δ+``
-    (only possible when an earlier batch already routed the pair's
-    retraction) re-asserts over ``old_values``.
+    group); otherwise it opens with the ``−``/``Δ−`` that carries the
+    value it retracts.  A ``Δ+`` never comes first: a statement's Δ-set
+    emits every modification's retraction before its assertion.
     """
-    if token.kind is TokenKind.PLUS:
-        return ABSENT
-    if token.kind is TokenKind.DELTA_PLUS:
-        return token.old_values
-    return token.values
+    return ABSENT if token.kind is TokenKind.PLUS else token.values

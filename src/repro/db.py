@@ -236,9 +236,9 @@ class Database:
                 ) -> Database:
         """Reopen a durable database from its directory.
 
-        Loads the checkpoint script with rules suspended (exactly like
-        :func:`repro.persist.loads`), then replays the WAL suffix —
-        still suspended, because the log already contains every
+        Loads the checkpoint script with rules suspended (the one load
+        sequence :func:`repro.persist.loads` runs), then replays the WAL
+        suffix — still suspended, because the log already contains every
         rule-generated mutation, so re-firing would double them.  Token
         routing during replay re-primes the α-memories and P-nodes;
         the final state equals a fresh database that executed only the
@@ -250,8 +250,8 @@ class Database:
             db, durable_path, fsync=fsync,
             checkpoint_every=checkpoint_every, mode="recover")
         try:
-            db._apply_recovery(manager.pending_script,
-                               manager.pending_replay)
+            db._load_settled(manager.pending_script,
+                             manager.pending_replay)
         finally:
             manager.pending_script = None
             manager.pending_replay = []
@@ -319,9 +319,13 @@ class Database:
             "degraded": d.degraded,
         }
 
-    def _apply_recovery(self, script: str, records: list) -> None:
-        """Load checkpoint + WAL with rule firing suspended, then settle
-        exactly as :func:`repro.persist.loads` does."""
+    def _load_settled(self, script: str, records: list) -> None:
+        """The one load sequence, of :func:`repro.persist.loads` (no
+        records) and :meth:`recover` (checkpoint + WAL): run the script
+        and replay the records with rule firing suspended, then settle —
+        restored data is already processed, so the P-nodes its
+        activation primed, the agenda and the dynamic memories are
+        cleared."""
         self._rules_suspended = True
         try:
             if script.strip():

@@ -417,10 +417,13 @@ def deparse(node) -> str:
     The output reparses to an equal tree (round-trip property, tested);
     it is also how rule definitions are displayed to users.
     """
-    return _Deparser().render(node)
+    return Deparser().render(node)
 
 
-class _Deparser:
+class Deparser:
+    """Renders AST nodes as command text, one ``_render_<Node>`` method
+    per node type; subclasses override a method to change one form."""
+
     def render(self, node) -> str:
         method = getattr(self, f"_render_{type(node).__name__}", None)
         if method is None:

@@ -65,7 +65,7 @@ class Bindings:
 
         Safe only when the caller owns this Bindings and its consumer
         does not retain yielded bindings across iterations (scans under
-        a hash/sort-merge build side must keep using :meth:`bind`).
+        a hash join's build side must keep using :meth:`bind`).
         """
         self.current[var] = values
         if tid is not None:

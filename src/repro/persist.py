@@ -70,15 +70,7 @@ def loads(script: str, **database_kwargs) -> Database:
     but unfired at dump time are consequently not preserved.)
     """
     db = Database(**database_kwargs)
-    db._rules_suspended = True
-    try:
-        db.execute_script(script)
-        for name in db.manager.active_rules():
-            db.network.pnode(name).clear()
-        db.manager.agenda.clear()
-        db.network.flush_dynamic()
-    finally:
-        db._rules_suspended = False
+    db._load_settled(script, [])
     return db
 
 

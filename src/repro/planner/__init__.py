@@ -11,13 +11,12 @@ a simple cardinality model.
 from repro.planner.stats import Statistics
 from repro.planner.plans import (
     Plan, SeqScan, IndexScan, IndexProbe, PnodeScan, FilterPlan,
-    NestedLoopJoin, HashJoin, SortMergeJoin, explain)
+    NestedLoopJoin, HashJoin, explain)
 from repro.planner.optimizer import Optimizer, PlannedCommand
 
 __all__ = [
     "Statistics",
     "Plan", "SeqScan", "IndexScan", "IndexProbe", "PnodeScan",
-    "FilterPlan", "NestedLoopJoin", "HashJoin", "SortMergeJoin",
-    "explain",
+    "FilterPlan", "NestedLoopJoin", "HashJoin", "explain",
     "Optimizer", "PlannedCommand",
 ]

@@ -44,13 +44,5 @@ def hash_join_cost(left_cost: float, left_rows: float,
             output_rows)
 
 
-def merge_join_cost(left_cost: float, left_rows: float,
-                    right_cost: float, right_rows: float,
-                    output_rows: float) -> tuple[float, float]:
-    """Sort both sides, then a linear merge."""
-    sort = left_rows * _log(left_rows) + right_rows * _log(right_rows)
-    return (left_cost + right_cost + sort + output_rows, output_rows)
-
-
 def _log(rows: float) -> float:
     return math.log2(rows + 2.0)

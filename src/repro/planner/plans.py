@@ -38,7 +38,7 @@ class Plan:
     yielded row instead of copying three dicts per row.  It is only safe
     when the consumer finishes with each yielded binding before pulling
     the next (the executor's evaluate-and-discard loops); operators that
-    retain rows (hash build sides, sort-merge inputs) always ask their
+    retain rows (hash build sides) always ask their
     children for fresh copies.
     """
 
@@ -390,81 +390,6 @@ class HashJoin(Plan):
             f"{deparse(l)} = {deparse(r)}"
             for l, r in zip(self.left_key_exprs, self.right_key_exprs))
         text = f"HashJoin [{keys}]"
-        if self.residual_expr is not None:
-            text += f" +[{deparse(self.residual_expr)}]"
-        return text
-
-    def children(self) -> tuple[Plan, ...]:
-        return (self.left, self.right)
-
-
-class SortMergeJoin(Plan):
-    """Single-key equi-join by sorting both inputs and merging.
-
-    Present because the paper calls it out ("it could have chosen
-    SortMergeJoin instead of NestedLoopJoin in Figure 8"); the optimizer
-    picks it when both inputs are large and no index applies.
-    """
-
-    child_attrs = ("left", "right")
-
-    def __init__(self, left: Plan, right: Plan,
-                 left_key: ast.Expr, right_key: ast.Expr,
-                 residual: ast.Expr | None = None):
-        self.left = left
-        self.right = right
-        self.left_key_expr = left_key
-        self.right_key_expr = right_key
-        self._left_key = compile_expr(left_key)
-        self._right_key = compile_expr(right_key)
-        self.residual_expr = residual
-        self._residual = _compile_optional(residual)
-        self.vars = left.vars | right.vars
-
-    def rows(self, ctx, outer: Bindings,
-             reuse: bool = False) -> Iterator[Bindings]:
-        # Both inputs are materialized, so neither may reuse bindings.
-        left_rows = [(self._left_key(b), b)
-                     for b in self.left.rows(ctx, outer)]
-        right_rows = [(self._right_key(b), b)
-                      for b in self.right.rows(ctx, outer)]
-        left_rows = sorted((p for p in left_rows if p[0] is not None),
-                           key=lambda p: p[0])
-        right_rows = sorted((p for p in right_rows if p[0] is not None),
-                            key=lambda p: p[0])
-        residual = self._residual
-        right_vars = self.right.vars
-        i = j = 0
-        while i < len(left_rows) and j < len(right_rows):
-            lkey, rkey = left_rows[i][0], right_rows[j][0]
-            if lkey < rkey:
-                i += 1
-            elif rkey < lkey:
-                j += 1
-            else:
-                # find the blocks of equal keys on both sides
-                i2 = i
-                while i2 < len(left_rows) and left_rows[i2][0] == lkey:
-                    i2 += 1
-                j2 = j
-                while j2 < len(right_rows) and right_rows[j2][0] == lkey:
-                    j2 += 1
-                for _, left in left_rows[i:i2]:
-                    for _, right in right_rows[j:j2]:
-                        merged = left.child()
-                        for var in right_vars:
-                            merged.current[var] = right.current[var]
-                            if var in right.tids:
-                                merged.tids[var] = right.tids[var]
-                            if var in right.previous:
-                                merged.previous[var] = right.previous[var]
-                        if residual is None or is_true(residual(merged)):
-                            yield merged
-                i, j = i2, j2
-
-    def label(self) -> str:
-        text = (f"SortMergeJoin [{deparse(self.left_key_expr)} = "
-                f"{deparse(self.right_key_expr)}]")
         if self.residual_expr is not None:
             text += f" +[{deparse(self.residual_expr)}]"
         return text

@@ -1,6 +1,7 @@
 """Tests for query modification display and rule-action planning."""
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro import Database
 from repro.core.action_planner import modified_action_text
 from repro.errors import ExecutionError
+from repro.lang.ast_nodes import deparse
 
 
 @pytest.fixture
@@ -29,21 +31,48 @@ def compiled(db, name):
     return db.manager.rule(name).compiled
 
 
+#: every rule :class:`TestQueryModificationText` displays, by name
+DISPLAY_RULES = {
+    "SalesClerkRule2": 'define rule SalesClerkRule2 '
+                       'if emp.sal > 30000 and emp.jno = job.jno '
+                       'and job.title = "Clerk" '
+                       'then do '
+                       'append to salarywatch(emp.all) '
+                       'replace emp (sal = 30000) where emp.dno = dept.dno '
+                       'and dept.name = "Sales" '
+                       'replace emp (sal = 25000) where emp.dno = dept.dno '
+                       'and dept.name != "Sales" '
+                       'end',
+    "NoBobs": 'define rule NoBobs on append emp '
+              'if emp.name = "Bob" then delete emp',
+    "raiselimit": "define rule raiselimit "
+                  "if emp.sal > 1.1 * previous emp.sal "
+                  "then append to log(name = emp.name) "
+                  "where previous emp.sal > 0",
+    "unshared": 'define rule unshared if emp.sal > 5 '
+                'then append to log(name = "fixed")',
+    "halting": "define rule halting if emp.sal > 5 then do "
+               "append to log(emp.name) halt end",
+    "sorted": "define rule sorted if emp.sal > 5 "
+              "then retrieve unique into t2 (id = emp.age, s = emp.sal) "
+              "sort by emp.sal desc",
+    "negated": "define rule negated if emp.sal > 5 "
+               "then append to salarywatch(sal = - -emp.sal)",
+    "counted": "define rule counted if emp.sal > 5 "
+               "then retrieve (n = count(emp.age), m = emp.name)",
+}
+
+
+def displayed(db, name):
+    db.execute(DISPLAY_RULES[name])
+    return modified_action_text(compiled(db, name))
+
+
 class TestQueryModificationText:
     def test_paper_figure7(self, db):
         """The SalesClerkRule2 example: the action after modification
         must read like the paper's Figure 7."""
-        db.execute('define rule SalesClerkRule2 '
-                   'if emp.sal > 30000 and emp.jno = job.jno '
-                   'and job.title = "Clerk" '
-                   'then do '
-                   'append to salarywatch(emp.all) '
-                   'replace emp (sal = 30000) where emp.dno = dept.dno '
-                   'and dept.name = "Sales" '
-                   'replace emp (sal = 25000) where emp.dno = dept.dno '
-                   'and dept.name != "Sales" '
-                   'end')
-        text = modified_action_text(compiled(db, "SalesClerkRule2"))
+        text = displayed(db, "SalesClerkRule2")
         assert "append to salarywatch (P.emp.name" in text
         assert "replace' P.emp (sal = 30000) " \
                "where P.emp.dno = dept.dno" in text
@@ -52,30 +81,44 @@ class TestQueryModificationText:
         assert "P.dept" not in text
 
     def test_delete_prime(self, db):
-        db.execute('define rule NoBobs on append emp '
-                   'if emp.name = "Bob" then delete emp')
-        text = modified_action_text(compiled(db, "NoBobs"))
+        text = displayed(db, "NoBobs")
         assert text == "delete' P.emp"
 
     def test_previous_kept(self, db):
-        db.execute("define rule raiselimit "
-                   "if emp.sal > 1.1 * previous emp.sal "
-                   "then append to log(name = emp.name) "
-                   "where previous emp.sal > 0")
-        text = modified_action_text(compiled(db, "raiselimit"))
+        text = displayed(db, "raiselimit")
         assert "previous P.emp.sal > 0" in text
 
     def test_unshared_command_untouched(self, db):
-        db.execute('define rule r if emp.sal > 5 '
-                   'then append to log(name = "fixed")')
-        text = modified_action_text(compiled(db, "r"))
+        text = displayed(db, "unshared")
         assert "P." not in text
 
     def test_halt_rendered(self, db):
-        db.execute("define rule r if emp.sal > 5 then do "
-                   "append to log(emp.name) halt end")
-        text = modified_action_text(compiled(db, "r"))
+        text = displayed(db, "halting")
         assert "halt" in text
+
+    def test_unique_and_sort_by_kept(self, db):
+        text = displayed(db, "sorted")
+        assert text == ("retrieve unique into t2 (id = P.emp.age, "
+                        "s = P.emp.sal) sort by P.emp.sal desc")
+
+    def test_nested_negation_parenthesised(self, db):
+        """``--`` would start a comment: the inner negation keeps its
+        parentheses after the shared reference is qualified."""
+        text = displayed(db, "negated")
+        assert text == "append to salarywatch (sal = -(-P.emp.sal))"
+
+    def test_aggregate_argument_qualified(self, db):
+        text = displayed(db, "counted")
+        assert text == "retrieve (n = count(P.emp.age), m = P.emp.name)"
+
+    @pytest.mark.parametrize("name", DISPLAY_RULES)
+    def test_display_is_the_deparsed_action(self, db, name):
+        """One renderer: without its ``P.`` prefixes and primes, the
+        displayed action is :func:`deparse` of the action."""
+        text = displayed(db, name)
+        plain = re.sub(r"\b(delete|replace)' ", r"\1 ",
+                       re.sub(r"\bP\.", "", text))
+        assert plain == deparse(compiled(db, name).definition.action)
 
 
 class TestActionPlans:

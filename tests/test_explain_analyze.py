@@ -14,7 +14,7 @@ from repro.lang.expr import Bindings
 from repro.lang.parser import parse_command
 from repro.planner.plans import (
     PNODE, AnalyzedPlan, FilterPlan, HashJoin, PnodeScan, SeqScan,
-    SortMergeJoin, instrument)
+    instrument)
 from repro.storage.tuples import TupleId
 from tests.helpers import MiniEngine
 
@@ -169,16 +169,6 @@ class TestInstrumentUnit:
         assert left.rows_out == 6 and right.rows_out == 4
         assert "HashJoin" in root.label()
         assert "rows_in=10" in root.label()
-
-    def test_sort_merge_join_counts(self):
-        engine = self._engine()
-        plan = SortMergeJoin(SeqScan("l", "l"), SeqScan("r", "r"),
-                             self._key("l"), self._key("r"))
-        root = instrument(plan)
-        out = list(root.rows(engine.context, Bindings()))
-        assert len(out) == 8
-        assert root.rows_in() == 10
-        assert "SortMergeJoin" in root.label()
 
     def test_filter_plan_counts(self):
         engine = self._engine()

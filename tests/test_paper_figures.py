@@ -178,7 +178,7 @@ class TestFigure8ActionPlan:
         assert any(op in ops for op in
                    ("IndexProbe", "IndexScan", "SeqScan"))
         assert any(op in ops for op in
-                   ("NestedLoopJoin", "HashJoin", "SortMergeJoin"))
+                   ("NestedLoopJoin", "HashJoin"))
         text = explain(plans[0].plan)
         assert "P(cap)" in text
         # the plan is the firing's prepared statement: its parameter is

@@ -73,7 +73,7 @@ class TestJoinMethods:
             "retrieve (emp.name, dept.name) where emp.dno = dept.dno")
         ops = plan_operators(planned.plan)
         assert any(op in ops for op in
-                   ("HashJoin", "SortMergeJoin", "NestedLoopJoin"))
+                   ("HashJoin", "NestedLoopJoin"))
 
     def test_index_nested_loop_preferred_with_index(self, engine):
         engine.run("define index empdno on emp (dno) using hash")

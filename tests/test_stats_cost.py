@@ -123,8 +123,3 @@ class TestCostModel:
         probe, _ = cost.index_nlj_cost(1, 1, 2.0, 2)
         hsh, _ = cost.hash_join_cost(1, 1, 10000, 10000, 2)
         assert probe < hsh
-
-    def test_merge_join_includes_sort(self):
-        merge, _ = cost.merge_join_cost(0, 1000, 0, 1000, 100)
-        hsh, _ = cost.hash_join_cost(0, 1000, 0, 1000, 100)
-        assert merge > hsh    # sorting costs more than hashing here
